@@ -63,9 +63,7 @@ def make_codec(tmp: str) -> None:
     for seed in wl.CODEC_POOL:
         entry = {"seed": seed}
         for run in wl.CODEC_RUNS:
-            # the whole run in one CLI call, as a user would make it
-            code = wl._cli(run.argv(seed, run.snr_db, tmp), _call)
-            text = wl._read(tmp, code)
+            code, text = wl.codec_cli(run, seed, tmp, _call)
             entry[run.name] = {"exit": code, "csv": None if text is None else text.decode()}
         entries.append(entry)
     _write_json("codec.json", {"entries": entries})

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import platform
 import resource
@@ -28,15 +27,13 @@ import subprocess
 import sys
 from time import perf_counter
 
-import speed
 from tracer import Tracer, percentile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, "bench", "out")
 
-SETUP_REPS = 5
-CALIBRATE_EVERY_S = 0.2
+SETUP_REPS = 9
 NUMFIELD_REPS = 20
 TIMED_SPANS = (
     "svp.build_search_basis",
@@ -58,17 +55,13 @@ TIMED_SPANS = (
 # shared 2-core host, and no change to cflat moves it
 SETUP_CODE = """
 import sys, time
-sys.path.insert(0, {bench!r})
 import numpy
-import speed
-before = speed.loop_time()
 t0 = time.perf_counter()
 sys.path.insert(0, {src!r})
 from cflat import make_quadratic_field, prime_above
 fields = [make_quadratic_field(d) for d in (3, 5, 7)]
 prime_above(fields[1], 11)
-setup = time.perf_counter() - t0
-print((before + speed.loop_time()) / 2, setup)
+print(time.perf_counter() - t0)
 """
 
 
@@ -76,43 +69,19 @@ class FidelityError(RuntimeError):
     """The traced run did not reproduce the untraced work."""
 
 
-class Meter:
-    """Times calls: `meter(fn, *args)` returns fn(*args).  Once at least
-    `every_s` of calls have run, it times the speed loop again and adds their
-    wall time, scaled to nominal speed by the loop's mean time before and
-    after them, to `nominal`."""
+class Timer:
+    """`timer(fn, *args)` returns fn(*args) and appends its wall time to
+    `walls`, also when fn raises."""
 
-    def __init__(self, every_s: float):
-        self.every_s = every_s
-        self.walls: list[float] = []
-        self.nominal = 0.0
-        self._pending = 0.0
-        self._loop = speed.loop_time()
+    def __init__(self, walls=None):
+        self.walls: list[float] = [] if walls is None else walls
 
     def __call__(self, fn, *args):
         t0 = perf_counter()
         try:
             return fn(*args)
         finally:
-            wall = perf_counter() - t0
-            self.walls.append(wall)
-            self._pending += wall
-            if self._pending >= self.every_s:
-                self.flush()
-
-    def flush(self) -> None:
-        if self._pending:
-            loop = speed.loop_time()
-            self.nominal += self._pending * speed.NOMINAL_S / ((self._loop + loop) / 2)
-            self._loop = loop
-            self._pending = 0.0
-
-    def pause(self, fn, *args):
-        """fn(*args) outside the measurement, e.g. a set-up sample."""
-        self.flush()
-        out = fn(*args)
-        self._loop = speed.loop_time()
-        return out
+            self.walls.append(perf_counter() - t0)
 
 
 def use_checkout_sources() -> None:
@@ -197,48 +166,57 @@ def metadata(args) -> dict:
 # measurement
 
 
-def measure_setup() -> tuple[float, float]:
-    """cflat's import plus field and prime set-up in a fresh interpreter,
-    which also times the speed loop around it; returns (loop s, set-up s)."""
-    code = SETUP_CODE.format(bench=os.path.dirname(os.path.abspath(__file__)), src=SRC)
+def measure_setup() -> float:
+    """Seconds of cflat's import plus field and prime set-up in a fresh
+    interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", SETUP_CODE.format(src=SRC)],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
     )  # fmt: skip
-    loop, setup = (float(x) for x in proc.stdout.split()[-2:])
-    return loop, setup
+    return float(proc.stdout.split()[-1])
+
+
+def _rss_mb() -> float:
+    """Resident set of this process now."""
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        pages = int(fh.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def run_untraced(w, seed: int, seconds: float, tmp: str, outcomes) -> dict:
     import workloads as wl
 
-    meter = Meter(every_s=CALIBRATE_EVERY_S)
+    walls = []
     ops = 0
     setup = []
-    rss_mb = None
+    peak = None
+    # the interpreter, numpy, cflat and the reference are loaded by now
+    rss_before = _rss_mb()
     start = perf_counter()
-    for i in wl.pool_order(w.name, seed, w.size):
-        # set-up samples spread over the run, so one slow spell of the
-        # machine does not set them all
+    for k, i in enumerate(wl.pool_order(w.name, seed, w.size), 1):
+        # set-up samples spread over the run, outside the call timings
         if perf_counter() - start >= len(setup) * seconds / SETUP_REPS:
-            setup.append(meter.pause(measure_setup))
-        ops += w.run(i, tmp, outcomes, meter)
-        if rss_mb is None:
-            # the first unit sets the working set; later peaks depend on
-            # how many units fit in the time and on allocator layout
-            rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            setup.append(measure_setup())
+        ops += w.run(i, tmp, outcomes, Timer(walls))
+        # the resident set keeps growing with the units run, so it is read
+        # after a fixed number of them: a faster cflat runs more units
+        if k == w.rss_units:
+            peak = _peak_rss_mb()
         if perf_counter() - start >= seconds:
             break
-    meter.flush()
     while len(setup) < SETUP_REPS:
         setup.append(measure_setup())
     return {
-        "walls": meter.walls,
+        "walls": walls,
         "ops": ops,
-        "ops_per_s": ops / meter.nominal,
-        "raw_ops_per_s": ops / sum(meter.walls),
         "setup": setup,
-        "peak_rss_mb": rss_mb,
+        "rss_before_mb": rss_before,
+        "rss_units": min(k, w.rss_units),
+        "peak_rss_mb": (peak or _peak_rss_mb()) - rss_before,
     }
 
 
@@ -258,7 +236,7 @@ def run_traced(w, seed: int, seconds: float, tmp: str, outcomes):
     start = perf_counter()
     for k, i in enumerate(wl.pool_order(w.name, seed, w.size)):
         counters = wl.new_counters()
-        timer = Meter(every_s=math.inf)
+        timer = Timer()
         # alternate which side runs first, so warm-up favours neither
         if k % 2:
             base = w.baseline(i, tmp, outcomes, timer)
@@ -403,8 +381,8 @@ def main(argv=None) -> int:
             res = run_untraced(w, args.seed, args.seconds, tmp, outcomes)
             setup = res["setup"]
             values = {
-                "ops_per_s": res["ops_per_s"],
-                "setup_s": statistics.median(t * speed.NOMINAL_S / loop for loop, t in setup),
+                "ops_per_s": res["ops"] / sum(res["walls"]),
+                "setup_s": statistics.median(setup),
                 "peak_rss_mb": res["peak_rss_mb"],
             }
             metrics = _emit(spec["end_to_end"], values)
@@ -413,21 +391,20 @@ def main(argv=None) -> int:
                 "rate-highsnr": "rate_calls_per_s",
                 "codec-mix": "codec_trials_per_s",
             }
-            print(f"{named[w.name]} {res['ops_per_s']:.6g} 1/s at nominal speed "
-                  f"({res['raw_ops_per_s']:.6g} 1/s wall-clock, ops={res['ops']})")  # fmt: skip
+            print(f"{named[w.name]} {values['ops_per_s']:.6g} 1/s "
+                  f"({res['ops']} ops in {len(res['walls'])} calls)")  # fmt: skip
             if w.name == "rate-highsnr":
                 n = len(res["walls"])
                 for q in (50, 99):
                     print(f"rate_call_ms.p{q} {1e3 * percentile(res['walls'], q):.6g} ms (n={n})")
-            raw_setup = statistics.median(t for _, t in setup)
-            print(f"setup_s {values['setup_s']:.6g} s at nominal speed "
-                  f"({raw_setup:.6g} s wall-clock, median of {len(setup)})")  # fmt: skip
+            print(f"setup_s {values['setup_s']:.6g} s (median of {len(setup)})")
             print(f"fail_ratio {outcomes.failed / outcomes.attempted:.6g} ratio")
-            print(f"peak_rss_mb {values['peak_rss_mb']:.6g} MB")
+            print(f"peak_rss_mb {values['peak_rss_mb']:.6g} MB (over the first {res['rss_units']} "
+                  f"units, above {res['rss_before_mb']:.6g} MB resident before them)")  # fmt: skip
             print(f"# failures by type: {json.dumps(outcomes.by_type, sort_keys=True)}")
             record.update(
                 setup_samples=setup, ops=res["ops"], calls=len(res["walls"]),
-                raw_ops_per_s=res["raw_ops_per_s"],
+                rss_before_mb=res["rss_before_mb"],
             )  # fmt: skip
     except FidelityError as exc:
         print(f"error: {exc}", file=sys.stderr)

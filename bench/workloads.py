@@ -9,8 +9,8 @@ units when its time is up, or when the pool is used up.
   ``SWEEP_TRIALS`` trials and one pool seed as ``--seed``.
 - rate-highsnr: a unit is one pool channel (n=2 blocks, L=3 users) with one
   ``best_equation`` call per (field, SNR) in ``RATE_COMBOS``.
-- codec-mix: a unit is the two ``cflat codec`` runs of ``CODEC_RUNS`` with one
-  pool seed as ``--seed``.
+- codec-mix: a unit is the two whole ``cflat codec`` runs of ``CODEC_RUNS``,
+  one CLI call each, with one pool seed as ``--seed``.
 
 Each unit can also run traced: the same work made of public library calls
 with a span around each, which must give outputs bit-equal to the untraced
@@ -85,10 +85,10 @@ class CodecRun:
         start, step, stop = (float(x) for x in self.snr_db.split(":"))
         return tuple(start + k * step for k in range(int((stop - start) / step) + 1))
 
-    def argv(self, seed: int, snr_db: str, output: str) -> list[str]:
+    def argv(self, seed: int, output: str) -> list[str]:
         return [
             "codec", "--d", str(self.d), "--p", str(self.p), "--T", str(self.T),
-            "--lf", str(self.lf), "--lc", str(self.lc), "--snr-db", snr_db,
+            "--lf", str(self.lf), "--lc", str(self.lc), "--snr-db", self.snr_db,
             "--trials", str(self.trials), "--seed", str(seed), "--output", output,
         ]  # fmt: skip
 
@@ -144,8 +144,9 @@ def load_json_reference(name: str) -> dict:
 
 
 def load_rate_reference() -> list[str]:
+    # line by line, so the whole text is never held at once
     with gzip.open(_ref_path("rate.txt.gz"), "rt", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        return [line.rstrip("\n") for line in fh]
 
 
 def rate_record(out) -> str:
@@ -201,10 +202,8 @@ def sweep_cli(seed: int, output: str, timed) -> tuple[int, bytes | None]:
     return code, _read(output, code)
 
 
-def codec_cli(run: CodecRun, seed: int, snr: float, output: str, timed):
-    """``cflat codec`` at one SNR point.  The CLI computes every point on its
-    own, so the row equals that point's row of the whole run."""
-    code = _cli(run.argv(seed, f"{snr:g}", output), timed)
+def codec_cli(run: CodecRun, seed: int, output: str, timed) -> tuple[int, bytes | None]:
+    code = _cli(run.argv(seed, output), timed)
     return code, _read(output, code)
 
 
@@ -226,18 +225,6 @@ def rate_call(field, h, snr_db: float, timed):
         return timed(_rate, field, h, snr_db)
     except Exception as exc:  # counted by type; the run goes on
         return exc
-
-
-def sweep_csv(result) -> str:
-    """The CSV text ``cflat sweep`` writes for a SweepResult."""
-    rows = ["snr_db,scheme,mean_rate_bits,stderr_bits,trials,seed"]
-    for s in np.argsort(result.snr_db, kind="stable"):
-        for k, scheme in enumerate(result.schemes):
-            rows.append(
-                f"{result.snr_db[s]:g},{scheme},{result.mean[k, s]:.6f},"
-                f"{result.stderr[k, s]:.6f},{result.trials},{result.seed}"
-            )
-    return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +337,6 @@ def rate_traced(tr, c: int, fields: dict, counters) -> list:
     return outs
 
 
-def default_generator(T: int, l_f: int) -> tuple[tuple[int, ...], ...]:
-    """The fine-code generator ``cflat codec`` uses: identity rows on top,
-    all-ones rows below."""
-    return tuple(
-        tuple(1 if k == i else 0 for k in range(l_f)) if i < l_f else (1,) * l_f
-        for i in range(T)
-    )
-
-
 def traced_union_bound(tr, lat, cand, counters, min_terms: int = 1000) -> float:
     """``cflat codec``'s radius loop: double the radius while no vector is
     inside, grow it by 1.5 while fewer than min_terms terms are."""
@@ -387,7 +365,7 @@ def codec_traced(tr, run: CodecRun, seed: int, counters, snrs=None, trials=None)
     prime = tr.call("numfield.prime_above", prime_above, field, run.p)
     codes = NestedCodePair(
         p=run.p, r=prime.r, T=run.T, l_f=run.lf, l_c=run.lc,
-        G_f=default_generator(run.T, run.lf),
+        G_f=cli._default_generator(run.T, run.lf),
     )  # fmt: skip
     h = tr.call("simkit.sample_channels", sample_channels, seed, 0, field.degree, 2)
     rows = ["snr_db,error_rate,stderr,union_bound,trials"]
@@ -420,19 +398,32 @@ def probe(tr) -> None:
 
 # ---------------------------------------------------------------------------
 # the workloads: pool, untraced run, traced run, and the fidelity check.
-# run() and baseline() take the untraced path and check it against the
-# reference; baseline() returns what same() compares with traced().  A traced
-# run reports exact counters over its first `counted_units` units; the same
-# seed gives the same units, so the counters repeat exactly.
+# run() takes the user-facing path and checks it against the reference.
+# baseline() takes the untraced path whose outputs same() compares with
+# traced(); it records one outcome per operation.  A traced run reports
+# exact counters over its first `counted_units` units; the same seed gives
+# the same units, so the counters repeat exactly.  An untraced run reads the
+# peak resident set after its first `rss_units` units, about 20 s of work.
 
 
 def _error(code: int) -> str | None:
     return None if code == 0 else f"exit code {code}"
 
 
+def _cli_status(code: int, ref_exit: int, matches: bool) -> str:
+    """Status of one CLI call against its reference: a call that failed in
+    the reference and succeeds now is a success."""
+    if code != 0:
+        return "failed" if ref_exit != 0 else "mismatch"
+    if ref_exit != 0:
+        return "ok"
+    return "ok" if matches else "mismatch"
+
+
 class SweepHeadline:
     name = "sweep-headline"
     size = len(SWEEP_POOL)
+    rss_units = 40
     counted_units = 2
     unit_ops = SWEEP_TRIALS * len(SWEEP_CFG.snr_db) * len(SWEEP_CFG.schemes)
 
@@ -443,34 +434,25 @@ class SweepHeadline:
         self.ref = {e["seed"]: e for e in ref["entries"]}
         self.csv_sizes: list[int] = []
 
-    def _check(self, seed, code, data, outcomes) -> None:
-        ref = self.ref[seed]
-        if code != 0:
-            status = "failed" if ref["exit"] != 0 else "mismatch"
-        elif ref["exit"] != 0:
-            status = "ok"  # failed at the reference commit, succeeds now
-        else:
-            ok = hashlib.sha256(data).hexdigest() == ref["sha256"]
-            status = "ok" if ok else "mismatch"
-        outcomes.add(status, _error(code))
-        if data is not None:
-            self.csv_sizes.append(len(data))
-
     def run(self, i: int, tmp: str, outcomes, timed) -> int:
         seed = SWEEP_POOL[i]
         code, data = sweep_cli(seed, tmp, timed)
-        self._check(seed, code, data, outcomes)
+        ref = self.ref[seed]
+        matches = data is not None and hashlib.sha256(data).hexdigest() == ref.get("sha256")
+        outcomes.add(_cli_status(code, ref["exit"], matches), _error(code))
+        if data is not None:
+            self.csv_sizes.append(len(data))
         return self.unit_ops
 
     def baseline(self, i: int, tmp: str, outcomes, timed):
-        """run_sweep itself, whose per-trial rates the traced run must match."""
-        seed = SWEEP_POOL[i]
+        """run_sweep itself, whose per-trial rates the traced run must match.
+        Its CSV is checked against the reference by run(), not here."""
         try:
-            res = timed(run_sweep, SweepConfig(trials=SWEEP_TRIALS, master_seed=seed), 1)
+            res = timed(run_sweep, SweepConfig(trials=SWEEP_TRIALS, master_seed=SWEEP_POOL[i]), 1)
         except Exception as exc:
-            self._check(seed, 1, None, outcomes)
+            outcomes.add("failed", type(exc).__name__)
             return exc
-        self._check(seed, 0, sweep_csv(res).encode(), outcomes)
+        outcomes.add("ok")
         return res
 
     def traced(self, i: int, tr, counters):
@@ -490,6 +472,7 @@ class SweepHeadline:
 class RateHighSnr:
     name = "rate-highsnr"
     size = RATE_CHANNELS
+    rss_units = 400
     counted_units = 25
     unit_ops = len(RATE_COMBOS)
 
@@ -531,6 +514,7 @@ class RateHighSnr:
 class CodecMix:
     name = "codec-mix"
     size = len(CODEC_POOL)
+    rss_units = 4
     counted_units = 1
     unit_ops = sum(run.trials * len(run.snrs) for run in CODEC_RUNS)
 
@@ -539,29 +523,18 @@ class CodecMix:
         self.csv_sizes: list[int] = []
 
     def baseline(self, i: int, tmp: str, outcomes, timed) -> list:
-        """Each run as one CLI call per SNR point; returns each run's CSV
-        text, or None when a point failed."""
+        """Each run as one whole ``cflat codec`` call, its CSV checked against
+        the reference; returns each run's CSV text, or None when it failed."""
         seed = CODEC_POOL[i]
         texts = []
         for run in CODEC_RUNS:
             ref = self.ref[seed][run.name]
-            want = ref["csv"].splitlines(keepends=True) if ref["exit"] == 0 else None
-            rows = []
-            for snr in run.snrs:
-                code, data = codec_cli(run, seed, snr, tmp, timed)
-                if code != 0:
-                    status = "failed" if want is None else "mismatch"
-                elif want is None:
-                    status = "ok"  # failed at the reference commit, succeeds now
-                else:
-                    row = next(r for r in want[1:] if r.split(",", 1)[0] == f"{snr:g}")
-                    status = "ok" if data.decode() == want[0] + row else "mismatch"
-                outcomes.add(status, _error(code))
-                if data is not None:
-                    self.csv_sizes.append(len(data))
-                rows.append(data.decode().splitlines(keepends=True) if data else None)
-            ok = all(rows)
-            texts.append("".join(rows[0][:1] + [r[1] for r in rows]) if ok else None)
+            code, data = codec_cli(run, seed, tmp, timed)
+            matches = data is not None and data.decode() == ref["csv"]
+            outcomes.add(_cli_status(code, ref["exit"], matches), _error(code))
+            if data is not None:
+                self.csv_sizes.append(len(data))
+            texts.append(None if data is None else data.decode())
         return texts
 
     def run(self, i: int, tmp: str, outcomes, timed) -> int:
