@@ -114,24 +114,33 @@ def pool_order(workload: str, seed: int, size: int) -> list[int]:
 
 
 class Outcomes:
-    """Checked operations: a mismatch with the reference is a failed
-    operation and makes the run incorrect; a failure the reference also
-    shows is counted as failed but not as a mismatch."""
+    """Checked operations.  An operation is the reference commit's outcome
+    reproduced: its output, or the same exception or exit code where the
+    reference failed.  A mismatch is a failed operation and makes the run
+    incorrect.  A failure the reference also shows is a known failure: the
+    operation reproduced it, and it is counted apart, so that it stays
+    visible in `fail_ratio` without making `failed` depend on how many
+    operations fit in the run."""
 
     def __init__(self):
         self.attempted = 0
         self.failed = 0
-        self.mismatches = 0
+        self.known_failures = 0
         self.by_type: dict[str, int] = {}
 
     def add(self, status: str, error: str | None = None) -> None:
         self.attempted += 1
-        if status != "ok":
-            self.failed += 1
         if status == "mismatch":
-            self.mismatches += 1
+            self.failed += 1
+        elif status == "known":
+            self.known_failures += 1
         if error is not None:
             self.by_type[error] = self.by_type.get(error, 0) + 1
+
+    @property
+    def fail_ratio(self) -> float:
+        """Operations that raised or exited non-zero, or mismatched."""
+        return (self.failed + self.known_failures) / self.attempted
 
 
 def _ref_path(name: str) -> str:
@@ -165,7 +174,7 @@ def check_rate(ref_line: str, out) -> str:
     RATE_REL_TOL, or the same exception type (a known failure)."""
     got = rate_record(out)
     if ref_line.startswith("err "):
-        return "failed" if got == ref_line else ("ok" if got.startswith("ok ") else "mismatch")
+        return "known" if got == ref_line else ("ok" if got.startswith("ok ") else "mismatch")
     if not got.startswith("ok "):
         return "mismatch"
     ref_parts, got_parts = ref_line.split(), got.split()
@@ -414,7 +423,7 @@ def _cli_status(code: int, ref_exit: int, matches: bool) -> str:
     """Status of one CLI call against its reference: a call that failed in
     the reference and succeeds now is a success."""
     if code != 0:
-        return "failed" if ref_exit != 0 else "mismatch"
+        return "known" if ref_exit != 0 else "mismatch"
     if ref_exit != 0:
         return "ok"
     return "ok" if matches else "mismatch"
@@ -447,10 +456,11 @@ class SweepHeadline:
     def baseline(self, i: int, tmp: str, outcomes, timed):
         """run_sweep itself, whose per-trial rates the traced run must match.
         Its CSV is checked against the reference by run(), not here."""
+        seed = SWEEP_POOL[i]
         try:
-            res = timed(run_sweep, SweepConfig(trials=SWEEP_TRIALS, master_seed=SWEEP_POOL[i]), 1)
+            res = timed(run_sweep, SweepConfig(trials=SWEEP_TRIALS, master_seed=seed), 1)
         except Exception as exc:
-            outcomes.add("failed", type(exc).__name__)
+            outcomes.add("known" if self.ref[seed]["exit"] != 0 else "mismatch", type(exc).__name__)
             return exc
         outcomes.add("ok")
         return res
