@@ -259,7 +259,7 @@ def _cmd_sweep(args, cfg: CliConfig) -> int:
         schemes=cfg.schemes,
         master_seed=cfg.seed,
     )
-    result = run_sweep(sweep_cfg, threads=args.threads)
+    result = run_sweep(sweep_cfg)
     rows = ["snr_db,scheme,mean_rate_bits,stderr_bits,trials,seed"]
     order = np.argsort(result.snr_db, kind="stable")
     for s in order:
@@ -409,7 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--schemes", default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--output", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1, help="0 = auto")
+    p_sweep.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and ignored: a sweep runs on one thread",
+    )
 
     p_codec = sub.add_parser("codec", help="codec error-rate simulation to CSV")
     p_codec.add_argument("--d", type=int, required=True)

@@ -3,13 +3,12 @@ common random numbers across schemes, and high-SNR slope estimation.
 
 Channel draws come from per-trial substreams of a splitmix64 generator, so a
 trial's channel depends only on (master seed, trial index) and sweeps are
-reproducible regardless of execution order or thread count.
+reproducible regardless of execution order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +154,9 @@ def _scheme_rate(kind, d_field, ch: BlockFadingChannel) -> float:
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Evaluate every scheme on common channel draws: one draw per trial is
-    shared across all schemes and SNR points.  Per-trial results land in a
-    preallocated array, so means are independent of scheduling order."""
+    shared across all schemes and SNR points.  Trials run in order on the
+    calling thread; `threads` is accepted and ignored (a thread pool over this
+    interpreter-bound work ran slower than one thread)."""
     parsed = [_parse_scheme(s) for s in cfg.schemes]
     fields = {
         d: make_quadratic_field(d) for _, d in parsed if d is not None
@@ -164,26 +164,12 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     Ps = [10.0 ** (s / 10.0) for s in cfg.snr_db]
     rates = np.zeros((len(parsed), len(Ps), cfg.trials))
 
-    def one_trial(t: int):
+    for t in range(cfg.trials):
         h = sample_channels(cfg.master_seed, t, cfg.n, cfg.L)
-        out = np.empty((len(parsed), len(Ps)))
         for si, P in enumerate(Ps):
             ch = BlockFadingChannel(h, P)
             for k, (kind, d) in enumerate(parsed):
-                out[k, si] = _scheme_rate(kind, fields.get(d), ch)
-        return t, out
-
-    if threads == 0:
-        import os
-
-        threads = os.cpu_count() or 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, out in pool.map(one_trial, range(cfg.trials)):
-                rates[:, :, t] = out
-    else:
-        for t in range(cfg.trials):
-            rates[:, :, t] = one_trial(t)[1]
+                rates[k, si, t] = _scheme_rate(kind, fields.get(d), ch)
 
     mean = rates.mean(axis=2)
     if cfg.trials > 1:

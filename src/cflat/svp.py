@@ -13,6 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -134,53 +135,47 @@ def build_search_basis(
 
 
 def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def _lll_reduce(rows, delta=LLL_DELTA):
     """Floating-point LLL on a list of basis row vectors.
 
-    Returns (reduced, transform) with reduced[i] = sum_k transform[i][k]*rows[k]
-    and transform unimodular.
+    Returns (reduced, transform, mu, norms): reduced[i] = sum_k
+    transform[i][k]*rows[k], transform unimodular, and the reduced rows' GSO.
+    GSO row k is recomputed from b[k] whenever the loop reaches k: updating
+    it across swaps loses high-SNR bases' small norms to rounding.
     """
     m = len(rows)
     b = [[float(x) for x in r] for r in rows]
     T = [[1 if i == k else 0 for k in range(m)] for i in range(m)]
-
-    def gso():
-        mu = [[0.0] * m for _ in range(m)]
-        norms = [0.0] * m
-        star = []
-        for i in range(m):
-            v = b[i][:]
-            for j in range(i):
-                if norms[j] <= 0.0:
-                    raise RankDeficient("basis is numerically rank deficient")
-                mu[i][j] = _dot(b[i], star[j]) / norms[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-            norms[i] = _dot(v, v)
-        return mu, norms
-
-    mu, norms = gso()
-    k = 1
+    mu = [[float(i == j) for j in range(m)] for i in range(m)]  # mu[i][i] = 1
+    norms = [0.0] * m
+    star = [None] * m
+    k = 0
     while k < m:
+        v = b[k]
+        for j in range(k):
+            mu[k][j] = c = _dot(b[k], star[j]) / norms[j]
+            v = [x - c * y for x, y in zip(v, star[j])]
+        star[k] = v
+        norms[k] = _dot(v, v)
+        if norms[k] <= 0.0:
+            raise RankDeficient("basis is numerically rank deficient")
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 T[k] = [x - q * y for x, y in zip(T[k], T[j])]
-                for jj in range(j):
+                for jj in range(j + 1):
                     mu[k][jj] -= q * mu[j][jj]
-                mu[k][j] -= q
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if k == 0 or norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             T[k], T[k - 1] = T[k - 1], T[k]
-            mu, norms = gso()
-            k = max(k - 1, 1)
-    return b, T
+            k -= 1
+    return b, T, mu, norms
 
 
 def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE):
@@ -239,14 +234,15 @@ def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE):
     return cands, nodes
 
 
-def _triangular_factor(columns: np.ndarray) -> np.ndarray:
-    """QR upper factor with positive diagonal; raises on rank deficiency."""
-    _, R = np.linalg.qr(columns)
-    signs = np.sign(np.diag(R))
-    scale = float(np.max(np.abs(np.diag(R))))
-    if scale <= 0 or np.any(np.abs(np.diag(R)) < 1e-12 * scale):
+def _reduced_factor(basis: np.ndarray):
+    """LLL on the basis columns: (reduced rows, transform, R), with the upper
+    factor R[j][i] = mu[i][j] sqrt(B_j) of the reduced basis.  Raises if rank
+    deficient."""
+    reduced, T, mu, norms = _lll_reduce(list(basis.T))
+    diag = [math.sqrt(x) for x in norms]
+    if min(diag) < 1e-12 * max(diag):
         raise RankDeficient("basis is numerically rank deficient")
-    return (R.T * np.where(signs == 0, 1.0, signs)).T
+    return reduced, T, [[row[j] * d for row in mu] for j, d in enumerate(diag)]
 
 
 def _normalize_sign(a: tuple) -> tuple:
@@ -274,10 +270,9 @@ def shortest_vector(B: SearchBasis) -> SVPResult:
     """Exact SVP on the search basis: LLL then full Schnorr-Euchner
     enumeration with initial radius equal to the shortest LLL vector."""
     basis = np.asarray(B.basis, dtype=float)
-    reduced, T = _lll_reduce(list(basis.T))
-    R = _triangular_factor(np.array(reduced).T)
+    reduced, T, R = _reduced_factor(basis)
     bound = min(_dot(v, v) for v in reduced)
-    cands, nodes = _enumerate([list(r) for r in R], bound, shrink=True)
+    cands, nodes = _enumerate(R, bound, shrink=True)
     if not cands:
         raise RankDeficient("enumeration found no lattice vector")
     coord_set = {
@@ -292,9 +287,8 @@ def enumerate_short_vectors(B: SearchBasis, radius_sq: float) -> list[SVPResult]
     """All sign-normalized nonzero lattice vectors with ||Bbar atilde||^2 <=
     radius_sq, sorted by norm then coordinates."""
     basis = np.asarray(B.basis, dtype=float)
-    reduced, T = _lll_reduce(list(basis.T))
-    R = _triangular_factor(np.array(reduced).T)
-    cands, nodes = _enumerate([list(r) for r in R], radius_sq, shrink=False)
+    _, T, R = _reduced_factor(basis)
+    cands, nodes = _enumerate(R, radius_sq, shrink=False)
     seen = {}
     for _, zz in cands:
         a = _normalize_sign(tuple(int(_dot(zz, col)) for col in zip(*T)))

@@ -5,7 +5,9 @@ import pytest
 
 from cflat.channel import BlockFadingChannel, coefficient_embeddings, gram_matrix
 from cflat.numfield import RingElement, make_quadratic_field
+from cflat.simkit import sample_channels
 from cflat.svp import (
+    LLL_DELTA,
     CholeskyFailure,
     RankDeficient,
     SearchBasis,
@@ -54,6 +56,26 @@ def direct_quad_form(field, ch, coords):
     return sum(
         float(sigma[j] @ gram_matrix(ch.h[j], ch.P) @ sigma[j]) for j in range(ch.n)
     )
+
+
+def certify_in_reduced_basis(d, ch):
+    """Certify shortest_vector on the ring lattice of (d, ch) in an
+    LLL-reduced basis of the same lattice.
+
+    For 6-D lattices the certificate's box in the original coordinates holds
+    1e8-1e11 points.  The box stays complete whatever the reduction does, as
+    long as the transform is unimodular.
+    """
+    B = build_search_basis(make_quadratic_field(d), ch)
+    sv = shortest_vector(B)
+    T = _lll_reduce(list(B.basis.T))[1]
+    U = np.array(T, dtype=np.int64).T  # reduced basis = B.basis @ U
+    assert round(abs(np.linalg.det(U))) == 1
+    y = np.rint(np.linalg.solve(U, sv.coords)).astype(np.int64)
+    assert np.array_equal(U @ y, sv.coords)
+    reduced = SearchBasis(dim=B.dim, basis=B.basis @ U)
+    cert = certify_shortest(reduced, SVPResult(y, sv.norm_sq, sv.node_count))
+    assert cert.ok, cert.detail
 
 
 class TestBuildBasis:
@@ -143,7 +165,7 @@ class TestShortestVector:
             ch = random_channel(rng)
             B = build_search_basis(F5, ch)
             res = shortest_vector(B)
-            reduced, _ = _lll_reduce(list(B.basis.T))
+            reduced = _lll_reduce(list(B.basis.T))[0]
             for v in reduced:
                 assert res.norm_sq <= sum(x * x for x in v) * (1 + 1e-9)
 
@@ -151,6 +173,18 @@ class TestShortestVector:
         bad = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(RankDeficient):
             shortest_vector(SearchBasis(dim=2, basis=bad))
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [[1.0, 1.0], [0.0, 1e-14]],
+            [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1e-15]],
+        ],
+    )
+    def test_relative_rank_guard(self, basis):
+        # full rank, but one Gram-Schmidt length is below 1e-12 of the largest
+        with pytest.raises(RankDeficient):
+            shortest_vector(SearchBasis(dim=len(basis), basis=np.array(basis)))
 
     def test_oracle_equivalence_200_instances(self):
         # Every answer is certified by an exhaustive search over a box that
@@ -200,20 +234,44 @@ class TestShortestVector:
         "d, h, P", LLL_SHORT_6D, ids=[f"d{d}-P{P:.0f}" for d, _, P in LLL_SHORT_6D]
     )
     def test_certified_where_lll_alone_falls_short(self, d, h, P):
-        # At this size the certificate's box in the original coordinates
-        # holds 1e8-1e11 points, so it is taken in an LLL-reduced basis of
-        # the same lattice instead.  The box stays complete whatever the
-        # reduction does, as long as the transform is unimodular.
-        B = build_search_basis(make_quadratic_field(d), BlockFadingChannel(h, P))
-        sv = shortest_vector(B)
-        _, T = _lll_reduce(list(B.basis.T))
-        U = np.array(T, dtype=np.int64).T  # reduced basis = B.basis @ U
-        assert round(abs(np.linalg.det(U))) == 1
-        y = np.rint(np.linalg.solve(U, sv.coords)).astype(np.int64)
-        assert np.array_equal(U @ y, sv.coords)
-        reduced = SearchBasis(dim=B.dim, basis=B.basis @ U)
-        cert = certify_shortest(reduced, SVPResult(y, sv.norm_sq, sv.node_count))
-        assert cert.ok, cert.detail
+        certify_in_reduced_basis(d, BlockFadingChannel(h, P))
+
+    # Three-user channels at 80 dB, as (trial index under seed 20170204, d):
+    # a floating-point LLL that updates mu and the Gram-Schmidt norms across
+    # swaps (Cohen, Alg. 2.6.3) instead of recomputing them loses the small
+    # norms of these 6-D lattices and raises RankDeficient.
+    SWAP_UPDATE_UNSTABLE_80DB = ((3, 3), (3, 5), (6, 7), (9, 5), (10, 3), (11, 5))
+
+    @pytest.mark.parametrize("c, d", SWAP_UPDATE_UNSTABLE_80DB)
+    def test_certified_where_swap_updates_fail(self, c, d):
+        certify_in_reduced_basis(
+            d, BlockFadingChannel(sample_channels(20170204, c, 2, 3), 1e8)
+        )
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("d", [None, 3, 5, 7])
+    def test_lll_output_is_reduced(self, L, d):
+        # Checked against a Gram-Schmidt orthogonalization of the output
+        # computed independently of the kernel (numpy QR).
+        field = None if d is None else make_quadratic_field(d)
+        for t in range(5):
+            h = sample_channels(31, t, 2, L)
+            for snr in range(0, 90, 10):
+                B = build_search_basis(field, BlockFadingChannel(h, 10 ** (snr / 10)))
+                rows = B.basis.T
+                reduced, T, _, _ = _lll_reduce(list(rows))
+                assert all(type(x) is int for row in T for x in row)
+                assert round(abs(np.linalg.det(np.array(T, dtype=float)))) == 1
+                reduced = np.array(reduced)
+                residual = np.max(np.abs(np.array(T, dtype=float) @ rows - reduced))
+                assert residual <= 1e-9 * np.max(np.abs(reduced))
+                R = np.linalg.qr(reduced.T, mode="r")
+                mu = R / np.diag(R)[:, None]  # mu[j, i] = mu_ij for j < i
+                norms = np.diag(R) ** 2
+                assert np.all(np.abs(np.triu(mu, 1)) <= 0.5 + 1e-9)
+                for k in range(1, len(norms)):
+                    lovasz = (LLL_DELTA - mu[k - 1, k] ** 2) * norms[k - 1]
+                    assert norms[k] >= lovasz * (1 - 1e-9)
 
     def test_deterministic_tie_break(self):
         B = build_search_basis(F5, zero_channel(2, 2))
