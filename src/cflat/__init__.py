@@ -35,7 +35,6 @@ from .svp import (
 )
 from .codec import (
     ConstructionALattice,
-    EffectiveNoiseSpec,
     NestedCodePair,
     build_construction_a,
     decode_equation,

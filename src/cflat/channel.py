@@ -123,6 +123,51 @@ class EquationCandidate:
         return float(np.prod(self.nu_sq)) ** (1.0 / len(self.nu_sq))
 
 
+def _split(x: float) -> tuple[float, float]:
+    """Veltkamp split: x = hi + lo with each half fitting in 26 bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _cross(a: float, b: float, c: float, d: float) -> float:
+    """a*b - c*d with Dekker's error-free products: only the final sums
+    round, so a cancelling difference keeps its relative accuracy."""
+    p, q = a * b, c * d
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    (c1, c2), (d1, d2) = _split(c), _split(d)
+    ep = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    eq = ((c1 * d1 - q) + c1 * d2 + c2 * d1) + c2 * d2
+    return (p - q) + (ep - eq)
+
+
+def _block_terms(h: np.ndarray, s: np.ndarray, P: float) -> tuple[float, float, float]:
+    """Block j's quadratic form f_j = s^T M_j s, MMSE scalar b_j and effective
+    noise variance nu_j^2 = b_j^2 + P ||b_j h - s||^2, for s = sigma_j(a).
+
+    Closed forms with g = 1 + P||h||^2 and the Lagrange sum
+    Lam = sum_{i<k} (s_i h_k - s_k h_i)^2 = ||s||^2 ||h||^2 - (s.h)^2:
+    f_j = (||s||^2 + P Lam) / g and nu_j^2 = b_j^2 + P (Lam + (s.h)^2 / g^2)
+    / ||h||^2 are sums of nonnegative terms, so neither cancels as P||h||^2
+    grows.  nu_j^2 does not go through f_j, so am_rate's check of
+    sum_j nu_j^2 = P f compares two independent evaluations.
+    """
+    sh = float(s @ h)
+    hh = float(h @ h)
+    ss = float(s @ s)
+    g = P * hh + 1.0
+    b = P * sh / g  # mmse_scale's expression
+    if hh == 0.0:
+        return ss, b, P * ss
+    sl, hl = s.tolist(), h.tolist()
+    lam = 0.0
+    for k in range(1, len(sl)):
+        for i in range(k):
+            lam += _cross(sl[i], hl[k], sl[k], hl[i]) ** 2
+    t = sh / g
+    return (ss + P * lam) / g, b, b * b + P * (lam + t * t) / hh
+
+
 def am_rate(
     ch: BlockFadingChannel, a, field: NumberField | None = None
 ) -> EquationCandidate:
@@ -137,14 +182,8 @@ def am_rate(
     nu_sq = np.empty(n)
     f = 0.0
     for j in range(n):
-        h = ch.h[j]
-        s = sigma[j]
-        M = gram_matrix(h, P)
-        f += float(s @ M @ s)
-        bj = mmse_scale(h, s, P)
-        b[j] = bj
-        resid = bj * h - s
-        nu_sq[j] = bj * bj + P * float(resid @ resid)
+        fj, b[j], nu_sq[j] = _block_terms(ch.h[j], sigma[j], P)
+        f += fj
     total = float(nu_sq.sum())  # n * sigma_AM^2
     if not math.isclose(total, P * f, rel_tol=1e-9, abs_tol=1e-12):
         raise AssertionError(
@@ -165,8 +204,8 @@ def block_rate_Z(h_j, a, P: float) -> float:
     av = np.asarray(a, dtype=float)
     if not av.any():
         raise ZeroCoefficient("coefficient vector is zero")
-    M = gram_matrix(h_j, P)
-    return _rate_from_quad_form(1, float(av @ M @ av))
+    f = _block_terms(np.asarray(h_j, dtype=float), av, P)[0]
+    return _rate_from_quad_form(1, f)
 
 
 def naive_rate(ch: BlockFadingChannel, solver=None) -> tuple[int, tuple, float]:

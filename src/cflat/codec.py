@@ -26,7 +26,6 @@ __all__ = [
     "DeskScaleExceeded",
     "NestedCodePair",
     "ConstructionALattice",
-    "EffectiveNoiseSpec",
     "UnionBoundResult",
     "DecodeResult",
     "SimResult",
@@ -90,17 +89,6 @@ class NestedCodePair:
         return tuple(row[: self.l_c] for row in self.G_f)
 
 
-@dataclass(frozen=True)
-class EffectiveNoiseSpec:
-    """Per-block effective noise variances feeding the union bound."""
-
-    nu_sq: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.nu_sq):
-            raise ValueError("noise variances must be nonnegative")
-
-
 class UnionBoundResult(NamedTuple):
     value: float
     terms: int
@@ -132,8 +120,11 @@ def _fq_codeword(Fq: ResidueField, G_rows, w) -> list[int]:
     return out
 
 
-def _fq_solve(Fq: ResidueField, G_rows, c) -> tuple[int, ...] | None:
-    """Solve G w = c over F_q; None when c is outside the column span."""
+def _fq_gauss_jordan(Fq: ResidueField, G_rows, c) -> tuple[list, list[int]]:
+    """Gauss-Jordan elimination of the augmented rows [G | c] over F_q.
+
+    Returns the reduced rows and the pivot columns of G; the rank of G is the
+    number of pivots."""
     T = len(G_rows)
     ncols = len(G_rows[0]) if T and G_rows[0] else 0
     rows = [list(G_rows[i]) + [c[i]] for i in range(T)]
@@ -152,33 +143,18 @@ def _fq_solve(Fq: ResidueField, G_rows, c) -> tuple[int, ...] | None:
                 rows[r] = [Fq.sub(x, Fq.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
         piv_cols.append(col)
         rank += 1
-    for r in range(rank, T):
-        if rows[r][-1] != 0:
-            return None
-    w = [0] * ncols
-    for r, col in enumerate(piv_cols):
-        w[col] = rows[r][-1]
+    return rows, piv_cols
+
+
+def _fq_solve(Fq: ResidueField, G_rows, c) -> tuple[int, ...] | None:
+    """Solve G w = c over F_q; None when c is outside the column span."""
+    rows, piv_cols = _fq_gauss_jordan(Fq, G_rows, c)
+    if any(row[-1] != 0 for row in rows[len(piv_cols) :]):
+        return None
+    w = [0] * (len(G_rows[0]) if G_rows and G_rows[0] else 0)
+    for row, col in zip(rows, piv_cols):
+        w[col] = row[-1]
     return tuple(w)
-
-
-def _fq_rank(Fq: ResidueField, G_rows) -> int:
-    T = len(G_rows)
-    ncols = len(G_rows[0]) if T and G_rows[0] else 0
-    rows = [list(r) for r in G_rows]
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, T) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fq.inv(rows[rank][col])
-        rows[rank] = [Fq.mul(inv, x) for x in rows[rank]]
-        for r in range(rank + 1, T):
-            if rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [Fq.sub(x, Fq.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +241,6 @@ class ConstructionALattice:
     vol_coarse_unit: float
     region_scaled: np.ndarray  # (nT, nT) columns of the shaping parallelepiped
     region_inv: np.ndarray
-    second_moment_unit: float
     pideal_basis: np.ndarray  # (2, 2) reduced integer columns of the ideal
     pideal_embedded: np.ndarray  # (2, 2) gamma-scaled embedded ideal basis
     message_rate_bits: float
@@ -323,7 +298,7 @@ def build_construction_a(
     q = Fq.q
     if any(not (0 <= x < q) for row in codes.G_f for x in row):
         raise DimensionMismatch(f"G_f entries must be encoded residues in [0, {q})")
-    if l_f > 0 and _fq_rank(Fq, codes.G_f) != l_f:
+    if l_f > 0 and len(_fq_gauss_jordan(Fq, codes.G_f, [0] * T)[1]) != l_f:
         raise RankDeficientCode("fine generator must have full column rank")
     K = q**l_f
     if K > MAX_COSET_LEADERS:
@@ -430,7 +405,6 @@ def build_construction_a(
         vol_coarse_unit=vol_coarse,
         region_scaled=region_scaled,
         region_inv=np.linalg.inv(region_scaled),
-        second_moment_unit=m0,
         pideal_basis=pideal_basis,
         pideal_embedded=pideal_embedded,
         message_rate_bits=rate,
@@ -691,16 +665,22 @@ def enumerate_fine_vectors(
                 rec(i + 1, rem - item[2])
 
         rec(0, budget)
+        # rec's closure holds rec itself: break the cycle, or every vector
+        # enumerated so far stays alive until the cyclic garbage collector runs
+        del rec
     return results
 
 
 def union_bound(
-    lat: ConstructionALattice, noise, truncation_radius: float
+    lat: ConstructionALattice, nu_sq, truncation_radius: float
 ) -> UnionBoundResult:
     """Partial union-bound sum over the fine-not-coarse vectors inside the
-    truncation radius.  The reported value is a partial sum: terms outside the
-    radius are dropped, so it only lower-bounds the full series."""
-    nu = np.asarray(getattr(noise, "nu_sq", noise), dtype=float)
+    truncation radius, for the per-block effective noise variances nu_sq.
+    The reported value is a partial sum: terms outside the radius are
+    dropped, so it only lower-bounds the full series."""
+    nu = np.asarray(nu_sq, dtype=float)
+    if np.any(nu < 0):
+        raise ValueError("noise variances must be nonnegative")
     pts = enumerate_fine_vectors(lat, truncation_radius, exclude_coarse=True)
     if not pts:
         raise RadiusTooSmall(

@@ -24,7 +24,6 @@ __all__ = [
     "sample_channels",
     "run_sweep",
     "dof_slope",
-    "scheme_labels",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -121,10 +120,6 @@ def _parse_scheme(name: str):
         except ValueError:
             pass
     raise ValueError(f"unknown scheme {name!r}")
-
-
-def scheme_labels() -> tuple[str, ...]:
-    return ("mac", "naive_Z", "am_Z", "am_ring(d)")
 
 
 @dataclass(frozen=True)

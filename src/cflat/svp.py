@@ -2,14 +2,14 @@
 
 The quadratic form f(a) = sum_j sigma_j(a)^T M_j sigma_j(a) over ring
 coefficient vectors equals ||Bbar atilde||^2 on an explicit integer lattice,
-built from the per-block Cholesky factors and the field embedding matrix.
+built from closed-form square roots of the per-block Gram matrices and the
+field embedding matrix.
 The SVP is solved exactly by Schnorr-Euchner enumeration after LLL
 preprocessing; a brute-force box search is kept as an independent oracle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,13 +17,12 @@ from operator import mul
 
 import numpy as np
 
-from .channel import BlockFadingChannel, EquationCandidate, am_rate, gram_matrix
+from .channel import BlockFadingChannel, EquationCandidate, am_rate
 from .numfield import NumberField, RingElement
 
 __all__ = [
     "RankDeficient",
     "TooLarge",
-    "CholeskyFailure",
     "SearchBasis",
     "SVPResult",
     "build_search_basis",
@@ -48,23 +47,13 @@ class TooLarge(ValueError):
     """Brute-force search box is empty or too large to enumerate."""
 
 
-class CholeskyFailure(ArithmeticError):
-    """A block Gram matrix is not numerically positive definite."""
-
-
-def _cholesky_upper(M: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
-    """Upper factor R with M = R^T R.  M is positive definite by construction
-    (identity minus a contraction), but huge SNR can push it to the edge of
-    semidefiniteness; one shot of jitter is allowed, then we fail hard rather
-    than silently regularize."""
-    try:
-        return np.linalg.cholesky(M).T
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.cholesky(M + jitter * np.eye(len(M))).T
-    except np.linalg.LinAlgError as exc:
-        raise CholeskyFailure("block Gram matrix is not positive definite") from exc
+def _gram_sqrt(h: np.ndarray, P: float) -> np.ndarray:
+    """Symmetric square roots R_j = I - beta_j h_j h_j^T of the block Gram
+    matrices M_j = R_j^2 for the rows h_j of h, with r_j = sqrt(1 +
+    P||h_j||^2) and beta_j = P / (r_j (1 + r_j)); det R_j = 1 / r_j."""
+    r = np.sqrt(1.0 + P * np.einsum("jl,jl->j", h, h))
+    beta = P / (r * (1.0 + r))
+    return np.eye(h.shape[1]) - beta[:, None, None] * (h[:, :, None] * h[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -74,16 +63,11 @@ class SearchBasis:
     Columns are the lattice generators, indexed by the interleaved ring
     coordinates of a (user-major): ||basis @ atilde||^2 = f(a).  For plain
     integer coefficients (field=None) the basis is the nL x L stack of the
-    per-block Cholesky factors.
+    per-block Gram square roots.
     """
 
     dim: int
     basis: np.ndarray
-    phi_mix: np.ndarray | None = None
-    cholesky: tuple | None = None
-    row_shuffle: np.ndarray | None = None
-    field: NumberField | None = None
-    channel: BlockFadingChannel | None = None
 
 
 @dataclass(frozen=True)
@@ -96,42 +80,23 @@ class SVPResult:
 def build_search_basis(
     field: NumberField | None, ch: BlockFadingChannel
 ) -> SearchBasis:
-    """Assemble Bbar = M_mix Phi_mix for the channel's Gram matrices.
+    """Assemble Bbar for the channel's Gram matrices.
 
-    Rows are grouped by fading block, one row per user; user l's column pair
-    carries (sigma_j(1), sigma_j(theta)).  The row shuffle records the
-    permutation from the user-major Kronecker layout.
+    Rows are grouped by fading block, one row per user: block j's rows are
+    R_j (x) phi_j with R_j the Gram square root and phi_j = (sigma_j(1),
+    sigma_j(theta)) the field embedding row, so user l's column pair carries
+    sigma_j of a_l's two coordinates.
     """
     n, L = ch.n, ch.L
-    deg = field.degree if field is not None else 1
-    if field is not None and n != field.degree:
+    if field is None:
+        emb = np.ones((n, 1))
+    elif n != field.degree:
         raise ValueError(f"field degree {field.degree} != block count {n}")
-    phi_mix = np.zeros((n * L, L * deg))
-    for j in range(n):
-        for l in range(L):
-            if field is not None:
-                phi_mix[j * L + l, l * deg : (l + 1) * deg] = field.embedding[j]
-            else:
-                phi_mix[j * L + l, l] = 1.0
-    chol = []
-    bbar = np.empty_like(phi_mix)
-    for j in range(n):
-        R = _cholesky_upper(gram_matrix(ch.h[j], ch.P))
-        chol.append(R)
-        bbar[j * L : (j + 1) * L] = R @ phi_mix[j * L : (j + 1) * L]
-    shuffle = None
-    if field is not None:
-        # row r = j*L + l of Phi_mix is row l*deg + j of I_L (x) Phi
-        shuffle = np.array([(r % L) * deg + r // L for r in range(n * L)])
-    return SearchBasis(
-        dim=L * deg,
-        basis=bbar,
-        phi_mix=phi_mix,
-        cholesky=tuple(chol),
-        row_shuffle=shuffle,
-        field=field,
-        channel=ch,
-    )
+    else:
+        emb = field.embedding
+    deg = emb.shape[1]
+    blocks = _gram_sqrt(ch.h, ch.P)[:, :, :, None] * emb[:, None, None, :]
+    return SearchBasis(dim=L * deg, basis=blocks.reshape(n * L, L * deg))
 
 
 def _dot(x, y):
@@ -361,7 +326,7 @@ def best_equation(
 
 def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
     """Exact minimizer of a^T M a over nonzero integer vectors for one block."""
-    R = _cholesky_upper(gram_matrix(h_j, P))
+    R = _gram_sqrt(np.atleast_2d(np.asarray(h_j, dtype=float)), P)[0]
     res = shortest_vector(SearchBasis(dim=R.shape[1], basis=R))
     return tuple(int(x) for x in res.coords), res.norm_sq
 
@@ -414,12 +379,3 @@ def top_equations(
         am_rate(ch, _coords_to_coefficients(field, r.coords, ch.L), field)
         for r in picked
     ]
-
-
-def scaled_basis(B: SearchBasis, s: float) -> SearchBasis:
-    """The search basis with every Cholesky factor multiplied by s > 0."""
-    return dataclasses.replace(
-        B,
-        basis=s * B.basis,
-        cholesky=None if B.cholesky is None else tuple(s * c for c in B.cholesky),
-    )

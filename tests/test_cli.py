@@ -184,6 +184,14 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 2
 
+    def test_high_snr_ring_sweep(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--snr-db", "70", "--schemes", "am_ring(5)", "--trials", "20"]
+        assert main(args + ["--output", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("70,am_ring(5),")
+
     def test_no_partial_file_on_validation_failure(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -8,7 +9,6 @@ from cflat.channel import BlockFadingChannel, EquationCandidate
 from cflat.codec import (
     DeskScaleExceeded,
     DimensionMismatch,
-    EffectiveNoiseSpec,
     NestedCodePair,
     RadiusTooSmall,
     RankDeficientCode,
@@ -307,6 +307,17 @@ class TestEnumeration:
             is_coarse = all(r == 0 for r in res)
             assert (key not in without) == is_coarse
 
+    def test_leaves_no_reference_cycle(self, unit_lattice):
+        # the enumerated vectors are freed by reference counting when the
+        # caller drops them, not kept until the cyclic collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            assert enumerate_fine_vectors(unit_lattice, 5.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestUnionBound:
     def test_partial_sum_matches_per_term_hand_evaluation(self, unit_lattice):
@@ -319,10 +330,10 @@ class TestUnionBound:
             0.5 * math.exp(-2 * math.sqrt(product_distance(e.reshape(-1), 2, 2)) / denom)
             for _, e in pts
         )
-        got = union_bound(lat, EffectiveNoiseSpec(nu), 3.0)
+        got = union_bound(lat, nu, 3.0)
         assert got.terms == len(pts)
         assert got.value == pytest.approx(want, rel=1e-12)
-        assert union_bound(lat, nu, 3.0) == got  # raw sequences accepted too
+        assert union_bound(lat, np.array(nu), 3.0) == got
 
     def test_radius_just_above_shortest_vectors(self, unit_lattice):
         lat = unit_lattice
@@ -355,6 +366,10 @@ class TestUnionBound:
     def test_radius_too_small(self, unit_lattice):
         with pytest.raises(RadiusTooSmall):
             union_bound(unit_lattice, (0.5, 0.5), 1e-3)
+
+    def test_negative_variance_rejected(self, unit_lattice):
+        with pytest.raises(ValueError, match="nonnegative"):
+            union_bound(unit_lattice, (0.5, -1e-3), 4.0)
 
 
 def _reference_cvp_dist(G, target):

@@ -8,12 +8,11 @@ from cflat.numfield import RingElement, make_quadratic_field
 from cflat.simkit import sample_channels
 from cflat.svp import (
     LLL_DELTA,
-    CholeskyFailure,
     RankDeficient,
     SearchBasis,
     SVPResult,
     TooLarge,
-    _cholesky_upper,
+    _gram_sqrt,
     _lll_reduce,
     best_equation,
     best_integer_block,
@@ -21,7 +20,6 @@ from cflat.svp import (
     build_search_basis,
     enumerate_short_vectors,
     minkowski_bound,
-    scaled_basis,
     shortest_vector,
     top_equations,
 )
@@ -90,21 +88,12 @@ class TestBuildBasis:
                 [0.0, 0.0, 1.0, th2],
             ]
         )
-        assert np.allclose(B.phi_mix, want)
         assert np.allclose(B.basis, want)  # identity Gram blocks
         assert abs(np.linalg.det(B.basis)) == pytest.approx(5.0, rel=1e-9)
-        # shuffle really is the permutation from the user-major Kronecker form
+        # row j*L + l is row l*deg + j of the user-major Kronecker form
         kron = np.kron(np.eye(2), F5.embedding)
-        assert np.allclose(B.phi_mix, kron[B.row_shuffle])
-
-    def test_phi_mix_determinant(self):
-        rng = np.random.default_rng(0)
-        for field in (F5, F3):
-            for _ in range(20):
-                B = build_search_basis(field, random_channel(rng))
-                assert abs(np.linalg.det(B.phi_mix)) == pytest.approx(
-                    field.discriminant ** (2 / 2), rel=1e-9
-                )
+        shuffle = [(r % 2) * 2 + r // 2 for r in range(4)]
+        assert np.allclose(B.basis, kron[shuffle])
 
     def test_quadratic_form_identity(self):
         rng = np.random.default_rng(1)
@@ -121,22 +110,27 @@ class TestBuildBasis:
                     direct_quad_form(field, ch, coords), rel=1e-9, abs=1e-12
                 )
 
-    def test_degree_one_stacks_cholesky_factors(self):
+    def test_degree_one_stacks_square_roots(self):
         rng = np.random.default_rng(2)
         ch = random_channel(rng)
         B = build_search_basis(None, ch)
         assert B.basis.shape == (4, 2)
-        assert np.allclose(B.basis, np.vstack(B.cholesky))
+        gram_sum = sum(gram_matrix(ch.h[j], ch.P) for j in range(ch.n))
+        assert np.allclose(B.basis.T @ B.basis, gram_sum, rtol=1e-12, atol=1e-14)
+        for j in range(ch.n):
+            block = B.basis[2 * j : 2 * j + 2]
+            assert np.array_equal(block, block.T)
 
     def test_det_factorization(self):
+        # |det Bbar| = disc^(L/2) prod_j (1 + P||h_j||^2)^(-1/2)
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            ch = random_channel(rng)
-            B = build_search_basis(F5, ch)
-            det_mmix = np.prod([np.linalg.det(c) for c in B.cholesky])
-            assert abs(np.linalg.det(B.basis)) == pytest.approx(
-                abs(det_mmix) * 5.0, rel=1e-8
-            )
+        for field in (F5, F3):
+            for _ in range(50):
+                ch = random_channel(rng)
+                B = build_search_basis(field, ch)
+                g = 1.0 + ch.P * np.einsum("jl,jl->j", ch.h, ch.h)
+                want = field.discriminant ** (ch.L / 2) * float(np.prod(g ** -0.5))
+                assert abs(np.linalg.det(B.basis)) == pytest.approx(want, rel=1e-8)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -363,7 +357,7 @@ class TestScalingCovariance:
             B = build_search_basis(F5, ch)
             base = shortest_vector(B)
             for s in (0.25, 3.0):
-                scaled = shortest_vector(scaled_basis(B, s))
+                scaled = shortest_vector(SearchBasis(B.dim, s * B.basis))
                 assert scaled.norm_sq == pytest.approx(
                     s * s * base.norm_sq, rel=1e-9
                 )
@@ -394,18 +388,15 @@ class TestEnumerations:
             assert np.linalg.matrix_rank(m) == 2
 
 
-class TestCholesky:
-    def test_upper_factor(self):
-        M = gram_matrix([0.3, -1.2], 50.0)
-        R = _cholesky_upper(M)
-        assert np.allclose(R.T @ R, M)
-        assert np.allclose(R, np.triu(R))
-
-    def test_jitter_rescues_marginal_matrix(self):
-        M = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-15]])  # barely indefinite
-        R = _cholesky_upper(M)
-        assert np.allclose(R.T @ R, M, atol=1e-9)
-
-    def test_fails_hard_on_indefinite(self):
-        with pytest.raises(CholeskyFailure):
-            _cholesky_upper(np.array([[1.0, 0.0], [0.0, -1.0]]))
+class TestGramSqrt:
+    def test_closed_form_square_root(self):
+        rng = np.random.default_rng(12)
+        for snr_db in range(0, 130, 10):
+            P = 10.0 ** (snr_db / 10.0)
+            h = rng.standard_normal((3, 2))
+            h[2] = 0.0  # the zero channel needs no special case
+            for hj, R in zip(h, _gram_sqrt(h, P)):
+                assert np.array_equal(R, R.T)
+                assert np.allclose(R @ R, gram_matrix(hj, P), rtol=0, atol=1e-13)
+                g = 1.0 + P * float(hj @ hj)
+                assert np.linalg.det(R) == pytest.approx(g**-0.5, rel=1e-9)
