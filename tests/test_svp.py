@@ -95,6 +95,27 @@ class TestBuildBasis:
         shuffle = [(r % 2) * 2 + r // 2 for r in range(4)]
         assert np.allclose(B.basis, kron[shuffle])
 
+    def test_phi_mix_determinant(self):
+        # With identity Gram blocks the basis is the pure embedding mix
+        # kron(I_L, phi) up to a row shuffle, so |det| = disc^(L/2).  Any
+        # channel's basis is blockdiag(R_1, ..., R_n) times that same mix.
+        rng = np.random.default_rng(0)
+        for field in (F5, F3):
+            for L in (1, 2, 3):
+                mix = build_search_basis(field, zero_channel(field.degree, L)).basis
+                assert abs(np.linalg.det(mix)) == pytest.approx(
+                    field.discriminant ** (L / 2), rel=1e-9
+                )
+            mix = build_search_basis(field, zero_channel(field.degree, 2)).basis
+            for _ in range(20):
+                ch = random_channel(rng)
+                D = np.linalg.solve(mix.T, build_search_basis(field, ch).basis.T).T
+                for j in range(ch.n):
+                    R = D[2 * j : 2 * j + 2, 2 * j : 2 * j + 2].copy()
+                    D[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.0
+                    assert np.allclose(R @ R, gram_matrix(ch.h[j], ch.P), atol=1e-9)
+                assert np.allclose(D, 0.0, atol=1e-9)
+
     def test_quadratic_form_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
