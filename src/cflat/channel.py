@@ -48,8 +48,18 @@ class BlockFadingChannel:
             raise ValueError("channel entries must be finite")
         if not self.P > 0:
             raise ValueError("SNR must be positive")
+        P = float(self.P)
+        if not math.isfinite(P):
+            raise ValueError("SNR must be finite")
+        # every rate and basis evaluation starts from P||h_j||^2; Python
+        # floats overflow to inf without a warning
+        for j, row in enumerate(h.tolist()):
+            if not math.isfinite(P * sum(x * x for x in row)):
+                raise ValueError(
+                    f"channel gain h[{j}] = {row} overflows P*||h_j||^2 at P = {P:g}"
+                )
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "P", float(self.P))
+        object.__setattr__(self, "P", P)
 
     @property
     def n(self) -> int:

@@ -9,6 +9,7 @@ failing run never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import os
 import sys
@@ -40,6 +41,9 @@ __all__ = [
     "read_sweep_csv",
     "main",
 ]
+
+# union-bound radius growth, one DEBUG record per radius tried
+_codec_log = logging.getLogger("cflat.codec")
 
 CONFIG_KEYS = ("n", "L", "snr_db", "trials", "schemes", "seed", "d_list", "output")
 
@@ -289,8 +293,14 @@ def _codec_union_bound(lat, cand, min_terms: int = 1000) -> float:
         try:
             ub = union_bound(lat, cand.nu_sq, radius)
         except RadiusTooSmall:
+            _codec_log.debug(
+                "union bound: RadiusTooSmall at radius %.6g, doubling to %.6g",
+                radius,
+                2.0 * radius,
+            )
             radius *= 2.0
             continue
+        _codec_log.debug("union bound: radius %.6g, %d terms", radius, ub.terms)
         if ub.terms >= min_terms:
             return ub.value
         radius *= 1.5

@@ -47,6 +47,9 @@ MAX_COSET_LEADERS = 4096
 _POWER_SAMPLES = 100_000
 _POWER_SEED = 20260314
 _SIM_BATCH = 4096
+# second-coordinate offsets from the Babai rounding: exhaustive for a
+# Gauss-reduced 2D basis
+_BABAI_WINDOW = np.array([[-1.0], [0.0], [1.0]])
 
 
 class DimensionMismatch(ValueError):
@@ -529,30 +532,42 @@ def _decode_leader_indices(lat: ConstructionALattice, S: np.ndarray) -> np.ndarr
     """Exact nearest-fine-point decoding of a batch of n x T observations,
     reported as coset-leader indices.
 
-    For each leader the residual decomposes per coordinate into a 2D closest
-    point problem on the embedded ideal; with the Gauss-reduced basis the
-    optimum's second coordinate lies within one step of the Babai rounding, so
-    three candidates per coordinate are exhaustive.
+    The squared distance to a leader's coset decomposes per coordinate into a
+    2D closest point problem on the embedded ideal, shifted by the leader's
+    residue at that coordinate.  So the distance is computed once per
+    (coordinate, residue), and each leader's total is a sum of T table
+    entries.  With the Gauss-reduced basis the optimum's second coordinate
+    lies within one step of the Babai rounding, so three candidates per
+    coordinate are exhaustive.  Ties go to the lowest leader index.
     """
     qmat, rmat = lat._cvp_q, lat._cvp_r
     r11, r12, r22 = rmat[0, 0], rmat[0, 1], rmat[1, 1]
+    residues = lat.leader_residues.tolist()
+    firsts = {}  # (coordinate i, residue x) -> first leader holding x at i
+    for k, row in enumerate(residues):
+        for i, x in enumerate(row):
+            firsts.setdefault((i, x), k)
     B = S.shape[0]
+    # one block for all rows: many separately allocated rows fragment the
+    # heap and raise the resident peak
+    dist = np.empty((len(firsts), B))
+    table = [{} for _ in range(lat.T)]  # table[i][x]: row of coordinate i, residue x
+    for ((i, x), k), dmin in zip(firsts.items(), dist):
+        y = (S[:, :, i] - lat.embedded_leaders[k][:, i]) @ qmat  # (B, 2)
+        z2 = np.rint(y[:, 1] / r22) + _BABAI_WINDOW  # (3, B)
+        rem = y[:, 0] - r12 * z2
+        z1 = np.rint(rem / r11)
+        np.minimum.reduce((rem - r11 * z1) ** 2 + (y[:, 1] - r22 * z2) ** 2, out=dmin)
+        table[i][x] = dmin
     best = np.full(B, np.inf)
     best_idx = np.zeros(B, dtype=np.int64)
-    for k in range(lat.K):
-        resid = S - lat.embedded_leaders[k][None]
-        y = np.swapaxes(resid, 1, 2) @ qmat  # (B, T, 2)
-        z2_base = np.rint(y[..., 1] / r22)
-        dmin = None
-        for dz in (-1.0, 0.0, 1.0):
-            z2 = z2_base + dz
-            rem = y[..., 0] - r12 * z2
-            z1 = np.rint(rem / r11)
-            dist = (rem - r11 * z1) ** 2 + (y[..., 1] - r22 * z2) ** 2
-            dmin = dist if dmin is None else np.minimum(dmin, dist)
-        total = dmin.sum(axis=1)
+    total = np.empty(B)
+    for k, row in enumerate(residues):
+        total.fill(0.0)
+        for dists, x in zip(table, row):
+            total += dists[x]
         better = total < best
-        best = np.where(better, total, best)
+        np.copyto(best, total, where=better)
         best_idx[better] = k
     return best_idx
 
@@ -619,56 +634,82 @@ def _disc_points(Gp: np.ndarray, offset: np.ndarray, budget: float):
     return out
 
 
+def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: bool):
+    """Depth-first walk over the nonzero fine-lattice vectors with (scaled)
+    Euclidean norm <= radius, leader by leader and, within a leader, over
+    coordinates in order with disc points ascending in norm.
+
+    A coordinate's disc points depend only on its residue, so they are
+    enumerated once per (coordinate, residue) and shared by every leader
+    holding that residue there.  Each disc entry is (squared norm, per-block
+    squared norms, embedded 2-vector, ring coordinates).  Yields
+    (chosen, block_sq): the T chosen entries, a list the walk reuses, and the
+    vector's per-block squared norms, summed over coordinates in order.
+    """
+    budget = float(radius) ** 2
+    T = lat.T
+    discs = {}  # (coordinate i, residue x) -> disc entries
+    chosen = [None] * T
+    rem = [budget] + [0.0] * T
+    block_sq = [(0.0,) * lat.n] + [None] * T
+    pos = [0] * T
+    for k, row in enumerate(lat.leader_residues.tolist()):
+        if exclude_coarse and lat.leader_in_coarse[k]:
+            continue
+        opts = []
+        for i, x in enumerate(row):
+            entries = discs.get((i, x))
+            if entries is None:
+                entries = []
+                for z, pt, n2 in _disc_points(
+                    lat.pideal_embedded, lat.embedded_leaders[k][:, i], budget
+                ):
+                    sq = tuple(v * v for v in pt.tolist())
+                    ring = lat.coset_leaders[k, i] + lat.pideal_basis @ z
+                    entries.append((n2, sq, pt, ring))
+                discs[i, x] = entries
+            if not entries:
+                break
+            opts.append(entries)
+        else:
+            # suffix[i]: least squared norm the coordinates i.. can add
+            suffix = [0.0] * (T + 1)
+            for i in range(T - 1, -1, -1):
+                suffix[i] = suffix[i + 1] + opts[i][0][0]
+            i = 0
+            pos[0] = 0
+            while i >= 0:
+                entries = opts[i]
+                if pos[i] == len(entries) or (
+                    entries[pos[i]][0] > rem[i] - suffix[i + 1] + 1e-12
+                ):
+                    i -= 1  # coordinate i is exhausted: back up
+                    continue
+                entry = chosen[i] = entries[pos[i]]
+                pos[i] += 1
+                rem[i + 1] = rem[i] - entry[0]
+                block_sq[i + 1] = tuple(a + b for a, b in zip(block_sq[i], entry[1]))
+                if i + 1 < T:
+                    i += 1
+                    pos[i] = 0
+                # a zero vector has zero block norms; only then check its
+                # ring coordinates exactly
+                elif any(block_sq[T]) or any(e[3].any() for e in chosen):
+                    yield chosen, block_sq[T]
+
+
 def enumerate_fine_vectors(
     lat: ConstructionALattice, radius: float, exclude_coarse: bool = True
 ):
     """All nonzero fine-lattice vectors with (scaled) Euclidean norm <= radius,
     as (ring coordinate array (T, 2), embedded n x T matrix) pairs.  With
     exclude_coarse the coarse sublattice is dropped (the set behind the union
-    bound); coarse membership depends only on the coset leader."""
-    budget = float(radius) ** 2
-    T = lat.T
-    results = []
-    for k in range(lat.K):
-        if exclude_coarse and lat.leader_in_coarse[k]:
-            continue
-        offs = lat.embedded_leaders[k]
-        opts = []
-        feasible = True
-        for i in range(T):
-            pts = _disc_points(lat.pideal_embedded, offs[:, i], budget)
-            if not pts:
-                feasible = False
-                break
-            opts.append(pts)
-        if not feasible:
-            continue
-        suffix = [0.0] * (T + 1)
-        for i in range(T - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + opts[i][0][2]
-        chosen = [None] * T
-
-        def rec(i: int, rem: float):
-            if i == T:
-                coords = np.empty((T, 2), dtype=np.int64)
-                emb = np.empty((lat.n, T))
-                for ii, (z, pt, _) in enumerate(chosen):
-                    coords[ii] = lat.coset_leaders[k, ii] + lat.pideal_basis @ z
-                    emb[:, ii] = pt
-                if coords.any():
-                    results.append((coords, emb))
-                return
-            for item in opts[i]:
-                if item[2] > rem - suffix[i + 1] + 1e-12:
-                    break
-                chosen[i] = item
-                rec(i + 1, rem - item[2])
-
-        rec(0, budget)
-        # rec's closure holds rec itself: break the cycle, or every vector
-        # enumerated so far stays alive until the cyclic garbage collector runs
-        del rec
-    return results
+    bound); coarse membership depends only on the coset leader.  The 2D disc
+    enumeration runs once per (coordinate, residue), not once per leader."""
+    return [
+        (np.array([e[3] for e in chosen]), np.column_stack([e[2] for e in chosen]))
+        for chosen, _ in _fine_vector_walk(lat, radius, exclude_coarse)
+    ]
 
 
 def union_bound(
@@ -677,24 +718,26 @@ def union_bound(
     """Partial union-bound sum over the fine-not-coarse vectors inside the
     truncation radius, for the per-block effective noise variances nu_sq.
     The reported value is a partial sum: terms outside the radius are
-    dropped, so it only lower-bounds the full series."""
+    dropped, so it only lower-bounds the full series.  Terms are added in
+    enumeration order straight from the walk, whose disc points are
+    enumerated once per (coordinate, residue)."""
     nu = np.asarray(nu_sq, dtype=float)
     if np.any(nu < 0):
         raise ValueError("noise variances must be nonnegative")
-    pts = enumerate_fine_vectors(lat, truncation_radius, exclude_coarse=True)
-    if not pts:
+    denom = 8.0 * float(nu.sum())
+    n = lat.n
+    total = 0.0
+    terms = 0
+    for _, block_sq in _fine_vector_walk(lat, truncation_radius, exclude_coarse=True):
+        terms += 1
+        if denom != 0.0:
+            d = math.prod(block_sq)
+            total += 0.5 * math.exp(-n * d ** (1.0 / n) / denom)
+    if not terms:
         raise RadiusTooSmall(
             f"no fine-lattice vector within radius {truncation_radius}"
         )
-    denom = 8.0 * float(nu.sum())
-    n = lat.n
-    if denom == 0.0:
-        return UnionBoundResult(0.0, len(pts))
-    total = 0.0
-    for _, emb in pts:
-        d = product_distance(emb.reshape(-1), n, lat.T)
-        total += 0.5 * math.exp(-n * d ** (1.0 / n) / denom)
-    return UnionBoundResult(total, len(pts))
+    return UnionBoundResult(total, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +794,9 @@ def simulate_codec(
 
         Y = np.einsum("jl,bljt->bjt", ch.h, Xbar) + noise
         S = b[None, :, None] * Y - np.einsum("jl,bljt->bjt", sigma, Dm)
+        # free the batch's intermediates before the decoder allocates: the
+        # heap's high-water mark sets the resident peak
+        del zdith, noise, X, D, shifted, zc, Xbar, Dm, Y
         dec = _decode_leader_indices(lat, S)
 
         truth = np.zeros((m, l_m), dtype=np.int64)

@@ -243,3 +243,21 @@ class TestChannelValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             BlockFadingChannel(np.array([[np.inf, 0.0]]), 1.0)
+
+    def test_rejects_nonfinite_snr(self):
+        with pytest.raises(ValueError, match="finite"):
+            BlockFadingChannel(np.ones((2, 2)), np.inf)
+
+    def test_rejects_overflowing_gain(self):
+        h = np.array([[1.0, 0.5], [1e160, 2e160]])
+        with pytest.raises(ValueError, match=r"h\[1\] = \[1e\+160, 2e\+160\]"):
+            BlockFadingChannel(h, 1.0)
+        # finite gains whose product with the SNR overflows
+        with pytest.raises(ValueError, match=r"h\[0\]"):
+            BlockFadingChannel(np.array([[1e150, 2e150], [1.0, 1.0]]), 1e8)
+
+    def test_large_finite_load_accepted(self):
+        h = np.array([[1e150, 2e150], [3e150, 1e150]])
+        ch = BlockFadingChannel(h, 1.0)
+        assert np.array_equal(ch.h, h)
+        assert np.isfinite(am_rate(ch, (1, 1)).rate_bits)

@@ -1,8 +1,11 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import cflat.cli
 from cflat.cli import (
     InvalidValue,
     ParseError,
@@ -12,6 +15,7 @@ from cflat.cli import (
     read_sweep_csv,
 )
 from cflat.channel import BlockFadingChannel
+from cflat.codec import RadiusTooSmall
 from cflat.svp import best_equation
 from cflat.numfield import make_quadratic_field
 
@@ -121,6 +125,21 @@ class TestRateCommand:
     def test_missing_channel(self):
         assert main(["rate", "--snr-db", "10"]) == 2
 
+    def test_overflowing_gain_is_validation_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["rate", "--snr-db", "0", "--h", "1e160,2e160;3e160,1e160"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "h[0] = [1e+160, 2e+160] overflows P*||h_j||^2" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_large_finite_gain_still_solved(self, capsys):
+        assert main(["rate", "--d", "5", "--snr-db", "0", "--h", "1e150,2e150;3e150,1e150"]) == 0
+        ch = BlockFadingChannel(np.array([[1e150, 2e150], [3e150, 1e150]]), 1.0)
+        want = best_equation(make_quadratic_field(5), ch).rate_bits
+        assert f"rate_bits {want:.6f}" in capsys.readouterr().out
+
 
 SWEEP_ARGS = [
     "sweep",
@@ -222,6 +241,53 @@ class TestCodecCommand:
             assert 0.0 <= float(err) <= 1.0
             assert float(ub) >= 0.0
             assert int(trials) == 4000
+
+    K121_ARGS = [
+        "codec", "--d", "5", "--p", "11", "--T", "2", "--lf", "2", "--lc", "1",
+        "--seed", "3",
+    ]
+
+    def test_union_bound_radius_steps_logged_at_debug(self, tmp_path, capsys, caplog):
+        quiet = tmp_path / "quiet.csv"
+        args = self.K121_ARGS + ["--snr-db", "0,30", "--trials", "200"]
+        assert main(args + ["--output", str(quiet)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="cflat.codec")
+        loud = tmp_path / "loud.csv"
+        assert main(args + ["--output", str(loud)]) == 0
+        assert loud.read_bytes() == quiet.read_bytes()
+        steps = [r.getMessage() for r in caplog.records if r.name == "cflat.codec"]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        assert all(m.startswith("union bound: radius ") for m in steps)
+        terms = [int(m.split(", ")[1].split()[0]) for m in steps]
+        # each SNR point grows the radius until it holds 1000 terms
+        done = [i for i, t in enumerate(terms) if t >= 1000]
+        assert len(done) == 2 and done[-1] == len(terms) - 1
+        assert terms[: done[0] + 1] == sorted(terms[: done[0] + 1])
+
+    def test_radius_too_small_step_logged(self, tmp_path, monkeypatch, caplog):
+        real = cflat.cli.union_bound
+        calls = []
+
+        def first_call_too_small(lat, nu_sq, radius):
+            calls.append(radius)
+            if len(calls) == 1:
+                raise RadiusTooSmall("no vector")
+            return real(lat, nu_sq, radius)
+
+        monkeypatch.setattr(cflat.cli, "union_bound", first_call_too_small)
+        caplog.set_level(logging.DEBUG, logger="cflat.codec")
+        out = tmp_path / "codec.csv"
+        args = self.K121_ARGS + ["--snr-db", "10", "--trials", "50"]
+        assert main(args + ["--output", str(out)]) == 0
+        first, second = (r.getMessage() for r in caplog.records[:2])
+        assert first == (
+            f"union bound: RadiusTooSmall at radius {calls[0]:.6g}, "
+            f"doubling to {2 * calls[0]:.6g}"
+        )
+        assert calls[1] == 2 * calls[0]
+        assert second.startswith(f"union bound: radius {calls[1]:.6g}, ")
 
     def test_ramified_prime_is_validation_error(self):
         assert (

@@ -620,3 +620,203 @@ class TestNontrivialCoarseCode:
             for a, w in zip(coeffs, ws):
                 want = lat.Fq.add(want, lat.Fq.mul(residue_reduce(P11, a), w))
             assert map_message(lat, out) == (want,)
+
+
+# ---------------------------------------------------------------------------
+# per-leader oracles: the decoder and enumeration before the residue tables
+
+
+def _per_leader_decode(lat, S):
+    """One full (B, T) window search per coset leader; ties go to the first."""
+    qmat, rmat = lat._cvp_q, lat._cvp_r
+    r11, r12, r22 = rmat[0, 0], rmat[0, 1], rmat[1, 1]
+    best = np.full(S.shape[0], np.inf)
+    best_idx = np.zeros(S.shape[0], dtype=np.int64)
+    for k in range(lat.K):
+        y = np.swapaxes(S - lat.embedded_leaders[k][None], 1, 2) @ qmat
+        z2_base = np.rint(y[..., 1] / r22)
+        dmin = None
+        for dz in (-1.0, 0.0, 1.0):
+            z2 = z2_base + dz
+            rem = y[..., 0] - r12 * z2
+            z1 = np.rint(rem / r11)
+            dist = (rem - r11 * z1) ** 2 + (y[..., 1] - r22 * z2) ** 2
+            dmin = dist if dmin is None else np.minimum(dmin, dist)
+        total = dmin.sum(axis=1)
+        better = total < best
+        best = np.where(better, total, best)
+        best_idx[better] = k
+    return best_idx
+
+
+def _per_leader_leaves(lat, k, opts, suffix, i, rem, chosen, out):
+    if i == lat.T:
+        coords = np.empty((lat.T, 2), dtype=np.int64)
+        emb = np.empty((lat.n, lat.T))
+        for ii, (z, pt, _) in enumerate(chosen):
+            coords[ii] = lat.coset_leaders[k, ii] + lat.pideal_basis @ z
+            emb[:, ii] = pt
+        if coords.any():
+            out.append((coords, emb))
+        return
+    for item in opts[i]:
+        if item[2] > rem - suffix[i + 1] + 1e-12:
+            break
+        _per_leader_leaves(lat, k, opts, suffix, i + 1, rem - item[2], chosen + [item], out)
+
+
+def _per_leader_fine_vectors(lat, radius, exclude_coarse):
+    """Disc points recomputed for every leader, leaves visited depth first."""
+    budget = float(radius) ** 2
+    out = []
+    for k in range(lat.K):
+        if exclude_coarse and lat.leader_in_coarse[k]:
+            continue
+        opts = [
+            _disc_points(lat.pideal_embedded, lat.embedded_leaders[k][:, i], budget)
+            for i in range(lat.T)
+        ]
+        if not all(opts):
+            continue
+        suffix = [0.0] * (lat.T + 1)
+        for i in range(lat.T - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + opts[i][0][2]
+        _per_leader_leaves(lat, k, opts, suffix, 0, budget, [], out)
+    return out
+
+
+def _in_order_union_sum(lat, nu, radius):
+    pts = enumerate_fine_vectors(lat, radius, exclude_coarse=True)
+    denom = 8.0 * float(np.sum(nu))
+    total = 0.0
+    for _, emb in pts:
+        d = product_distance(emb.reshape(-1), lat.n, lat.T)
+        total += 0.5 * math.exp(-lat.n * d ** (1.0 / lat.n) / denom)
+    return total, len(pts)
+
+
+@pytest.fixture(scope="module")
+def lat121():
+    codes = NestedCodePair(p=11, r=1, T=2, l_f=2, l_c=1, G_f=((1, 0), (0, 1)))
+    return build_construction_a(F5, P11, codes, target_power=100.0)
+
+
+@pytest.fixture(scope="module")
+def lat_zero_row():
+    # coordinate 1 holds residue 0 in every codeword
+    codes = NestedCodePair(p=11, r=1, T=3, l_f=1, l_c=0, G_f=((1,), (0,), (3,)))
+    return build_construction_a(F5, P11, codes, target_power=30.0)
+
+
+ORACLE_LATTICES = ["powered_lattice", "lat121", "lat_zero_row", "lat4", "lat_nested"]
+
+
+class TestResidueTableDecoder:
+    def test_fixture_shapes(self, lat121, lat_zero_row, lat4):
+        assert (lat121.K, lat121.T) == (121, 2)
+        assert (lat_zero_row.K, lat_zero_row.T) == (11, 3)
+        assert set(lat_zero_row.leader_residues[:, 1].tolist()) == {0}
+        assert (lat4.Fq.q, lat4.K) == (4, 4)
+
+    @pytest.mark.parametrize("name", ORACLE_LATTICES)
+    def test_identical_to_per_leader_decoder(self, request, name):
+        lat = request.getfixturevalue(name)
+        rng = np.random.default_rng(21)
+        for scale in (0.3, 1.0, 3.0):
+            S = rng.standard_normal((512, lat.n, lat.T)) * lat.gamma * scale
+            assert np.array_equal(
+                _decode_leader_indices(lat, S), _per_leader_decode(lat, S)
+            )
+
+    @pytest.mark.parametrize("name", ["lat121", "lat_zero_row", "lat4"])
+    def test_matches_exhaustive_nearest_point(self, request, name):
+        lat = request.getfixturevalue(name)
+        rng = np.random.default_rng(22)
+        S = rng.standard_normal((12, lat.n, lat.T)) * lat.gamma * 2
+        got = _decode_leader_indices(lat, S)
+        for b in range(S.shape[0]):
+            dists = [
+                sum(
+                    _reference_cvp_dist(
+                        lat.pideal_embedded,
+                        S[b, :, i] - lat.embedded_leaders[k][:, i],
+                    )
+                    for i in range(lat.T)
+                )
+                for k in range(lat.K)
+            ]
+            assert dists[int(got[b])] == pytest.approx(min(dists), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["lat121", "lat_zero_row", "lat4"])
+    def test_decode_equation_round_trip(self, request, name):
+        lat = request.getfixturevalue(name)
+        c = lat.codes
+        q = lat.Fq.q
+        cand = EquationCandidate(
+            a=(RingElement(1, 0),),
+            sigma=np.ones((lat.n, 1)),
+            b=np.ones(lat.n),
+            nu_sq=np.zeros(lat.n),
+            rate_bits=0.0,
+            quad_form=0.0,
+        )
+        rng = np.random.default_rng(23)
+        for w in itertools.product(range(q), repeat=c.l_f - c.l_c):
+            D = sample_dither(lat, rng)
+            Y = encode(lat, w, dither=D)
+            Y = Y + 0.01 * lat.gamma * rng.standard_normal(Y.shape)
+            res = decode_equation(lat, Y, cand, dithers=[D])
+            idx = sum(x * q ** (c.l_c + k) for k, x in enumerate(w))
+            assert res.message == w
+            assert res.coset == tuple(lat.leader_residues[idx].tolist())
+
+
+class TestFineVectorWalk:
+    @pytest.mark.parametrize("name", ORACLE_LATTICES)
+    @pytest.mark.parametrize("exclude_coarse", [True, False])
+    def test_identical_to_per_leader_enumeration(self, request, name, exclude_coarse):
+        lat = request.getfixturevalue(name)
+        for scale in (0.5, 1.5, 3.0):
+            radius = lat.gamma * scale
+            got = enumerate_fine_vectors(lat, radius, exclude_coarse)
+            want = _per_leader_fine_vectors(lat, radius, exclude_coarse)
+            assert len(got) == len(want)
+            for (c1, e1), (c2, e2) in zip(got, want):
+                assert c1.dtype == c2.dtype and np.array_equal(c1, c2)
+                assert np.array_equal(e1, e2)
+
+    @pytest.mark.parametrize(
+        "name, steps", [("powered_lattice", 4), ("lat121", 2), ("lat4", 4)]
+    )
+    def test_union_bound_bitwise_equal_at_T2(self, request, name, steps):
+        lat = request.getfixturevalue(name)
+        radius = lat.gamma * math.sqrt(lat.n * lat.T) * 1.5**steps
+        for nu in ((0.7, 0.4), (2.0, 1e-3), (30.0, 55.0)):
+            want, terms = _in_order_union_sum(lat, nu, radius)
+            assert terms > 100
+            assert union_bound(lat, nu, radius) == (want, terms)
+
+    @pytest.mark.parametrize("name", ["lat_zero_row", "lat_nested"])
+    def test_union_bound_equal_at_T3(self, request, name):
+        lat = request.getfixturevalue(name)
+        radius = lat.gamma * math.sqrt(lat.n * lat.T) * 1.5**3
+        for nu in ((0.7, 0.4), (30.0, 55.0)):
+            want, terms = _in_order_union_sum(lat, nu, radius)
+            assert terms > 100
+            got = union_bound(lat, nu, radius)
+            assert got.terms == terms
+            assert got.value == pytest.approx(want, rel=1e-12)
+
+    def test_union_bound_zero_noise_counts_terms(self, lat121):
+        radius = lat121.gamma * 3.0
+        _, terms = _in_order_union_sum(lat121, (1.0, 1.0), radius)
+        assert union_bound(lat121, (0.0, 0.0), radius) == (0.0, terms)
+
+    def test_union_bound_leaves_no_reference_cycle(self, lat121):
+        gc.collect()
+        gc.disable()
+        try:
+            assert union_bound(lat121, (0.5, 0.5), lat121.gamma * 3.0).terms
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
