@@ -301,7 +301,8 @@ def _codec_union_bound(lat, cand, min_terms: int = 1000) -> float:
             radius *= 2.0
             continue
         _codec_log.debug("union bound: radius %.6g, %d terms", radius, ub.terms)
-        if ub.terms >= min_terms:
+        # no terms at all: l_f = l_c, so there is no error event to bound
+        if ub.terms >= min_terms or not ub.terms:
             return ub.value
         radius *= 1.5
     return ub.value

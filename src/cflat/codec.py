@@ -18,6 +18,7 @@ import numpy as np
 
 from .channel import BlockFadingChannel, EquationCandidate
 from .numfield import NumberField, PrimeIdeal, ResidueField, RingElement, residue_reduce
+from .svp import _enumerate, _lll_reduce
 
 __all__ = [
     "DimensionMismatch",
@@ -47,8 +48,8 @@ MAX_COSET_LEADERS = 4096
 _POWER_SAMPLES = 100_000
 _POWER_SEED = 20260314
 _SIM_BATCH = 4096
-# second-coordinate offsets from the Babai rounding: exhaustive for a
-# Gauss-reduced 2D basis
+# second-coordinate offsets from the Babai rounding: exhaustive for a 2D
+# basis LLL-reduced at delta = 0.99 (see _decode_leader_indices)
 _BABAI_WINDOW = np.array([[-1.0], [0.0], [1.0]])
 
 
@@ -186,24 +187,6 @@ def _hnf_column_basis(generators, dim: int) -> np.ndarray:
         basis.append(piv)
         work = rest
     return np.array(basis, dtype=np.int64).T
-
-
-def _lagrange_reduce(columns: np.ndarray) -> np.ndarray:
-    """Unimodular transform U making the 2D basis columns @ U Gauss-reduced."""
-    U = np.eye(2, dtype=np.int64)
-    b = columns.astype(float).copy()
-    while True:
-        if b[:, 0] @ b[:, 0] > b[:, 1] @ b[:, 1]:
-            b = b[:, ::-1].copy()
-            U = U[:, ::-1].copy()
-        mu = round(float(b[:, 0] @ b[:, 1]) / float(b[:, 0] @ b[:, 0]))
-        if mu == 0:
-            break
-        b[:, 1] -= mu * b[:, 0]
-        U[:, 1] -= mu * U[:, 0]
-    if b[:, 0] @ b[:, 0] > b[:, 1] @ b[:, 1]:
-        U = U[:, ::-1].copy()
-    return U
 
 
 def _embedding_map(field: NumberField, T: int) -> np.ndarray:
@@ -364,8 +347,8 @@ def build_construction_a(
     # shaping region: centered fundamental parallelepiped of the coarse lattice
     # (per-coordinate reduced ideal basis when the coarse code is trivial)
     ideal_cols = prime.basis_matrix()
-    U = _lagrange_reduce(field.embedding @ ideal_cols)
-    pideal_basis = ideal_cols @ U
+    transform = _lll_reduce(list((field.embedding @ ideal_cols).T))[1]
+    pideal_basis = ideal_cols @ np.array(transform, dtype=np.int64).T
     if l_c == 0:
         region_cols = np.zeros((2 * T, 2 * T), dtype=np.int64)
         for i in range(T):
@@ -536,9 +519,13 @@ def _decode_leader_indices(lat: ConstructionALattice, S: np.ndarray) -> np.ndarr
     2D closest point problem on the embedded ideal, shifted by the leader's
     residue at that coordinate.  So the distance is computed once per
     (coordinate, residue), and each leader's total is a sum of T table
-    entries.  With the Gauss-reduced basis the optimum's second coordinate
-    lies within one step of the Babai rounding, so three candidates per
-    coordinate are exhaustive.  Ties go to the lowest leader index.
+    entries.  The ideal basis is LLL-reduced at delta = 0.99, so its
+    triangular factor has r22^2 >= (delta - 1/4) r11^2 = 0.74 r11^2.  The
+    closest point is no farther than the Babai point, at squared distance at
+    most (r11^2 + r22^2) / 4, so its second coordinate differs from
+    y2 / r22 by at most sqrt(1 + 1/0.74) / 2 < 0.77: within one step of the
+    rounding, and three candidates per coordinate are exhaustive.  Ties go
+    to the lowest leader index.
     """
     qmat, rmat = lat._cvp_q, lat._cvp_r
     r11, r12, r22 = rmat[0, 0], rmat[0, 1], rmat[1, 1]
@@ -603,50 +590,22 @@ def decode_equation(
 # enumeration and the union bound
 
 
-def _disc_points(Gp: np.ndarray, offset: np.ndarray, budget: float):
-    """All points offset + Gp z (z integer) with squared norm <= budget,
-    sorted ascending."""
-    qmat, _ = np.linalg.qr(Gp)
-    R = qmat.T @ Gp
-    if R[0, 0] < 0:
-        qmat[:, 0] *= -1
-        R[0] *= -1
-    if R[1, 1] < 0:
-        qmat[:, 1] *= -1
-        R[1] *= -1
-    y = qmat.T @ (-offset)
-    r11, r12, r22 = R[0, 0], R[0, 1], R[1, 1]
-    out = []
-    rad = math.sqrt(budget) + 1e-12
-    for z2 in range(math.ceil((y[1] - rad) / r22), math.floor((y[1] + rad) / r22) + 1):
-        rem = budget - (y[1] - r22 * z2) ** 2
-        if rem < -1e-12:
-            continue
-        half = math.sqrt(max(rem, 0.0)) + 1e-12
-        lo = math.ceil((y[0] - r12 * z2 - half) / r11)
-        hi = math.floor((y[0] - r12 * z2 + half) / r11)
-        for z1 in range(lo, hi + 1):
-            pt = offset + Gp @ (z1, z2)
-            n2 = float(pt @ pt)
-            if n2 <= budget * (1 + 1e-12) + 1e-12:
-                out.append(((z1, z2), pt, n2))
-    out.sort(key=lambda item: item[2])
-    return out
-
-
 def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: bool):
     """Depth-first walk over the nonzero fine-lattice vectors with (scaled)
     Euclidean norm <= radius, leader by leader and, within a leader, over
     coordinates in order with disc points ascending in norm.
 
     A coordinate's disc points depend only on its residue, so they are
-    enumerated once per (coordinate, residue) and shared by every leader
-    holding that residue there.  Each disc entry is (squared norm, per-block
+    enumerated once per (coordinate, residue), by Schnorr-Euchner enumeration
+    centred on the negated leader in the decoder's triangular frame, and
+    shared by every leader holding that residue there.  Each disc entry,
+    sorted by (squared norm, z2, z1), is (squared norm, per-block
     squared norms, embedded 2-vector, ring coordinates).  Yields
     (chosen, block_sq): the T chosen entries, a list the walk reuses, and the
     vector's per-block squared norms, summed over coordinates in order.
     """
     budget = float(radius) ** 2
+    qmat_t, rmat = lat._cvp_q.T, lat._cvp_r.tolist()
     T = lat.T
     discs = {}  # (coordinate i, residue x) -> disc entries
     chosen = [None] * T
@@ -660,14 +619,17 @@ def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: 
         for i, x in enumerate(row):
             entries = discs.get((i, x))
             if entries is None:
-                entries = []
-                for z, pt, n2 in _disc_points(
-                    lat.pideal_embedded, lat.embedded_leaders[k][:, i], budget
-                ):
-                    sq = tuple(v * v for v in pt.tolist())
-                    ring = lat.coset_leaders[k, i] + lat.pideal_basis @ z
-                    entries.append((n2, sq, pt, ring))
-                discs[i, x] = entries
+                offset = lat.embedded_leaders[k][:, i]
+                found, _ = _enumerate(rmat, budget, shrink=False, target=qmat_t @ -offset)
+                entries = discs[i, x] = []
+                for _, z in sorted(found, key=lambda c: c[1][::-1]):  # by z2, then z1
+                    pt = offset + lat.pideal_embedded @ z
+                    n2 = float(pt @ pt)
+                    if n2 <= budget * (1 + 1e-12) + 1e-12:
+                        sq = tuple(v * v for v in pt.tolist())
+                        ring = lat.coset_leaders[k, i] + lat.pideal_basis @ z
+                        entries.append((n2, sq, pt, ring))
+                entries.sort(key=lambda e: e[0])  # stable: ties stay in (z2, z1) order
             if not entries:
                 break
             opts.append(entries)
@@ -720,10 +682,14 @@ def union_bound(
     The reported value is a partial sum: terms outside the radius are
     dropped, so it only lower-bounds the full series.  Terms are added in
     enumeration order straight from the walk, whose disc points are
-    enumerated once per (coordinate, residue)."""
+    enumerated once per (coordinate, residue).  With l_f = l_c there is one
+    message and no error event: every fine vector is coarse, and the sum is
+    the empty sum 0 with no terms."""
     nu = np.asarray(nu_sq, dtype=float)
     if np.any(nu < 0):
         raise ValueError("noise variances must be nonnegative")
+    if lat.codes.l_f == lat.codes.l_c:
+        return UnionBoundResult(0.0, 0)
     denom = 8.0 * float(nu.sum())
     n = lat.n
     total = 0.0

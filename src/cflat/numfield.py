@@ -19,6 +19,8 @@ __all__ = [
     "OutOfRange",
     "Ramified",
     "NotPrime",
+    "MAX_D",
+    "MAX_P",
     "RingElement",
     "NumberField",
     "PrimeIdeal",
@@ -29,6 +31,13 @@ __all__ = [
     "prime_above",
     "residue_reduce",
 ]
+
+
+# Largest accepted d and p.  The squarefree and primality tests trial-divide
+# up to sqrt(d) and sqrt(p), and prime_above scans all p residues for a root,
+# so at these limits a field or a prime ideal is built in well under a second.
+MAX_D = 10**12
+MAX_P = 10**6
 
 
 class NotSquarefree(ValueError):
@@ -131,9 +140,9 @@ def _is_prime(p: int) -> bool:
 
 
 def make_quadratic_field(d: int) -> NumberField:
-    """Build Q(sqrt(d)) for squarefree d >= 2."""
-    if d < 2:
-        raise OutOfRange(f"need d >= 2, got {d}")
+    """Build Q(sqrt(d)) for squarefree 2 <= d <= MAX_D."""
+    if not 2 <= d <= MAX_D:
+        raise OutOfRange(f"need 2 <= d <= {MAX_D}, got {d}")
     if not _squarefree(d):
         raise NotSquarefree(f"{d} has a square factor")
     root = math.sqrt(d)
@@ -206,8 +215,11 @@ def prime_above(field: NumberField, p: int) -> PrimeIdeal:
     """Prime ideal of the ring of integers lying above the rational prime p.
 
     Split case when x^2 - s*x - t has a root mod p (smallest root chosen);
-    inert otherwise.  Ramified primes (p | discriminant) are rejected.
+    inert otherwise.  Ramified primes (p | discriminant) and p > MAX_P are
+    rejected.
     """
+    if p > MAX_P:
+        raise OutOfRange(f"need p <= {MAX_P}, got {p}")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if field.discriminant % p == 0:

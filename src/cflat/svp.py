@@ -143,17 +143,21 @@ def _lll_reduce(rows, delta=LLL_DELTA):
     return b, T, mu, norms
 
 
-def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE):
+def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE, target=None):
     """Schnorr-Euchner enumeration over an upper-triangular factor R.
 
-    Finds nonzero integer vectors z with ||R z||^2 <= bound (the zero vector is
-    never emitted).  With shrink=True the bound tightens as better vectors are
-    found and all candidates tied with the minimum (relative rel_tol) are
-    collected; with shrink=False every vector inside the fixed radius is
-    returned.  Returns (candidates, node_count) with candidates as
-    (dist, z list) pairs.
+    Finds integer vectors z with ||R z - target||^2 <= bound, visiting each
+    level's candidates outward from its centre; without a target the centre
+    is the origin (a shortest-vector search) and the zero vector is never
+    emitted, while with a target (a closest-point search, given in R's
+    triangular frame) every vector is, the zero vector included.  With
+    shrink=True the bound tightens as better vectors are found and all
+    candidates tied with the minimum (relative rel_tol) are collected; with
+    shrink=False every vector inside the fixed radius is returned.  Returns
+    (candidates, node_count) with candidates as (dist, z list) pairs.
     """
     k = len(R)
+    y = [0.0] * k if target is None else [float(t) for t in target]
     best = float(bound_sq)
     limit = best * (1.0 + rel_tol)
     cands = []
@@ -162,9 +166,9 @@ def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE):
     step = [0] * k
     partial = [0.0] * (k + 1)
     i = k - 1
-    center[i] = 0.0
-    z[i] = 0
-    step[i] = 1
+    c = center[i] = y[i] / R[i][i]
+    z[i] = round(c)
+    step[i] = 1 if c - z[i] >= 0 else -1
     nodes = 0
     while True:
         nodes += 1
@@ -172,7 +176,7 @@ def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE):
         d = partial[i + 1] + w * w
         if d <= limit:
             if i == 0:
-                if any(z):
+                if target is not None or any(z):
                     if shrink and d < best * (1.0 - 1e-12):
                         best = d
                         limit = best * (1.0 + rel_tol)
@@ -184,7 +188,7 @@ def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE):
             else:
                 partial[i] = d
                 i -= 1
-                c = -sum(R[i][j] * z[j] for j in range(i + 1, k)) / R[i][i]
+                c = (y[i] - sum(R[i][j] * z[j] for j in range(i + 1, k))) / R[i][i]
                 center[i] = c
                 z[i] = round(c)
                 step[i] = 1 if c - z[i] >= 0 else -1

@@ -66,3 +66,36 @@ def certify_shortest(B, sv) -> Certificate:
     ok = math.isclose(box_min, sv.norm_sq, rel_tol=REL_TOL)
     return Certificate(ok, points,
                        f"box {bounds}: min {box_min:.6g} vs sphere {sv.norm_sq:.6g}")
+
+
+def box_points(basis, offset, budget):
+    """Every lattice point offset + basis @ z (z integer) with squared norm
+    at most budget * (1 + 1e-12) + 1e-12, as (z, point, squared norm) triples
+    sorted by the norm, then by z from the last coordinate to the first.
+
+    An independent closest-point oracle: z - c = basis^-1 (offset + basis z)
+    for the centre c = basis^-1 (-offset), so by Cauchy-Schwarz every such z
+    lies in the box |z_i - c_i| <= sqrt(budget) * ||row_i(basis^-1)||, which
+    is searched exhaustively (widened by _BOUND_SLACK and one step)."""
+    basis = np.asarray(basis, dtype=float)
+    offset = np.asarray(offset, dtype=float)
+    inv = np.linalg.inv(basis)
+    centre = inv @ -offset
+    half = [math.sqrt(budget) * float(np.linalg.norm(row)) * (1.0 + _BOUND_SLACK) + 1.0
+            for row in inv]
+    axes = [np.arange(math.ceil(c - h), math.floor(c + h) + 1)
+            for c, h in zip(centre, half)]
+    if math.prod(len(a) for a in axes) > _MAX_POINTS:
+        raise ValueError(f"box of {[len(a) for a in axes]} exceeds {_MAX_POINTS} points")
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    w = grid @ basis.T + offset
+    # a loose vectorised cut, then each survivor exactly as one point
+    near = grid[np.einsum("ij,ij->i", w, w) <= budget * 1.001 + 1e-9]
+    out = []
+    for z in near.tolist():
+        pt = offset + basis @ z
+        n2 = float(pt @ pt)
+        if n2 <= budget * (1 + 1e-12) + 1e-12:
+            out.append((tuple(z), pt, n2))
+    out.sort(key=lambda item: (item[2],) + item[0][::-1])
+    return out

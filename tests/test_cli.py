@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -92,6 +95,11 @@ class TestFieldCommand:
 
     def test_non_squarefree_is_validation_error(self, capsys):
         assert main(["field", "info", "--d", "4"]) == 2
+
+    def test_huge_d_is_validation_error(self, capsys):
+        # trial division up to sqrt(d) would not finish for this d
+        assert main(["field", "info", "--d", "1000000000000000003"]) == 2
+        assert "d <= 1000000000000" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -288,6 +296,35 @@ class TestCodecCommand:
         )
         assert calls[1] == 2 * calls[0]
         assert second.startswith(f"union bound: radius {calls[1]:.6g}, ")
+
+    @pytest.mark.parametrize("lf", ["0", "1"])
+    def test_trivial_message_space_has_zero_union_bound(self, capsys, lf):
+        args = ["codec", "--d", "5", "--p", "11", "--T", "2", "--lf", lf, "--lc", lf,
+                "--snr-db", "10", "--trials", "100"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[3] == "0.000000e+00"
+
+    def test_mu_half_tie_ideal_finishes(self):
+        # the embedded ideal basis of (41, 67) has mu = 1/2 exactly; run in a
+        # subprocess so a hang in its reduction fails instead of stalling
+        src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run(
+            [sys.executable, "-m", "cflat.cli", "codec", "--d", "41", "--p", "67",
+             "--T", "1", "--lf", "0", "--lc", "0", "--snr-db", "10", "--trials", "10"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[1] == "10,0.000000e+00,0.000000e+00,0.000000e+00,10"
+
+    def test_prime_above_limit_is_validation_error(self, capsys):
+        args = ["codec", "--d", "5", "--p", "1000003", "--T", "1", "--lf", "0",
+                "--lc", "0", "--trials", "10"]
+        assert main(args) == 2
+        assert "p <= 1000000" in capsys.readouterr().err
 
     def test_ramified_prime_is_validation_error(self):
         assert (

@@ -1,10 +1,14 @@
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cflat.codec
 from cflat.channel import BlockFadingChannel, EquationCandidate
 from cflat.codec import (
     DeskScaleExceeded,
@@ -13,7 +17,6 @@ from cflat.codec import (
     RadiusTooSmall,
     RankDeficientCode,
     _decode_leader_indices,
-    _disc_points,
     build_construction_a,
     decode_equation,
     encode,
@@ -29,6 +32,7 @@ from cflat.codec import (
 )
 from cflat.numfield import RingElement, make_quadratic_field, prime_above, residue_reduce
 from cflat.svp import best_equation
+from svp_certificate import box_points
 
 F5 = make_quadratic_field(5)
 P11 = prime_above(F5, 11)
@@ -367,25 +371,58 @@ class TestUnionBound:
         with pytest.raises(RadiusTooSmall):
             union_bound(unit_lattice, (0.5, 0.5), 1e-3)
 
+    @pytest.mark.parametrize("l_f", [0, 1])
+    def test_trivial_message_space_is_empty_sum(self, l_f):
+        # l_f = l_c: every fine vector is coarse, so there is no error event
+        codes = NestedCodePair(p=11, r=1, T=2, l_f=l_f, l_c=l_f, G_f=((1,) * l_f,) * 2)
+        lat = build_construction_a(F5, P11, codes, gamma=1.0)
+        assert not enumerate_fine_vectors(lat, 1e3)
+        for radius in (1e-3, 4.0, 1e3):
+            assert union_bound(lat, (0.5, 0.5), radius) == (0.0, 0)
+
     def test_negative_variance_rejected(self, unit_lattice):
         with pytest.raises(ValueError, match="nonnegative"):
             union_bound(unit_lattice, (0.5, -1e-3), 4.0)
 
 
 def _reference_cvp_dist(G, target):
-    """Independent 2D CVP by radius-growing exhaustive enumeration."""
+    """Independent 2D CVP by radius-growing exhaustive box search."""
     budget = 1.0
     for _ in range(60):
-        pts = _disc_points(G, -np.asarray(target, float), budget)
+        pts = box_points(G, -np.asarray(target, float), budget)
         if pts:
             return pts[0][2]
         budget *= 4.0
     raise AssertionError("reference CVP failed to find any point")
 
 
+def _ideal_lattice(d, p):
+    """T = 1, l_f = 0: the fine lattice is the embedded prime ideal itself."""
+    field = make_quadratic_field(d)
+    prime = prime_above(field, p)
+    codes = NestedCodePair(p=p, r=prime.r, T=1, l_f=0, l_c=0, G_f=((),))
+    return build_construction_a(field, prime, codes, gamma=1.0)
+
+
+# (d, p) whose reduced ideal basis is LLL- but not Gauss-reduced: split primes
+# where b1 is longer than b2, and inert primes with mu = 1/2 exactly.  (67, 293)
+# has the least r22^2 / r11^2 (0.749) of all d < 120, p < 300.
+LLL_NOT_GAUSS = {
+    "split-2-239": (2, 239),
+    "split-15-127": (15, 127),
+    "split-67-293": (67, 293),
+    "inert-5-37": (5, 37),
+    "inert-41-67": (41, 67),
+}
+
+
 class TestDecode:
-    def test_window_cvp_is_exact(self, powered_lattice):
-        lat = powered_lattice
+    @pytest.mark.parametrize("name", ["powered_lattice", *LLL_NOT_GAUSS])
+    def test_window_cvp_is_exact(self, request, name):
+        if name in LLL_NOT_GAUSS:
+            lat = _ideal_lattice(*LLL_NOT_GAUSS[name])
+        else:
+            lat = request.getfixturevalue(name)
         qmat, rmat = lat._cvp_q, lat._cvp_r
         r11, r12, r22 = rmat[0, 0], rmat[0, 1], rmat[1, 1]
         rng = np.random.default_rng(11)
@@ -666,14 +703,15 @@ def _per_leader_leaves(lat, k, opts, suffix, i, rem, chosen, out):
 
 
 def _per_leader_fine_vectors(lat, radius, exclude_coarse):
-    """Disc points recomputed for every leader, leaves visited depth first."""
+    """Disc points from the box oracle for every leader, leaves visited depth
+    first."""
     budget = float(radius) ** 2
     out = []
     for k in range(lat.K):
         if exclude_coarse and lat.leader_in_coarse[k]:
             continue
         opts = [
-            _disc_points(lat.pideal_embedded, lat.embedded_leaders[k][:, i], budget)
+            box_points(lat.pideal_embedded, lat.embedded_leaders[k][:, i], budget)
             for i in range(lat.T)
         ]
         if not all(opts):
@@ -820,3 +858,24 @@ class TestFineVectorWalk:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def test_ideal_reduction_terminates_on_mu_half_ties():
+    """Inert primes with d = 1 (mod 4) where mu of the embedded ideal basis is
+    exactly 1/2 but evaluates to +-0.5000000000000001, so a size reduction
+    that only rounds mu flips b2 -/+= b1 forever.  Built in a subprocess so a
+    hang fails the test instead of stalling the suite."""
+    pairs = [(13, 239), (21, 179), (37, 109), (41, 67)]
+    code = (
+        "from test_codec import _ideal_lattice\n"
+        f"for d, p in {pairs}:\n"
+        "    print(d, p, _ideal_lattice(d, p).prime.r)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cflat.codec.__file__))
+    paths = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"{d} {p} 2" for d, p in pairs]

@@ -1,9 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from cflat.numfield import (
+    MAX_D,
+    MAX_P,
     NotPrime,
     NotSquarefree,
     OutOfRange,
@@ -46,6 +49,17 @@ class TestMakeField:
             make_quadratic_field(1)
         with pytest.raises(OutOfRange):
             make_quadratic_field(-5)
+
+    def test_d_limit(self):
+        assert MAX_D == 10**12
+        with pytest.raises(NotSquarefree):  # answered at the limit, not refused
+            make_quadratic_field(MAX_D)
+        start = time.perf_counter()
+        F = make_quadratic_field(999_999_999_989)  # largest prime <= MAX_D
+        assert time.perf_counter() - start < 1.0
+        assert F.discriminant == 999_999_999_989
+        with pytest.raises(OutOfRange):
+            make_quadratic_field(MAX_D + 1)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 11, 13])
     def test_embedding_determinant(self, d):
@@ -149,6 +163,23 @@ class TestPrimeAbove:
             prime_above(F, 9)
         with pytest.raises(NotPrime):
             prime_above(F, 1)
+
+    def test_p_limit(self):
+        assert MAX_P == 10**6
+        F = make_quadratic_field(5)
+        with pytest.raises(NotPrime):  # answered at the limit, not refused
+            prime_above(F, MAX_P)
+        # the largest prime <= MAX_P: inert over d = 5, so every residue is
+        # scanned for a root, and split over the largest prime d <= MAX_D
+        for d, r in ((5, 2), (999_999_999_989, 1)):
+            G = make_quadratic_field(d)
+            start = time.perf_counter()
+            P = prime_above(G, 999_983)
+            assert time.perf_counter() - start < 1.0
+            assert (P.p, P.r) == (999_983, r)
+        for p in (MAX_P + 1, 1_000_003):  # composite, and the next prime
+            with pytest.raises(OutOfRange):
+                prime_above(F, p)
 
     def test_smallest_root_chosen(self):
         F = make_quadratic_field(5)

@@ -12,6 +12,7 @@ from cflat.svp import (
     SearchBasis,
     SVPResult,
     TooLarge,
+    _enumerate,
     _gram_sqrt,
     _lll_reduce,
     best_equation,
@@ -24,7 +25,7 @@ from cflat.svp import (
     top_equations,
 )
 
-from svp_certificate import certify_shortest
+from svp_certificate import box_points, certify_shortest
 
 F5 = make_quadratic_field(5)
 F3 = make_quadratic_field(3)
@@ -407,6 +408,48 @@ class TestEnumerations:
                 [[x.u for x in c.a] + [x.v for x in c.a] for c in cands], dtype=float
             )
             assert np.linalg.matrix_rank(m) == 2
+
+
+def _triangular(G):
+    """Q, R of G with a positive diagonal of R."""
+    q, r = np.linalg.qr(G)
+    signs = np.sign(np.diag(r))
+    return q * signs, (r.T * signs).T
+
+
+class TestEnumerateTarget:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_box_search(self, k):
+        """Closest-point mode against the independent box: the same point
+        set, away from the boundary where the two tolerances differ."""
+        rng = np.random.default_rng(900 + k)
+        origin_seen = 0
+        for _ in range(25):
+            G = np.eye(k) + 0.4 * rng.standard_normal((k, k))
+            q, r = _triangular(G)
+            offset = rng.standard_normal(k) * rng.choice([0.2, 2.0, 20.0])
+            budget = float(rng.uniform(0.5, 4.0)) * abs(np.linalg.det(G)) ** (2 / k)
+            cands, _ = _enumerate(r.tolist(), budget, shrink=False, target=q.T @ -offset)
+            got = {tuple(z) for _, z in cands}
+            near = box_points(G, offset, budget * 1.01)
+            tied = {z for z, _, n2 in near if abs(n2 - budget) <= 1e-6 * budget}
+            want = {z for z, _, n2 in near if n2 <= budget} - tied
+            assert got - tied == want
+            assert len(got) == len(cands)
+            origin_seen += (0,) * k in want
+            assert ((0,) * k in got) == (float(offset @ offset) <= budget)
+        assert origin_seen
+
+    def test_zero_target_adds_only_the_origin(self):
+        G = np.array([[2.0, 0.7, -0.4], [0.0, 1.6, 0.9], [0.3, -0.2, 1.8]])
+        _, r = _triangular(G)
+        budget = 9.0
+        centred, _ = _enumerate(r.tolist(), budget, shrink=False, target=[0.0] * 3)
+        shortest, _ = _enumerate(r.tolist(), budget, shrink=False)
+        assert len(shortest) > 10
+        assert {tuple(z) for _, z in centred} == {tuple(z) for _, z in shortest} | {
+            (0, 0, 0)
+        }
 
 
 class TestGramSqrt:
