@@ -22,7 +22,6 @@ from .channel import (
     naive_rate,
 )
 from .svp import (
-    SearchBasis,
     SVPResult,
     best_equation,
     best_integer_block,

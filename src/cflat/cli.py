@@ -28,7 +28,7 @@ from .codec import (
 )
 from .numfield import make_quadratic_field, prime_above
 from .simkit import SweepConfig, _parse_scheme, run_sweep, sample_channels
-from .svp import SearchBasis, best_equation, shortest_vector
+from .svp import best_equation, shortest_vector
 
 __all__ = [
     "CliError",
@@ -37,7 +37,6 @@ __all__ = [
     "InvalidValue",
     "CliConfig",
     "parse_config",
-    "dispatch",
     "read_sweep_csv",
     "main",
 ]
@@ -46,6 +45,10 @@ __all__ = [
 _codec_log = logging.getLogger("cflat.codec")
 
 CONFIG_KEYS = ("n", "L", "snr_db", "trials", "schemes", "seed", "d_list", "output")
+# most points an a:b:c SNR range may expand to
+MAX_SNR_POINTS = 10_000
+# union-bound terms `cflat codec` grows its truncation radius to reach
+_UB_MIN_TERMS = 1000
 
 
 class CliError(Exception):
@@ -83,11 +86,18 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
     try:
         if ":" in text:
             start, step, stop = (float(x) for x in text.split(":"))
+            if not all(map(math.isfinite, (start, step, stop))):
+                raise ValueError
             if step <= 0 or stop < start:
                 raise ValueError
             out = []
             v = start
             while v <= stop + 1e-9:
+                # also stops a step lost to rounding (1e16 + 1 == 1e16)
+                if len(out) == MAX_SNR_POINTS:
+                    raise InvalidValue(
+                        f"SNR range {text!r} has more than {MAX_SNR_POINTS} points"
+                    )
                 out.append(round(v, 9))
                 v += step
             return tuple(out)
@@ -287,7 +297,7 @@ def _default_generator(T: int, l_f: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _codec_union_bound(lat, cand, min_terms: int = 1000) -> float:
+def _codec_union_bound(lat, cand) -> float:
     radius = lat.gamma * math.sqrt(lat.n * lat.T)
     for _ in range(30):
         try:
@@ -302,7 +312,7 @@ def _codec_union_bound(lat, cand, min_terms: int = 1000) -> float:
             continue
         _codec_log.debug("union bound: radius %.6g, %d terms", radius, ub.terms)
         # no terms at all: l_f = l_c, so there is no error event to bound
-        if ub.terms >= min_terms or not ub.terms:
+        if ub.terms >= _UB_MIN_TERMS or not ub.terms:
             return ub.value
         radius *= 1.5
     return ub.value
@@ -319,10 +329,9 @@ def _cmd_codec(args, cfg: CliConfig) -> int:
         l_c=args.lc,
         G_f=_default_generator(args.T, args.lf),
     )
-    snrs = _parse_snr_list(args.snr_db) if args.snr_db else cfg.snr_db
     h = sample_channels(cfg.seed, 0, field.degree, cfg.L)
     rows = ["snr_db,error_rate,stderr,union_bound,trials"]
-    for snr in snrs:
+    for snr in cfg.snr_db:
         P = 10.0 ** (snr / 10.0)
         ch = BlockFadingChannel(h, P)
         lat = build_construction_a(field, prime, codes, target_power=P)
@@ -349,7 +358,7 @@ def _cmd_svp(args, cfg: CliConfig) -> int:
     if dim < 1 or len(vals) != dim * dim:
         raise InvalidValue(f"expected {dim}*{dim} matrix entries, got {len(vals)}")
     basis = np.array(vals).reshape(dim, dim)
-    res = shortest_vector(SearchBasis(dim=dim, basis=basis))
+    res = shortest_vector(basis)
     text = (
         f"norm_sq {res.norm_sq:.10g}\n"
         "coords " + " ".join(str(int(x)) for x in res.coords) + "\n"
@@ -365,12 +374,6 @@ _COMMANDS = {
     "codec": _cmd_codec,
     "svp": _cmd_svp,
 }
-
-
-def dispatch(subcommand: str, args, cfg: CliConfig) -> int:
-    if subcommand not in _COMMANDS:
-        raise CliError(f"unknown subcommand {subcommand!r}")
-    return _COMMANDS[subcommand](args, cfg)
 
 
 def read_sweep_csv(path: str) -> list[dict]:
@@ -458,7 +461,7 @@ def main(argv=None) -> int:
             cfg = parse_config(None, {"output": getattr(args, "output", None)})
         else:
             cfg = parse_config(getattr(args, "config", None), flags)
-        return dispatch(args.command, args, cfg)
+        return _COMMANDS[args.command](args, cfg)
     except (CliError, ValueError) as exc:
         # domain ValueErrors (bad d, composite p, ...) are user-input problems
         print(f"error: {exc}", file=sys.stderr)

@@ -221,8 +221,6 @@ class ConstructionALattice:
     leader_residues: np.ndarray  # (K, T) encoded residues
     embedded_leaders: np.ndarray  # (K, n, T), gamma-scaled
     leader_in_coarse: np.ndarray  # (K,) bool
-    fine_basis: np.ndarray  # (2T, 2T) integer columns
-    coarse_basis: np.ndarray
     vol_fine_unit: float
     vol_coarse_unit: float
     region_scaled: np.ndarray  # (nT, nT) columns of the shaping parallelepiped
@@ -357,11 +355,11 @@ def build_construction_a(
     else:
         region_unit = em @ coarse_basis
 
-    rng = np.random.default_rng(_POWER_SEED)
-    z = rng.uniform(-0.5, 0.5, size=(_POWER_SAMPLES, 2 * T))
-    samples = z @ region_unit.T
-    m0 = float(np.einsum("ij,ij->i", samples, samples).mean()) / (n * T)
     if gamma is None:
+        rng = np.random.default_rng(_POWER_SEED)
+        z = rng.uniform(-0.5, 0.5, size=(_POWER_SAMPLES, 2 * T))
+        samples = z @ region_unit.T
+        m0 = float(np.einsum("ij,ij->i", samples, samples).mean()) / (n * T)
         gamma = math.sqrt(target_power / m0)
 
     phi = field.embedding
@@ -385,8 +383,6 @@ def build_construction_a(
         leader_residues=residues,
         embedded_leaders=embedded,
         leader_in_coarse=in_coarse,
-        fine_basis=fine_basis,
-        coarse_basis=coarse_basis,
         vol_fine_unit=vol_fine,
         vol_coarse_unit=vol_coarse,
         region_scaled=region_scaled,
@@ -595,11 +591,12 @@ def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: 
     Euclidean norm <= radius, leader by leader and, within a leader, over
     coordinates in order with disc points ascending in norm.
 
-    A coordinate's disc points depend only on its residue, so they are
-    enumerated once per (coordinate, residue), by Schnorr-Euchner enumeration
-    centred on the negated leader in the decoder's triangular frame, and
-    shared by every leader holding that residue there.  Each disc entry,
-    sorted by (squared norm, z2, z1), is (squared norm, per-block
+    A coordinate's disc points depend only on its residue (the leader's
+    embedded column and ring coordinates there are the residue's lift), so
+    they are enumerated once per residue, by Schnorr-Euchner enumeration
+    centred on the negated lift in the decoder's triangular frame, and
+    shared by every coordinate of every leader holding that residue.  Each
+    disc entry, sorted by (squared norm, z2, z1), is (squared norm, per-block
     squared norms, embedded 2-vector, ring coordinates).  Yields
     (chosen, block_sq): the T chosen entries, a list the walk reuses, and the
     vector's per-block squared norms, summed over coordinates in order.
@@ -607,7 +604,7 @@ def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: 
     budget = float(radius) ** 2
     qmat_t, rmat = lat._cvp_q.T, lat._cvp_r.tolist()
     T = lat.T
-    discs = {}  # (coordinate i, residue x) -> disc entries
+    discs = {}  # residue x -> disc entries
     chosen = [None] * T
     rem = [budget] + [0.0] * T
     block_sq = [(0.0,) * lat.n] + [None] * T
@@ -617,11 +614,11 @@ def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: 
             continue
         opts = []
         for i, x in enumerate(row):
-            entries = discs.get((i, x))
+            entries = discs.get(x)
             if entries is None:
                 offset = lat.embedded_leaders[k][:, i]
                 found, _ = _enumerate(rmat, budget, shrink=False, target=qmat_t @ -offset)
-                entries = discs[i, x] = []
+                entries = discs[x] = []
                 for _, z in sorted(found, key=lambda c: c[1][::-1]):  # by z2, then z1
                     pt = offset + lat.pideal_embedded @ z
                     n2 = float(pt @ pt)
@@ -667,7 +664,7 @@ def enumerate_fine_vectors(
     as (ring coordinate array (T, 2), embedded n x T matrix) pairs.  With
     exclude_coarse the coarse sublattice is dropped (the set behind the union
     bound); coarse membership depends only on the coset leader.  The 2D disc
-    enumeration runs once per (coordinate, residue), not once per leader."""
+    enumeration runs once per residue, not once per leader."""
     return [
         (np.array([e[3] for e in chosen]), np.column_stack([e[2] for e in chosen]))
         for chosen, _ in _fine_vector_walk(lat, radius, exclude_coarse)
@@ -682,9 +679,9 @@ def union_bound(
     The reported value is a partial sum: terms outside the radius are
     dropped, so it only lower-bounds the full series.  Terms are added in
     enumeration order straight from the walk, whose disc points are
-    enumerated once per (coordinate, residue).  With l_f = l_c there is one
-    message and no error event: every fine vector is coarse, and the sum is
-    the empty sum 0 with no terms."""
+    enumerated once per residue.  With l_f = l_c there is one message and no
+    error event: every fine vector is coarse, and the sum is the empty sum 0
+    with no terms."""
     nu = np.asarray(nu_sq, dtype=float)
     if np.any(nu < 0):
         raise ValueError("noise variances must be nonnegative")
@@ -767,7 +764,7 @@ def simulate_codec(
 
         truth = np.zeros((m, l_m), dtype=np.int64)
         for l in range(L):
-            truth = lat.Fq.add_array(truth, lat.Fq.scale_array(int(g[l]), w[:, l, :]))
+            truth = lat.Fq.add(truth, lat.Fq.mul(int(g[l]), w[:, l, :]))
         dec_digits = (dec[:, None] // msg_pow[None, :]) % q if l_m else truth
         errors += int(np.count_nonzero(np.any(dec_digits != truth, axis=1)))
         done += m

@@ -248,7 +248,8 @@ class ResidueField:
 
     An element a0 + a1*x is encoded as the integer a0 + p*a1; for r=1 the
     encoding is the residue itself.  The reduction polynomial is
-    x^2 - s*x - t mod p, mirroring the ring multiplication rule.
+    x^2 - s*x - t mod p, mirroring the ring multiplication rule.  add and mul
+    also act elementwise on int64 arrays of encoded elements.
     """
 
     def __init__(self, prime: PrimeIdeal):
@@ -257,9 +258,6 @@ class ResidueField:
         self.q = prime.p**prime.r
         self._s = prime.field.s % self.p
         self._t = prime.field.t % self.p
-
-    def coeffs(self, x: int) -> tuple[int, int]:
-        return (x % self.p, x // self.p)
 
     def encode(self, a0: int, a1: int = 0) -> int:
         return (a0 % self.p) + self.p * (a1 % self.p)
@@ -300,21 +298,4 @@ class ResidueField:
         ninv = pow(nrm, p - 2, p)
         c0 = ((a0 + self._s * a1) * ninv) % p
         c1 = (-a1 * ninv) % p
-        return c0 + p * c1
-
-    def add_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.r == 1:
-            return (x + y) % self.p
-        p = self.p
-        return (x % p + y % p) % p + p * ((x // p + y // p) % p)
-
-    def scale_array(self, g: int, arr: np.ndarray) -> np.ndarray:
-        """Multiply every encoded entry of arr by the scalar g."""
-        p = self.p
-        if self.r == 1:
-            return (g * arr) % p
-        g0, g1 = g % p, g // p
-        a0, a1 = arr % p, arr // p
-        c0 = (g0 * a0 + self._t * g1 * a1) % p
-        c1 = (g0 * a1 + g1 * a0 + self._s * g1 * a1) % p
         return c0 + p * c1

@@ -133,11 +133,6 @@ class SweepResult:
     rates: np.ndarray  # (schemes, snr, trials)
     dof: dict
 
-    def row(self, scheme: str, snr: float) -> tuple[float, float]:
-        k = self.schemes.index(scheme)
-        s = self.snr_db.index(snr)
-        return float(self.mean[k, s]), float(self.stderr[k, s])
-
 
 def _scheme_rate(kind, d_field, ch: BlockFadingChannel) -> float:
     if kind == "mac":

@@ -23,7 +23,6 @@ from .numfield import NumberField, RingElement
 __all__ = [
     "RankDeficient",
     "TooLarge",
-    "SearchBasis",
     "SVPResult",
     "build_search_basis",
     "shortest_vector",
@@ -57,20 +56,6 @@ def _gram_sqrt(h: np.ndarray, P: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SearchBasis:
-    """Generator matrix Bbar of the coefficient-search lattice.
-
-    Columns are the lattice generators, indexed by the interleaved ring
-    coordinates of a (user-major): ||basis @ atilde||^2 = f(a).  For plain
-    integer coefficients (field=None) the basis is the nL x L stack of the
-    per-block Gram square roots.
-    """
-
-    dim: int
-    basis: np.ndarray
-
-
-@dataclass(frozen=True)
 class SVPResult:
     coords: np.ndarray  # nonzero integer vector atilde
     norm_sq: float
@@ -79,8 +64,13 @@ class SVPResult:
 
 def build_search_basis(
     field: NumberField | None, ch: BlockFadingChannel
-) -> SearchBasis:
-    """Assemble Bbar for the channel's Gram matrices.
+) -> np.ndarray:
+    """The (nL, L deg) generator matrix Bbar of the coefficient-search lattice.
+
+    Columns are the lattice generators, indexed by the interleaved ring
+    coordinates of a (user-major): ||Bbar @ atilde||^2 = f(a).  For plain
+    integer coefficients (field=None) Bbar is the nL x L stack of the
+    per-block Gram square roots.
 
     Rows are grouped by fading block, one row per user: block j's rows are
     R_j (x) phi_j with R_j the Gram square root and phi_j = (sigma_j(1),
@@ -96,7 +86,7 @@ def build_search_basis(
         emb = field.embedding
     deg = emb.shape[1]
     blocks = _gram_sqrt(ch.h, ch.P)[:, :, :, None] * emb[:, None, None, :]
-    return SearchBasis(dim=L * deg, basis=blocks.reshape(n * L, L * deg))
+    return blocks.reshape(n * L, L * deg)
 
 
 def _dot(x, y):
@@ -143,7 +133,7 @@ def _lll_reduce(rows, delta=LLL_DELTA):
     return b, T, mu, norms
 
 
-def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE, target=None):
+def _enumerate(R, bound_sq, shrink=True, target=None):
     """Schnorr-Euchner enumeration over an upper-triangular factor R.
 
     Finds integer vectors z with ||R z - target||^2 <= bound, visiting each
@@ -152,14 +142,14 @@ def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE, target=None):
     emitted, while with a target (a closest-point search, given in R's
     triangular frame) every vector is, the zero vector included.  With
     shrink=True the bound tightens as better vectors are found and all
-    candidates tied with the minimum (relative rel_tol) are collected; with
+    candidates tied with the minimum (relative _REL_TIE) are collected; with
     shrink=False every vector inside the fixed radius is returned.  Returns
     (candidates, node_count) with candidates as (dist, z list) pairs.
     """
     k = len(R)
     y = [0.0] * k if target is None else [float(t) for t in target]
     best = float(bound_sq)
-    limit = best * (1.0 + rel_tol)
+    limit = best * (1.0 + _REL_TIE)
     cands = []
     z = [0] * k
     center = [0.0] * k
@@ -179,7 +169,7 @@ def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE, target=None):
                 if target is not None or any(z):
                     if shrink and d < best * (1.0 - 1e-12):
                         best = d
-                        limit = best * (1.0 + rel_tol)
+                        limit = best * (1.0 + _REL_TIE)
                         cands = [(d, z.copy())]
                     else:
                         cands.append((d, z.copy()))
@@ -199,7 +189,7 @@ def _enumerate(R, bound_sq, shrink=True, rel_tol=_REL_TIE, target=None):
             z[i] += step[i]
             step[i] = -step[i] - (1 if step[i] >= 0 else -1)
     if shrink:
-        cands = [(d, zz) for d, zz in cands if d <= best * (1.0 + rel_tol)]
+        cands = [(d, zz) for d, zz in cands if d <= best * (1.0 + _REL_TIE)]
     return cands, nodes
 
 
@@ -221,64 +211,67 @@ def _normalize_sign(a: tuple) -> tuple:
     return a
 
 
+def _original_coords(T, cands) -> set[tuple]:
+    """Sign-normalized coordinates, in the basis before LLL, of enumerated
+    vectors z given in the reduced basis (transform T)."""
+    cols = list(zip(*T))
+    return {
+        _normalize_sign(tuple(int(_dot(zz, col)) for col in cols)) for _, zz in cands
+    }
+
+
+def _norms_sq(basis: np.ndarray, coord_set) -> dict[tuple, float]:
+    out = {}
+    for a in coord_set:
+        v = basis @ np.array(a, dtype=float)
+        out[a] = float(v @ v)
+    return out
+
+
 def _pick_candidate(basis: np.ndarray, coord_set) -> tuple[tuple, float]:
     """Deterministic tie-break: smallest norm, then the lexicographically
     smallest sign-normalized coordinate vector."""
-    scored = []
-    for a in coord_set:
-        v = basis @ np.array(a, dtype=float)
-        scored.append((float(v @ v), a))
-    nmin = min(s for s, _ in scored)
-    tied = [a for s, a in scored if s <= nmin * (1.0 + _REL_TIE)]
-    a_best = min(tied)
-    v = basis @ np.array(a_best, dtype=float)
-    return a_best, float(v @ v)
+    scored = _norms_sq(basis, coord_set)
+    nmin = min(scored.values())
+    a_best = min(a for a, s in scored.items() if s <= nmin * (1.0 + _REL_TIE))
+    return a_best, scored[a_best]
 
 
-def shortest_vector(B: SearchBasis) -> SVPResult:
-    """Exact SVP on the search basis: LLL then full Schnorr-Euchner
-    enumeration with initial radius equal to the shortest LLL vector."""
-    basis = np.asarray(B.basis, dtype=float)
+def shortest_vector(basis: np.ndarray) -> SVPResult:
+    """Exact SVP on the lattice generated by the basis columns: LLL then full
+    Schnorr-Euchner enumeration with initial radius equal to the shortest
+    LLL vector."""
+    basis = np.asarray(basis, dtype=float)
     reduced, T, R = _reduced_factor(basis)
     bound = min(_dot(v, v) for v in reduced)
     cands, nodes = _enumerate(R, bound, shrink=True)
     if not cands:
         raise RankDeficient("enumeration found no lattice vector")
-    coord_set = {
-        _normalize_sign(tuple(int(_dot(zz, col)) for col in zip(*T)))
-        for _, zz in cands
-    }
-    a, norm_sq = _pick_candidate(basis, coord_set)
+    a, norm_sq = _pick_candidate(basis, _original_coords(T, cands))
     return SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=nodes)
 
 
-def enumerate_short_vectors(B: SearchBasis, radius_sq: float) -> list[SVPResult]:
+def enumerate_short_vectors(basis: np.ndarray, radius_sq: float) -> list[SVPResult]:
     """All sign-normalized nonzero lattice vectors with ||Bbar atilde||^2 <=
     radius_sq, sorted by norm then coordinates."""
-    basis = np.asarray(B.basis, dtype=float)
+    basis = np.asarray(basis, dtype=float)
     _, T, R = _reduced_factor(basis)
     cands, nodes = _enumerate(R, radius_sq, shrink=False)
-    seen = {}
-    for _, zz in cands:
-        a = _normalize_sign(tuple(int(_dot(zz, col)) for col in zip(*T)))
-        if a not in seen:
-            v = basis @ np.array(a, dtype=float)
-            seen[a] = float(v @ v)
     out = [
         SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=s, node_count=nodes)
-        for a, s in seen.items()
+        for a, s in _norms_sq(basis, _original_coords(T, cands)).items()
         if s <= radius_sq * (1.0 + _REL_TIE)
     ]
     out.sort(key=lambda r: (r.norm_sq, tuple(r.coords)))
     return out
 
 
-def brute_force_shortest(B: SearchBasis, bound: int) -> SVPResult:
+def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:
     """Independent oracle: exhaustive search over the integer box
     ||atilde||_inf <= bound."""
     if bound < 1:
         raise TooLarge("search box is empty (bound must be >= 1)")
-    basis = np.asarray(B.basis, dtype=float)
+    basis = np.asarray(basis, dtype=float)
     k = basis.shape[1]
     count = (2 * bound + 1) ** k
     if count > 10**8:
@@ -297,10 +290,10 @@ def brute_force_shortest(B: SearchBasis, bound: int) -> SVPResult:
     )
 
 
-def minkowski_bound(B: SearchBasis) -> float:
+def minkowski_bound(basis: np.ndarray) -> float:
     """sqrt(dim) |det|^(1/dim) upper bound on the first successive minimum,
     via the Gram determinant so non-square bases work too."""
-    basis = np.asarray(B.basis, dtype=float)
+    basis = np.asarray(basis, dtype=float)
     k = basis.shape[1]
     g = float(np.linalg.det(basis.T @ basis))
     if g <= 0:
@@ -331,7 +324,7 @@ def best_equation(
 def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
     """Exact minimizer of a^T M a over nonzero integer vectors for one block."""
     R = _gram_sqrt(np.atleast_2d(np.asarray(h_j, dtype=float)), P)[0]
-    res = shortest_vector(SearchBasis(dim=R.shape[1], basis=R))
+    res = shortest_vector(R)
     return tuple(int(x) for x in res.coords), res.norm_sq
 
 

@@ -29,13 +29,13 @@ class Certificate:
 
 
 def certify_shortest(B, sv) -> Certificate:
-    """Check that sv (an SVPResult for the search basis B) is a shortest
+    """Check that sv (an SVPResult for the generator matrix B) is a shortest
     nonzero vector of the lattice, to relative tolerance REL_TOL.
 
     Fails if the returned coordinates do not reproduce sv.norm_sq, if the
     complete box holds a shorter vector, or if the box exceeds _MAX_POINTS.
     """
-    basis = np.asarray(B.basis, dtype=float)
+    basis = np.asarray(B, dtype=float)
     v = basis @ np.asarray(sv.coords, dtype=float)
     norm_sq = float(v @ v)
     if not math.isclose(norm_sq, sv.norm_sq, rel_tol=REL_TOL):

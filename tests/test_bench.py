@@ -1,0 +1,36 @@
+"""The benchmark in bench/ still runs against the library: its probe, and one
+unit each of two workloads run untraced and traced, with equal outputs.  An
+API change that breaks the benchmark fails here, not first in a benchmark
+run."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+
+import workloads  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+
+def _timed(fn, *args):
+    return fn(*args)
+
+
+def test_probe_calls_every_layer():
+    tr = Tracer()
+    workloads.probe(tr)
+    names = {span[0] for span in tr.spans}
+    for layer in ("svp.best_integer_block", "codec.union_bound", "codec.simulate_codec.k121"):
+        assert layer in names
+
+
+@pytest.mark.parametrize("workload", [workloads.SweepHeadline, workloads.RateHighSnr])
+def test_traced_unit_matches_untraced(workload, tmp_path):
+    w = workload()
+    outcomes = workloads.Outcomes()
+    base = w.baseline(0, str(tmp_path / "unit.csv"), outcomes, _timed)
+    got = w.traced(0, Tracer(), workloads.new_counters())
+    assert outcomes.attempted and not outcomes.failed
+    assert w.same(base, got)

@@ -10,6 +10,7 @@ import pytest
 
 import cflat.cli
 from cflat.cli import (
+    MAX_SNR_POINTS,
     InvalidValue,
     ParseError,
     UnknownKey,
@@ -76,6 +77,51 @@ class TestParseConfig:
         assert parse_config(None, {"snr_db": "1,2.5,7"}).snr_db == (1.0, 2.5, 7.0)
         with pytest.raises(InvalidValue):
             parse_config(None, {"snr_db": "abc"})
+
+    def test_snr_range_point_cap(self):
+        assert MAX_SNR_POINTS == 10_000
+        at_cap = parse_config(None, {"snr_db": "-10:0.5:4989.5"}).snr_db
+        assert len(at_cap) == MAX_SNR_POINTS
+        assert at_cap[:3] == (-10.0, -9.5, -9.0) and at_cap[-1] == 4989.5
+        assert parse_config(None, {"snr_db": "0:0.1:0.5"}).snr_db == (
+            0.0, 0.1, 0.2, 0.3, 0.4, 0.5
+        )
+        with pytest.raises(InvalidValue, match="more than 10000 points"):
+            parse_config(None, {"snr_db": "-10:0.5:4990"})
+
+    # ranges that never end: an infinite or NaN end or step, or a step lost
+    # to rounding (1e16 + 1 == 1e16), whose nominal count may be small
+    ENDLESS_SNR_RANGES = (
+        "0:1:inf", "-inf:1:0", "0:1:nan", "0:nan:1", "0:inf:1", "1e16:1:2e16",
+        "1e16:1:10000000000000002",
+    )  # fmt: skip
+
+    def test_endless_snr_range_is_validation_error(self):
+        # in a subprocess with a timeout, its address space capped after the
+        # imports, so a range that grows without end fails the test instead of
+        # stalling the suite or exhausting the machine's memory
+        code = (
+            "import os, resource, sys\n"
+            "from cflat.cli import main\n"
+            "pages = int(open('/proc/self/statm').read().split()[0])\n"
+            "cap = pages * os.sysconf('SC_PAGE_SIZE') + (256 << 20)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "for spec in sys.argv[1:]:\n"
+            "    print(main(['sweep', '--snr-db=' + spec, '--trials', '1', '--schemes', 'mac']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run(
+            [sys.executable, "-c", code, *self.ENDLESS_SNR_RANGES],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["2"] * len(self.ENDLESS_SNR_RANGES), out.stderr
+        errors = out.stderr.splitlines()
+        assert len(errors) == len(self.ENDLESS_SNR_RANGES)
+        assert all(e.startswith("error: ") for e in errors)
 
     def test_d_list_builds_default_schemes(self):
         cfg = parse_config(None, {"d_list": "5"})

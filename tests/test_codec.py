@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -85,6 +86,20 @@ class TestBuild:
             pows.append(float(np.sum(d * d)))
         per_dim = np.mean(pows) / (lat.n * lat.T)
         assert per_dim == pytest.approx(P, rel=0.05)
+
+    def test_pinned_gamma_draws_no_calibration_samples(self, monkeypatch):
+        want = build_construction_a(F5, P11, REPEAT_CODE, gamma=1.0)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a build with gamma pinned drew random samples")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        got = build_construction_a(F5, P11, REPEAT_CODE, gamma=1.0)
+        for f in dataclasses.fields(got):
+            value = getattr(got, f.name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, getattr(want, f.name)), f.name
+        assert got.gamma == want.gamma == 1.0
 
     def test_field_prime_mismatch(self):
         P13 = prime_above(F5, 13)  # inert, r=2
@@ -844,6 +859,22 @@ class TestFineVectorWalk:
             got = union_bound(lat, nu, radius)
             assert got.terms == terms
             assert got.value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["lat121", "lat_nested"])
+    def test_one_disc_enumeration_per_residue(self, request, name, monkeypatch):
+        # q = 11: a leader's lift at a coordinate depends only on its residue
+        # there, so the walk enumerates 11 discs whatever T and K are
+        lat = request.getfixturevalue(name)
+        calls = []
+        enumerate_ = cflat.codec._enumerate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_(*args, **kwargs)
+
+        monkeypatch.setattr(cflat.codec, "_enumerate", counted)
+        assert union_bound(lat, (0.5, 0.5), lat.gamma * 3.0).terms
+        assert len(calls) == 11
 
     def test_union_bound_zero_noise_counts_terms(self, lat121):
         radius = lat121.gamma * 3.0

@@ -223,7 +223,7 @@ class TestResidue:
         # additive over all pairs
         ua, ub = u[:, None], u[None, :]
         va, vb = v[:, None], v[None, :]
-        assert np.array_equal(enc(ua + ub, va + vb), Fq.add_array(e[:, None], e[None, :]))
+        assert np.array_equal(enc(ua + ub, va + vb), Fq.add(e[:, None], e[None, :]))
 
         # multiplicative over all pairs: exact ring product coordinates
         pu = ua * ub + F.t * va * vb
@@ -238,6 +238,22 @@ class TestResidue:
                 (a0 * b1 + a1 * b0 + (F.s % p) * a1 * b1) % p
             )
         assert np.array_equal(lhs, rhs)
+
+    @pytest.mark.parametrize("p", [11, 13])  # split, inert over Q(sqrt(5))
+    def test_array_arithmetic_matches_scalar(self, p):
+        Fq = prime_above(make_quadratic_field(5), p).residue_field
+        rng = np.random.default_rng(p)
+        x = rng.integers(0, Fq.q, size=(40, 3), dtype=np.int64)
+        y = rng.integers(0, Fq.q, size=(40, 3), dtype=np.int64)
+        total = Fq.add(x, y)
+        assert total.dtype == np.int64
+        assert total.tolist() == [
+            [Fq.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(x.tolist(), y.tolist())
+        ]
+        for g in (0, 1, Fq.q - 1, int(rng.integers(Fq.q))):
+            scaled = Fq.mul(g, x)
+            assert scaled.dtype == np.int64
+            assert scaled.tolist() == [[Fq.mul(g, a) for a in row] for row in x.tolist()]
 
     def test_zero_iff_ideal_member(self):
         F = make_quadratic_field(5)

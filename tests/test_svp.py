@@ -9,7 +9,6 @@ from cflat.simkit import sample_channels
 from cflat.svp import (
     LLL_DELTA,
     RankDeficient,
-    SearchBasis,
     SVPResult,
     TooLarge,
     _enumerate,
@@ -67,12 +66,12 @@ def certify_in_reduced_basis(d, ch):
     """
     B = build_search_basis(make_quadratic_field(d), ch)
     sv = shortest_vector(B)
-    T = _lll_reduce(list(B.basis.T))[1]
-    U = np.array(T, dtype=np.int64).T  # reduced basis = B.basis @ U
+    T = _lll_reduce(list(B.T))[1]
+    U = np.array(T, dtype=np.int64).T  # reduced basis = B @ U
     assert round(abs(np.linalg.det(U))) == 1
     y = np.rint(np.linalg.solve(U, sv.coords)).astype(np.int64)
     assert np.array_equal(U @ y, sv.coords)
-    reduced = SearchBasis(dim=B.dim, basis=B.basis @ U)
+    reduced = B @ U
     cert = certify_shortest(reduced, SVPResult(y, sv.norm_sq, sv.node_count))
     assert cert.ok, cert.detail
 
@@ -89,12 +88,12 @@ class TestBuildBasis:
                 [0.0, 0.0, 1.0, th2],
             ]
         )
-        assert np.allclose(B.basis, want)  # identity Gram blocks
-        assert abs(np.linalg.det(B.basis)) == pytest.approx(5.0, rel=1e-9)
+        assert np.allclose(B, want)  # identity Gram blocks
+        assert abs(np.linalg.det(B)) == pytest.approx(5.0, rel=1e-9)
         # row j*L + l is row l*deg + j of the user-major Kronecker form
         kron = np.kron(np.eye(2), F5.embedding)
         shuffle = [(r % 2) * 2 + r // 2 for r in range(4)]
-        assert np.allclose(B.basis, kron[shuffle])
+        assert np.allclose(B, kron[shuffle])
 
     def test_phi_mix_determinant(self):
         # With identity Gram blocks the basis is the pure embedding mix
@@ -103,14 +102,14 @@ class TestBuildBasis:
         rng = np.random.default_rng(0)
         for field in (F5, F3):
             for L in (1, 2, 3):
-                mix = build_search_basis(field, zero_channel(field.degree, L)).basis
+                mix = build_search_basis(field, zero_channel(field.degree, L))
                 assert abs(np.linalg.det(mix)) == pytest.approx(
                     field.discriminant ** (L / 2), rel=1e-9
                 )
-            mix = build_search_basis(field, zero_channel(field.degree, 2)).basis
+            mix = build_search_basis(field, zero_channel(field.degree, 2))
             for _ in range(20):
                 ch = random_channel(rng)
-                D = np.linalg.solve(mix.T, build_search_basis(field, ch).basis.T).T
+                D = np.linalg.solve(mix.T, build_search_basis(field, ch).T).T
                 for j in range(ch.n):
                     R = D[2 * j : 2 * j + 2, 2 * j : 2 * j + 2].copy()
                     D[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.0
@@ -124,10 +123,10 @@ class TestBuildBasis:
             ch = random_channel(rng)
             B = build_search_basis(field, ch)
             for _ in range(10):
-                coords = rng.integers(-5, 6, size=B.basis.shape[1])
+                coords = rng.integers(-5, 6, size=B.shape[1])
                 if not coords.any():
                     coords[0] = 1
-                v = B.basis @ coords
+                v = B @ coords
                 assert float(v @ v) == pytest.approx(
                     direct_quad_form(field, ch, coords), rel=1e-9, abs=1e-12
                 )
@@ -136,11 +135,11 @@ class TestBuildBasis:
         rng = np.random.default_rng(2)
         ch = random_channel(rng)
         B = build_search_basis(None, ch)
-        assert B.basis.shape == (4, 2)
+        assert B.shape == (4, 2)
         gram_sum = sum(gram_matrix(ch.h[j], ch.P) for j in range(ch.n))
-        assert np.allclose(B.basis.T @ B.basis, gram_sum, rtol=1e-12, atol=1e-14)
+        assert np.allclose(B.T @ B, gram_sum, rtol=1e-12, atol=1e-14)
         for j in range(ch.n):
-            block = B.basis[2 * j : 2 * j + 2]
+            block = B[2 * j : 2 * j + 2]
             assert np.array_equal(block, block.T)
 
     def test_det_factorization(self):
@@ -152,7 +151,7 @@ class TestBuildBasis:
                 B = build_search_basis(field, ch)
                 g = 1.0 + ch.P * np.einsum("jl,jl->j", ch.h, ch.h)
                 want = field.discriminant ** (ch.L / 2) * float(np.prod(g ** -0.5))
-                assert abs(np.linalg.det(B.basis)) == pytest.approx(want, rel=1e-8)
+                assert abs(np.linalg.det(B)) == pytest.approx(want, rel=1e-8)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -170,7 +169,7 @@ class TestShortestVector:
 
     def test_identity_basis(self):
         for k in (2, 3, 5):
-            res = shortest_vector(SearchBasis(dim=k, basis=np.eye(k)))
+            res = shortest_vector(np.eye(k))
             assert res.norm_sq == pytest.approx(1.0)
             a = tuple(res.coords)
             assert sorted(a) == [0] * (k - 1) + [1]
@@ -181,14 +180,14 @@ class TestShortestVector:
             ch = random_channel(rng)
             B = build_search_basis(F5, ch)
             res = shortest_vector(B)
-            reduced = _lll_reduce(list(B.basis.T))[0]
+            reduced = _lll_reduce(list(B.T))[0]
             for v in reduced:
                 assert res.norm_sq <= sum(x * x for x in v) * (1 + 1e-9)
 
     def test_rank_deficient(self):
         bad = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(RankDeficient):
-            shortest_vector(SearchBasis(dim=2, basis=bad))
+            shortest_vector(bad)
 
     @pytest.mark.parametrize(
         "basis",
@@ -200,7 +199,7 @@ class TestShortestVector:
     def test_relative_rank_guard(self, basis):
         # full rank, but one Gram-Schmidt length is below 1e-12 of the largest
         with pytest.raises(RankDeficient):
-            shortest_vector(SearchBasis(dim=len(basis), basis=np.array(basis)))
+            shortest_vector(np.array(basis))
 
     def test_oracle_equivalence_200_instances(self):
         # Every answer is certified by an exhaustive search over a box that
@@ -274,7 +273,7 @@ class TestShortestVector:
             h = sample_channels(31, t, 2, L)
             for snr in range(0, 90, 10):
                 B = build_search_basis(field, BlockFadingChannel(h, 10 ** (snr / 10)))
-                rows = B.basis.T
+                rows = B.T
                 reduced, T, _, _ = _lll_reduce(list(rows))
                 assert all(type(x) is int for row in T for x in row)
                 assert round(abs(np.linalg.det(np.array(T, dtype=float)))) == 1
@@ -310,7 +309,7 @@ class TestBruteForce:
             brute_force_shortest(B, 0)
 
     def test_budget_guard(self):
-        B = SearchBasis(dim=12, basis=np.eye(12))
+        B = np.eye(12)
         with pytest.raises(TooLarge):
             brute_force_shortest(B, 10)
 
@@ -326,7 +325,7 @@ class TestBruteForce:
 
 class TestMinkowski:
     def test_identity_dim4(self):
-        B = SearchBasis(dim=4, basis=np.eye(4))
+        B = np.eye(4)
         assert minkowski_bound(B) == pytest.approx(2.0)
         assert shortest_vector(B).norm_sq == pytest.approx(1.0)
 
@@ -379,7 +378,7 @@ class TestScalingCovariance:
             B = build_search_basis(F5, ch)
             base = shortest_vector(B)
             for s in (0.25, 3.0):
-                scaled = shortest_vector(SearchBasis(B.dim, s * B.basis))
+                scaled = shortest_vector(s * B)
                 assert scaled.norm_sq == pytest.approx(
                     s * s * base.norm_sq, rel=1e-9
                 )
