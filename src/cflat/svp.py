@@ -4,8 +4,11 @@ The quadratic form f(a) = sum_j sigma_j(a)^T M_j sigma_j(a) over ring
 coefficient vectors equals ||Bbar atilde||^2 on an explicit integer lattice,
 built from closed-form square roots of the per-block Gram matrices and the
 field embedding matrix.
-The SVP is solved exactly by Schnorr-Euchner enumeration after LLL
-preprocessing; a brute-force box search is kept as an independent oracle.
+The SVP is solved exactly: by Gauss-Lagrange reduction for a 2-column basis
+(Nguyen and Stehle, ACM TALG 2009), otherwise by LLL, which the sweep starts
+from the previous SNR point's transform (Wubben et al., IEEE SPM 2011), then
+Schnorr-Euchner enumeration; a brute-force box search is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .channel import BlockFadingChannel, EquationCandidate, am_rate
 from .numfield import NumberField, RingElement
 
 __all__ = [
+    "NonFiniteBasis",
     "RankDeficient",
     "TooLarge",
     "SVPResult",
@@ -36,10 +40,17 @@ __all__ = [
 
 LLL_DELTA = 0.99
 _REL_TIE = 1e-9
+# Gauss path: candidates this close to the shortest reduced vector go on to
+# _pick_candidate, which applies _REL_TIE in the original basis
+_GAUSS_TIE = 1e-6
 
 
 class RankDeficient(ValueError):
     """Basis does not have full column rank."""
+
+
+class NonFiniteBasis(ValueError):
+    """A basis entry, or a squared column norm, is not a finite float."""
 
 
 class TooLarge(ValueError):
@@ -59,7 +70,7 @@ def _gram_sqrt(h: np.ndarray, P: float) -> np.ndarray:
 class SVPResult:
     coords: np.ndarray  # nonzero integer vector atilde
     norm_sq: float
-    node_count: int
+    node_count: int  # enumeration nodes; size-reduction steps for 2 columns
 
 
 def build_search_basis(
@@ -93,17 +104,24 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _lll_reduce(rows, delta=LLL_DELTA):
+def _lll_reduce(rows, delta=LLL_DELTA, start=None):
     """Floating-point LLL on a list of basis row vectors.
 
     Returns (reduced, transform, mu, norms): reduced[i] = sum_k
     transform[i][k]*rows[k], transform unimodular, and the reduced rows' GSO.
     GSO row k is recomputed from b[k] whenever the loop reaches k: updating
-    it across swaps loses high-SNR bases' small norms to rounding.
+    it across swaps loses high-SNR bases' small norms to rounding.  With a
+    unimodular integer `start`, LLL reduces the rows start @ rows and the
+    transform starts at `start`, so it still maps the original rows.
     """
     m = len(rows)
-    b = [[float(x) for x in r] for r in rows]
-    T = [[1 if i == k else 0 for k in range(m)] for i in range(m)]
+    if start is None:
+        b = [[float(x) for x in r] for r in rows]
+        T = [[1 if i == k else 0 for k in range(m)] for i in range(m)]
+    else:
+        cols = list(zip(*rows))
+        b = [[float(_dot(t, c)) for c in cols] for t in start]
+        T = [list(t) for t in start]
     mu = [[float(i == j) for j in range(m)] for i in range(m)]  # mu[i][i] = 1
     norms = [0.0] * m
     star = [None] * m
@@ -193,11 +211,12 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
     return cands, nodes
 
 
-def _reduced_factor(basis: np.ndarray):
-    """LLL on the basis columns: (reduced rows, transform, R), with the upper
-    factor R[j][i] = mu[i][j] sqrt(B_j) of the reduced basis.  Raises if rank
+def _reduced_factor(cols: list, start=None):
+    """LLL on the basis columns (lists of floats), from the transform `start`
+    if given: (reduced rows, transform, R), with the upper factor
+    R[j][i] = mu[i][j] sqrt(B_j) of the reduced basis.  Raises if rank
     deficient."""
-    reduced, T, mu, norms = _lll_reduce(list(basis.T))
+    reduced, T, mu, norms = _lll_reduce(cols, start=start)
     diag = [math.sqrt(x) for x in norms]
     if min(diag) < 1e-12 * max(diag):
         raise RankDeficient("basis is numerically rank deficient")
@@ -237,25 +256,102 @@ def _pick_candidate(basis: np.ndarray, coord_set) -> tuple[tuple, float]:
     return a_best, scored[a_best]
 
 
-def shortest_vector(basis: np.ndarray) -> SVPResult:
-    """Exact SVP on the lattice generated by the basis columns: LLL then full
-    Schnorr-Euchner enumeration with initial radius equal to the shortest
-    LLL vector."""
-    basis = np.asarray(basis, dtype=float)
-    reduced, T, R = _reduced_factor(basis)
+def _finite_columns(basis: np.ndarray) -> list:
+    """The basis columns as lists of Python floats; raises NonFiniteBasis
+    unless every entry and every squared column norm is finite."""
+    cols = basis.T.tolist()
+    for j, col in enumerate(cols):
+        if not math.isfinite(_dot(col, col)):
+            if not all(math.isfinite(x) for x in col):
+                raise NonFiniteBasis(f"basis column {j} has a non-finite entry")
+            raise NonFiniteBasis(f"squared norm of basis column {j} overflows")
+    return cols
+
+
+def _gauss_shortest(basis: np.ndarray, cols: list) -> SVPResult:
+    """Shortest vector of a 2-column basis by Gauss-Lagrange reduction.
+
+    The pair is swapped only when the norm strictly decreases, so the loop
+    ends even where a float mu of 1/2 rounds the wrong way.  In the reduced
+    pair (u, v) every vector other than +-u, +-v and +-(u +- v) is at least
+    3||u||^2 long, and u + v and u - v cannot both tie with u, so u, v and
+    u - sign(u.v) v, where within a relative _GAUSS_TIE of ||u||^2, hold all
+    shortest vectors.  _pick_candidate scores them in the original basis, as
+    the enumeration path does.  node_count is the number of size-reduction
+    steps (>= 1).
+    """
+    u, v = cols
+    tu, tv = (1, 0), (0, 1)  # coordinates of u and v in the original basis
+    nu, nv = _dot(u, u), _dot(v, v)
+    if nv < nu:
+        u, v, tu, tv, nu, nv = v, u, tv, tu, nv, nu
+    steps = 0
+    while True:
+        if nu <= 0.0:
+            raise RankDeficient("basis is numerically rank deficient")
+        steps += 1
+        q = round(_dot(u, v) / nu)
+        if q:
+            v = [x - q * y for x, y in zip(v, u)]
+            tv = (tv[0] - q * tu[0], tv[1] - q * tu[1])
+            nv = _dot(v, v)
+        if nv >= nu:
+            break
+        u, v, tu, tv, nu, nv = v, u, tv, tu, nv, nu
+    uv = _dot(u, v)
+    # the enumeration path's rank guard: Gram-Schmidt lengths within 1e12
+    if nu < 1e-24 * (nv - uv * uv / nu):
+        raise RankDeficient("basis is numerically rank deficient")
+    limit = nu * (1.0 + _GAUSS_TIE)
+    coord_set = {_normalize_sign(tu)}
+    if nv <= limit:
+        coord_set.add(_normalize_sign(tv))
+    s = 1 if uv > 0 else -1
+    if nu + nv - 2.0 * s * uv <= limit:
+        coord_set.add(_normalize_sign((tu[0] - s * tv[0], tu[1] - s * tv[1])))
+    a, norm_sq = _pick_candidate(basis, coord_set)
+    return SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=steps)
+
+
+def _lll_shortest(basis: np.ndarray, cols: list, start=None):
+    """LLL (from the transform `start` if given) then full Schnorr-Euchner
+    enumeration with initial radius the shortest LLL vector.  Returns
+    (SVPResult, LLL transform)."""
+    reduced, T, R = _reduced_factor(cols, start)
     bound = min(_dot(v, v) for v in reduced)
     cands, nodes = _enumerate(R, bound, shrink=True)
     if not cands:
         raise RankDeficient("enumeration found no lattice vector")
     a, norm_sq = _pick_candidate(basis, _original_coords(T, cands))
-    return SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=nodes)
+    res = SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=nodes)
+    return res, T
+
+
+def _shortest(basis: np.ndarray, start=None):
+    """shortest_vector from the LLL transform `start` of a nearby lattice:
+    (SVPResult, this lattice's transform), None on the 2-D Gauss path."""
+    cols = _finite_columns(basis)
+    if len(cols) == 2:
+        return _gauss_shortest(basis, cols), None
+    return _lll_shortest(basis, cols, start)
+
+
+def shortest_vector(basis: np.ndarray) -> SVPResult:
+    """Exact SVP on the lattice generated by the basis columns: Gauss-Lagrange
+    reduction for two columns, otherwise LLL then full Schnorr-Euchner
+    enumeration with initial radius equal to the shortest LLL vector.  Ties
+    within a relative _REL_TIE go to the lexicographically smallest
+    sign-normalized coordinates.  Raises NonFiniteBasis if an entry or a
+    squared column norm is not finite, RankDeficient if the columns are
+    numerically dependent."""
+    return _shortest(np.asarray(basis, dtype=float))[0]
 
 
 def enumerate_short_vectors(basis: np.ndarray, radius_sq: float) -> list[SVPResult]:
     """All sign-normalized nonzero lattice vectors with ||Bbar atilde||^2 <=
     radius_sq, sorted by norm then coordinates."""
     basis = np.asarray(basis, dtype=float)
-    _, T, R = _reduced_factor(basis)
+    _, T, R = _reduced_factor(basis.T.tolist())
     cands, nodes = _enumerate(R, radius_sq, shrink=False)
     out = [
         SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=s, node_count=nodes)
@@ -315,10 +411,14 @@ def best_equation(
 ) -> EquationCandidate:
     """Rate-optimal coefficient vector over the ring (field=None: over Z,
     searching the Gram sum_j M_j instead)."""
-    B = build_search_basis(field, ch)
-    res = shortest_vector(B)
+    return _best_equation(field, ch)[0]
+
+
+def _best_equation(field: NumberField | None, ch: BlockFadingChannel, start=None):
+    """best_equation with a warm start: (candidate, transform), as _shortest."""
+    res, T = _shortest(build_search_basis(field, ch), start)
     a = _coords_to_coefficients(field, res.coords, ch.L)
-    return am_rate(ch, a, field)
+    return am_rate(ch, a, field), T
 
 
 def best_integer_block(h_j, P: float) -> tuple[tuple, float]:

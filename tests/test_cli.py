@@ -407,3 +407,33 @@ class TestSvpCommand:
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["svp", "--basis", str(tmp_path / "nope")]) == 1
+
+    @pytest.mark.parametrize(
+        "entries, cause",
+        [
+            ("2 nan 0 0 1", "basis column 0 has a non-finite entry"),
+            ("2 inf 0 0 1", "basis column 0 has a non-finite entry"),
+            ("2 1e200 0 0 1e200", "squared norm of basis column 0 overflows"),
+            ("3 1 0 0 0 1 0 0 -inf 1", "basis column 1 has a non-finite entry"),
+        ],
+    )
+    def test_nonfinite_basis_is_validation_error(self, tmp_path, capsys, entries, cause):
+        f = tmp_path / "basis"
+        f.write_text(entries + "\n")
+        assert main(["svp", "--basis", str(f)]) == 2
+        assert cause in capsys.readouterr().err
+
+    def test_hexagonal_tie_break(self, tmp_path):
+        # three tied shortest vectors; the lexicographic pick is (0, 1).  Run
+        # in a subprocess so a reduction that loops on the tie fails
+        f = tmp_path / "basis"
+        f.write_text("2 1 0.5 0 0.8660254037844386\n")
+        src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run(
+            [sys.executable, "-m", "cflat.cli", "svp", "--basis", str(f)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["norm_sq 1", "coords 0 1"]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import cflat.simkit as simkit
-from cflat.channel import BlockFadingChannel, mac_sum_capacity
+import cflat.svp as svp
+from cflat.channel import BlockFadingChannel, mac_sum_capacity, naive_rate
+from cflat.numfield import make_quadratic_field
 from cflat.simkit import (
     InsufficientPoints,
     SweepConfig,
@@ -13,6 +15,7 @@ from cflat.simkit import (
     run_sweep,
     sample_channels,
 )
+from cflat.svp import best_equation
 
 SMALL = SweepConfig(
     snr_db=(0.0, 10.0, 20.0),
@@ -96,6 +99,43 @@ class TestRunSweep:
         assert np.array_equal(r1.rates, r2.rates)
         assert np.array_equal(r1.rates, r3.rates)
         assert np.array_equal(r1.mean, r3.mean)
+
+    @pytest.mark.parametrize(
+        "snr_db",
+        [SweepConfig().snr_db, tuple(float(s) for s in range(0, 210, 10)), (50.0, 0.0, 30.0)],
+        ids=["default", "0-200", "non-monotone"],
+    )
+    def test_warm_start_equals_cold_calls(self, snr_db, monkeypatch):
+        # run_sweep starts each ring LLL from the previous SNR point's
+        # transform; its rates must be bit-equal to cold best_equation calls
+        cfg = SweepConfig(snr_db=snr_db, trials=30, master_seed=11)
+        warm_calls = []
+        real = svp._lll_reduce
+
+        def recording(rows, delta=svp.LLL_DELTA, start=None):
+            warm_calls.append(start is not None)
+            return real(rows, delta, start)
+
+        monkeypatch.setattr(svp, "_lll_reduce", recording)
+        res = run_sweep(cfg)
+        rings = sum(s.startswith("am_ring") for s in cfg.schemes)
+        assert sum(warm_calls) == cfg.trials * (len(snr_db) - 1) * rings
+
+        fields = {d: make_quadratic_field(d) for d in (3, 5, 7)}
+        cold = np.zeros_like(res.rates)
+        for t in range(cfg.trials):
+            h = sample_channels(cfg.master_seed, t, cfg.n, cfg.L)
+            for si, snr in enumerate(snr_db):
+                ch = BlockFadingChannel(h, 10.0 ** (snr / 10.0))
+                for k, name in enumerate(cfg.schemes):
+                    if name == "mac":
+                        cold[k, si, t] = mac_sum_capacity(ch)
+                    elif name == "naive_Z":
+                        cold[k, si, t] = naive_rate(ch)[2]
+                    else:
+                        d = None if name == "am_Z" else int(name[len("am_ring(") : -1])
+                        cold[k, si, t] = best_equation(fields.get(d), ch).rate_bits
+        assert res.rates.tobytes() == cold.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

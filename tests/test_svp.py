@@ -1,19 +1,28 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import cflat
 
 from cflat.channel import BlockFadingChannel, coefficient_embeddings, gram_matrix
 from cflat.numfield import RingElement, make_quadratic_field
 from cflat.simkit import sample_channels
 from cflat.svp import (
     LLL_DELTA,
+    NonFiniteBasis,
     RankDeficient,
     SVPResult,
     TooLarge,
     _enumerate,
+    _gauss_shortest,
     _gram_sqrt,
     _lll_reduce,
+    _lll_shortest,
     best_equation,
     best_integer_block,
     brute_force_shortest,
@@ -56,15 +65,15 @@ def direct_quad_form(field, ch, coords):
     )
 
 
-def certify_in_reduced_basis(d, ch):
-    """Certify shortest_vector on the ring lattice of (d, ch) in an
+def certify_in_reduced_basis(B):
+    """Certify shortest_vector on the lattice of the generator matrix B in an
     LLL-reduced basis of the same lattice.
 
     For 6-D lattices the certificate's box in the original coordinates holds
-    1e8-1e11 points.  The box stays complete whatever the reduction does, as
-    long as the transform is unimodular.
+    1e8-1e11 points, and for 2-D ones at 120 dB up to 1e7.  The box stays
+    complete whatever the reduction does, as long as the transform is
+    unimodular.
     """
-    B = build_search_basis(make_quadratic_field(d), ch)
     sv = shortest_vector(B)
     T = _lll_reduce(list(B.T))[1]
     U = np.array(T, dtype=np.int64).T  # reduced basis = B @ U
@@ -194,10 +203,12 @@ class TestShortestVector:
         [
             [[1.0, 1.0], [0.0, 1e-14]],
             [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1e-15]],
+            [[0.0, 1.0], [0.0, 1.0]],
         ],
     )
     def test_relative_rank_guard(self, basis):
-        # full rank, but one Gram-Schmidt length is below 1e-12 of the largest
+        # one Gram-Schmidt length is below 1e-12 of the largest (the last
+        # basis has a zero column)
         with pytest.raises(RankDeficient):
             shortest_vector(np.array(basis))
 
@@ -249,7 +260,9 @@ class TestShortestVector:
         "d, h, P", LLL_SHORT_6D, ids=[f"d{d}-P{P:.0f}" for d, _, P in LLL_SHORT_6D]
     )
     def test_certified_where_lll_alone_falls_short(self, d, h, P):
-        certify_in_reduced_basis(d, BlockFadingChannel(h, P))
+        certify_in_reduced_basis(
+            build_search_basis(make_quadratic_field(d), BlockFadingChannel(h, P))
+        )
 
     # Three-user channels at 80 dB, as (trial index under seed 20170204, d):
     # a floating-point LLL that updates mu and the Gram-Schmidt norms across
@@ -259,22 +272,26 @@ class TestShortestVector:
 
     @pytest.mark.parametrize("c, d", SWAP_UPDATE_UNSTABLE_80DB)
     def test_certified_where_swap_updates_fail(self, c, d):
-        certify_in_reduced_basis(
-            d, BlockFadingChannel(sample_channels(20170204, c, 2, 3), 1e8)
-        )
+        ch = BlockFadingChannel(sample_channels(20170204, c, 2, 3), 1e8)
+        certify_in_reduced_basis(build_search_basis(make_quadratic_field(d), ch))
 
     @pytest.mark.parametrize("L", [2, 3])
     @pytest.mark.parametrize("d", [None, 3, 5, 7])
     def test_lll_output_is_reduced(self, L, d):
         # Checked against a Gram-Schmidt orthogonalization of the output
-        # computed independently of the kernel (numpy QR).
+        # computed independently of the kernel (numpy QR).  Warm runs start
+        # from the transform at the previous SNR point, as run_sweep does;
+        # the transform must still map the original rows.
         field = None if d is None else make_quadratic_field(d)
-        for t in range(5):
+        for t, warm in itertools.product(range(5), (False, True)):
             h = sample_channels(31, t, 2, L)
+            start = None
             for snr in range(0, 90, 10):
                 B = build_search_basis(field, BlockFadingChannel(h, 10 ** (snr / 10)))
                 rows = B.T
-                reduced, T, _, _ = _lll_reduce(list(rows))
+                reduced, T, _, _ = _lll_reduce(list(rows), start=start)
+                if warm:
+                    start = T
                 assert all(type(x) is int for row in T for x in row)
                 assert round(abs(np.linalg.det(np.array(T, dtype=float)))) == 1
                 reduced = np.array(reduced)
@@ -294,6 +311,103 @@ class TestShortestVector:
         assert len(set(coords)) == 1
         # both unit users give norm 2; lexicographic pick is (0,0,1,0)
         assert coords[0] == (0, 0, 1, 0)
+
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "bad, cause",
+        [(math.nan, "non-finite entry"), (-math.inf, "non-finite entry"),
+         (1e200, "squared norm of basis column 0 overflows")],
+    )
+    def test_rejects_nonfinite_basis(self, k, bad, cause):
+        # both the Gauss (k = 2) and the LLL path check the entries first
+        B = np.eye(k)
+        B[k - 1, 0] = bad
+        with pytest.raises(NonFiniteBasis, match=cause):
+            shortest_vector(B)
+
+
+# Inert (d, p) pairs, d = 1 mod 4, whose embedded ideal basis has
+# mu = 1/2 exactly, evaluated in floats as 0.5000000000000001 or just above.
+MU_HALF_PAIRS = (
+    (13, 239), (21, 179), (21, 223), (21, 239), (33, 283), (37, 109),
+    (37, 281), (41, 67), (57, 131), (57, 251), (61, 191), (61, 251),
+    (65, 11), (69, 173), (69, 179), (73, 43), (73, 131), (73, 167),
+    (77, 257), (85, 83), (97, 157), (97, 233), (105, 29), (105, 167),
+    (105, 229), (109, 163),
+)
+
+# Exact ties, run as a child process so that a reduction loop that never
+# ends fails the test at its timeout instead of stalling the suite: the
+# square and hexagonal lattices (three tied shortest vectors), then the
+# mu = 1/2 ideal bases.  Each line: the Gauss path's coords and norm_sq bits,
+# then LLL + enumeration's.
+_TIES_CHILD = """
+import numpy as np
+from cflat.numfield import make_quadratic_field, prime_above
+from cflat.svp import _gauss_shortest, _lll_shortest
+bases = [np.eye(2), np.array([[1.0, 0.5], [0.0, 0.8660254037844386]])]
+for d, p in {pairs!r}:
+    field = make_quadratic_field(d)
+    bases.append(field.embedding @ prime_above(field, p).basis_matrix())
+for B in bases:
+    cols = B.T.tolist()
+    g, e = _gauss_shortest(B, cols), _lll_shortest(B, cols)[0]
+    print(*g.coords, g.norm_sq.hex(), *e.coords, e.norm_sq.hex())
+"""
+
+
+def assert_same_answer(B):
+    """The Gauss path and LLL + enumeration give the same coordinates and
+    the same norm_sq bits."""
+    B = np.asarray(B, dtype=float)
+    cols = B.T.tolist()
+    g, e = _gauss_shortest(B, cols), _lll_shortest(B, cols)[0]
+    assert tuple(g.coords) == tuple(e.coords)
+    assert g.norm_sq.hex() == e.norm_sq.hex()
+
+
+class TestGaussPath:
+    @pytest.mark.parametrize("snr_db", range(0, 130, 10))
+    def test_certified_0_to_120_db(self, snr_db):
+        # am_Z's (4, 2) basis and best_integer_block's per-block (2, 2) one
+        P = 10.0 ** (snr_db / 10.0)
+        for t in range(8):
+            ch = BlockFadingChannel(sample_channels(41, t, 2, 2), P)
+            for B in (build_search_basis(None, ch), *_gram_sqrt(ch.h, P)):
+                assert_same_answer(B)
+                certify_in_reduced_basis(B)
+
+    def test_exact_ties_finish_and_match_enumeration(self):
+        src = os.path.dirname(os.path.dirname(cflat.__file__))
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run(
+            [sys.executable, "-c", _TIES_CHILD.format(pairs=MU_HALF_PAIRS)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = [line.split() for line in out.stdout.splitlines()]
+        assert len(lines) == 2 + len(MU_HALF_PAIRS)
+        for gauss_enum in lines:
+            assert gauss_enum[:3] == gauss_enum[3:]
+        assert lines[1][:2] == ["0", "1"]  # hexagonal: lexicographic pick
+
+    def test_tied_lattices_under_unimodular_changes(self):
+        # square and hexagonal lattices, rotated, rescaled and given in
+        # skewed bases: their 2 and 3 tied shortest vectors are all found
+        rng = np.random.default_rng(13)
+        shapes = (np.eye(2), np.array([[1.0, 0.5], [0.0, 3**0.5 / 2]]))
+        for i in range(400):
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+            U = np.eye(2, dtype=np.int64)
+            for _ in range(int(rng.integers(0, 6))):
+                a, b = rng.permutation(2)
+                E = np.eye(2, dtype=np.int64)
+                E[a, b] = rng.integers(-3, 4)
+                U = U @ E
+            assert_same_answer(rot @ shapes[i % 2] @ U * 10 ** rng.uniform(-3, 3))
 
 
 class TestBruteForce:
