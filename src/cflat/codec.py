@@ -11,6 +11,7 @@ union bound on the decoding error probability with a Monte Carlo counterpart.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .channel import BlockFadingChannel, EquationCandidate
 from .numfield import NumberField, PrimeIdeal, ResidueField, RingElement, residue_reduce
-from .svp import _enumerate, _lll_reduce
+from .svp import _enumerate, _hnf_column_basis, _lll_reduce
 
 __all__ = [
     "DimensionMismatch",
@@ -165,28 +166,26 @@ def _fq_solve(Fq: ResidueField, G_rows, c) -> tuple[int, ...] | None:
 # exact integer lattice plumbing
 
 
-def _hnf_column_basis(generators, dim: int) -> np.ndarray:
-    """Square column basis of the integer lattice spanned by the generators,
-    by exact pairwise Euclidean reduction row by row."""
-    work = [[int(x) for x in g] for g in generators]
-    basis = []
-    for row in range(dim):
-        live = [c for c in work if c[row] != 0]
-        rest = [c for c in work if c[row] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[row]), reverse=True)
-            quot = live[0][row] // live[1][row]
-            live[0] = [x - quot * y for x, y in zip(live[0], live[1])]
-            if live[0][row] == 0:
-                rest.append(live.pop(0))
-        if not live:
-            raise ValueError("generators do not span a full-rank lattice")
-        piv = live[0]
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        work = rest
-    return np.array(basis, dtype=np.int64).T
+def _code_lattice_basis(prime: PrimeIdeal, codes: NestedCodePair, l: int):
+    """Echelon basis, in flat ring coordinates (u_i, v_i interleaved), of the
+    Construction A lattice of the first l code columns (their lifts, times
+    theta too for an inert prime, and the ideal at every coordinate), and its
+    index in O^T: the exact product of the pivots.  That is q^(T - l) when
+    the columns have rank l; any other index raises RankDeficientCode."""
+    Fq, T = prime.residue_field, codes.T
+    gens = []
+    for k in range(l):
+        for be in [1] if prime.r == 1 else [1, Fq.encode(0, 1)]:
+            lifts = (prime.leader(Fq.mul(be, row[k])) for row in codes.G_f)
+            gens.append([x for el in lifts for x in (el.u, el.v)])
+    for i in range(T):
+        for u, v in prime.basis_matrix().T.tolist():
+            gens.append([0] * (2 * i) + [u, v] + [0] * (2 * (T - i - 1)))
+    basis = _hnf_column_basis(gens, 2 * T)
+    index = math.prod(col[i] for i, col in enumerate(basis))
+    if len(basis) != 2 * T or index != codes.q ** (T - l):
+        raise RankDeficientCode(f"the first {l} code columns do not have rank {l}")
+    return basis, index
 
 
 def _embedding_map(field: NumberField, T: int) -> np.ndarray:
@@ -263,7 +262,9 @@ def build_construction_a(
 
     With target_power given, gamma is set so the per-dimension second moment
     of the shaping region (Monte Carlo, fixed internal seed) equals the power
-    budget; alternatively a gamma may be pinned directly.
+    budget; alternatively a gamma may be pinned directly.  The unit volumes
+    q^(T - l) disc^(T/2) are exact, the index q^(T - l) read off an integer
+    basis.  DeskScaleExceeded: over MAX_COSET_LEADERS or a float's range.
     """
     if (target_power is None) == (gamma is None):
         raise ValueError("give exactly one of target_power or gamma")
@@ -289,6 +290,11 @@ def build_construction_a(
         raise DeskScaleExceeded(
             f"{K} coset leaders exceed the exact-decoding limit {MAX_COSET_LEADERS}"
         )
+    # the larger volume, the coarse one, must be a float (1e-9: the logs' error)
+    disc = field.discriminant
+    log_vol = (T - l_c) * math.log(q) + T / 2 * math.log(disc)
+    if log_vol > math.log(sys.float_info.max) - 1e-9:
+        raise DeskScaleExceeded(f"volume {q}^{T - l_c} * {disc}^({T}/2) overflows")
 
     n = field.degree
     leaders = np.zeros((K, T, 2), dtype=np.int64)
@@ -303,44 +309,11 @@ def build_construction_a(
             el = prime.leader(x)
             leaders[k, i] = (el.u, el.v)
 
-    # integer bases: code-part lifts plus the ideal at every coordinate
-    def lattice_generators(l: int):
-        gens = []
-        basis_elts = [1] if prime.r == 1 else [1, Fq.encode(0, 1)]
-        for k in range(l):
-            col = [codes.G_f[i][k] for i in range(T)]
-            for be in basis_elts:
-                scaled = [Fq.mul(be, x) for x in col]
-                flat = np.zeros(2 * T, dtype=np.int64)
-                for i, x in enumerate(scaled):
-                    el = prime.leader(x)
-                    flat[2 * i] = el.u
-                    flat[2 * i + 1] = el.v
-                gens.append(flat)
-        ideal = prime.basis_matrix()
-        for i in range(T):
-            for kcol in range(2):
-                flat = np.zeros(2 * T, dtype=np.int64)
-                flat[2 * i] = ideal[0, kcol]
-                flat[2 * i + 1] = ideal[1, kcol]
-                gens.append(flat)
-        return gens
-
-    fine_basis = _hnf_column_basis(lattice_generators(l_f), 2 * T)
-    coarse_basis = _hnf_column_basis(lattice_generators(l_c), 2 * T)
-
+    disc_half = disc ** (T / 2)
+    vol_fine = _code_lattice_basis(prime, codes, l_f)[1] * disc_half
+    coarse_basis, coarse_index = _code_lattice_basis(prime, codes, l_c)
+    vol_coarse = coarse_index * disc_half
     em = _embedding_map(field, T)
-    vol_fine = abs(float(np.linalg.det(em @ fine_basis)))
-    vol_coarse = abs(float(np.linalg.det(em @ coarse_basis)))
-    disc_half = field.discriminant ** (T / 2)
-    expect_fine = prime.p ** ((T - l_f) * prime.r) * disc_half
-    expect_coarse = prime.p ** ((T - l_c) * prime.r) * disc_half
-    for got, want, name in (
-        (vol_fine, expect_fine, "fine"),
-        (vol_coarse, expect_coarse, "coarse"),
-    ):
-        if not math.isclose(got, want, rel_tol=1e-6):
-            raise AssertionError(f"{name} lattice volume {got} != {want}")
 
     # shaping region: centered fundamental parallelepiped of the coarse lattice
     # (per-coordinate reduced ideal basis when the coarse code is trivial)
@@ -353,7 +326,7 @@ def build_construction_a(
             region_cols[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = pideal_basis
         region_unit = em @ region_cols
     else:
-        region_unit = em @ coarse_basis
+        region_unit = em @ np.array(coarse_basis, dtype=np.int64).T
 
     if gamma is None:
         rng = np.random.default_rng(_POWER_SEED)

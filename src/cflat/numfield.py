@@ -154,10 +154,8 @@ def make_quadratic_field(d: int) -> NumberField:
         s, t, disc = 0, d, 4 * d
         th = (root, -root)
         labels = ("1", f"sqrt({d})")
+    # det Phi = theta_2 - theta_1, and (theta_1 - theta_2)^2 = disc
     phi = np.array([[1.0, th[0]], [1.0, th[1]]])
-    det_sq = float(np.linalg.det(phi)) ** 2
-    if not math.isclose(det_sq, disc, rel_tol=1e-10):
-        raise AssertionError(f"det(Phi)^2={det_sq} != discriminant {disc}")
     return NumberField(
         d=d, s=s, t=t, discriminant=disc, theta=th, embedding=phi, basis_labels=labels
     )

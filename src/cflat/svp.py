@@ -14,8 +14,8 @@ independent oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -50,7 +50,8 @@ class RankDeficient(ValueError):
 
 
 class NonFiniteBasis(ValueError):
-    """A basis entry, or a squared column norm, is not a finite float."""
+    """A basis entry is not finite, or a squared column norm is not 0 or a
+    normal float."""
 
 
 class TooLarge(ValueError):
@@ -211,6 +212,32 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
     return cands, nodes
 
 
+def _hnf_column_basis(generators, dim: int) -> list[list[int]]:
+    """Echelon basis (lists of ints) of the integer lattice spanned by the
+    generators, by exact pairwise Euclidean reduction coordinate by
+    coordinate.  A coordinate no remaining generator reaches is skipped, so
+    there are as many vectors as the rank; each is positive at its pivot."""
+    work = [[int(x) for x in g] for g in generators]
+    basis = []
+    for row in range(dim):
+        live = [c for c in work if c[row] != 0]
+        if not live:
+            continue
+        rest = [c for c in work if c[row] == 0]
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(c[row]), reverse=True)
+            quot = live[0][row] // live[1][row]
+            live[0] = [x - quot * y for x, y in zip(live[0], live[1])]
+            if live[0][row] == 0:
+                rest.append(live.pop(0))
+        piv = live[0]
+        if piv[row] < 0:
+            piv = [-x for x in piv]
+        basis.append(piv)
+        work = rest
+    return basis
+
+
 def _reduced_factor(cols: list, start=None):
     """LLL on the basis columns (lists of floats), from the transform `start`
     if given: (reduced rows, transform, R), with the upper factor
@@ -258,13 +285,18 @@ def _pick_candidate(basis: np.ndarray, coord_set) -> tuple[tuple, float]:
 
 def _finite_columns(basis: np.ndarray) -> list:
     """The basis columns as lists of Python floats; raises NonFiniteBasis
-    unless every entry and every squared column norm is finite."""
+    unless every entry is finite and every squared column norm is 0 or a
+    normal float, so a first size-reduction coefficient u.v / ||u||^2 stays
+    below sqrt(max / min) < max (Cauchy-Schwarz)."""
     cols = basis.T.tolist()
     for j, col in enumerate(cols):
-        if not math.isfinite(_dot(col, col)):
+        norm_sq = _dot(col, col)
+        if not math.isfinite(norm_sq):
             if not all(math.isfinite(x) for x in col):
                 raise NonFiniteBasis(f"basis column {j} has a non-finite entry")
             raise NonFiniteBasis(f"squared norm of basis column {j} overflows")
+        if 0.0 < norm_sq < sys.float_info.min:
+            raise NonFiniteBasis(f"squared norm of basis column {j} is subnormal")
     return cols
 
 
@@ -341,17 +373,18 @@ def shortest_vector(basis: np.ndarray) -> SVPResult:
     reduction for two columns, otherwise LLL then full Schnorr-Euchner
     enumeration with initial radius equal to the shortest LLL vector.  Ties
     within a relative _REL_TIE go to the lexicographically smallest
-    sign-normalized coordinates.  Raises NonFiniteBasis if an entry or a
-    squared column norm is not finite, RankDeficient if the columns are
-    numerically dependent."""
+    sign-normalized coordinates.  Raises NonFiniteBasis if an entry is not
+    finite or a squared column norm overflows or is subnormal, RankDeficient
+    if the columns are numerically dependent."""
     return _shortest(np.asarray(basis, dtype=float))[0]
 
 
 def enumerate_short_vectors(basis: np.ndarray, radius_sq: float) -> list[SVPResult]:
     """All sign-normalized nonzero lattice vectors with ||Bbar atilde||^2 <=
-    radius_sq, sorted by norm then coordinates."""
+    radius_sq, sorted by norm then coordinates.  Raises NonFiniteBasis as
+    shortest_vector does."""
     basis = np.asarray(basis, dtype=float)
-    _, T, R = _reduced_factor(basis.T.tolist())
+    _, T, R = _reduced_factor(_finite_columns(basis))
     cands, nodes = _enumerate(R, radius_sq, shrink=False)
     out = [
         SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=s, node_count=nodes)
@@ -364,10 +397,11 @@ def enumerate_short_vectors(basis: np.ndarray, radius_sq: float) -> list[SVPResu
 
 def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:
     """Independent oracle: exhaustive search over the integer box
-    ||atilde||_inf <= bound."""
+    ||atilde||_inf <= bound.  Raises NonFiniteBasis as shortest_vector does."""
     if bound < 1:
         raise TooLarge("search box is empty (bound must be >= 1)")
     basis = np.asarray(basis, dtype=float)
+    _finite_columns(basis)
     k = basis.shape[1]
     count = (2 * bound + 1) ** k
     if count > 10**8:
@@ -388,8 +422,10 @@ def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:
 
 def minkowski_bound(basis: np.ndarray) -> float:
     """sqrt(dim) |det|^(1/dim) upper bound on the first successive minimum,
-    via the Gram determinant so non-square bases work too."""
+    via the Gram determinant so non-square bases work too.  Raises
+    NonFiniteBasis as shortest_vector does."""
     basis = np.asarray(basis, dtype=float)
+    _finite_columns(basis)
     k = basis.shape[1]
     g = float(np.linalg.det(basis.T @ basis))
     if g <= 0:
@@ -428,26 +464,6 @@ def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
     return tuple(int(x) for x in res.coords), res.norm_sq
 
 
-def _int_rank(vectors: list[tuple]) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < width:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / rows[rank][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def top_equations(
     field: NumberField | None,
     ch: BlockFadingChannel,
@@ -464,8 +480,8 @@ def top_equations(
         short = enumerate_short_vectors(B, grow * grow * first.norm_sq)
         picked = []
         for res in short:
-            trial = [tuple(r.coords) for r in picked] + [tuple(res.coords)]
-            if _int_rank(trial) == len(trial):
+            trial = [r.coords for r in picked] + [res.coords]
+            if len(_hnf_column_basis(trial, len(res.coords))) == len(trial):
                 picked.append(res)
             if len(picked) == count:
                 break

@@ -366,6 +366,22 @@ class TestCodecCommand:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[1] == "10,0.000000e+00,0.000000e+00,0.000000e+00,10"
 
+    @pytest.mark.parametrize(
+        "p, T", [(11, 300), (999983, 30)], ids=["T300", "p999983"]
+    )
+    def test_volume_overflow_is_validation_error(self, capsys, p, T):
+        # the coarse volume 11^300 5^150 and (999983^2)^30 5^15 overflow a
+        # float; the build stops before any lattice work
+        argv = ["codec", "--d", "5", "--p", str(p), "--T", str(T), "--lf", "0",
+                "--lc", "0", "--snr-db", "10", "--trials", "10"]  # fmt: skip
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: volume ")
+        assert err[0].endswith("overflows")
+        assert not caught
+
     def test_prime_above_limit_is_validation_error(self, capsys):
         args = ["codec", "--d", "5", "--p", "1000003", "--T", "1", "--lf", "0",
                 "--lc", "0", "--trials", "10"]
@@ -415,6 +431,10 @@ class TestSvpCommand:
             ("2 inf 0 0 1", "basis column 0 has a non-finite entry"),
             ("2 1e200 0 0 1e200", "squared norm of basis column 0 overflows"),
             ("3 1 0 0 0 1 0 0 -inf 1", "basis column 1 has a non-finite entry"),
+            # squared norm 1e-320: the Gauss and the LLL path's first
+            # size-reduction coefficient would overflow to inf
+            ("2 1e-160 1e150 0 1", "squared norm of basis column 0 is subnormal"),
+            ("3 1e-160 1e150 0 0 1 0 0 0 1", "squared norm of basis column 0 is subnormal"),
         ],
     )
     def test_nonfinite_basis_is_validation_error(self, tmp_path, capsys, entries, cause):

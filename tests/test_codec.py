@@ -12,12 +12,16 @@ import pytest
 import cflat.codec
 from cflat.channel import BlockFadingChannel, EquationCandidate
 from cflat.codec import (
+    MAX_COSET_LEADERS,
     DeskScaleExceeded,
     DimensionMismatch,
     NestedCodePair,
     RadiusTooSmall,
     RankDeficientCode,
+    _code_lattice_basis,
     _decode_leader_indices,
+    _embedding_map,
+    _fq_gauss_jordan,
     build_construction_a,
     decode_equation,
     encode,
@@ -127,6 +131,52 @@ class TestBuild:
         )
         with pytest.raises(DeskScaleExceeded):
             build_construction_a(F5, P11, codes, gamma=1.0)  # 11^4 leaders
+
+    def test_exact_volumes_on_code_grid(self):
+        # every code with d in {2, 3, 5, 13}, an unramified p <= 13 (split or
+        # inert), T <= 4, 0 <= l_c <= l_f <= T and q^l_f <= MAX_COSET_LEADERS,
+        # on a seeded random generator of full rank
+        rng = np.random.default_rng(9)
+        built = 0
+        for d, p in itertools.product((2, 3, 5, 13), (2, 3, 5, 7, 11, 13)):
+            field = make_quadratic_field(d)
+            if field.discriminant % p == 0:
+                continue
+            prime = prime_above(field, p)
+            Fq = prime.residue_field
+            for T in range(1, 5):
+                em = _embedding_map(field, T)
+                for l_f in range(T + 1):
+                    if Fq.q**l_f > MAX_COSET_LEADERS:
+                        continue
+                    rank = -1
+                    while rank != l_f:
+                        G_f = tuple(map(tuple, rng.integers(0, Fq.q, (T, l_f)).tolist()))
+                        rank = len(_fq_gauss_jordan(Fq, G_f, [0] * T)[1])
+                    for l_c in range(l_f + 1):
+                        codes = NestedCodePair(p, prime.r, T, l_f, l_c, G_f)
+                        lat = build_construction_a(field, prime, codes, gamma=1.0)
+                        built += 1
+                        for l, vol in ((l_f, lat.vol_fine_unit), (l_c, lat.vol_coarse_unit)):
+                            assert vol == Fq.q ** (T - l) * field.discriminant ** (T / 2)
+                            basis = np.array(_code_lattice_basis(prime, codes, l)[0]).T
+                            det = abs(np.linalg.det(em @ basis))
+                            assert vol == pytest.approx(det, rel=1e-9)
+        assert built == 455
+
+    def test_volume_beyond_float_range_is_desk_scale_error(self):
+        # inert q = 999983^2: the coarse volume q^T 5^(T/2) is about 10^296.4
+        # at T = 24 and 10^308.7 at T = 25, past the largest float (1.8e308)
+        prime = prime_above(F5, 999983)
+        assert prime.r == 2
+
+        def codes(T):
+            return NestedCodePair(p=999983, r=2, T=T, l_f=0, l_c=0, G_f=((),) * T)
+
+        lat = build_construction_a(F5, prime, codes(24), gamma=1.0)
+        assert lat.vol_coarse_unit == prime.residue_field.q**24 * 5 ** (24 / 2)
+        with pytest.raises(DeskScaleExceeded, match=r"volume \d+\^25 \* 5\^\(25/2\) overflows"):
+            build_construction_a(F5, prime, codes(25), gamma=1.0)
 
 
 class TestEncodeMembership:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cflat.svp import (
     _enumerate,
     _gauss_shortest,
     _gram_sqrt,
+    _hnf_column_basis,
     _lll_reduce,
     _lll_shortest,
     best_equation,
@@ -326,6 +328,41 @@ class TestShortestVector:
         with pytest.raises(NonFiniteBasis, match=cause):
             shortest_vector(B)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rejects_subnormal_column_norm(self, k):
+        # squared norm 1e-320: the first size-reduction coefficient
+        # u.v / ||u||^2 of the Gauss (k = 2) or LLL path would overflow to inf
+        B = np.eye(k)
+        B[0, 0], B[0, 1] = 1e-160, 1e150
+        with pytest.raises(NonFiniteBasis, match="basis column 0 is subnormal"):
+            shortest_vector(B)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda B: enumerate_short_vectors(B, 1.0),
+            lambda B: brute_force_shortest(B, 2),
+            minkowski_bound,
+        ],
+        ids=["enumerate", "brute_force", "minkowski"],
+    )
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "col0, cause",
+        [
+            (math.inf, "basis column 0 has a non-finite entry"),
+            (math.nan, "basis column 0 has a non-finite entry"),
+            (1e200, "squared norm of basis column 0 overflows"),
+            (1e-160, "squared norm of basis column 0 is subnormal"),
+        ],
+    )
+    def test_every_entry_point_checks_the_columns(self, search, k, col0, cause):
+        B = np.eye(k)
+        B[0, 0] = col0
+        B[0, 1] = 1e150
+        with pytest.raises(NonFiniteBasis, match=cause):
+            search(B)
+
 
 # Inert (d, p) pairs, d = 1 mod 4, whose embedded ideal basis has
 # mu = 1/2 exactly, evaluated in floats as 0.5000000000000001 or just above.
@@ -497,6 +534,54 @@ class TestScalingCovariance:
                     s * s * base.norm_sq, rel=1e-9
                 )
                 assert tuple(scaled.coords) == tuple(base.coords)
+
+
+def fraction_rank(vectors) -> int:
+    """Reference rank over Q: Gaussian elimination in exact fractions."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestEchelon:
+    def test_rank_matches_fraction_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(3000):
+            m, width = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            gens = rng.integers(-3, 4, size=(m, width)).tolist()
+            basis = _hnf_column_basis(gens, width)
+            assert len(basis) == fraction_rank(gens), gens
+            pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+            assert pivots == sorted(set(pivots))
+            assert all(b[i] > 0 for b, i in zip(basis, pivots))
+            # every generator is an integer combination of the basis
+            for g in gens:
+                for b, i in zip(basis, pivots):
+                    c, rem = divmod(g[i], b[i])
+                    assert rem == 0, (gens, basis)
+                    g = [x - c * y for x, y in zip(g, b)]
+                assert not any(g)
+
+    def test_pivot_product_is_the_determinant(self):
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            k = int(rng.integers(1, 6))
+            gens = rng.integers(-5, 6, size=(k, k))
+            basis = _hnf_column_basis(gens.tolist(), k)
+            det = abs(round(np.linalg.det(gens)))
+            if det == 0:
+                assert len(basis) < k
+            else:
+                assert math.prod(b[i] for i, b in enumerate(basis)) == det
 
 
 class TestEnumerations:
