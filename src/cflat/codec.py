@@ -115,13 +115,12 @@ class SimResult(NamedTuple):
 # residue-field linear algebra (desk scale, dense)
 
 
-def _fq_codeword(Fq: ResidueField, G_rows, w) -> list[int]:
-    out = []
-    for row in G_rows:
-        acc = 0
-        for g, x in zip(row, w):
-            acc = Fq.add(acc, Fq.mul(g, x))
-        out.append(acc)
+def _fq_codewords(Fq: ResidueField, G_rows, w: np.ndarray) -> np.ndarray:
+    """Codewords G w over F_q of the message words w (..., l), as (..., T)."""
+    G = np.array(G_rows, dtype=np.int64)  # (T, l)
+    out = np.zeros(w.shape[:-1] + (len(G),), dtype=np.int64)
+    for k in range(w.shape[-1]):
+        out = Fq.add(out, Fq.mul(G[:, k], w[..., k, None]))
     return out
 
 
@@ -219,7 +218,6 @@ class ConstructionALattice:
     coset_leaders: np.ndarray  # (K, T, 2) ring coordinates in [0, p)
     leader_residues: np.ndarray  # (K, T) encoded residues
     embedded_leaders: np.ndarray  # (K, n, T), gamma-scaled
-    leader_in_coarse: np.ndarray  # (K,) bool
     vol_fine_unit: float
     vol_coarse_unit: float
     region_scaled: np.ndarray  # (nT, nT) columns of the shaping parallelepiped
@@ -247,8 +245,16 @@ class ConstructionALattice:
         )
 
 
-def _leader_index_digits(idx: int, q: int, length: int) -> tuple[int, ...]:
-    return tuple((idx // q**k) % q for k in range(length))
+def _digit_weights(q: int, start: int, stop: int) -> np.ndarray:
+    """q^k for k in [start, stop): the leader-index weights of those digits.
+    Leader k's codeword is G_f w for the base-q digits w of k, least
+    significant first, so the first l_c digits are its coarse part."""
+    return q ** np.arange(start, stop, dtype=np.int64)
+
+
+def _index_digits(idx, q: int, start: int, stop: int) -> np.ndarray:
+    """Base-q digits start .. stop-1 of leader indices (...,), as (..., stop - start)."""
+    return (np.asarray(idx)[..., None] // _digit_weights(q, start, stop)) % q
 
 
 def build_construction_a(
@@ -275,6 +281,8 @@ def build_construction_a(
             f"code field F_{codes.q} does not match the residue field of the prime"
         )
     T, l_f, l_c = codes.T, codes.l_f, codes.l_c
+    if T < 1:
+        raise DimensionMismatch(f"need T >= 1 code coordinates, got {T}")
     if not (0 <= l_c <= l_f <= T):
         raise DimensionMismatch(f"need 0 <= l_c <= l_f <= T, got {l_c}, {l_f}, {T}")
     if len(codes.G_f) != T or any(len(row) != l_f for row in codes.G_f):
@@ -297,17 +305,9 @@ def build_construction_a(
         raise DeskScaleExceeded(f"volume {q}^{T - l_c} * {disc}^({T}/2) overflows")
 
     n = field.degree
-    leaders = np.zeros((K, T, 2), dtype=np.int64)
-    residues = np.zeros((K, T), dtype=np.int64)
-    in_coarse = np.zeros(K, dtype=bool)
-    for k in range(K):
-        w = _leader_index_digits(k, q, l_f)
-        cw = _fq_codeword(Fq, codes.G_f, w)
-        residues[k] = cw
-        in_coarse[k] = all(x == 0 for x in w[l_c:])
-        for i, x in enumerate(cw):
-            el = prime.leader(x)
-            leaders[k, i] = (el.u, el.v)
+    residues = _fq_codewords(Fq, codes.G_f, _index_digits(np.arange(K), q, 0, l_f))
+    # the lifts PrimeIdeal.leader gives: u = x mod p, v = x // p
+    leaders = np.stack([residues % prime.p, residues // prime.p], axis=-1)
 
     disc_half = disc ** (T / 2)
     vol_fine = _code_lattice_basis(prime, codes, l_f)[1] * disc_half
@@ -355,7 +355,6 @@ def build_construction_a(
         coset_leaders=leaders,
         leader_residues=residues,
         embedded_leaders=embedded,
-        leader_in_coarse=in_coarse,
         vol_fine_unit=vol_fine,
         vol_coarse_unit=vol_coarse,
         region_scaled=region_scaled,
@@ -373,19 +372,18 @@ def build_construction_a(
 # encoding and shaping
 
 
-def _message_to_index(lat: ConstructionALattice, w) -> int:
-    c = lat.codes
-    if len(w) != c.l_f - c.l_c:
-        raise ValueError(f"message must have {c.l_f - c.l_c} symbols")
-    if any(not (0 <= x < lat.Fq.q) for x in w):
-        raise ValueError(f"message symbols must lie in [0, {lat.Fq.q})")
-    return sum(int(x) * lat.Fq.q ** (c.l_c + k) for k, x in enumerate(w))
-
-
 def encode(lat: ConstructionALattice, w, dither: np.ndarray | None = None) -> np.ndarray:
-    """Embed the coset representative of message w as an n x T codeword; with
-    a dither the sum is folded back into the shaping region."""
-    X = lat.embedded_leaders[_message_to_index(lat, w)].copy()
+    """Embed the coset representatives of messages w (..., l_f - l_c) as
+    (..., n, T) codewords; with dithers (..., n, T) the sums are folded back
+    into the shaping region."""
+    c, q = lat.codes, lat.Fq.q
+    w = np.asarray(w)
+    if w.ndim == 0 or w.shape[-1] != c.l_f - c.l_c:
+        raise ValueError(f"message must have {c.l_f - c.l_c} symbols")
+    if not ((0 <= w) & (w < q)).all():
+        raise ValueError(f"message symbols must lie in [0, {q})")
+    idx = (w.astype(np.int64) * _digit_weights(q, c.l_c, c.l_f)).sum(axis=-1)
+    X = np.take(lat.embedded_leaders, idx, axis=0)
     if dither is not None:
         X = reduce_mod_coarse(lat, X + dither)
     return X
@@ -398,11 +396,11 @@ def sample_dither(lat: ConstructionALattice, rng: np.random.Generator) -> np.nda
 
 
 def reduce_mod_coarse(lat: ConstructionALattice, X: np.ndarray) -> np.ndarray:
-    """Fold an n x T matrix into the centered fundamental parallelepiped of
-    the scaled coarse lattice."""
-    flat = np.asarray(X, dtype=float).reshape(-1)
-    zc = lat.region_inv @ flat
-    return (lat.region_scaled @ (zc - np.rint(zc))).reshape(lat.n, lat.T)
+    """Fold (..., n, T) matrices into the centered fundamental parallelepiped
+    of the scaled coarse lattice."""
+    X = np.asarray(X, dtype=float)
+    zc = X.reshape(X.shape[:-2] + (lat.n * lat.T,)) @ lat.region_inv.T
+    return ((zc - np.rint(zc)) @ lat.region_scaled.T).reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +526,15 @@ def _decode_leader_indices(lat: ConstructionALattice, S: np.ndarray) -> np.ndarr
     return best_idx
 
 
+def _observation(Y: np.ndarray, candidate: EquationCandidate, dithers=None) -> np.ndarray:
+    """b_j Y_j - sum_l sigma_j(a_l) D_l: the MMSE-scaled observations (..., n, T)
+    with the dithers (..., L, n, T) removed."""
+    S = np.asarray(candidate.b)[:, None] * np.asarray(Y, dtype=float)
+    if dithers is None:
+        return S
+    return S - np.einsum("jl,...ljt->...jt", candidate.sigma, np.asarray(dithers, dtype=float))
+
+
 def decode_equation(
     lat: ConstructionALattice,
     Y: np.ndarray,
@@ -541,17 +548,11 @@ def decode_equation(
     relay removes the scaled dithers; the leftover coarse-lattice offsets are
     absorbed by the modulo reduction.
     """
-    Y = np.asarray(Y, dtype=float)
-    S = np.asarray(candidate.b)[:, None] * Y
-    if dithers is not None:
-        for l, D in enumerate(dithers):
-            S = S - candidate.sigma[:, l][:, None] * np.asarray(D, dtype=float)
-    idx = int(_decode_leader_indices(lat, S[None])[0])
-    c = lat.codes
-    w_full = _leader_index_digits(idx, lat.Fq.q, c.l_f)
-    message = w_full[c.l_c :]
-    canonical = (0,) * c.l_c + message
-    coset = tuple(_fq_codeword(lat.Fq, c.G_f, canonical))
+    idx = int(_decode_leader_indices(lat, _observation(Y, candidate, dithers)[None])[0])
+    c, q = lat.codes, lat.Fq.q
+    message = tuple(_index_digits(idx, q, c.l_c, c.l_f).tolist())
+    # the canonical leader of the coset: its coarse digits zeroed
+    coset = tuple(lat.leader_residues[idx - idx % q**c.l_c].tolist())
     return DecodeResult(coset=coset, message=message)
 
 
@@ -582,9 +583,9 @@ def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: 
     rem = [budget] + [0.0] * T
     block_sq = [(0.0,) * lat.n] + [None] * T
     pos = [0] * T
-    for k, row in enumerate(lat.leader_residues.tolist()):
-        if exclude_coarse and lat.leader_in_coarse[k]:
-            continue
+    # leader k is coarse iff its message digits are zero: k < q^l_c
+    first = lat.Fq.q**lat.codes.l_c if exclude_coarse else 0
+    for k, row in enumerate(lat.leader_residues[first:].tolist(), first):
         opts = []
         for i, x in enumerate(row):
             entries = discs.get(x)
@@ -700,16 +701,9 @@ def simulate_codec(
     L = ch.L
     if len(candidate.a) != L:
         raise DimensionMismatch("one coefficient per user required")
-    c = lat.codes
-    q = lat.Fq.q
-    n, T = lat.n, lat.T
+    c, q = lat.codes, lat.Fq.q
     l_m = c.l_f - c.l_c
-    g = np.array([residue_reduce(lat.prime, a) for a in candidate.a], dtype=np.int64)
-    msg_pow = q ** (c.l_c + np.arange(l_m, dtype=np.int64))
-    region_t = lat.region_scaled.T
-    region_inv_t = lat.region_inv.T
-    sigma = candidate.sigma
-    b = np.asarray(candidate.b)
+    g = [residue_reduce(lat.prime, a) for a in candidate.a]
 
     rng = np.random.default_rng(seed)
     errors = 0
@@ -717,29 +711,21 @@ def simulate_codec(
     while done < trials:
         m = min(_SIM_BATCH, trials - done)
         w = rng.integers(0, q, size=(m, L, l_m))
-        zdith = rng.uniform(-0.5, 0.5, size=(m, L, 2 * T))
-        noise = noise_std * rng.standard_normal((m, n, T))
+        zdith = rng.uniform(-0.5, 0.5, size=(m, L, 2 * lat.T))
+        noise = noise_std * rng.standard_normal((m, lat.n, lat.T))
 
-        idx = (w * msg_pow).sum(axis=2) if l_m else np.zeros((m, L), dtype=np.int64)
-        X = lat.embedded_leaders[idx]  # (m, L, n, T)
-        D = zdith @ region_t  # flat dithers
-        shifted = X.reshape(m, L, n * T) + D
-        zc = shifted @ region_inv_t
-        Xbar = ((zc - np.rint(zc)) @ region_t).reshape(m, L, n, T)
-        Dm = D.reshape(m, L, n, T)
-
-        Y = np.einsum("jl,bljt->bjt", ch.h, Xbar) + noise
-        S = b[None, :, None] * Y - np.einsum("jl,bljt->bjt", sigma, Dm)
+        D = (zdith @ lat.region_scaled.T).reshape(m, L, lat.n, lat.T)
+        Y = np.einsum("jl,bljt->bjt", ch.h, encode(lat, w, D)) + noise
+        S = _observation(Y, candidate, D)
         # free the batch's intermediates before the decoder allocates: the
         # heap's high-water mark sets the resident peak
-        del zdith, noise, X, D, shifted, zc, Xbar, Dm, Y
-        dec = _decode_leader_indices(lat, S)
+        del zdith, noise, D, Y
+        dec = _index_digits(_decode_leader_indices(lat, S), q, c.l_c, c.l_f)
 
         truth = np.zeros((m, l_m), dtype=np.int64)
         for l in range(L):
-            truth = lat.Fq.add(truth, lat.Fq.mul(int(g[l]), w[:, l, :]))
-        dec_digits = (dec[:, None] // msg_pow[None, :]) % q if l_m else truth
-        errors += int(np.count_nonzero(np.any(dec_digits != truth, axis=1)))
+            truth = lat.Fq.add(truth, lat.Fq.mul(g[l], w[:, l, :]))
+        errors += int(np.count_nonzero(np.any(dec != truth, axis=1)))
         done += m
 
     rate = errors / trials

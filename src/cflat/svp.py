@@ -105,7 +105,7 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _lll_reduce(rows, delta=LLL_DELTA, start=None):
+def _lll_reduce(rows, start=None):
     """Floating-point LLL on a list of basis row vectors.
 
     Returns (reduced, transform, mu, norms): reduced[i] = sum_k
@@ -143,7 +143,7 @@ def _lll_reduce(rows, delta=LLL_DELTA, start=None):
                 T[k] = [x - q * y for x, y in zip(T[k], T[j])]
                 for jj in range(j + 1):
                     mu[k][jj] -= q * mu[j][jj]
-        if k == 0 or norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if k == 0 or norms[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -421,16 +421,15 @@ def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:
 
 
 def minkowski_bound(basis: np.ndarray) -> float:
-    """sqrt(dim) |det|^(1/dim) upper bound on the first successive minimum,
-    via the Gram determinant so non-square bases work too.  Raises
-    NonFiniteBasis as shortest_vector does."""
-    basis = np.asarray(basis, dtype=float)
-    _finite_columns(basis)
-    k = basis.shape[1]
-    g = float(np.linalg.det(basis.T @ basis))
-    if g <= 0:
-        raise RankDeficient("basis is numerically rank deficient")
-    return math.sqrt(k) * g ** (1.0 / (2 * k))
+    """sqrt(dim) |det|^(1/dim) upper bound on the first successive minimum.
+    |det| is the product of the reduced basis' Gram-Schmidt lengths, so
+    non-square bases work too; it is taken as a sum of logs, so no scale of
+    the entries overflows or underflows.  Raises NonFiniteBasis as
+    shortest_vector does, RankDeficient if the columns are numerically
+    dependent."""
+    R = _reduced_factor(_finite_columns(np.asarray(basis, dtype=float)))[2]
+    k = len(R)
+    return math.sqrt(k) * math.exp(sum(math.log(R[j][j]) for j in range(k)) / k)
 
 
 def _coords_to_coefficients(field: NumberField | None, coords, L: int) -> tuple:

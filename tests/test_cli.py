@@ -457,3 +457,63 @@ class TestSvpCommand:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["norm_sq 1", "coords 0 1"]
+
+
+# every subcommand at the edges of what it accepts: argv with {f} for a file
+# holding the case's basis text, and the exit code (0, or 2 with one
+# `error:` line)
+def _codec(d, p, T, lf, lc, *rest):
+    return ["codec", "--d", str(d), "--p", str(p), "--T", str(T), "--lf", str(lf),
+            "--lc", str(lc), *(rest or ("--snr-db", "10", "--trials", "10"))]  # fmt: skip
+
+
+_H = "1,0.5;0.3,1"
+EXIT_CASES = {
+    "rate_snr_400": (["rate", "--d", "5", "--snr-db", "400", "--h", _H], None, 0),
+    "rate_snr_-400": (["rate", "--d", "5", "--snr-db", "-400", "--h", _H], None, 0),
+    "sweep_snr_pm400": (["sweep", "--snr-db=-400,400", "--trials", "3"], None, 0),
+    "codec_snr_pm400": (_codec(5, 11, 2, 1, 0, "--snr-db=-400,400", "--trials", "200"), None, 0),
+    "rate_zero_gains": (["rate", "--d", "5", "--snr-db", "20", "--h", "0,0;0,0"], None, 0),
+    "rate_equal_gains": (["rate", "--d", "5", "--snr-db", "20", "--h", "1,1;1,1"], None, 0),
+    "rate_subnormal_gains": (
+        ["rate", "--d", "5", "--snr-db", "20", "--h", "1e-170,1e-170;1e-170,1e-170"], None, 0,
+    ),
+    "rate_huge_gains": (
+        ["rate", "--d", "5", "--snr-db", "20", "--h", "1e160,1e160;1e160,1e160"], None, 2,
+    ),
+    "sweep_L7": (["sweep", "--L", "7", "--snr-db", "0,20,40", "--trials", "2"], None, 0),
+    "codec_L7": (_codec(5, 11, 2, 1, 0, "--L", "7", "--snr-db", "20", "--trials", "200"), None, 0),
+    "field_d_max_prime": (["field", "info", "--d", "999999999989"], None, 0),
+    "codec_d_max_prime": (_codec(999999999989, 2, 1, 0, 0), None, 0),
+    "codec_p_max_prime": (_codec(5, 999983, 1, 0, 0), None, 0),
+    "codec_K4096": (_codec(5, 2, 6, 6, 0), None, 0),
+    "codec_T1": (_codec(5, 11, 1, 1, 0), None, 0),
+    "codec_T0": (_codec(5, 11, 0, 0, 0), None, 2),
+    "codec_lc_eq_lf": (_codec(5, 11, 2, 1, 1), None, 0),
+    "svp_scale_1e100": (["svp", "--basis", "{f}"], "3 1e100 0 0 0 1e100 0 0 0 1e100", 0),
+    "svp_scale_1e-100": (["svp", "--basis", "{f}"], "3 1e-100 0 0 0 1e-100 0 0 0 1e-100", 0),
+    "svp_huge_entries": (["svp", "--basis", "{f}"], "2 1e200 0 0 1e200", 2),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_every_subcommand_exits_0_or_2(case, tmp_path):
+    # in a fresh interpreter with a wall-time cap, so a hang fails the case
+    # and a traceback or a RuntimeWarning shows on its stderr
+    argv, text, code = EXIT_CASES[case]
+    f = tmp_path / "basis"
+    if text is not None:
+        f.write_text(text + "\n")
+    src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run(
+        [sys.executable, "-m", "cflat.cli", *(a.replace("{f}", str(f)) for a in argv)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )  # fmt: skip
+    err = out.stderr.splitlines()
+    assert out.returncode == code, out.stderr
+    if code == 0:
+        assert not err and out.stdout
+    else:
+        assert len(err) == 1 and err[0].startswith("error: "), out.stderr

@@ -221,11 +221,31 @@ class TestEncodeMembership:
             again = reduce_mod_coarse(lat, X + shift.reshape(2, 2))
             assert np.allclose(base, again, atol=1e-8)
 
-    def test_bad_message_rejected(self, unit_lattice):
-        with pytest.raises(ValueError):
-            encode(unit_lattice, (11,))
-        with pytest.raises(ValueError):
-            encode(unit_lattice, (1, 2))
+    @pytest.mark.parametrize(
+        "w", [(11,), (-1,), (10**30,), (-(10**30),), (1, 2), (), 3], ids=repr
+    )
+    def test_bad_message_rejected(self, unit_lattice, w):
+        # a ValueError, never an OverflowError from the index arithmetic
+        with pytest.raises(ValueError, match="message"):
+            encode(unit_lattice, w)
+
+    @pytest.mark.parametrize("name", ["powered_lattice", "lat121", "lat4"])
+    def test_batch_axes_match_single_calls(self, request, name):
+        lat = request.getfixturevalue(name)
+        c = lat.codes
+        rng = np.random.default_rng(8)
+        W = rng.integers(0, lat.Fq.q, size=(4, 3, c.l_f - c.l_c))
+        D = np.stack([[sample_dither(lat, rng) for _ in range(3)] for _ in range(4)])
+        X = encode(lat, W, D)
+        assert X.shape == (4, 3, lat.n, lat.T)
+        assert np.array_equal(encode(lat, W), np.stack([[encode(lat, w) for w in ws] for ws in W]))
+        for b, l in itertools.product(range(4), range(3)):
+            single = encode(lat, W[b, l], D[b, l])
+            assert np.allclose(X[b, l], single, rtol=0, atol=1e-12 * lat.gamma)
+            assert np.allclose(
+                reduce_mod_coarse(lat, X)[b, l], reduce_mod_coarse(lat, single),
+                rtol=0, atol=1e-12 * lat.gamma,
+            )  # fmt: skip
 
 
 class TestRingCombine:
@@ -579,6 +599,34 @@ class TestDecode:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("name, snr_db", [("powered_lattice", 15.0), ("lat121", 20.0)])
+    def test_replays_through_public_steps(self, request, name, snr_db):
+        """simulate_codec's draws, one trial at a time through encode, the
+        channel and decode_equation, give the same number of errors."""
+        codes = request.getfixturevalue(name).codes
+        P = 10.0 ** (snr_db / 10.0)
+        lat = build_construction_a(F5, P11, codes, target_power=P)
+        ch = BlockFadingChannel(np.array([[0.9, -0.3], [0.2, 1.1]]), P)
+        cand = best_equation(F5, ch)
+        trials, seed = 1000, 5
+        sim = simulate_codec(lat, ch, cand, trials, seed)
+        n, T, L, l_m = lat.n, lat.T, ch.L, codes.l_f - codes.l_c
+        rng = np.random.default_rng(seed)  # the simulator's draws, in its order
+        w = rng.integers(0, lat.Fq.q, size=(trials, L, l_m))
+        z = rng.uniform(-0.5, 0.5, size=(trials, L, 2 * T))
+        noise = rng.standard_normal((trials, n, T))
+        g = [residue_reduce(P11, a) for a in cand.a]
+        errors = 0
+        for t in range(trials):
+            Ds = [(lat.region_scaled @ z[t, l]).reshape(n, T) for l in range(L)]
+            Y = noise[t] + sum(ch.h[:, l, None] * encode(lat, w[t, l], Ds[l]) for l in range(L))
+            want = np.zeros(l_m, dtype=np.int64)
+            for l in range(L):
+                want = lat.Fq.add(want, lat.Fq.mul(g[l], w[t, l]))
+            errors += decode_equation(lat, Y, cand, Ds).message != tuple(want.tolist())
+        assert 50 < sim.errors < trials
+        assert errors == sim.errors
+
     def test_deterministic(self, powered_lattice):
         ch = BlockFadingChannel(np.array([[0.9, -0.3], [0.2, 1.1]]), 100.0)
         cand = best_equation(F5, ch)
@@ -773,7 +821,7 @@ def _per_leader_fine_vectors(lat, radius, exclude_coarse):
     budget = float(radius) ** 2
     out = []
     for k in range(lat.K):
-        if exclude_coarse and lat.leader_in_coarse[k]:
+        if exclude_coarse and k < lat.Fq.q**lat.codes.l_c:
             continue
         opts = [
             box_points(lat.pideal_embedded, lat.embedded_leaders[k][:, i], budget)
@@ -820,6 +868,17 @@ class TestResidueTableDecoder:
         assert (lat_zero_row.K, lat_zero_row.T) == (11, 3)
         assert set(lat_zero_row.leader_residues[:, 1].tolist()) == {0}
         assert (lat4.Fq.q, lat4.K) == (4, 4)
+
+    @pytest.mark.parametrize("name", ORACLE_LATTICES)
+    def test_coarse_leaders_are_the_first_q_to_the_l_c(self, request, name):
+        # leader k's codeword is G_f w for the base-q digits w of k, so it
+        # lies in the coarse code iff its message digits l_c.. are zero
+        lat = request.getfixturevalue(name)
+        first = lat.Fq.q**lat.codes.l_c
+        for k in range(lat.K):
+            X = lat.embedded_leaders[k]
+            assert lattice_membership(lat, "fine", X)
+            assert lattice_membership(lat, "coarse", X) == (k < first), k
 
     @pytest.mark.parametrize("name", ORACLE_LATTICES)
     def test_identical_to_per_leader_decoder(self, request, name):

@@ -54,6 +54,15 @@ LIBRARY_CASES = {
         DimensionMismatch,
         "l_c <= l_f",
     ),
+    # T = 0 divided by zero in the rate and the power calibration
+    "build_T0_target_power": (
+        build(NestedCodePair(11, 1, 0, 0, 0, ()), target_power=1.0),
+        DimensionMismatch,
+        "T >= 1",
+    ),
+    "build_T0_gamma": (
+        build(NestedCodePair(11, 1, 0, 0, 0, ()), gamma=1.0), DimensionMismatch, "T >= 1",
+    ),
     "build_entry_not_residue": (
         build(NestedCodePair(11, 1, 2, 1, 0, ((11,), (1,))), gamma=1.0),
         DimensionMismatch,
@@ -121,6 +130,12 @@ CLI_CASES = {
     "rate_unparsable_h": (
         ["rate", "--d", "5", "--snr-db", "10", "--h", "1,x;0,1"], None, "cannot parse channel",
     ),
+    "codec_T0": (
+        ["codec", "--d", "5", "--p", "11", "--T", "0", "--lf", "0", "--lc", "0",
+         "--snr-db", "10", "--trials", "10"],
+        None,
+        "need T >= 1",
+    ),  # fmt: skip
     "svp_empty_basis": (["svp", "--basis", "{f}"], "\n", "empty basis file"),
     "svp_malformed_basis": (["svp", "--basis", "{f}"], "2 a b c d\n", "'dim' then dim*dim reals"),
 }

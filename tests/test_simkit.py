@@ -112,9 +112,9 @@ class TestRunSweep:
         warm_calls = []
         real = svp._lll_reduce
 
-        def recording(rows, delta=svp.LLL_DELTA, start=None):
+        def recording(rows, start=None):
             warm_calls.append(start is not None)
-            return real(rows, delta, start)
+            return real(rows, start)
 
         monkeypatch.setattr(svp, "_lll_reduce", recording)
         res = run_sweep(cfg)

@@ -485,6 +485,14 @@ class TestMinkowski:
         assert minkowski_bound(B) == pytest.approx(2 * 5**0.25, rel=1e-9)
         assert math.sqrt(shortest_vector(B).norm_sq) < minkowski_bound(B)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_scaled_identity_dim3(self, scale):
+        # the Gram determinant scale^6 overflows (1e600) or underflows
+        # (1e-600) a float; the Gram-Schmidt lengths do not
+        B = scale * np.eye(3)
+        assert minkowski_bound(B) == pytest.approx(math.sqrt(3) * scale, rel=1e-12)
+        assert math.sqrt(shortest_vector(B).norm_sq) == pytest.approx(scale, rel=1e-12)
+
 
 class TestBestEquation:
     def test_matched_channel(self):
