@@ -15,10 +15,7 @@ from .channel import (
     BlockFadingChannel,
     EquationCandidate,
     am_rate,
-    block_rate_Z,
-    gram_matrix,
     mac_sum_capacity,
-    mmse_scale,
     naive_rate,
 )
 from .svp import (

@@ -3,6 +3,12 @@
 Rates are in bits per channel-matrix use (one column of the received matrix,
 i.e. n real channel uses); all logs are base 2 and clipped at zero after the
 full quadratic form is evaluated.
+
+The rate kernels take per-user operands: Python floats for one channel, or
+1-D arrays over a batch of channels, on which the same expressions run
+element by element.  Every dot product is an explicit left-to-right sum and
+every log2 is math.log2, so a result's bits do not depend on the batch size,
+on the BLAS kernel, or on how numpy vectorizes a reduction.
 """
 
 from __future__ import annotations
@@ -18,10 +24,7 @@ __all__ = [
     "ZeroCoefficient",
     "BlockFadingChannel",
     "EquationCandidate",
-    "gram_matrix",
-    "mmse_scale",
     "am_rate",
-    "block_rate_Z",
     "naive_rate",
     "mac_sum_capacity",
     "coefficient_embeddings",
@@ -70,28 +73,43 @@ class BlockFadingChannel:
         return self.h.shape[1]
 
 
-def gram_matrix(h_j, P: float) -> np.ndarray:
-    """I - P/(P||h||^2 + 1) h h^T; positive definite with eigenvalues in (0, 1]."""
-    h = np.asarray(h_j, dtype=float)
-    scale = P / (P * float(h @ h) + 1.0)
-    return np.eye(h.size) - scale * np.outer(h, h)
+def _dot(x, y):
+    """x . y summed left to right; the entries are floats, or equal-shape
+    arrays over a batch."""
+    acc = x[0] * y[0]
+    for i in range(1, len(x)):
+        acc = acc + x[i] * y[i]
+    return acc
 
 
-def mmse_scale(h_j, sigma_j, P: float) -> float:
-    """The scalar b minimizing |b|^2 + P ||b h - sigma||^2."""
-    h = np.asarray(h_j, dtype=float)
-    sigma = np.asarray(sigma_j, dtype=float)
-    return P * float(sigma @ h) / (P * float(h @ h) + 1.0)
+def _user_columns(h: np.ndarray) -> list:
+    """The per-user operands h[:, j, l] of a batch of gains h (batch, n, L),
+    as a list over blocks j of lists over users l."""
+    return [[h[:, j, l] for l in range(h.shape[2])] for j in range(h.shape[1])]
+
+
+def _each(fn, *xs):
+    """fn on Python floats, or fn per element of equal-shape arrays (an
+    array of the results).  math.log2 runs this way because np.log2 differs
+    from libm in the last bit on some inputs and hosts."""
+    if isinstance(xs[0], np.ndarray):
+        return np.array([fn(*v) for v in zip(*(x.tolist() for x in xs))])
+    return fn(*xs)
 
 
 def _log2_pos(x: float) -> float:
     return max(math.log2(x), 0.0) if x > 0 else 0.0
 
 
-def _rate_from_quad_form(n: int, f: float) -> float:
-    if f <= 0:
-        raise ValueError(f"quadratic form must be positive, got {f}")
-    return 0.5 * n * _log2_pos(n / f)
+def _rate_from_quad_form(n: int, f):
+    """(n/2) log2+ (n / f), per element for an array f."""
+
+    def rate(x):
+        if x <= 0:
+            raise ValueError(f"quadratic form must be positive, got {x}")
+        return 0.5 * n * _log2_pos(n / x)
+
+    return _each(rate, f)
 
 
 def coefficient_embeddings(a, field: NumberField | None, n: int) -> np.ndarray:
@@ -151,31 +169,71 @@ def _cross(a: float, b: float, c: float, d: float) -> float:
     return (p - q) + (ep - eq)
 
 
-def _block_terms(h: np.ndarray, s: np.ndarray, P: float) -> tuple[float, float, float]:
+def _select(cond, a, b):
+    """a where cond holds, else b: for a Python bool or a boolean array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _block_terms(h, s, P: float):
     """Block j's quadratic form f_j = s^T M_j s, MMSE scalar b_j and effective
-    noise variance nu_j^2 = b_j^2 + P ||b_j h - s||^2, for s = sigma_j(a).
+    noise variance nu_j^2 = b_j^2 + P ||b_j h - s||^2, for s = sigma_j(a);
+    h and s are lists over users of operands.
 
     Closed forms with g = 1 + P||h||^2 and the Lagrange sum
     Lam = sum_{i<k} (s_i h_k - s_k h_i)^2 = ||s||^2 ||h||^2 - (s.h)^2:
     f_j = (||s||^2 + P Lam) / g and nu_j^2 = b_j^2 + P (Lam + (s.h)^2 / g^2)
     / ||h||^2 are sums of nonnegative terms, so neither cancels as P||h||^2
-    grows.  nu_j^2 does not go through f_j, so am_rate's check of
-    sum_j nu_j^2 = P f compares two independent evaluations.
+    grows.  nu_j^2 does not go through f_j, so _am_terms' check of
+    sum_j nu_j^2 = P f compares two independent evaluations.  A zero gain
+    row (||h||^2 = 0) gives f_j = ||s||^2 and nu_j^2 = P ||s||^2.
     """
-    sh = float(s @ h)
-    hh = float(h @ h)
-    ss = float(s @ s)
+    sh = _dot(s, h)
+    hh = _dot(h, h)
+    ss = _dot(s, s)
     g = P * hh + 1.0
-    b = P * sh / g  # mmse_scale's expression
-    if hh == 0.0:
-        return ss, b, P * ss
-    sl, hl = s.tolist(), h.tolist()
+    b = P * sh / g
     lam = 0.0
-    for k in range(1, len(sl)):
+    for k in range(1, len(s)):
         for i in range(k):
-            lam += _cross(sl[i], hl[k], sl[k], hl[i]) ** 2
+            c = _cross(s[i], h[k], s[k], h[i])
+            lam = lam + c * c
     t = sh / g
-    return (ss + P * lam) / g, b, b * b + P * (lam + t * t) / hh
+    zero = hh == 0.0
+    f = _select(zero, ss, (ss + P * lam) / g)
+    nu_sq = _select(zero, P * ss, b * b + P * (lam + t * t) / _select(zero, 1.0, hh))
+    return f, b, nu_sq
+
+
+def _noise_identity(total: float, Pf: float) -> None:
+    if not math.isclose(total, Pf, rel_tol=1e-9, abs_tol=1e-12):
+        raise AssertionError(f"noise identity violated: n*sigma_AM^2={total} vs P*f={Pf}")
+
+
+def _am_terms(h, s, P: float):
+    """Per-block MMSE scalars b_j and noise variances nu_j^2 (lists over
+    blocks) and the quadratic form f = sum_j f_j of the arithmetic-mean
+    decoder, for channel rows h[j] and embeddings s[j] = sigma_j(a), each a
+    list over users of operands.  Raises ZeroCoefficient where every
+    sigma_j(a) is zero, and AssertionError where sum_j nu_j^2 != P f."""
+    zero = True
+    for sj in s:
+        for x in sj:
+            zero = zero & (x == 0.0)
+    if zero.any() if isinstance(zero, np.ndarray) else zero:
+        raise ZeroCoefficient("coefficient vector is zero")
+    b, nu_sq, f = [], [], 0.0
+    for hj, sj in zip(h, s):
+        fj, bj, nuj = _block_terms(hj, sj, P)
+        f = f + fj
+        b.append(bj)
+        nu_sq.append(nuj)
+    total = nu_sq[0]  # n * sigma_AM^2
+    for x in nu_sq[1:]:
+        total = total + x
+    _each(_noise_identity, total, P * f)
+    return b, nu_sq, f
 
 
 def am_rate(
@@ -185,37 +243,15 @@ def am_rate(
     arithmetic-mean decoder for coefficient vector a, with per-block MMSE
     scaling."""
     sigma = coefficient_embeddings(a, field, ch.n)
-    if not sigma.any():
-        raise ZeroCoefficient("coefficient vector is zero")
-    n, P = ch.n, ch.P
-    b = np.empty(n)
-    nu_sq = np.empty(n)
-    f = 0.0
-    for j in range(n):
-        fj, b[j], nu_sq[j] = _block_terms(ch.h[j], sigma[j], P)
-        f += fj
-    total = float(nu_sq.sum())  # n * sigma_AM^2
-    if not math.isclose(total, P * f, rel_tol=1e-9, abs_tol=1e-12):
-        raise AssertionError(
-            f"noise identity violated: n*sigma_AM^2={total} vs P*f={P * f}"
-        )
+    b, nu_sq, f = _am_terms(ch.h.tolist(), sigma.tolist(), ch.P)
     return EquationCandidate(
         a=tuple(a),
         sigma=sigma,
-        b=b,
-        nu_sq=nu_sq,
-        rate_bits=_rate_from_quad_form(n, f),
+        b=np.array(b),
+        nu_sq=np.array(nu_sq),
+        rate_bits=_rate_from_quad_form(ch.n, f),
         quad_form=f,
     )
-
-
-def block_rate_Z(h_j, a, P: float) -> float:
-    """Single-block integer computation rate (1/2) log2+ (1 / a^T M a)."""
-    av = np.asarray(a, dtype=float)
-    if not av.any():
-        raise ZeroCoefficient("coefficient vector is zero")
-    f = _block_terms(np.asarray(h_j, dtype=float), av, P)[0]
-    return _rate_from_quad_form(1, f)
 
 
 def naive_rate(ch: BlockFadingChannel, solver=None) -> tuple[int, tuple, float]:
@@ -225,20 +261,29 @@ def naive_rate(ch: BlockFadingChannel, solver=None) -> tuple[int, tuple, float]:
 
     solver(h_j, P) -> (a, f) must return the integer vector minimizing the
     block quadratic form and its value; by default the exact lattice search.
+    The rate takes the form's value from the closed form of _block_terms,
+    a sum of nonnegative terms, not from f, which is a lattice vector's norm
+    and can cancel to zero at high SNR.
     """
     if solver is None:
         from .svp import best_integer_block as solver
     best = (0, (1,) + (0,) * (ch.L - 1), 0.0)
-    for j in range(ch.n):
-        a, f = solver(ch.h[j], ch.P)
-        rate = _rate_from_quad_form(1, f)
+    for j, h_j in enumerate(ch.h.tolist()):
+        a = tuple(int(x) for x in solver(ch.h[j], ch.P)[0])
+        rate = _rate_from_quad_form(1, _block_terms(h_j, [float(x) for x in a], ch.P)[0])
         if rate > best[2]:
-            best = (j, tuple(int(x) for x in a), rate)
+            best = (j, a, rate)
     return best
+
+
+def _mac_sum(h, P: float):
+    """sum_j (1/2) log2(1 + P||h_j||^2) for rows h[j] of per-user operands."""
+    total = 0.0
+    for hj in h:
+        total = total + 0.5 * _each(math.log2, 1.0 + P * _dot(hj, hj))
+    return total
 
 
 def mac_sum_capacity(ch: BlockFadingChannel) -> float:
     """Per-block Gaussian MAC sum capacity, summed over the fading blocks."""
-    return sum(
-        0.5 * math.log2(1.0 + ch.P * float(ch.h[j] @ ch.h[j])) for j in range(ch.n)
-    )
+    return _mac_sum(ch.h.tolist(), ch.P)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlockFadingChannel, mac_sum_capacity, naive_rate
+from .channel import BlockFadingChannel, _dot, _mac_sum, _user_columns
 from .numfield import make_quadratic_field
-from .svp import _best_equation
+from .svp import _best_equation_rates, _naive_rates
 
 __all__ = [
     "InsufficientPoints",
@@ -134,38 +134,53 @@ class SweepResult:
     dof: dict
 
 
+def _check_channels(h: np.ndarray, P: float) -> None:
+    """BlockFadingChannel's checks on every channel of a batch h (batch, n,
+    L) at SNR P, raising its error for the first channel that fails."""
+    BlockFadingChannel(h[0], P)
+    if not math.isfinite(P * float(_dot(h.T, h.T).max())):
+        for hi in h:
+            BlockFadingChannel(hi, P)
+
+
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Evaluate every scheme on common channel draws: one draw per trial is
-    shared across all schemes and SNR points.  Trials run in order on the
-    calling thread; `threads` is accepted and ignored (a thread pool over this
-    interpreter-bound work ran slower than one thread).
+    shared across all schemes and SNR points.  Each (SNR point, scheme) pair
+    runs over all trials at once as one batch; only the LLL and enumeration
+    of an SVP with more than two columns run per trial.  `threads` is
+    accepted and ignored (a thread pool over this interpreter-bound work ran
+    slower than one thread).
 
-    The am schemes are best_equation, except that within a trial each
-    scheme's LLL starts from its transform at the previous SNR point, whose
+    The am schemes are best_equation, except that each trial's LLL for a
+    scheme starts from its transform at the previous SNR point, whose
     lattice differs little, so it makes fewer swaps.  The search stays exact,
-    so the rates equal cold best_equation calls (bit for bit in the tests,
-    up to 200 dB)."""
+    and a batch runs the same expressions as a single call, so the rates
+    equal cold best_equation, naive_rate and mac_sum_capacity calls (bit for
+    bit in the tests, up to 200 dB)."""
     parsed = [_parse_scheme(s) for s in cfg.schemes]
     fields = {
         d: make_quadratic_field(d) for _, d in parsed if d is not None
     }
     Ps = [10.0 ** (s / 10.0) for s in cfg.snr_db]
     rates = np.zeros((len(parsed), len(Ps), cfg.trials))
+    h = np.array(
+        [sample_channels(cfg.master_seed, t, cfg.n, cfg.L) for t in range(cfg.trials)]
+    )
+    # per scheme, each trial's LLL transform at the previous SNR point
+    starts = [[None] * cfg.trials for _ in parsed]
 
-    for t in range(cfg.trials):
-        h = sample_channels(cfg.master_seed, t, cfg.n, cfg.L)
-        starts = {}  # scheme index -> LLL transform at the previous SNR point
+    # arrays overflow to inf without a warning, as the Python floats of a
+    # single call do, so both reach the same checks
+    with np.errstate(over="ignore", invalid="ignore"):
         for si, P in enumerate(Ps):
-            ch = BlockFadingChannel(h, P)
+            _check_channels(h, P)
             for k, (kind, d) in enumerate(parsed):
                 if kind == "mac":
-                    r = mac_sum_capacity(ch)
+                    rates[k, si] = _mac_sum(_user_columns(h), P)
                 elif kind == "naive":
-                    r = naive_rate(ch)[2]
+                    rates[k, si] = _naive_rates(h, P)
                 else:
-                    cand, starts[k] = _best_equation(fields.get(d), ch, starts.get(k))
-                    r = cand.rate_bits
-                rates[k, si, t] = r
+                    rates[k, si] = _best_equation_rates(fields.get(d), h, P, starts[k])
 
     mean = rates.mean(axis=2)
     if cfg.trials > 1:

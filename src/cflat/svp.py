@@ -8,7 +8,9 @@ The SVP is solved exactly: by Gauss-Lagrange reduction for a 2-column basis
 (Nguyen and Stehle, ACM TALG 2009), otherwise by LLL, which the sweep starts
 from the previous SNR point's transform (Wubben et al., IEEE SPM 2011), then
 Schnorr-Euchner enumeration; a brute-force box search is kept as an
-independent oracle.
+independent oracle.  The sweep builds and checks its bases, and runs the
+Gauss path, over a batch of channels at once; LLL and enumeration run per
+basis.
 """
 
 from __future__ import annotations
@@ -16,11 +18,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
-from .channel import BlockFadingChannel, EquationCandidate, am_rate
+from .channel import (
+    BlockFadingChannel,
+    EquationCandidate,
+    _am_terms,
+    _block_terms,
+    _dot,
+    _rate_from_quad_form,
+    _user_columns,
+    am_rate,
+)
 from .numfield import NumberField, RingElement
 
 __all__ = [
@@ -60,11 +70,12 @@ class TooLarge(ValueError):
 
 def _gram_sqrt(h: np.ndarray, P: float) -> np.ndarray:
     """Symmetric square roots R_j = I - beta_j h_j h_j^T of the block Gram
-    matrices M_j = R_j^2 for the rows h_j of h, with r_j = sqrt(1 +
-    P||h_j||^2) and beta_j = P / (r_j (1 + r_j)); det R_j = 1 / r_j."""
-    r = np.sqrt(1.0 + P * np.einsum("jl,jl->j", h, h))
+    matrices M_j = R_j^2 for the rows h_j of h (..., L), leading axes kept,
+    with r_j = sqrt(1 + P||h_j||^2) and beta_j = P / (r_j (1 + r_j));
+    det R_j = 1 / r_j."""
+    r = np.sqrt(1.0 + P * _dot(h.T, h.T).T)
     beta = P / (r * (1.0 + r))
-    return np.eye(h.shape[1]) - beta[:, None, None] * (h[:, :, None] * h[:, None, :])
+    return np.eye(h.shape[-1]) - beta[..., None, None] * (h[..., :, None] * h[..., None, :])
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,12 @@ def build_search_basis(
     sigma_j(theta)) the field embedding row, so user l's column pair carries
     sigma_j of a_l's two coordinates.
     """
-    n, L = ch.n, ch.L
+    return _search_basis(field, ch.h, ch.P)
+
+
+def _search_basis(field: NumberField | None, h: np.ndarray, P: float) -> np.ndarray:
+    """build_search_basis for gains h (..., n, L) with leading batch axes."""
+    n, L = h.shape[-2:]
     if field is None:
         emb = np.ones((n, 1))
     elif n != field.degree:
@@ -97,12 +113,8 @@ def build_search_basis(
     else:
         emb = field.embedding
     deg = emb.shape[1]
-    blocks = _gram_sqrt(ch.h, ch.P)[:, :, :, None] * emb[:, None, None, :]
-    return blocks.reshape(n * L, L * deg)
-
-
-def _dot(x, y):
-    return sum(map(mul, x, y))
+    blocks = _gram_sqrt(h, P)[..., None] * emb[:, None, None, :]
+    return blocks.reshape(h.shape[:-2] + (n * L, L * deg))
 
 
 def _lll_reduce(rows, start=None):
@@ -266,18 +278,26 @@ def _original_coords(T, cands) -> set[tuple]:
     }
 
 
-def _norms_sq(basis: np.ndarray, coord_set) -> dict[tuple, float]:
-    out = {}
-    for a in coord_set:
-        v = basis @ np.array(a, dtype=float)
-        out[a] = float(v @ v)
-    return out
+def _norm_sq(cols, a):
+    """||sum_c a_c cols[c]||^2 with every sum taken left to right; cols[c][r]
+    and a[c] are numbers, or arrays over a batch."""
+    total = 0.0
+    for r in range(len(cols[0])):
+        v = cols[0][r] * a[0]
+        for c in range(1, len(cols)):
+            v = v + cols[c][r] * a[c]
+        total = total + v * v
+    return total
 
 
-def _pick_candidate(basis: np.ndarray, coord_set) -> tuple[tuple, float]:
-    """Deterministic tie-break: smallest norm, then the lexicographically
-    smallest sign-normalized coordinate vector."""
-    scored = _norms_sq(basis, coord_set)
+def _norms_sq(cols, coord_set) -> dict[tuple, float]:
+    return {a: _norm_sq(cols, a) for a in coord_set}
+
+
+def _pick_candidate(cols, coord_set) -> tuple[tuple, float]:
+    """Deterministic tie-break over the basis columns cols: smallest norm,
+    then the lexicographically smallest sign-normalized coordinate vector."""
+    scored = _norms_sq(cols, coord_set)
     nmin = min(scored.values())
     a_best = min(a for a, s in scored.items() if s <= nmin * (1.0 + _REL_TIE))
     return a_best, scored[a_best]
@@ -300,7 +320,20 @@ def _finite_columns(basis: np.ndarray) -> list:
     return cols
 
 
-def _gauss_shortest(basis: np.ndarray, cols: list) -> SVPResult:
+def _finite_column_batch(bases: np.ndarray) -> np.ndarray:
+    """_finite_columns on each basis of a (batch, m, k) array, raising its
+    error for the first basis that fails.  Returns the columns as a (k, m,
+    batch) array, so cols[c][r] is an array over the batch."""
+    cols = np.ascontiguousarray(bases.transpose(2, 1, 0))
+    with np.errstate(over="ignore"):  # an overflowing norm is caught below
+        norms = np.array([_dot(c, c) for c in cols])
+    bad = ~np.isfinite(norms) | ((0.0 < norms) & (norms < sys.float_info.min))
+    for basis in bases[bad.any(axis=0)]:
+        _finite_columns(basis)
+    return cols
+
+
+def _gauss_shortest(cols: list) -> SVPResult:
     """Shortest vector of a 2-column basis by Gauss-Lagrange reduction.
 
     The pair is swapped only when the norm strictly decreases, so the loop
@@ -310,7 +343,7 @@ def _gauss_shortest(basis: np.ndarray, cols: list) -> SVPResult:
     u - sign(u.v) v, where within a relative _GAUSS_TIE of ||u||^2, hold all
     shortest vectors.  _pick_candidate scores them in the original basis, as
     the enumeration path does.  node_count is the number of size-reduction
-    steps (>= 1).
+    steps (>= 1).  _gauss_batch runs the same arithmetic over a batch.
     """
     u, v = cols
     tu, tv = (1, 0), (0, 1)  # coordinates of u and v in the original basis
@@ -341,11 +374,71 @@ def _gauss_shortest(basis: np.ndarray, cols: list) -> SVPResult:
     s = 1 if uv > 0 else -1
     if nu + nv - 2.0 * s * uv <= limit:
         coord_set.add(_normalize_sign((tu[0] - s * tv[0], tu[1] - s * tv[1])))
-    a, norm_sq = _pick_candidate(basis, coord_set)
+    a, norm_sq = _pick_candidate(cols, coord_set)
     return SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=steps)
 
 
-def _lll_shortest(basis: np.ndarray, cols: list, start=None):
+def _gauss_batch(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_gauss_shortest on each basis of a batch, with masks in place of its
+    branches: cols (2, m, batch) as _finite_column_batch returns.  Returns
+    the coordinates (batch, 2) and the norms.  The coordinates are held as
+    doubles, exact integers below 2^53: a basis given in doubles resolves a
+    skew of at most about 2^53, and the sweep's per-block bases stay below
+    1e9 from 600 to 2500 dB."""
+    size = cols.shape[2]
+    u, v = cols
+    one, zero = np.ones(size), np.zeros(size)
+    tu, tv = np.array([one, zero]), np.array([zero, one])
+    nu, nv = _dot(u, u), _dot(v, v)
+    swap = nv < nu
+    u, v, tu, tv, nu, nv = (
+        np.where(swap, v, u), np.where(swap, u, v),
+        np.where(swap, tv, tu), np.where(swap, tu, tv),
+        np.where(swap, nv, nu), np.where(swap, nu, nv),
+    )  # fmt: skip
+    active = np.ones(size, dtype=bool)
+    while active.any():
+        if (nu[active] <= 0.0).any():
+            raise RankDeficient("basis is numerically rank deficient")
+        q = np.rint(_dot(u, v) / nu)
+        step = active & (q != 0.0)
+        v = np.where(step, v - q * u, v)
+        tv = np.where(step, tv - q * tu, tv)
+        nv = np.where(step, _dot(v, v), nv)
+        active &= nv < nu
+        u, v, tu, tv, nu, nv = (
+            np.where(active, v, u), np.where(active, u, v),
+            np.where(active, tv, tu), np.where(active, tu, tv),
+            np.where(active, nv, nu), np.where(active, nu, nv),
+        )  # fmt: skip
+    uv = _dot(u, v)
+    if (nu < 1e-24 * (nv - uv * uv / nu)).any():
+        raise RankDeficient("basis is numerically rank deficient")
+    limit = nu * (1.0 + _GAUSS_TIE)
+    s = np.where(uv > 0, 1.0, -1.0)
+    cands = [
+        (tu, True),
+        (tv, nv <= limit),
+        (tu - s * tv, nu + nv - 2.0 * s * uv <= limit),
+    ]
+    scores, coords = [], []
+    for t, included in cands:
+        flip = (t[0] < 0) | ((t[0] == 0) & (t[1] < 0))
+        t = np.where(flip, -t, t)
+        coords.append(t)
+        scores.append(np.where(included, _norm_sq(cols, t), np.inf))
+    cut = np.minimum.reduce(scores) * (1.0 + _REL_TIE)
+    best = np.full((2, size), np.inf)
+    norm_sq = np.zeros(size)
+    for t, score in zip(coords, scores):
+        lex = (t[0] < best[0]) | ((t[0] == best[0]) & (t[1] < best[1]))
+        take = (score <= cut) & lex
+        best = np.where(take, t, best)
+        norm_sq = np.where(take, score, norm_sq)
+    return best.T, norm_sq
+
+
+def _lll_shortest(cols: list, start=None):
     """LLL (from the transform `start` if given) then full Schnorr-Euchner
     enumeration with initial radius the shortest LLL vector.  Returns
     (SVPResult, LLL transform)."""
@@ -354,18 +447,28 @@ def _lll_shortest(basis: np.ndarray, cols: list, start=None):
     cands, nodes = _enumerate(R, bound, shrink=True)
     if not cands:
         raise RankDeficient("enumeration found no lattice vector")
-    a, norm_sq = _pick_candidate(basis, _original_coords(T, cands))
+    a, norm_sq = _pick_candidate(cols, _original_coords(T, cands))
     res = SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=nodes)
     return res, T
 
 
-def _shortest(basis: np.ndarray, start=None):
-    """shortest_vector from the LLL transform `start` of a nearby lattice:
-    (SVPResult, this lattice's transform), None on the 2-D Gauss path."""
-    cols = _finite_columns(basis)
+def _shortest_batch(bases: np.ndarray, starts=None) -> tuple[np.ndarray, np.ndarray]:
+    """shortest_vector on each basis of a (batch, m, k) array: coordinates
+    (batch, k) as floats, and norms.  Two columns go through _gauss_batch;
+    otherwise each basis through LLL, from starts[i] where given (starts is
+    then updated in place with each basis' transform), and enumeration."""
+    cols = _finite_column_batch(bases)
     if len(cols) == 2:
-        return _gauss_shortest(basis, cols), None
-    return _lll_shortest(basis, cols, start)
+        return _gauss_batch(cols)
+    coords, norms = [], []
+    for i, basis_cols in enumerate(bases.transpose(0, 2, 1).tolist()):
+        if starts is None:
+            res = _lll_shortest(basis_cols)[0]
+        else:
+            res, starts[i] = _lll_shortest(basis_cols, starts[i])
+        coords.append(res.coords.tolist())
+        norms.append(res.norm_sq)
+    return np.array(coords, dtype=float), np.array(norms)
 
 
 def shortest_vector(basis: np.ndarray) -> SVPResult:
@@ -376,19 +479,22 @@ def shortest_vector(basis: np.ndarray) -> SVPResult:
     sign-normalized coordinates.  Raises NonFiniteBasis if an entry is not
     finite or a squared column norm overflows or is subnormal, RankDeficient
     if the columns are numerically dependent."""
-    return _shortest(np.asarray(basis, dtype=float))[0]
+    cols = _finite_columns(np.asarray(basis, dtype=float))
+    if len(cols) == 2:
+        return _gauss_shortest(cols)
+    return _lll_shortest(cols)[0]
 
 
 def enumerate_short_vectors(basis: np.ndarray, radius_sq: float) -> list[SVPResult]:
     """All sign-normalized nonzero lattice vectors with ||Bbar atilde||^2 <=
     radius_sq, sorted by norm then coordinates.  Raises NonFiniteBasis as
     shortest_vector does."""
-    basis = np.asarray(basis, dtype=float)
-    _, T, R = _reduced_factor(_finite_columns(basis))
+    cols = _finite_columns(np.asarray(basis, dtype=float))
+    _, T, R = _reduced_factor(cols)
     cands, nodes = _enumerate(R, radius_sq, shrink=False)
     out = [
         SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=s, node_count=nodes)
-        for a, s in _norms_sq(basis, _original_coords(T, cands)).items()
+        for a, s in _norms_sq(cols, _original_coords(T, cands)).items()
         if s <= radius_sq * (1.0 + _REL_TIE)
     ]
     out.sort(key=lambda r: (r.norm_sq, tuple(r.coords)))
@@ -401,7 +507,7 @@ def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:
     if bound < 1:
         raise TooLarge("search box is empty (bound must be >= 1)")
     basis = np.asarray(basis, dtype=float)
-    _finite_columns(basis)
+    cols = _finite_columns(basis)
     k = basis.shape[1]
     count = (2 * bound + 1) ** k
     if count > 10**8:
@@ -414,7 +520,7 @@ def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:
     nmin = norms[nonzero].min()
     tied = grid[nonzero & (norms <= nmin * (1.0 + _REL_TIE))]
     coord_set = {_normalize_sign(tuple(int(x) for x in row)) for row in tied}
-    a, norm_sq = _pick_candidate(basis, coord_set)
+    a, norm_sq = _pick_candidate(cols, coord_set)
     return SVPResult(
         coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=count - 1
     )
@@ -446,14 +552,26 @@ def best_equation(
 ) -> EquationCandidate:
     """Rate-optimal coefficient vector over the ring (field=None: over Z,
     searching the Gram sum_j M_j instead)."""
-    return _best_equation(field, ch)[0]
+    res = shortest_vector(build_search_basis(field, ch))
+    return am_rate(ch, _coords_to_coefficients(field, res.coords, ch.L), field)
 
 
-def _best_equation(field: NumberField | None, ch: BlockFadingChannel, start=None):
-    """best_equation with a warm start: (candidate, transform), as _shortest."""
-    res, T = _shortest(build_search_basis(field, ch), start)
-    a = _coords_to_coefficients(field, res.coords, ch.L)
-    return am_rate(ch, a, field), T
+def _best_equation_rates(field: NumberField | None, h: np.ndarray, P: float, starts):
+    """best_equation's rate_bits for each channel of a batch h (batch, n, L)
+    at SNR P.  The LLL of channel i starts from the transform starts[i] (None
+    for a cold start) and leaves its own there; the search is exact, so the
+    rates equal cold calls."""
+    n, L = h.shape[1:]
+    coords = _shortest_batch(_search_basis(field, h, P), starts)[0]
+    if field is None:
+        sigma = [[coords[:, l] for l in range(L)]] * n
+    else:
+        deg = field.degree
+        sigma = [
+            [coords[:, l * deg] + coords[:, l * deg + 1] * th for l in range(L)]
+            for th in field.theta
+        ]
+    return _rate_from_quad_form(n, _am_terms(_user_columns(h), sigma, P)[2])
 
 
 def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
@@ -461,6 +579,16 @@ def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
     R = _gram_sqrt(np.atleast_2d(np.asarray(h_j, dtype=float)), P)[0]
     res = shortest_vector(R)
     return tuple(int(x) for x in res.coords), res.norm_sq
+
+
+def _naive_rates(h: np.ndarray, P: float) -> np.ndarray:
+    """naive_rate's rate for each channel of a batch h (batch, n, L) at SNR P."""
+    best = 0.0
+    for j, gains in enumerate(_user_columns(h)):
+        coords = _shortest_batch(_gram_sqrt(h[:, j], P))[0]
+        f = _block_terms(gains, list(coords.T), P)[0]
+        best = np.maximum(best, _rate_from_quad_form(1, f))
+    return best
 
 
 def top_equations(

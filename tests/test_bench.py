@@ -1,7 +1,8 @@
-"""The benchmark in bench/ still runs against the library: its probe, and one
-unit each of two workloads run untraced and traced, with equal outputs.  An
-API change that breaks the benchmark fails here, not first in a benchmark
-run."""
+"""The benchmark in bench/ still runs against the library: its probe, one
+unit each of two workloads run untraced and traced, with equal outputs, and
+units of both rate workloads checked against the recorded references.  An
+API change that breaks the benchmark, or a change that moves a sweep CSV or
+a rate result, fails here, not first in a benchmark run."""
 
 import os
 import sys
@@ -34,3 +35,21 @@ def test_traced_unit_matches_untraced(workload, tmp_path):
     got = w.traced(0, Tracer(), workloads.new_counters())
     assert outcomes.attempted and not outcomes.failed
     assert w.same(base, got)
+
+
+def test_sweep_units_match_reference(tmp_path):
+    # cflat sweep's CSV bytes (sha256) on 16 pool seeds, spread over the pool
+    w = workloads.SweepHeadline()
+    outcomes = workloads.Outcomes()
+    for i in range(0, w.size, w.size // 16):
+        w.run(i, str(tmp_path / "unit.csv"), outcomes, _timed)
+    assert outcomes.attempted == 16 and outcomes.failed == 0
+
+
+def test_rate_units_match_reference(tmp_path):
+    # exact coefficients and rate_bits within 1e-9 on 10 pool channels
+    w = workloads.RateHighSnr()
+    outcomes = workloads.Outcomes()
+    for i in range(0, w.size, w.size // 10):
+        w.run(i, str(tmp_path / "unit.csv"), outcomes, _timed)
+    assert outcomes.attempted == 10 * w.unit_ops and outcomes.failed == 0

@@ -472,6 +472,7 @@ EXIT_CASES = {
     "rate_snr_400": (["rate", "--d", "5", "--snr-db", "400", "--h", _H], None, 0),
     "rate_snr_-400": (["rate", "--d", "5", "--snr-db", "-400", "--h", _H], None, 0),
     "sweep_snr_pm400": (["sweep", "--snr-db=-400,400", "--trials", "3"], None, 0),
+    "sweep_gain_overflow": (["sweep", "--snr-db=0,3080", "--trials", "3"], None, 2),
     "codec_snr_pm400": (_codec(5, 11, 2, 1, 0, "--snr-db=-400,400", "--trials", "200"), None, 0),
     "rate_zero_gains": (["rate", "--d", "5", "--snr-db", "20", "--h", "0,0;0,0"], None, 0),
     "rate_equal_gains": (["rate", "--d", "5", "--snr-db", "20", "--h", "1,1;1,1"], None, 0),

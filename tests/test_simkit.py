@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cflat
 import cflat.simkit as simkit
 import cflat.svp as svp
 from cflat.channel import BlockFadingChannel, mac_sum_capacity, naive_rate
@@ -101,14 +105,23 @@ class TestRunSweep:
         assert np.array_equal(r1.mean, r3.mean)
 
     @pytest.mark.parametrize(
-        "snr_db",
-        [SweepConfig().snr_db, tuple(float(s) for s in range(0, 210, 10)), (50.0, 0.0, 30.0)],
-        ids=["default", "0-200", "non-monotone"],
+        "snr_db, trials, L",
+        [
+            (SweepConfig().snr_db, 30, 2),
+            (tuple(float(s) for s in range(0, 210, 10)), 30, 2),
+            ((50.0, 0.0, 30.0), 30, 2),
+            (SweepConfig().snr_db, 1, 2),
+            (SweepConfig().snr_db, 6, 3),
+        ],
+        ids=["default", "0-200", "non-monotone", "one-trial", "L3"],
     )
-    def test_warm_start_equals_cold_calls(self, snr_db, monkeypatch):
-        # run_sweep starts each ring LLL from the previous SNR point's
-        # transform; its rates must be bit-equal to cold best_equation calls
-        cfg = SweepConfig(snr_db=snr_db, trials=30, master_seed=11)
+    def test_warm_start_equals_cold_calls(self, snr_db, trials, L, monkeypatch):
+        # run_sweep evaluates each (SNR, scheme) pair over all trials as a
+        # batch and starts each LLL of an am scheme from the previous SNR
+        # point's transform; its rates must be bit-equal to cold
+        # best_equation, naive_rate and mac_sum_capacity calls.  At L = 3
+        # am_Z's basis has three columns, so it goes through LLL too
+        cfg = SweepConfig(snr_db=snr_db, trials=trials, L=L, master_seed=11)
         warm_calls = []
         real = svp._lll_reduce
 
@@ -118,8 +131,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(svp, "_lll_reduce", recording)
         res = run_sweep(cfg)
-        rings = sum(s.startswith("am_ring") for s in cfg.schemes)
-        assert sum(warm_calls) == cfg.trials * (len(snr_db) - 1) * rings
+        lll = sum(s.startswith("am_ring") or (s == "am_Z" and L > 2) for s in cfg.schemes)
+        assert sum(warm_calls) == cfg.trials * (len(snr_db) - 1) * lll
 
         fields = {d: make_quadratic_field(d) for d in (3, 5, 7)}
         cold = np.zeros_like(res.rates)
@@ -136,6 +149,29 @@ class TestRunSweep:
                         d = None if name == "am_Z" else int(name[len("am_ring(") : -1])
                         cold[k, si, t] = best_equation(fields.get(d), ch).rate_bits
         assert res.rates.tobytes() == cold.tobytes()
+
+    def test_batched_errors_keep_their_messages(self):
+        # the first failing trial's error, as cold calls raise it: the
+        # overflow of P||h_j||^2 at 3080 dB, and the noise identity at
+        # 3000 dB, where a batch overflows to inf as Python floats do
+        P = 10.0 ** (3080.0 / 10.0)
+        with pytest.raises(ValueError) as batch:
+            run_sweep(SweepConfig(snr_db=(0.0, 3080.0), trials=20, schemes=("mac",)))
+        with pytest.raises(ValueError) as single:
+            for t in range(20):
+                BlockFadingChannel(sample_channels(1, t, 2, 2), P)
+        assert "overflows P*||h_j||^2" in str(batch.value)
+        assert str(batch.value) == str(single.value)
+
+        P = 10.0 ** (3000.0 / 10.0)
+        field = make_quadratic_field(5)
+        with pytest.raises(AssertionError) as batch:
+            run_sweep(SweepConfig(snr_db=(3000.0,), trials=20, schemes=("am_ring(5)",)))
+        with pytest.raises(AssertionError) as single:
+            for t in range(20):
+                best_equation(field, BlockFadingChannel(sample_channels(1, t, 2, 2), P))
+        assert "noise identity violated" in str(batch.value)
+        assert str(batch.value) == str(single.value)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -180,3 +216,35 @@ class TestDofSlope:
         )
         res = run_sweep(cfg)
         assert res.dof["mac"] == pytest.approx(2.0, abs=0.25)
+
+
+# a 20-trial headline sweep's rates and two `cflat rate` outputs
+_KERNEL_CHILD = """
+import hashlib
+from cflat.cli import main
+from cflat.simkit import SweepConfig, run_sweep
+print(hashlib.sha256(run_sweep(SweepConfig(trials=20)).rates.tobytes()).hexdigest())
+main(["rate", "--d", "5", "--snr-db", "40", "--h", "0.9,-0.3;0.2,1.1"])
+main(["rate", "--d", "3", "--snr-db", "60", "--h", "0.9,-0.3,0.5;0.2,1.1,-0.7"])
+"""
+
+
+def test_rates_do_not_depend_on_the_blas_kernel():
+    # in child processes, one per OpenBLAS core type (a build with one
+    # kernel ignores the variable); numpy's dot products follow the kernel,
+    # the rate layer's explicit sums do not
+    src = os.path.dirname(os.path.dirname(cflat.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    outs = []
+    for core in (None, "Haswell", "Prescott"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        out = subprocess.run(
+            [sys.executable, "-c", _KERNEL_CHILD],
+            capture_output=True, text=True, timeout=120, env=env,
+        )  # fmt: skip
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0] == outs[1] == outs[2]

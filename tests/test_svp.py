@@ -10,7 +10,7 @@ import pytest
 
 import cflat
 
-from cflat.channel import BlockFadingChannel, coefficient_embeddings, gram_matrix
+from cflat.channel import BlockFadingChannel, coefficient_embeddings, naive_rate
 from cflat.numfield import RingElement, make_quadratic_field
 from cflat.simkit import sample_channels
 from cflat.svp import (
@@ -19,12 +19,18 @@ from cflat.svp import (
     RankDeficient,
     SVPResult,
     TooLarge,
+    _GAUSS_TIE,
     _enumerate,
+    _finite_column_batch,
+    _gauss_batch,
     _gauss_shortest,
     _gram_sqrt,
     _hnf_column_basis,
     _lll_reduce,
     _lll_shortest,
+    _naive_rates,
+    _search_basis,
+    _shortest_batch,
     best_equation,
     best_integer_block,
     brute_force_shortest,
@@ -35,6 +41,7 @@ from cflat.svp import (
     top_equations,
 )
 
+from rate_oracle import gram_matrix
 from svp_certificate import box_points, certify_shortest
 
 F5 = make_quadratic_field(5)
@@ -65,6 +72,12 @@ def direct_quad_form(field, ch, coords):
     return sum(
         float(sigma[j] @ gram_matrix(ch.h[j], ch.P) @ sigma[j]) for j in range(ch.n)
     )
+
+
+def after_a_good_basis(B):
+    """A batch of two bases: the identity, then B."""
+    B = np.asarray(B, dtype=float)
+    return np.array([np.eye(*B.shape), B])
 
 
 def certify_in_reduced_basis(B):
@@ -199,6 +212,8 @@ class TestShortestVector:
         bad = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(RankDeficient):
             shortest_vector(bad)
+        with pytest.raises(RankDeficient, match="numerically rank deficient"):
+            _shortest_batch(after_a_good_basis(bad))
 
     @pytest.mark.parametrize(
         "basis",
@@ -210,9 +225,12 @@ class TestShortestVector:
     )
     def test_relative_rank_guard(self, basis):
         # one Gram-Schmidt length is below 1e-12 of the largest (the last
-        # basis has a zero column)
-        with pytest.raises(RankDeficient):
+        # basis has a zero column); in a batch too
+        with pytest.raises(RankDeficient) as single:
             shortest_vector(np.array(basis))
+        with pytest.raises(RankDeficient) as batch:
+            _shortest_batch(after_a_good_basis(basis))
+        assert str(batch.value) == str(single.value)
 
     def test_oracle_equivalence_200_instances(self):
         # Every answer is certified by an exhaustive search over a box that
@@ -343,8 +361,9 @@ class TestShortestVector:
             lambda B: enumerate_short_vectors(B, 1.0),
             lambda B: brute_force_shortest(B, 2),
             minkowski_bound,
+            lambda B: _shortest_batch(after_a_good_basis(B)),
         ],
-        ids=["enumerate", "brute_force", "minkowski"],
+        ids=["enumerate", "brute_force", "minkowski", "batch"],
     )
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize(
@@ -378,19 +397,20 @@ MU_HALF_PAIRS = (
 # ends fails the test at its timeout instead of stalling the suite: the
 # square and hexagonal lattices (three tied shortest vectors), then the
 # mu = 1/2 ideal bases.  Each line: the Gauss path's coords and norm_sq bits,
-# then LLL + enumeration's.
+# then LLL + enumeration's, then the batched Gauss path's.
 _TIES_CHILD = """
 import numpy as np
 from cflat.numfield import make_quadratic_field, prime_above
-from cflat.svp import _gauss_shortest, _lll_shortest
+from cflat.svp import _finite_column_batch, _gauss_batch, _gauss_shortest, _lll_shortest
 bases = [np.eye(2), np.array([[1.0, 0.5], [0.0, 0.8660254037844386]])]
 for d, p in {pairs!r}:
     field = make_quadratic_field(d)
     bases.append(field.embedding @ prime_above(field, p).basis_matrix())
-for B in bases:
+coords, norms = _gauss_batch(_finite_column_batch(np.array(bases)))
+for B, c, n in zip(bases, coords, norms):
     cols = B.T.tolist()
-    g, e = _gauss_shortest(B, cols), _lll_shortest(B, cols)[0]
-    print(*g.coords, g.norm_sq.hex(), *e.coords, e.norm_sq.hex())
+    g, e = _gauss_shortest(cols), _lll_shortest(cols)[0]
+    print(*g.coords, g.norm_sq.hex(), *e.coords, e.norm_sq.hex(), *c.astype(int), n.hex())
 """
 
 
@@ -399,7 +419,7 @@ def assert_same_answer(B):
     the same norm_sq bits."""
     B = np.asarray(B, dtype=float)
     cols = B.T.tolist()
-    g, e = _gauss_shortest(B, cols), _lll_shortest(B, cols)[0]
+    g, e = _gauss_shortest(cols), _lll_shortest(cols)[0]
     assert tuple(g.coords) == tuple(e.coords)
     assert g.norm_sq.hex() == e.norm_sq.hex()
 
@@ -426,8 +446,8 @@ class TestGaussPath:
         assert out.returncode == 0, out.stderr
         lines = [line.split() for line in out.stdout.splitlines()]
         assert len(lines) == 2 + len(MU_HALF_PAIRS)
-        for gauss_enum in lines:
-            assert gauss_enum[:3] == gauss_enum[3:]
+        for line in lines:
+            assert line[:3] == line[3:6] == line[6:]
         assert lines[1][:2] == ["0", "1"]  # hexagonal: lexicographic pick
 
     def test_tied_lattices_under_unimodular_changes(self):
@@ -445,6 +465,72 @@ class TestGaussPath:
                 E[a, b] = rng.integers(-3, 4)
                 U = U @ E
             assert_same_answer(rot @ shapes[i % 2] @ U * 10 ** rng.uniform(-3, 3))
+
+    @pytest.mark.parametrize("snr_db", [0, 20, 50, 100, 200, 400])
+    def test_batch_equals_single_calls(self, snr_db):
+        # the sweep's bases for 100 channels, am_Z's (4, 2) and the per-block
+        # (2, 2) ones, built and reduced as a batch and one at a time
+        P = 10.0 ** (snr_db / 10.0)
+        h = np.array([sample_channels(43, t, 2, 2) for t in range(100)])
+        am = _search_basis(None, h, P)
+        assert bits(am) == bits([build_search_basis(None, BlockFadingChannel(x, P)) for x in h])
+        assert_batch_equals_single(am)
+        for j in range(2):
+            blocks = _gram_sqrt(h[:, j], P)
+            assert bits(blocks) == bits([_gram_sqrt(x[j : j + 1], P)[0] for x in h])
+            assert_batch_equals_single(blocks)
+
+    def test_batch_equals_single_calls_at_halves_and_near_ties(self):
+        # u = (1, 0) and v with mu = k + 1/2 exactly or not, v's reduced norm
+        # (and for a half, that of u - v) within, at and beyond _GAUSS_TIE of
+        # u's, as given and under unimodular changes of basis
+        rng = np.random.default_rng(19)
+        bases = []
+        for x in (0.0, 0.3, 0.5 - 1e-9, 0.5, -0.5, 1.5, 2.5, -3.5):
+            f = x - math.floor(x + 0.5)
+            for eps in (-2e-6, -1e-7, 0.0, 1e-7, 0.5, 0.99, 1.0, 1.01, 2.0):
+                eps = eps * _GAUSS_TIE if abs(eps) > 1e-6 else eps
+                M = np.array([[1.0, x], [0.0, math.sqrt(1.0 + eps - f * f)]])
+                bases.append(M)
+                for _ in range(3):
+                    U = np.eye(2, dtype=np.int64)
+                    for _ in range(int(rng.integers(1, 5))):
+                        a, b = rng.permutation(2)
+                        E = np.eye(2, dtype=np.int64)
+                        E[a, b] = rng.integers(-3, 4)
+                        U = U @ E
+                    bases.append(M @ U * 10 ** rng.uniform(-3, 3))
+        assert_batch_equals_single(bases)
+
+    def test_batch_with_huge_coefficients(self):
+        # size-reduction coefficients of 2^60 + 2^10 and 3e17, held exactly
+        # in the batch's double coordinates
+        bases = [np.eye(2), [[1.0, 2.0**60 + 2.0**10], [0.0, 1.0]], [[1.0, -3e17], [0.0, 2.5]]]
+        assert_batch_equals_single(bases)
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+def assert_batch_equals_single(bases):
+    """The batched Gauss path gives each basis the coordinates and norm_sq
+    bits of _gauss_shortest."""
+    bases = np.array(bases, dtype=float)
+    coords, norms = _gauss_batch(_finite_column_batch(bases))
+    for B, c, norm_sq in zip(bases, coords, norms):
+        g = _gauss_shortest(B.T.tolist())
+        assert tuple(c) == tuple(g.coords)
+        assert norm_sq.hex() == g.norm_sq.hex()
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_naive_batch_equals_single_calls(L):
+    h = np.array([sample_channels(47, t, 2, L) for t in range(60 if L == 2 else 15)])
+    for snr_db in (0.0, 30.0, 100.0, 200.0, 400.0):
+        P = 10.0 ** (snr_db / 10.0)
+        want = [naive_rate(BlockFadingChannel(x, P))[2] for x in h]
+        assert bits(_naive_rates(h, P)) == bits(want)
 
 
 class TestBruteForce:
