@@ -5,11 +5,9 @@ from .numfield import (
     PrimeIdeal,
     ResidueField,
     RingElement,
-    embed_element,
     make_quadratic_field,
     prime_above,
     residue_reduce,
-    ring_mul,
 )
 from .channel import (
     BlockFadingChannel,
@@ -24,10 +22,8 @@ from .svp import (
     best_integer_block,
     brute_force_shortest,
     build_search_basis,
-    enumerate_short_vectors,
     minkowski_bound,
     shortest_vector,
-    top_equations,
 )
 from .codec import (
     ConstructionALattice,
@@ -37,11 +33,9 @@ from .codec import (
     encode,
     enumerate_fine_vectors,
     lattice_membership,
-    map_message,
     product_distance,
     reduce_mod_coarse,
     ring_combine,
-    sample_dither,
     simulate_codec,
     union_bound,
 )

@@ -73,6 +73,15 @@ class BlockFadingChannel:
         return self.h.shape[1]
 
 
+def _snr_linear(snr_db: float) -> float:
+    """The linear SNR 10^(snr_db / 10); ValueError where it overflows a
+    float."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR {snr_db:g} dB overflows a float") from None
+
+
 def _dot(x, y):
     """x . y summed left to right; the entries are floats, or equal-shape
     arrays over a batch."""

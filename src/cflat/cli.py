@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlockFadingChannel
+from .channel import BlockFadingChannel, _snr_linear
 from .codec import (
     NestedCodePair,
     RadiusTooSmall,
@@ -37,7 +37,6 @@ __all__ = [
     "InvalidValue",
     "CliConfig",
     "parse_config",
-    "read_sweep_csv",
     "main",
 ]
 
@@ -243,7 +242,7 @@ def _cmd_field(args, cfg: CliConfig) -> int:
 
 def _cmd_rate(args, cfg: CliConfig) -> int:
     h = _load_channel(args)
-    P = 10.0 ** (args.snr_db / 10.0)
+    P = _snr_linear(args.snr_db)
     ch = BlockFadingChannel(h, P)
     field = make_quadratic_field(args.d) if args.d else None
     cand = best_equation(field, ch)
@@ -332,7 +331,7 @@ def _cmd_codec(args, cfg: CliConfig) -> int:
     h = sample_channels(cfg.seed, 0, field.degree, cfg.L)
     rows = ["snr_db,error_rate,stderr,union_bound,trials"]
     for snr in cfg.snr_db:
-        P = 10.0 ** (snr / 10.0)
+        P = _snr_linear(snr)
         ch = BlockFadingChannel(h, P)
         lat = build_construction_a(field, prime, codes, target_power=P)
         cand = best_equation(field, ch)
@@ -374,24 +373,6 @@ _COMMANDS = {
     "codec": _cmd_codec,
     "svp": _cmd_svp,
 }
-
-
-def read_sweep_csv(path: str) -> list[dict]:
-    """Parse a sweep CSV back into per-row dicts (floats where numeric)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        row = {}
-        for key, val in zip(header, parts):
-            try:
-                row[key] = float(val)
-            except ValueError:
-                row[key] = val
-        rows.append(row)
-    return rows
 
 
 def _build_parser() -> argparse.ArgumentParser:

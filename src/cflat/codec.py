@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import BlockFadingChannel, EquationCandidate
 from .numfield import NumberField, PrimeIdeal, ResidueField, RingElement, residue_reduce
-from .svp import _enumerate, _hnf_column_basis, _lll_reduce
+from .svp import _enumerate, _lll_reduce
 
 __all__ = [
     "DimensionMismatch",
@@ -33,12 +33,10 @@ __all__ = [
     "SimResult",
     "build_construction_a",
     "encode",
-    "sample_dither",
     "reduce_mod_coarse",
     "ring_combine",
     "lattice_membership",
     "product_distance",
-    "map_message",
     "decode_equation",
     "enumerate_fine_vectors",
     "union_bound",
@@ -163,6 +161,32 @@ def _fq_solve(Fq: ResidueField, G_rows, c) -> tuple[int, ...] | None:
 
 # ---------------------------------------------------------------------------
 # exact integer lattice plumbing
+
+
+def _hnf_column_basis(generators, dim: int) -> list[list[int]]:
+    """Echelon basis (lists of ints) of the integer lattice spanned by the
+    generators, by exact pairwise Euclidean reduction coordinate by
+    coordinate.  A coordinate no remaining generator reaches is skipped, so
+    there are as many vectors as the rank; each is positive at its pivot."""
+    work = [[int(x) for x in g] for g in generators]
+    basis = []
+    for row in range(dim):
+        live = [c for c in work if c[row] != 0]
+        if not live:
+            continue
+        rest = [c for c in work if c[row] == 0]
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(c[row]), reverse=True)
+            quot = live[0][row] // live[1][row]
+            live[0] = [x - quot * y for x, y in zip(live[0], live[1])]
+            if live[0][row] == 0:
+                rest.append(live.pop(0))
+        piv = live[0]
+        if piv[row] < 0:
+            piv = [-x for x in piv]
+        basis.append(piv)
+        work = rest
+    return basis
 
 
 def _code_lattice_basis(prime: PrimeIdeal, codes: NestedCodePair, l: int):
@@ -389,12 +413,6 @@ def encode(lat: ConstructionALattice, w, dither: np.ndarray | None = None) -> np
     return X
 
 
-def sample_dither(lat: ConstructionALattice, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample over the shaping region."""
-    z = rng.uniform(-0.5, 0.5, size=lat.region_scaled.shape[1])
-    return (lat.region_scaled @ z).reshape(lat.n, lat.T)
-
-
 def reduce_mod_coarse(lat: ConstructionALattice, X: np.ndarray) -> np.ndarray:
     """Fold (..., n, T) matrices into the centered fundamental parallelepiped
     of the scaled coarse lattice."""
@@ -461,17 +479,6 @@ def product_distance(x, n: int, T: int) -> float:
     squared norms of consecutive length-T slices."""
     arr = np.asarray(x, dtype=float).reshape(n, T)
     return float(np.prod(np.einsum("ij,ij->i", arr, arr)))
-
-
-def map_message(lat: ConstructionALattice, X) -> tuple[int, ...]:
-    """Message-space image of a fine-lattice point."""
-    coords = _pullback_coords(lat, X, 1e-6)
-    if coords is None:
-        raise ValueError("not a fine-lattice point")
-    w = _fq_solve(lat.Fq, lat.codes.G_f, _residue_vector(lat, coords))
-    if w is None:
-        raise ValueError("not a fine-lattice point")
-    return w[lat.codes.l_c :]
 
 
 # ---------------------------------------------------------------------------

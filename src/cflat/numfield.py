@@ -26,8 +26,6 @@ __all__ = [
     "PrimeIdeal",
     "ResidueField",
     "make_quadratic_field",
-    "embed_element",
-    "ring_mul",
     "prime_above",
     "residue_reduce",
 ]
@@ -106,9 +104,6 @@ class NumberField:
     def norm(self, a: RingElement) -> int:
         return a.u * a.u + self.s * a.u * a.v - self.t * a.v * a.v
 
-    def trace(self, a: RingElement) -> int:
-        return 2 * a.u + self.s * a.v
-
     def __repr__(self) -> str:
         return f"NumberField(d={self.d})"
 
@@ -158,25 +153,6 @@ def make_quadratic_field(d: int) -> NumberField:
     phi = np.array([[1.0, th[0]], [1.0, th[1]]])
     return NumberField(
         d=d, s=s, t=t, discriminant=disc, theta=th, embedding=phi, basis_labels=labels
-    )
-
-
-def embed_element(
-    field: NumberField, a: RingElement
-) -> tuple[tuple[float, float], int, int]:
-    """Canonical embedding of a: (conjugate pair, algebraic norm, trace).
-
-    The norm and trace are exact integers from the coordinate formulas; the
-    conjugate product only reproduces them up to float rounding.
-    """
-    return field.conjugates(a), field.norm(a), field.trace(a)
-
-
-def ring_mul(field: NumberField, a: RingElement, b: RingElement) -> RingElement:
-    """Exact product in the ring of integers using theta^2 = s*theta + t."""
-    return RingElement(
-        a.u * b.u + field.t * a.v * b.v,
-        a.u * b.v + a.v * b.u + field.s * a.v * b.v,
     )
 
 

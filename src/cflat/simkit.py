@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlockFadingChannel, _dot, _mac_sum, _user_columns
+from .channel import BlockFadingChannel, _dot, _mac_sum, _snr_linear, _user_columns
 from .numfield import make_quadratic_field
 from .svp import _best_equation_rates, _naive_rates
 
@@ -161,7 +161,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     fields = {
         d: make_quadratic_field(d) for _, d in parsed if d is not None
     }
-    Ps = [10.0 ** (s / 10.0) for s in cfg.snr_db]
+    Ps = [_snr_linear(s) for s in cfg.snr_db]
     rates = np.zeros((len(parsed), len(Ps), cfg.trials))
     h = np.array(
         [sample_channels(cfg.master_seed, t, cfg.n, cfg.L) for t in range(cfg.trials)]

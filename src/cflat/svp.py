@@ -44,8 +44,6 @@ __all__ = [
     "best_equation",
     "best_integer_block",
     "minkowski_bound",
-    "enumerate_short_vectors",
-    "top_equations",
 ]
 
 LLL_DELTA = 0.99
@@ -224,32 +222,6 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
     return cands, nodes
 
 
-def _hnf_column_basis(generators, dim: int) -> list[list[int]]:
-    """Echelon basis (lists of ints) of the integer lattice spanned by the
-    generators, by exact pairwise Euclidean reduction coordinate by
-    coordinate.  A coordinate no remaining generator reaches is skipped, so
-    there are as many vectors as the rank; each is positive at its pivot."""
-    work = [[int(x) for x in g] for g in generators]
-    basis = []
-    for row in range(dim):
-        live = [c for c in work if c[row] != 0]
-        if not live:
-            continue
-        rest = [c for c in work if c[row] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[row]), reverse=True)
-            quot = live[0][row] // live[1][row]
-            live[0] = [x - quot * y for x, y in zip(live[0], live[1])]
-            if live[0][row] == 0:
-                rest.append(live.pop(0))
-        piv = live[0]
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        work = rest
-    return basis
-
-
 def _reduced_factor(cols: list, start=None):
     """LLL on the basis columns (lists of floats), from the transform `start`
     if given: (reduced rows, transform, R), with the upper factor
@@ -290,14 +262,10 @@ def _norm_sq(cols, a):
     return total
 
 
-def _norms_sq(cols, coord_set) -> dict[tuple, float]:
-    return {a: _norm_sq(cols, a) for a in coord_set}
-
-
 def _pick_candidate(cols, coord_set) -> tuple[tuple, float]:
     """Deterministic tie-break over the basis columns cols: smallest norm,
     then the lexicographically smallest sign-normalized coordinate vector."""
-    scored = _norms_sq(cols, coord_set)
+    scored = {a: _norm_sq(cols, a) for a in coord_set}
     nmin = min(scored.values())
     a_best = min(a for a, s in scored.items() if s <= nmin * (1.0 + _REL_TIE))
     return a_best, scored[a_best]
@@ -485,22 +453,6 @@ def shortest_vector(basis: np.ndarray) -> SVPResult:
     return _lll_shortest(cols)[0]
 
 
-def enumerate_short_vectors(basis: np.ndarray, radius_sq: float) -> list[SVPResult]:
-    """All sign-normalized nonzero lattice vectors with ||Bbar atilde||^2 <=
-    radius_sq, sorted by norm then coordinates.  Raises NonFiniteBasis as
-    shortest_vector does."""
-    cols = _finite_columns(np.asarray(basis, dtype=float))
-    _, T, R = _reduced_factor(cols)
-    cands, nodes = _enumerate(R, radius_sq, shrink=False)
-    out = [
-        SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=s, node_count=nodes)
-        for a, s in _norms_sq(cols, _original_coords(T, cands)).items()
-        if s <= radius_sq * (1.0 + _REL_TIE)
-    ]
-    out.sort(key=lambda r: (r.norm_sq, tuple(r.coords)))
-    return out
-
-
 def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:
     """Independent oracle: exhaustive search over the integer box
     ||atilde||_inf <= bound.  Raises NonFiniteBasis as shortest_vector does."""
@@ -589,33 +541,3 @@ def _naive_rates(h: np.ndarray, P: float) -> np.ndarray:
         f = _block_terms(gains, list(coords.T), P)[0]
         best = np.maximum(best, _rate_from_quad_form(1, f))
     return best
-
-
-def top_equations(
-    field: NumberField | None,
-    ch: BlockFadingChannel,
-    count: int,
-    slack: float = 1.5,
-) -> list[EquationCandidate]:
-    """Greedy list of up to `count` linearly independent candidates, by
-    ascending quadratic form, from the vectors within slack * lambda_1."""
-    B = build_search_basis(field, ch)
-    first = shortest_vector(B)
-    grow = slack
-    picked: list[SVPResult] = []
-    while grow <= 4.0 * slack:
-        short = enumerate_short_vectors(B, grow * grow * first.norm_sq)
-        picked = []
-        for res in short:
-            trial = [r.coords for r in picked] + [res.coords]
-            if len(_hnf_column_basis(trial, len(res.coords))) == len(trial):
-                picked.append(res)
-            if len(picked) == count:
-                break
-        if len(picked) == count:
-            break
-        grow *= 2.0
-    return [
-        am_rate(ch, _coords_to_coefficients(field, r.coords, ch.L), field)
-        for r in picked
-    ]

@@ -1,8 +1,8 @@
 """The benchmark in bench/ still runs against the library: its probe, one
 unit each of two workloads run untraced and traced, with equal outputs, and
-units of both rate workloads checked against the recorded references.  An
-API change that breaks the benchmark, or a change that moves a sweep CSV or
-a rate result, fails here, not first in a benchmark run."""
+units of all three workloads checked against the recorded references.  An
+API change that breaks the benchmark, or a change that moves a sweep CSV, a
+rate result or a codec CSV, fails here, not first in a benchmark run."""
 
 import os
 import sys
@@ -53,3 +53,12 @@ def test_rate_units_match_reference(tmp_path):
     for i in range(0, w.size, w.size // 10):
         w.run(i, str(tmp_path / "unit.csv"), outcomes, _timed)
     assert outcomes.attempted == 10 * w.unit_ops and outcomes.failed == 0
+
+
+def test_codec_unit_matches_reference(tmp_path):
+    # both codes' cflat codec CSVs, byte for byte, on pool index 0
+    w = workloads.CodecMix()
+    outcomes = workloads.Outcomes()
+    w.run(0, str(tmp_path / "unit.csv"), outcomes, _timed)
+    assert outcomes.attempted == len(workloads.CODEC_RUNS)
+    assert outcomes.failed == 0 and outcomes.known_failures == 0

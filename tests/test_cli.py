@@ -1,3 +1,4 @@
+import csv
 import logging
 import math
 import os
@@ -16,7 +17,6 @@ from cflat.cli import (
     UnknownKey,
     main,
     parse_config,
-    read_sweep_csv,
 )
 from cflat.channel import BlockFadingChannel
 from cflat.codec import RadiusTooSmall
@@ -223,7 +223,8 @@ class TestSweepCommand:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(SWEEP_ARGS + ["--output", str(out)])
-        rows = read_sweep_csv(str(out))
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         from cflat.simkit import SweepConfig, run_sweep
 
         res = run_sweep(
@@ -236,10 +237,10 @@ class TestSweepCommand:
         )
         for row in rows:
             k = res.schemes.index(row["scheme"])
-            s = res.snr_db.index(row["snr_db"])
-            assert row["mean_rate_bits"] == round(float(res.mean[k, s]), 6)
-            assert row["stderr_bits"] == round(float(res.stderr[k, s]), 6)
-            assert row["trials"] == 6 and row["seed"] == 11
+            s = res.snr_db.index(float(row["snr_db"]))
+            assert float(row["mean_rate_bits"]) == round(float(res.mean[k, s]), 6)
+            assert float(row["stderr_bits"]) == round(float(res.stderr[k, s]), 6)
+            assert row["trials"] == "6" and row["seed"] == "11"
 
     def test_identical_bytes_across_runs_and_threads(self, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
@@ -473,6 +474,10 @@ EXIT_CASES = {
     "rate_snr_-400": (["rate", "--d", "5", "--snr-db", "-400", "--h", _H], None, 0),
     "sweep_snr_pm400": (["sweep", "--snr-db=-400,400", "--trials", "3"], None, 0),
     "sweep_gain_overflow": (["sweep", "--snr-db=0,3080", "--trials", "3"], None, 2),
+    # 10^(snr/10) itself overflows a float from about 3083 dB
+    "rate_snr_overflow": (["rate", "--d", "5", "--snr-db", "3100", "--h", _H], None, 2),
+    "sweep_snr_overflow": (["sweep", "--snr-db", "3100", "--trials", "2", "--schemes", "mac"], None, 2),
+    "codec_snr_overflow": (_codec(5, 11, 2, 1, 0, "--snr-db", "3100", "--trials", "10"), None, 2),
     "codec_snr_pm400": (_codec(5, 11, 2, 1, 0, "--snr-db=-400,400", "--trials", "200"), None, 0),
     "rate_zero_gains": (["rate", "--d", "5", "--snr-db", "20", "--h", "0,0;0,0"], None, 0),
     "rate_equal_gains": (["rate", "--d", "5", "--snr-db", "20", "--h", "1,1;1,1"], None, 0),

@@ -22,16 +22,17 @@ from cflat.codec import (
     _decode_leader_indices,
     _embedding_map,
     _fq_gauss_jordan,
+    _fq_solve,
+    _pullback_coords,
+    _residue_vector,
     build_construction_a,
     decode_equation,
     encode,
     enumerate_fine_vectors,
     lattice_membership,
-    map_message,
     product_distance,
     reduce_mod_coarse,
     ring_combine,
-    sample_dither,
     simulate_codec,
     union_bound,
 )
@@ -42,6 +43,25 @@ from svp_certificate import box_points
 F5 = make_quadratic_field(5)
 P11 = prime_above(F5, 11)
 REPEAT_CODE = NestedCodePair(p=11, r=1, T=2, l_f=1, l_c=0, G_f=((1,), (1,)))
+
+
+def draw_dithers(lat, rng, shape=()):
+    """Dithers of the given batch shape, (*shape, n, T), drawn as
+    simulate_codec draws them: uniform over the shaping region."""
+    z = rng.uniform(-0.5, 0.5, shape + (2 * lat.T,))
+    return (z @ lat.region_scaled.T).reshape(shape + (lat.n, lat.T))
+
+
+def map_message(lat, X) -> tuple[int, ...]:
+    """Message-space image of a fine-lattice point: the decoder's independent
+    check, by pull-back through the embedding and an F_q solve."""
+    coords = _pullback_coords(lat, X, 1e-6)
+    if coords is None:
+        raise ValueError("not a fine-lattice point")
+    w = _fq_solve(lat.Fq, lat.codes.G_f, _residue_vector(lat, coords))
+    if w is None:
+        raise ValueError("not a fine-lattice point")
+    return w[lat.codes.l_c :]
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +103,8 @@ class TestBuild:
     def test_gamma_calibration_hits_power(self):
         P = 42.0
         lat = build_construction_a(F5, P11, REPEAT_CODE, target_power=P)
-        rng = np.random.default_rng(77)
-        pows = []
-        for _ in range(4000):
-            d = sample_dither(lat, rng)
-            pows.append(float(np.sum(d * d)))
-        per_dim = np.mean(pows) / (lat.n * lat.T)
+        d = draw_dithers(lat, np.random.default_rng(77), (4000,))
+        per_dim = np.mean(np.sum(d * d, axis=(1, 2))) / (lat.n * lat.T)
         assert per_dim == pytest.approx(P, rel=0.05)
 
     def test_pinned_gamma_draws_no_calibration_samples(self, monkeypatch):
@@ -201,11 +217,31 @@ class TestEncodeMembership:
         X[0, 0] += 0.3
         assert not lattice_membership(unit_lattice, "fine", X)
 
+    @pytest.mark.parametrize(
+        "uv",
+        [
+            None,
+            # an O^T point whose residues (1, 0) are not a codeword of the
+            # repetition code
+            ([1, 0], [0, 0]),
+        ],
+        ids=["off_lattice", "off_code"],
+    )
+    def test_non_codeword_rejected(self, unit_lattice, uv):
+        lat = unit_lattice
+        if uv is None:
+            X = np.full((2, 2), 0.25)
+        else:
+            X = lat.gamma * (F5.embedding @ np.array(uv, dtype=float))
+        assert not lattice_membership(lat, "fine", X)
+        with pytest.raises(ValueError, match="not a fine-lattice point"):
+            map_message(lat, X)
+
     def test_dithered_encode_stays_in_region(self, powered_lattice):
         rng = np.random.default_rng(5)
         for _ in range(50):
             w = (int(rng.integers(11)),)
-            D = sample_dither(powered_lattice, rng)
+            D = draw_dithers(powered_lattice, rng)
             X = encode(powered_lattice, w, dither=D)
             # folding again is a no-op for points already inside the region
             assert np.allclose(reduce_mod_coarse(powered_lattice, X), X, atol=1e-9)
@@ -235,7 +271,7 @@ class TestEncodeMembership:
         c = lat.codes
         rng = np.random.default_rng(8)
         W = rng.integers(0, lat.Fq.q, size=(4, 3, c.l_f - c.l_c))
-        D = np.stack([[sample_dither(lat, rng) for _ in range(3)] for _ in range(4)])
+        D = draw_dithers(lat, rng, (4, 3))
         X = encode(lat, W, D)
         assert X.shape == (4, 3, lat.n, lat.T)
         assert np.array_equal(encode(lat, W), np.stack([[encode(lat, w) for w in ws] for ws in W]))
@@ -569,7 +605,7 @@ class TestDecode:
         g = residue_reduce(P11, a)
         for _ in range(100):
             w = int(rng.integers(11))
-            D = sample_dither(lat, rng)
+            D = draw_dithers(lat, rng)
             Xbar = encode(lat, (w,), dither=D)
             # h_j = kappa * sigma_j(a): B H = A exactly
             Y = kappa * sig * Xbar
@@ -584,7 +620,7 @@ class TestDecode:
         agree = 0
         for _ in range(200):
             ws = [int(rng.integers(11)) for _ in range(2)]
-            Ds = [sample_dither(lat, rng) for _ in range(2)]
+            Ds = draw_dithers(lat, rng, (2,))
             Xb = [encode(lat, (w,), dither=D) for w, D in zip(ws, Ds)]
             Y = sum(ch.h[:, l][:, None] * Xb[l] for l in range(2))
             Y = Y + rng.standard_normal((2, 2))
@@ -924,7 +960,7 @@ class TestResidueTableDecoder:
         )
         rng = np.random.default_rng(23)
         for w in itertools.product(range(q), repeat=c.l_f - c.l_c):
-            D = sample_dither(lat, rng)
+            D = draw_dithers(lat, rng)
             Y = encode(lat, w, dither=D)
             Y = Y + 0.01 * lat.gamma * rng.standard_normal(Y.shape)
             res = decode_equation(lat, Y, cand, dithers=[D])

