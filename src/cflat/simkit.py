@@ -145,18 +145,14 @@ def _check_channels(h: np.ndarray, P: float) -> None:
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Evaluate every scheme on common channel draws: one draw per trial is
-    shared across all schemes and SNR points.  Each (SNR point, scheme) pair
-    runs over all trials at once as one batch; only the LLL and enumeration
-    of an SVP with more than two columns run per trial.  `threads` is
-    accepted and ignored (a thread pool over this interpreter-bound work ran
-    slower than one thread).
+    shared across all schemes and SNR points.  After every SNR point's
+    channel checks, each scheme runs once, as one batch over all (SNR point,
+    trial) pairs.  `threads` is accepted and ignored (a thread pool over
+    this interpreter-bound work ran slower than one thread).
 
-    The am schemes are best_equation, except that each trial's LLL for a
-    scheme starts from its transform at the previous SNR point, whose
-    lattice differs little, so it makes fewer swaps.  The search stays exact,
-    and a batch runs the same expressions as a single call, so the rates
-    equal cold best_equation, naive_rate and mac_sum_capacity calls (bit for
-    bit in the tests, up to 200 dB)."""
+    A batch runs the same floating-point operations as a single call, and
+    its LLL and enumeration are those of a cold call, so the rates equal
+    mac_sum_capacity, naive_rate and best_equation calls bit for bit."""
     parsed = [_parse_scheme(s) for s in cfg.schemes]
     fields = {
         d: make_quadratic_field(d) for _, d in parsed if d is not None
@@ -166,21 +162,23 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     h = np.array(
         [sample_channels(cfg.master_seed, t, cfg.n, cfg.L) for t in range(cfg.trials)]
     )
-    # per scheme, each trial's LLL transform at the previous SNR point
-    starts = [[None] * cfg.trials for _ in parsed]
 
     # arrays overflow to inf without a warning, as the Python floats of a
     # single call do, so both reach the same checks
     with np.errstate(over="ignore", invalid="ignore"):
-        for si, P in enumerate(Ps):
+        for P in Ps:
             _check_channels(h, P)
-            for k, (kind, d) in enumerate(parsed):
-                if kind == "mac":
-                    rates[k, si] = _mac_sum(_user_columns(h), P)
-                elif kind == "naive":
-                    rates[k, si] = _naive_rates(h, P)
-                else:
-                    rates[k, si] = _best_equation_rates(fields.get(d), h, P, starts[k])
+        # item s * trials + t is trial t at SNR point s
+        hs = np.tile(h, (len(Ps), 1, 1))
+        P = np.repeat(Ps, cfg.trials)
+        for k, (kind, d) in enumerate(parsed):
+            if kind == "mac":
+                r = _mac_sum(_user_columns(hs), P)
+            elif kind == "naive":
+                r = _naive_rates(hs, P)
+            else:
+                r = _best_equation_rates(fields.get(d), hs, P)
+            rates[k] = np.reshape(r, rates.shape[1:])
 
     mean = rates.mean(axis=2)
     if cfg.trials > 1:

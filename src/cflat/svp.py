@@ -5,12 +5,13 @@ coefficient vectors equals ||Bbar atilde||^2 on an explicit integer lattice,
 built from closed-form square roots of the per-block Gram matrices and the
 field embedding matrix.
 The SVP is solved exactly: by Gauss-Lagrange reduction for a 2-column basis
-(Nguyen and Stehle, ACM TALG 2009), otherwise by LLL, which the sweep starts
-from the previous SNR point's transform (Wubben et al., IEEE SPM 2011), then
-Schnorr-Euchner enumeration; a brute-force box search is kept as an
-independent oracle.  The sweep builds and checks its bases, and runs the
-Gauss path, over a batch of channels at once; LLL and enumeration run per
-basis.
+(Nguyen and Stehle, ACM TALG 2009), otherwise by LLL then Schnorr-Euchner
+enumeration (Schnorr and Euchner, Math. Programming 1994); a brute-force box
+search is kept as an independent oracle.  The sweep builds and checks its
+bases, and runs the Gauss path and LLL, over a batch of channels at once,
+with the floating-point operations of a single call; it enumerates basis by
+basis, and only where the enumeration can return more than the first
+reduced vector.
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ class TooLarge(ValueError):
     """Brute-force search box is empty or too large to enumerate."""
 
 
-def _gram_sqrt(h: np.ndarray, P: float) -> np.ndarray:
+def _gram_sqrt(h: np.ndarray, P) -> np.ndarray:
     """Symmetric square roots R_j = I - beta_j h_j h_j^T of the block Gram
     matrices M_j = R_j^2 for the rows h_j of h (..., L), leading axes kept,
     with r_j = sqrt(1 + P||h_j||^2) and beta_j = P / (r_j (1 + r_j));
-    det R_j = 1 / r_j."""
-    r = np.sqrt(1.0 + P * _dot(h.T, h.T).T)
-    beta = P / (r * (1.0 + r))
+    det R_j = 1 / r_j.  P is a float, or an array over h's first axis."""
+    r = np.sqrt(1.0 + P * _dot(h.T, h.T))
+    beta = (P / (r * (1.0 + r))).T
     return np.eye(h.shape[-1]) - beta[..., None, None] * (h[..., :, None] * h[..., None, :])
 
 
@@ -101,8 +102,9 @@ def build_search_basis(
     return _search_basis(field, ch.h, ch.P)
 
 
-def _search_basis(field: NumberField | None, h: np.ndarray, P: float) -> np.ndarray:
-    """build_search_basis for gains h (..., n, L) with leading batch axes."""
+def _search_basis(field: NumberField | None, h: np.ndarray, P) -> np.ndarray:
+    """build_search_basis for gains h (..., n, L) with leading batch axes, at
+    the SNR P, a float or an array over h's first axis."""
     n, L = h.shape[-2:]
     if field is None:
         emb = np.ones((n, 1))
@@ -115,24 +117,18 @@ def _search_basis(field: NumberField | None, h: np.ndarray, P: float) -> np.ndar
     return blocks.reshape(h.shape[:-2] + (n * L, L * deg))
 
 
-def _lll_reduce(rows, start=None):
+def _lll_reduce(rows):
     """Floating-point LLL on a list of basis row vectors.
 
     Returns (reduced, transform, mu, norms): reduced[i] = sum_k
     transform[i][k]*rows[k], transform unimodular, and the reduced rows' GSO.
     GSO row k is recomputed from b[k] whenever the loop reaches k: updating
-    it across swaps loses high-SNR bases' small norms to rounding.  With a
-    unimodular integer `start`, LLL reduces the rows start @ rows and the
-    transform starts at `start`, so it still maps the original rows.
+    it across swaps loses high-SNR bases' small norms to rounding.
+    _lll_batch runs the same arithmetic over a batch.
     """
     m = len(rows)
-    if start is None:
-        b = [[float(x) for x in r] for r in rows]
-        T = [[1 if i == k else 0 for k in range(m)] for i in range(m)]
-    else:
-        cols = list(zip(*rows))
-        b = [[float(_dot(t, c)) for c in cols] for t in start]
-        T = [list(t) for t in start]
+    b = [[float(x) for x in r] for r in rows]
+    T = [[1 if i == k else 0 for k in range(m)] for i in range(m)]
     mu = [[float(i == j) for j in range(m)] for i in range(m)]  # mu[i][i] = 1
     norms = [0.0] * m
     star = [None] * m
@@ -153,13 +149,98 @@ def _lll_reduce(rows, start=None):
                 T[k] = [x - q * y for x, y in zip(T[k], T[j])]
                 for jj in range(j + 1):
                     mu[k][jj] -= q * mu[j][jj]
-        if k == 0 or norms[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if k == 0 or norms[k] >= (LLL_DELTA - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             T[k], T[k - 1] = T[k - 1], T[k]
             k -= 1
     return b, T, mu, norms
+
+
+def _lll_batch(cols: np.ndarray):
+    """_lll_reduce on each basis of a batch, in lockstep: cols (m, dim,
+    batch) as _finite_column_batch returns.  Each basis keeps its own loop
+    index k; a pass runs one step of _lll_reduce's loop for the unfinished
+    bases at k = 0, then for those at k = 1, and so on up, the bases at one
+    k gathered together, with masks in place of the loop's branches.  The
+    floating-point operations are _lll_reduce's in its order, so b, T, mu
+    and norms are bit-equal to its output.
+
+    Returns (b, T, mu, norms, exact), with b (m, dim, batch), T and mu (m,
+    m, batch) and norms (m, batch).  T is held as doubles.  `exact` is False
+    for a basis that reached a Gram-Schmidt norm that is not positive and
+    finite (where _lll_reduce raises, or its float arithmetic has left the
+    finite range), or a transform row update whose entries might reach 2^53,
+    beyond which a double no longer holds every integer; such a basis leaves
+    the loop, its outputs are not meaningful, and the caller runs it through
+    _lll_reduce.
+    """
+    m, dim, size = cols.shape
+    # row i of a basis is (b_i, T_i, mu_i, b*_i, ||b*_i||^2): gathering a
+    # set of bases is one copy, and a size-reduction step updates one slice
+    state = np.zeros((size, m, 2 * dim + 2 * m + 1))
+    rows = state.transpose(1, 2, 0)
+    rows[:, :dim] = cols
+    rows[:, dim : dim + m] = rows[:, dim + m : dim + 2 * m] = np.eye(m)[:, :, None]
+    k = np.zeros(size, dtype=np.intp)
+    exact = np.ones(size, dtype=bool)
+    # a basis that leaves the loop early may have overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        while ((k < m) & exact).any():
+            for kv in range(m):
+                idx = np.flatnonzero((k == kv) & exact)
+                if idx.size:
+                    part = state[idx, : kv + 1]  # a step reads rows 0..kv only
+                    k[idx], exact[idx] = _lll_step(kv, part.transpose(1, 2, 0), m, dim)
+                    state[idx, : kv + 1] = part
+    b, T, mu = rows[:, :dim], rows[:, dim : dim + m], rows[:, dim + m : dim + 2 * m]
+    return b, T, mu, rows[:, -1], exact
+
+
+def _lll_step(kv: int, rows: np.ndarray, m: int, dim: int):
+    """One pass of _lll_reduce's loop at k = kv, in place, on rows 0..kv
+    (kv + 1, width, bases) of a set of _lll_batch's bases.  Returns each
+    basis' next k and whether it is still exact."""
+    T, mu = rows[:, dim : dim + m], rows[:, dim + m : dim + 2 * m]
+    star, norms = rows[:, dim + 2 * m : -1], rows[:, -1]
+    bk = rows[kv, :dim]
+    c = _dim_sum(bk * star[:kv]) / norms[:kv]
+    mu[kv, :kv] = c
+    v = bk
+    for j in range(kv):
+        v = v - c[j] * star[j]
+    star[kv] = v
+    norms[kv] = nk = _dim_sum(v * v)
+    ok = (nk > 0.0) & (nk < math.inf)
+    # every partial sum of T[kv] - sum_j q_j T[j] is an exact integer while
+    # max|T[kv]| + sum_j |q_j| max|T[j]| < 2^53; that sum of nonnegative
+    # integers, computed in floats, is below 2^53 exactly when the true sum is
+    tmax = np.abs(T).max(axis=1)
+    reach = tmax[kv]
+    for j in range(kv - 1, -1, -1):
+        q = np.rint(mu[kv, j])
+        reach = reach + np.abs(q) * tmax[j]
+        # b[kv], T[kv] and mu[kv][:j + 1]
+        w = dim + m + j + 1
+        rows[kv, :w] = np.where(q != 0.0, rows[kv, :w] - q * rows[j, :w], rows[kv, :w])
+    ok &= reach < 2.0**53
+    if kv == 0:
+        return 1, ok
+    m1 = mu[kv, kv - 1]
+    up = nk >= (LLL_DELTA - m1 * m1) * norms[kv - 1]
+    # swap b and T of rows kv - 1 and kv where the Lovasz test fails
+    pair = rows[kv - 1 : kv + 1, : dim + m]
+    pair[...] = np.where(up, pair, pair[::-1])
+    return np.where(up, kv + 1, kv - 1), ok
+
+
+def _dim_sum(p: np.ndarray) -> np.ndarray:
+    """p summed over its second-to-last axis left to right, as _dot sums."""
+    acc = p[..., 0, :]
+    for i in range(1, p.shape[-2]):
+        acc = acc + p[..., i, :]
+    return acc
 
 
 def _enumerate(R, bound_sq, shrink=True, target=None):
@@ -222,12 +303,11 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
     return cands, nodes
 
 
-def _reduced_factor(cols: list, start=None):
-    """LLL on the basis columns (lists of floats), from the transform `start`
-    if given: (reduced rows, transform, R), with the upper factor
-    R[j][i] = mu[i][j] sqrt(B_j) of the reduced basis.  Raises if rank
-    deficient."""
-    reduced, T, mu, norms = _lll_reduce(cols, start=start)
+def _reduced_factor(cols: list):
+    """LLL on the basis columns (lists of floats): (reduced rows, transform,
+    R), with the upper factor R[j][i] = mu[i][j] sqrt(B_j) of the reduced
+    basis.  Raises if rank deficient."""
+    reduced, T, mu, norms = _lll_reduce(cols)
     diag = [math.sqrt(x) for x in norms]
     if min(diag) < 1e-12 * max(diag):
         raise RankDeficient("basis is numerically rank deficient")
@@ -406,37 +486,88 @@ def _gauss_batch(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best.T, norm_sq
 
 
-def _lll_shortest(cols: list, start=None):
-    """LLL (from the transform `start` if given) then full Schnorr-Euchner
-    enumeration with initial radius the shortest LLL vector.  Returns
-    (SVPResult, LLL transform)."""
-    reduced, T, R = _reduced_factor(cols, start)
-    bound = min(_dot(v, v) for v in reduced)
+def _lll_shortest(cols: list) -> SVPResult:
+    """LLL then full Schnorr-Euchner enumeration with initial radius the
+    shortest LLL vector."""
+    reduced, T, R = _reduced_factor(cols)
+    return _search_reduced(cols, T, R, min(_dot(v, v) for v in reduced))
+
+
+def _search_reduced(cols: list, T, R, bound: float) -> SVPResult:
+    """The enumeration of _lll_shortest over the factor R of the basis
+    columns cols reduced by the integer transform T, from radius bound."""
     cands, nodes = _enumerate(R, bound, shrink=True)
     if not cands:
         raise RankDeficient("enumeration found no lattice vector")
     a, norm_sq = _pick_candidate(cols, _original_coords(T, cands))
-    res = SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=nodes)
-    return res, T
+    return SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=nodes)
 
 
-def _shortest_batch(bases: np.ndarray, starts=None) -> tuple[np.ndarray, np.ndarray]:
+# bases per _lll_batch call, which bounds the work arrays held at once
+_LLL_CHUNK = 4096
+
+
+def _shortest_batch(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """shortest_vector on each basis of a (batch, m, k) array: coordinates
-    (batch, k) as floats, and norms.  Two columns go through _gauss_batch;
-    otherwise each basis through LLL, from starts[i] where given (starts is
-    then updated in place with each basis' transform), and enumeration."""
+    (batch, k) as floats, and norms.  Two columns go through _gauss_batch,
+    more through _lll_chunk, _LLL_CHUNK bases at a time.  The results equal
+    shortest_vector's, and an error is the one a loop of shortest_vector
+    calls raises first."""
     cols = _finite_column_batch(bases)
     if len(cols) == 2:
         return _gauss_batch(cols)
-    coords, norms = [], []
-    for i, basis_cols in enumerate(bases.transpose(0, 2, 1).tolist()):
-        if starts is None:
-            res = _lll_shortest(basis_cols)[0]
+    coords = np.empty((len(bases), len(cols)))
+    norms = np.empty(len(bases))
+    for lo in range(0, len(bases), _LLL_CHUNK):
+        part = slice(lo, lo + _LLL_CHUNK)
+        coords[part], norms[part] = _lll_chunk(cols[..., part])
+    return coords, norms
+
+
+def _lll_chunk(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_lll_shortest on each basis of cols (k, m, batch): _lll_batch, then
+    per basis the rank guard of _reduced_factor and the enumeration.
+
+    The enumeration is skipped where its first comparisons show that it
+    returns only +-b_1, the first reduced vector: R_00^2 is within the
+    radius, which then stays below 4 R_00^2 and below every R_ii^2 with
+    i >= 1.  The coordinates are then the sign-normalized row 0 of T,
+    scored by _norm_sq, as _pick_candidate scores them, for all such bases
+    at once.  A basis _lll_batch could not finish exactly, or that fails the
+    rank guard, goes through _lll_shortest, which raises its error."""
+    b, T, mu, norms, exact = _lll_batch(cols)
+    # a basis that left _lll_batch early holds arbitrary values
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.sqrt(norms)
+        exact &= diag.min(axis=0) >= 1e-12 * diag.max(axis=0)
+        bound = _dim_sum(b * b).min(axis=0)
+        # _enumerate's radius after its first candidate, +-b_1 at R_00^2
+        first = diag[0] * diag[0]
+        best = np.where(first < bound * (1.0 - 1e-12), first, bound)
+        limit = best * (1.0 + _REL_TIE)
+        lone = (
+            exact
+            & (first <= bound * (1.0 + _REL_TIE))
+            & (4.0 * first > limit)
+            & (diag[1:] * diag[1:] > limit).all(axis=0)
+        )
+        lead = T[0]
+        sign = lead[0]
+        for x in lead[1:]:
+            sign = np.where(sign == 0.0, x, sign)
+        lead = np.where(sign < 0.0, -lead, lead)
+        norm_sq = _norm_sq(cols, lead)
+    coords = lead.T
+    for i in np.flatnonzero(~lone):
+        basis_cols = cols[..., i].tolist()
+        if exact[i]:
+            R = (mu[..., i].T * diag[:, i, None]).tolist()
+            Ti = [[int(x) for x in row] for row in T[..., i].tolist()]
+            res = _search_reduced(basis_cols, Ti, R, float(bound[i]))
         else:
-            res, starts[i] = _lll_shortest(basis_cols, starts[i])
-        coords.append(res.coords.tolist())
-        norms.append(res.norm_sq)
-    return np.array(coords, dtype=float), np.array(norms)
+            res = _lll_shortest(basis_cols)
+        coords[i], norm_sq[i] = res.coords, res.norm_sq
+    return coords, norm_sq
 
 
 def shortest_vector(basis: np.ndarray) -> SVPResult:
@@ -450,7 +581,7 @@ def shortest_vector(basis: np.ndarray) -> SVPResult:
     cols = _finite_columns(np.asarray(basis, dtype=float))
     if len(cols) == 2:
         return _gauss_shortest(cols)
-    return _lll_shortest(cols)[0]
+    return _lll_shortest(cols)
 
 
 def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:
@@ -508,13 +639,11 @@ def best_equation(
     return am_rate(ch, _coords_to_coefficients(field, res.coords, ch.L), field)
 
 
-def _best_equation_rates(field: NumberField | None, h: np.ndarray, P: float, starts):
+def _best_equation_rates(field: NumberField | None, h: np.ndarray, P: np.ndarray):
     """best_equation's rate_bits for each channel of a batch h (batch, n, L)
-    at SNR P.  The LLL of channel i starts from the transform starts[i] (None
-    for a cold start) and leaves its own there; the search is exact, so the
-    rates equal cold calls."""
+    at the SNRs P (batch,)."""
     n, L = h.shape[1:]
-    coords = _shortest_batch(_search_basis(field, h, P), starts)[0]
+    coords = _shortest_batch(_search_basis(field, h, P))[0]
     if field is None:
         sigma = [[coords[:, l] for l in range(L)]] * n
     else:
@@ -533,8 +662,9 @@ def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
     return tuple(int(x) for x in res.coords), res.norm_sq
 
 
-def _naive_rates(h: np.ndarray, P: float) -> np.ndarray:
-    """naive_rate's rate for each channel of a batch h (batch, n, L) at SNR P."""
+def _naive_rates(h: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """naive_rate's rate for each channel of a batch h (batch, n, L) at the
+    SNRs P (batch,)."""
     best = 0.0
     for j, gains in enumerate(_user_columns(h)):
         coords = _shortest_batch(_gram_sqrt(h[:, j], P))[0]

@@ -105,34 +105,48 @@ class TestRunSweep:
         assert np.array_equal(r1.mean, r3.mean)
 
     @pytest.mark.parametrize(
-        "snr_db, trials, L",
+        "snr_db, trials, L, seed, schemes",
         [
-            (SweepConfig().snr_db, 30, 2),
-            (tuple(float(s) for s in range(0, 210, 10)), 30, 2),
-            ((50.0, 0.0, 30.0), 30, 2),
-            (SweepConfig().snr_db, 1, 2),
-            (SweepConfig().snr_db, 6, 3),
+            (SweepConfig().snr_db, 30, 2, 11, SweepConfig().schemes),
+            (tuple(float(s) for s in range(0, 210, 10)), 30, 2, 11, SweepConfig().schemes),
+            ((50.0, 0.0, 30.0), 30, 2, 11, SweepConfig().schemes),
+            (SweepConfig().snr_db, 1, 2, 11, SweepConfig().schemes),
+            (SweepConfig().snr_db, 6, 3, 11, SweepConfig().schemes),
+            (tuple(float(s) for s in range(0, 310, 10)), 100, 2, 1,
+             ("am_ring(3)", "am_ring(5)", "am_ring(7)")),
         ],
-        ids=["default", "0-200", "non-monotone", "one-trial", "L3"],
-    )
-    def test_warm_start_equals_cold_calls(self, snr_db, trials, L, monkeypatch):
-        # run_sweep evaluates each (SNR, scheme) pair over all trials as a
-        # batch and starts each LLL of an am scheme from the previous SNR
-        # point's transform; its rates must be bit-equal to cold
-        # best_equation, naive_rate and mac_sum_capacity calls.  At L = 3
-        # am_Z's basis has three columns, so it goes through LLL too
-        cfg = SweepConfig(snr_db=snr_db, trials=trials, L=L, master_seed=11)
-        warm_calls = []
-        real = svp._lll_reduce
+        ids=["default", "0-200", "non-monotone", "one-trial", "L3", "ring-0-300"],
+    )  # fmt: skip
+    def test_warm_start_equals_cold_calls(self, snr_db, trials, L, seed, schemes, monkeypatch):
+        # run_sweep evaluates each scheme over all (SNR point, trial) pairs
+        # as one batch, with a lockstep LLL over every basis of more than two
+        # columns (the ring schemes, and the Z schemes at L = 3); its rates must be
+        # bit-equal to cold best_equation, naive_rate and mac_sum_capacity
+        # calls.  No scalar LLL runs, except for a basis that the batch
+        # could not finish exactly
+        cfg = SweepConfig(snr_db=snr_db, trials=trials, L=L, schemes=schemes, master_seed=seed)
+        scalar_calls, inexact = [], []
+        real_reduce, real_batch = svp._lll_reduce, svp._lll_batch
 
-        def recording(rows, start=None):
-            warm_calls.append(start is not None)
-            return real(rows, start)
+        def recording_reduce(rows):
+            scalar_calls.append(rows)
+            return real_reduce(rows)
 
-        monkeypatch.setattr(svp, "_lll_reduce", recording)
+        def recording_batch(cols):
+            out = real_batch(cols)
+            inexact.append(int((~out[4]).sum()))
+            return out
+
+        monkeypatch.setattr(svp, "_lll_reduce", recording_reduce)
+        monkeypatch.setattr(svp, "_lll_batch", recording_batch)
         res = run_sweep(cfg)
-        lll = sum(s.startswith("am_ring") or (s == "am_Z" and L > 2) for s in cfg.schemes)
-        assert sum(warm_calls) == cfg.trials * (len(snr_db) - 1) * lll
+        # a batch per ring scheme; at L = 3 one for am_Z and one per block
+        # for naive_Z
+        z_batches = {"am_Z": 1, "naive_Z": cfg.n} if L > 2 else {}
+        assert len(inexact) == sum(
+            1 if s.startswith("am_ring") else z_batches.get(s, 0) for s in cfg.schemes
+        )
+        assert len(scalar_calls) == sum(inexact)
 
         fields = {d: make_quadratic_field(d) for d in (3, 5, 7)}
         cold = np.zeros_like(res.rates)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import subprocess
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 import cflat
+import cflat.svp as svp
 
 from cflat.channel import BlockFadingChannel, coefficient_embeddings, naive_rate
 from cflat.codec import _hnf_column_basis
@@ -23,9 +23,9 @@ from cflat.svp import (
     _GAUSS_TIE,
     _enumerate,
     _finite_column_batch,
-    _gauss_batch,
     _gauss_shortest,
     _gram_sqrt,
+    _lll_batch,
     _lll_reduce,
     _lll_shortest,
     _naive_rates,
@@ -96,6 +96,24 @@ def certify_in_reduced_basis(B):
     reduced = B @ U
     cert = certify_shortest(reduced, SVPResult(y, sv.norm_sq, sv.node_count))
     assert cert.ok, cert.detail
+
+
+def assert_reduced(rows, reduced, T):
+    """reduced = T @ rows with T unimodular, and reduced is size-reduced and
+    meets the Lovasz condition."""
+    T = np.array(T, dtype=float)
+    assert np.array_equal(T, np.rint(T))
+    assert round(abs(np.linalg.det(T))) == 1
+    reduced = np.array(reduced)
+    residual = np.max(np.abs(T @ rows - reduced))
+    assert residual <= 1e-9 * np.max(np.abs(reduced))
+    R = np.linalg.qr(reduced.T, mode="r")
+    mu = R / np.diag(R)[:, None]  # mu[j, i] = mu_ij for j < i
+    norms = np.diag(R) ** 2
+    assert np.all(np.abs(np.triu(mu, 1)) <= 0.5 + 1e-9)
+    for k in range(1, len(norms)):
+        lovasz = (LLL_DELTA - mu[k - 1, k] ** 2) * norms[k - 1]
+        assert norms[k] >= lovasz * (1 - 1e-9)
 
 
 class TestBuildBasis:
@@ -297,31 +315,16 @@ class TestShortestVector:
     @pytest.mark.parametrize("d", [None, 3, 5, 7])
     def test_lll_output_is_reduced(self, L, d):
         # Checked against a Gram-Schmidt orthogonalization of the output
-        # computed independently of the kernel (numpy QR).  Warm runs start
-        # from the transform at the previous SNR point, as run_sweep does;
-        # the transform must still map the original rows.
-        field = None if d is None else make_quadratic_field(d)
-        for t, warm in itertools.product(range(5), (False, True)):
-            h = sample_channels(31, t, 2, L)
-            start = None
-            for snr in range(0, 90, 10):
-                B = build_search_basis(field, BlockFadingChannel(h, 10 ** (snr / 10)))
-                rows = B.T
-                reduced, T, _, _ = _lll_reduce(list(rows), start=start)
-                if warm:
-                    start = T
-                assert all(type(x) is int for row in T for x in row)
-                assert round(abs(np.linalg.det(np.array(T, dtype=float)))) == 1
-                reduced = np.array(reduced)
-                residual = np.max(np.abs(np.array(T, dtype=float) @ rows - reduced))
-                assert residual <= 1e-9 * np.max(np.abs(reduced))
-                R = np.linalg.qr(reduced.T, mode="r")
-                mu = R / np.diag(R)[:, None]  # mu[j, i] = mu_ij for j < i
-                norms = np.diag(R) ** 2
-                assert np.all(np.abs(np.triu(mu, 1)) <= 0.5 + 1e-9)
-                for k in range(1, len(norms)):
-                    lovasz = (LLL_DELTA - mu[k - 1, k] ** 2) * norms[k - 1]
-                    assert norms[k] >= lovasz * (1 - 1e-9)
+        # computed independently of the kernels (numpy QR), for the scalar
+        # LLL and for the batch, which reduces all the bases at once
+        bases = sweep_bases(d, L, range(0, 90, 10), 5, seed=31)
+        b, T, _, _, exact = _lll_batch(_finite_column_batch(bases))
+        assert exact.all()
+        for i, B in enumerate(bases):
+            reduced, Ti, _, _ = _lll_reduce(list(B.T))
+            assert all(type(x) is int for row in Ti for x in row)
+            assert_reduced(B.T, reduced, Ti)
+            assert_reduced(B.T, b[..., i], T[..., i])
 
     def test_deterministic_tie_break(self):
         B = build_search_basis(F5, zero_channel(2, 2))
@@ -407,7 +410,7 @@ for d, p in {pairs!r}:
 coords, norms = _gauss_batch(_finite_column_batch(np.array(bases)))
 for B, c, n in zip(bases, coords, norms):
     cols = B.T.tolist()
-    g, e = _gauss_shortest(cols), _lll_shortest(cols)[0]
+    g, e = _gauss_shortest(cols), _lll_shortest(cols)
     print(*g.coords, g.norm_sq.hex(), *e.coords, e.norm_sq.hex(), *c.astype(int), n.hex())
 """
 
@@ -417,7 +420,7 @@ def assert_same_answer(B):
     the same norm_sq bits."""
     B = np.asarray(B, dtype=float)
     cols = B.T.tolist()
-    g, e = _gauss_shortest(cols), _lll_shortest(cols)[0]
+    g, e = _gauss_shortest(cols), _lll_shortest(cols)
     assert tuple(g.coords) == tuple(e.coords)
     assert g.norm_sq.hex() == e.norm_sq.hex()
 
@@ -507,19 +510,91 @@ class TestGaussPath:
         assert_batch_equals_single(bases)
 
 
+def sweep_bases(d, L, snrs, trials, seed=53):
+    """The search bases of `trials` channels at each SNR of snrs, in one
+    (batch, m, k) array."""
+    field = None if d is None else make_quadratic_field(d)
+    h = np.array([sample_channels(seed, t, 2, L) for t in range(trials)])
+    return np.concatenate([_search_basis(field, h, 10.0 ** (s / 10.0)) for s in snrs])
+
+
+def assert_lll_batch_equals_scalar(bases):
+    """_lll_batch gives every basis _lll_reduce's b, T, mu and norms, bit
+    for bit."""
+    b, T, mu, norms, exact = _lll_batch(_finite_column_batch(bases))
+    assert exact.all()
+    for i, B in enumerate(bases):
+        for got, want in zip((b, T, mu, norms), _lll_reduce(list(B.T))):
+            assert bits(got[..., i]) == bits(want)
+
+
+class TestLLLBatch:
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("d", [None, 3, 5, 7])
+    def test_bit_equal_to_scalar_lll(self, d, L):
+        assert_lll_batch_equals_scalar(sweep_bases(d, L, range(0, 210, 20), 8 if L == 2 else 3))
+
+    def test_batch_of_one(self):
+        bases = sweep_bases(5, 2, (40.0,), 1)
+        assert_lll_batch_equals_scalar(bases)
+        assert_batch_equals_single(bases)
+
+    def test_chunk_boundary(self, monkeypatch):
+        # 8 bases in chunks of 3, the last one short
+        monkeypatch.setattr(svp, "_LLL_CHUNK", 3)
+        assert_batch_equals_single(sweep_bases(7, 2, (0.0, 30.0, 60.0, 90.0), 2))
+
+    def test_enumeration_skip_keeps_lll_shortest_answers(self, monkeypatch):
+        # Sweep bases of the three ring schemes from 0 to 200 dB, after the
+        # zero channel's basis, whose two unit users tie at norm 2: there
+        # R_11^2 = R_00^2, so the enumeration must run, and it picks
+        # (0, 0, 1, 0).  Most sweep bases skip it.
+        bases = np.concatenate(
+            [build_search_basis(F5, zero_channel(2, 2))[None]]
+            + [sweep_bases(d, 2, range(0, 210, 20), 10) for d in (3, 5, 7)]
+        )
+        enumerated = []
+        real = svp._search_reduced
+
+        def recording(cols, *args):
+            enumerated.append(cols)
+            return real(cols, *args)
+
+        monkeypatch.setattr(svp, "_search_reduced", recording)
+        coords, norms = _shortest_batch(bases)
+        assert enumerated[0] == bases[0].T.tolist()
+        assert len(enumerated) < len(bases) / 2
+        assert tuple(coords[0]) == (0, 0, 1, 0)
+        for B, c, norm_sq in zip(bases, coords, norms):
+            want = _lll_shortest(B.T.tolist())
+            assert tuple(c) == tuple(want.coords)
+            assert norm_sq.hex() == want.norm_sq.hex()
+
+    @pytest.mark.parametrize("snr_db", [600.0, 1500.0, 2000.0])
+    def test_transforms_past_2_53_leave_the_batch(self, snr_db):
+        # Ring lattices so skewed that some LLL transforms would outgrow the
+        # integers a double holds: the batch hands those bases to the scalar
+        # kernel, and every basis gets shortest_vector's answer.  Without
+        # the hand-over, trials 4, 7 and 20 at 600 dB get other coordinates.
+        bases = sweep_bases(5, 2, (snr_db,), 21, seed=1)
+        assert not _lll_batch(_finite_column_batch(bases))[4].all()
+        assert_batch_equals_single(bases)
+
+
 def bits(x):
     return np.ascontiguousarray(x, dtype=float).tobytes()
 
 
 def assert_batch_equals_single(bases):
-    """The batched Gauss path gives each basis the coordinates and norm_sq
-    bits of _gauss_shortest."""
+    """_shortest_batch gives each basis the coordinates and norm_sq bits of
+    shortest_vector: the batched against the scalar Gauss path for two
+    columns, the lockstep LLL against the scalar one for more."""
     bases = np.array(bases, dtype=float)
-    coords, norms = _gauss_batch(_finite_column_batch(bases))
+    coords, norms = _shortest_batch(bases)
     for B, c, norm_sq in zip(bases, coords, norms):
-        g = _gauss_shortest(B.T.tolist())
-        assert tuple(c) == tuple(g.coords)
-        assert norm_sq.hex() == g.norm_sq.hex()
+        want = shortest_vector(B)
+        assert tuple(c) == tuple(want.coords)
+        assert norm_sq.hex() == want.norm_sq.hex()
 
 
 @pytest.mark.parametrize("L", [2, 3])
