@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import BlockFadingChannel, _dot, _mac_sum, _snr_linear, _user_columns
 from .numfield import make_quadratic_field
-from .svp import _best_equation_rates, _naive_rates
+from .svp import _best_equation_rates, _naive_rates, _ring_coords
 
 __all__ = [
     "InsufficientPoints",
@@ -143,12 +143,25 @@ def _check_channels(h: np.ndarray, P: float) -> None:
             BlockFadingChannel(hi, P)
 
 
+def _joint_ring_search(fields: dict, hs: np.ndarray, P: np.ndarray) -> dict:
+    """The search coordinates of every ring scheme, by d, from one joint
+    search; {} if it raises one of the search's ValueErrors, so each scheme
+    then searches on its own and the first error in scheme order is raised,
+    as without the joint search."""
+    try:
+        return dict(zip(fields, _ring_coords(list(fields.values()), hs, P)))
+    except ValueError:
+        return {}
+
+
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Evaluate every scheme on common channel draws: one draw per trial is
     shared across all schemes and SNR points.  After every SNR point's
     channel checks, each scheme runs once, as one batch over all (SNR point,
-    trial) pairs.  `threads` is accepted and ignored (a thread pool over
-    this interpreter-bound work ran slower than one thread).
+    trial) pairs; the coefficient searches of all am_ring(d) schemes run as
+    one joint search, chunk by chunk, when the first of them is reached.  `threads` is
+    accepted and ignored (a thread pool over this interpreter-bound work ran
+    slower than one thread).
 
     A batch runs the same floating-point operations as a single call, and
     its LLL and enumeration are those of a cold call, so the rates equal
@@ -171,13 +184,18 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         # item s * trials + t is trial t at SNR point s
         hs = np.tile(h, (len(Ps), 1, 1))
         P = np.repeat(Ps, cfg.trials)
+        ring = None  # each ring scheme's search coordinates, by d
         for k, (kind, d) in enumerate(parsed):
             if kind == "mac":
                 r = _mac_sum(_user_columns(hs), P)
             elif kind == "naive":
                 r = _naive_rates(hs, P)
+            elif d is None:
+                r = _best_equation_rates(None, hs, P)
             else:
-                r = _best_equation_rates(fields.get(d), hs, P)
+                if ring is None:
+                    ring = _joint_ring_search(fields, hs, P)
+                r = _best_equation_rates(fields[d], hs, P, ring.get(d))
             rates[k] = np.reshape(r, rates.shape[1:])
 
     mean = rates.mean(axis=2)

@@ -9,9 +9,10 @@ The SVP is solved exactly: by Gauss-Lagrange reduction for a 2-column basis
 enumeration (Schnorr and Euchner, Math. Programming 1994); a brute-force box
 search is kept as an independent oracle.  The sweep builds and checks its
 bases, and runs the Gauss path and LLL, over a batch of channels at once,
-with the floating-point operations of a single call; it enumerates basis by
-basis, and only where the enumeration can return more than the first
-reduced vector.
+with the floating-point operations of a single call; the bases of all its
+ring schemes are built and searched together, a chunk of channels at a
+time.  It enumerates basis by basis, and only where the enumeration can
+return more than the first reduced vector.
 """
 
 from __future__ import annotations
@@ -99,22 +100,37 @@ def build_search_basis(
     sigma_j(theta)) the field embedding row, so user l's column pair carries
     sigma_j of a_l's two coordinates.
     """
-    return _search_basis(field, ch.h, ch.P)
+    return np.ascontiguousarray(_search_bases([field], ch.h[None], ch.P)[0])
 
 
-def _search_basis(field: NumberField | None, h: np.ndarray, P) -> np.ndarray:
-    """build_search_basis for gains h (..., n, L) with leading batch axes, at
-    the SNR P, a float or an array over h's first axis."""
-    n, L = h.shape[-2:]
-    if field is None:
-        emb = np.ones((n, 1))
-    elif n != field.degree:
-        raise ValueError(f"field degree {field.degree} != block count {n}")
-    else:
-        emb = field.embedding
-    deg = emb.shape[1]
-    blocks = _gram_sqrt(h, P)[..., None] * emb[:, None, None, :]
-    return blocks.reshape(h.shape[:-2] + (n * L, L * deg))
+def _search_bases(fields: list, h: np.ndarray, P) -> np.ndarray:
+    """build_search_basis for each field of the list (None: over Z) and each
+    channel of h (batch, n, L), at the SNR P, a float or an array (batch,):
+    a (len(fields) batch, nL, L deg) array whose item k batch + i is field
+    k's basis for channel i.  The bases are built in the column layout (L
+    deg, nL, len(fields) batch) and returned as its transpose, which
+    _finite_column_batch reads without a copy."""
+    size, n, L = h.shape
+    embs = []
+    for field in fields:
+        if field is None:
+            embs.append(np.ones((n, 1)))
+        elif n != field.degree:
+            raise ValueError(f"field degree {field.degree} != block count {n}")
+        else:
+            embs.append(field.embedding)
+    emb = np.array(embs)
+    deg = emb.shape[2]
+    out = np.empty((L * deg, n * L, len(fields) * size))
+    # entry (l deg + e, j L + r, k batch + i) is R_j[r, l] sigma_j(e-th basis
+    # element of field k) for channel i; a reshape that only splits axes is
+    # a view, so the product lands in out
+    np.multiply(
+        _gram_sqrt(h, P).transpose(3, 1, 2, 0)[:, None, :, :, None],
+        emb.transpose(2, 1, 0)[:, :, None, :, None],
+        out=out.reshape(L, deg, n, L, len(fields), size),
+    )
+    return out.T
 
 
 def _lll_reduce(rows):
@@ -163,9 +179,10 @@ def _lll_batch(cols: np.ndarray):
     batch) as _finite_column_batch returns.  Each basis keeps its own loop
     index k; a pass runs one step of _lll_reduce's loop for the unfinished
     bases at k = 0, then for those at k = 1, and so on up, the bases at one
-    k gathered together, with masks in place of the loop's branches.  The
-    floating-point operations are _lll_reduce's in its order, so b, T, mu
-    and norms are bit-equal to its output.
+    k gathered together, at most a quarter of the batch (or _LLL_GROUP
+    bases, if more) at a time, with masks in place of the loop's branches.
+    The floating-point operations are _lll_reduce's in its order, so b, T,
+    mu and norms are bit-equal to its output.
 
     Returns (b, T, mu, norms, exact), with b (m, dim, batch), T and mu (m,
     m, batch) and norms (m, batch).  T is held as doubles.  `exact` is False
@@ -185,15 +202,17 @@ def _lll_batch(cols: np.ndarray):
     rows[:, dim : dim + m] = rows[:, dim + m : dim + 2 * m] = np.eye(m)[:, :, None]
     k = np.zeros(size, dtype=np.intp)
     exact = np.ones(size, dtype=bool)
+    group_size = max(_LLL_GROUP, size // 4)
     # a basis that leaves the loop early may have overflowed
     with np.errstate(over="ignore", invalid="ignore"):
         while ((k < m) & exact).any():
             for kv in range(m):
                 idx = np.flatnonzero((k == kv) & exact)
-                if idx.size:
-                    part = state[idx, : kv + 1]  # a step reads rows 0..kv only
-                    k[idx], exact[idx] = _lll_step(kv, part.transpose(1, 2, 0), m, dim)
-                    state[idx, : kv + 1] = part
+                for lo in range(0, idx.size, group_size):
+                    group = idx[lo : lo + group_size]
+                    part = state[group, : kv + 1]  # a step reads rows 0..kv only
+                    k[group], exact[group] = _lll_step(kv, part.transpose(1, 2, 0), m, dim)
+                    state[group, : kv + 1] = part
     b, T, mu = rows[:, :dim], rows[:, dim : dim + m], rows[:, dim + m : dim + 2 * m]
     return b, T, mu, rows[:, -1], exact
 
@@ -223,7 +242,7 @@ def _lll_step(kv: int, rows: np.ndarray, m: int, dim: int):
         reach = reach + np.abs(q) * tmax[j]
         # b[kv], T[kv] and mu[kv][:j + 1]
         w = dim + m + j + 1
-        rows[kv, :w] = np.where(q != 0.0, rows[kv, :w] - q * rows[j, :w], rows[kv, :w])
+        np.subtract(rows[kv, :w], q * rows[j, :w], out=rows[kv, :w], where=q != 0.0)
     ok &= reach < 2.0**53
     if kv == 0:
         return 1, ok
@@ -288,7 +307,12 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
             else:
                 partial[i] = d
                 i -= 1
-                c = (y[i] - sum(R[i][j] * z[j] for j in range(i + 1, k))) / R[i][i]
+                # left to right from 0.0: builtin sum is compensated from
+                # Python 3.12, so its bits depend on the interpreter
+                acc = 0.0
+                for j in range(i + 1, k):
+                    acc = acc + R[i][j] * z[j]
+                c = (y[i] - acc) / R[i][i]
                 center[i] = c
                 z[i] = round(c)
                 step[i] = 1 if c - z[i] >= 0 else -1
@@ -505,6 +529,10 @@ def _search_reduced(cols: list, T, R, bound: float) -> SVPResult:
 
 # bases per _lll_batch call, which bounds the work arrays held at once
 _LLL_CHUNK = 4096
+# a lockstep step gathers at most a quarter of its batch, or this many bases
+# if more: its work copy stays small next to the batch's state, and a large
+# batch still takes few steps
+_LLL_GROUP = 192
 
 
 def _shortest_batch(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -618,7 +646,10 @@ def minkowski_bound(basis: np.ndarray) -> float:
     dependent."""
     R = _reduced_factor(_finite_columns(np.asarray(basis, dtype=float)))[2]
     k = len(R)
-    return math.sqrt(k) * math.exp(sum(math.log(R[j][j]) for j in range(k)) / k)
+    logdet = 0.0
+    for j in range(k):
+        logdet = logdet + math.log(R[j][j])
+    return math.sqrt(k) * math.exp(logdet / k)
 
 
 def _coords_to_coefficients(field: NumberField | None, coords, L: int) -> tuple:
@@ -639,11 +670,32 @@ def best_equation(
     return am_rate(ch, _coords_to_coefficients(field, res.coords, ch.L), field)
 
 
-def _best_equation_rates(field: NumberField | None, h: np.ndarray, P: np.ndarray):
+def _ring_coords(fields: list, h: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The search coordinates of best_equation for each field of the list,
+    (len(fields), batch, L deg), over the channels h (batch, n, L) at the
+    SNRs P (batch,).  One _shortest_batch call takes every field's bases for
+    a run of channels, at most _LLL_CHUNK bases: bases of the same shape
+    share the lockstep LLL's steps, and only one chunk's bases are held at
+    once."""
+    size, n, L = h.shape
+    coords = np.empty((len(fields), size, L * n))
+    step = max(1, _LLL_CHUNK // len(fields))
+    for lo in range(0, size, step):
+        part = slice(lo, lo + step)
+        found = _shortest_batch(_search_bases(fields, h[part], P[part]))[0]
+        coords[:, part] = found.reshape(len(fields), -1, L * n)
+    return coords
+
+
+def _best_equation_rates(
+    field: NumberField | None, h: np.ndarray, P: np.ndarray, coords=None
+):
     """best_equation's rate_bits for each channel of a batch h (batch, n, L)
-    at the SNRs P (batch,)."""
+    at the SNRs P (batch,), from the search coordinates (batch, L deg) when
+    they are given."""
     n, L = h.shape[1:]
-    coords = _shortest_batch(_search_basis(field, h, P))[0]
+    if coords is None:
+        coords = _shortest_batch(_search_bases([field], h, P))[0]
     if field is None:
         sigma = [[coords[:, l] for l in range(L)]] * n
     else:

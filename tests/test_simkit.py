@@ -19,7 +19,7 @@ from cflat.simkit import (
     run_sweep,
     sample_channels,
 )
-from cflat.svp import best_equation
+from cflat.svp import best_equation, build_search_basis
 
 SMALL = SweepConfig(
     snr_db=(0.0, 10.0, 20.0),
@@ -119,11 +119,12 @@ class TestRunSweep:
     )  # fmt: skip
     def test_warm_start_equals_cold_calls(self, snr_db, trials, L, seed, schemes, monkeypatch):
         # run_sweep evaluates each scheme over all (SNR point, trial) pairs
-        # as one batch, with a lockstep LLL over every basis of more than two
-        # columns (the ring schemes, and the Z schemes at L = 3); its rates must be
-        # bit-equal to cold best_equation, naive_rate and mac_sum_capacity
-        # calls.  No scalar LLL runs, except for a basis that the batch
-        # could not finish exactly
+        # as one batch, the ring schemes' searches as one joint search, with a
+        # lockstep LLL over every basis of more than two columns (the ring
+        # schemes, and the Z schemes at L = 3); its rates must be bit-equal to
+        # cold best_equation, naive_rate and mac_sum_capacity calls.  No
+        # scalar LLL runs, except for a basis that the batch could not finish
+        # exactly
         cfg = SweepConfig(snr_db=snr_db, trials=trials, L=L, schemes=schemes, master_seed=seed)
         scalar_calls, inexact = [], []
         real_reduce, real_batch = svp._lll_reduce, svp._lll_batch
@@ -140,12 +141,14 @@ class TestRunSweep:
         monkeypatch.setattr(svp, "_lll_reduce", recording_reduce)
         monkeypatch.setattr(svp, "_lll_batch", recording_batch)
         res = run_sweep(cfg)
-        # a batch per ring scheme; at L = 3 one for am_Z and one per block
-        # for naive_Z
+        # a batch per chunk of the joint ring search, which takes every ring
+        # scheme's bases for a run of _LLL_CHUNK // rings channels; at L = 3
+        # also one for am_Z and one per block for naive_Z
+        items = len(snr_db) * trials
+        rings = sum(s.startswith("am_ring") for s in cfg.schemes)
+        chunks = -(-items // (svp._LLL_CHUNK // rings)) if rings else 0
         z_batches = {"am_Z": 1, "naive_Z": cfg.n} if L > 2 else {}
-        assert len(inexact) == sum(
-            1 if s.startswith("am_ring") else z_batches.get(s, 0) for s in cfg.schemes
-        )
+        assert len(inexact) == chunks + sum(z_batches.get(s, 0) for s in cfg.schemes)
         assert len(scalar_calls) == sum(inexact)
 
         fields = {d: make_quadratic_field(d) for d in (3, 5, 7)}
@@ -186,6 +189,102 @@ class TestRunSweep:
                 best_equation(field, BlockFadingChannel(sample_channels(1, t, 2, 2), P))
         assert "noise identity violated" in str(batch.value)
         assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize(
+        "schemes, chunk, run",
+        [
+            (SweepConfig().schemes, 7, 2),
+            (("naive_Z", "am_ring(7)", "mac"), 4096, 6),
+            (("mac", "naive_Z", "am_Z"), 4096, None),
+        ],
+        ids=["three-rings-chunk-7", "one-ring", "no-ring"],
+    )
+    def test_joint_ring_search_equals_per_scheme_calls(self, schemes, chunk, run, monkeypatch):
+        # every ring scheme's bases for a run of (SNR point, trial) items go
+        # through one _shortest_batch call, item k * run + i being ring scheme
+        # k at item i of the run; a chunk of 7 takes runs of two items, six
+        # bases of three schemes.  The rates equal those of one
+        # _shortest_batch call per scheme, bit for bit
+        monkeypatch.setattr(svp, "_LLL_CHUNK", chunk)
+        cfg = SweepConfig(snr_db=(0.0, 25.0, 50.0), trials=2, schemes=schemes, master_seed=3)
+        calls = []
+        real = svp._shortest_batch
+
+        def recording(bases):
+            calls.append(np.array(bases))
+            return real(bases)
+
+        monkeypatch.setattr(svp, "_shortest_batch", recording)
+        res = run_sweep(cfg)
+        rings = [int(s[len("am_ring(") : -1]) for s in schemes if s.startswith("am_ring")]
+        h = np.array([sample_channels(3, t, 2, 2) for t in range(2)])
+        hs = np.tile(h, (3, 1, 1))
+        P = np.repeat([10.0 ** (s / 10.0) for s in cfg.snr_db], 2)
+        fields = [make_quadratic_field(d) for d in rings]
+        joint = [c.tobytes() for c in calls if c.shape[2] == 4]
+        if rings:
+            assert joint == [
+                np.array(
+                    [
+                        build_search_basis(f, BlockFadingChannel(hs[i], P[i]))
+                        for f in fields
+                        for i in range(lo, lo + run)
+                    ]
+                ).tobytes()
+                for lo in range(0, 6, run)
+            ]
+        else:
+            assert not joint
+        monkeypatch.setattr(svp, "_shortest_batch", real)
+        for k, name in enumerate(schemes):
+            if name.startswith("am_ring"):
+                field = make_quadratic_field(int(name[len("am_ring(") : -1]))
+                want = svp._best_equation_rates(field, hs, P)
+                assert res.rates[k].tobytes() == want.reshape(3, 2).tobytes()
+
+    @pytest.mark.parametrize("cause", ["non-finite", "rank-deficient"])
+    def test_joint_search_keeps_the_error_order(self, cause, monkeypatch):
+        # At 3000 dB am_ring(3)'s search succeeds and its rate raises the
+        # noise-identity AssertionError.  am_ring(7)'s search fails there
+        # (RankDeficient), or on bases made non-finite (NonFiniteBasis), so
+        # the joint search raises; the sweep then searches scheme by scheme
+        # and raises am_ring(3)'s error first, as cold calls in scheme order do
+        if cause == "non-finite":
+            real = svp._search_bases
+
+            def patched(fields, h, P):
+                bases = real(fields, h, P)
+                for k, field in enumerate(fields):
+                    if field is not None and field.d == 7:
+                        bases[k * len(h) : (k + 1) * len(h), :, 0] = np.inf
+                return bases
+
+            monkeypatch.setattr(svp, "_search_bases", patched)
+        cfg = SweepConfig(snr_db=(3000.0,), trials=20, schemes=("am_ring(3)", "am_ring(7)"))
+        with pytest.raises(svp.NonFiniteBasis if cause == "non-finite" else svp.RankDeficient):
+            svp._ring_coords(
+                [make_quadratic_field(d) for d in (3, 7)],
+                np.array([sample_channels(1, t, 2, 2) for t in range(20)]),
+                np.full(20, 10.0 ** 300.0),
+            )
+        with pytest.raises(AssertionError) as batch:
+            run_sweep(cfg)
+        field = make_quadratic_field(3)
+        with pytest.raises(AssertionError) as single:
+            for t in range(20):
+                best_equation(field, BlockFadingChannel(sample_channels(1, t, 2, 2), 10.0**300.0))
+        assert "noise identity violated" in str(batch.value)
+        assert str(batch.value) == str(single.value)
+
+    def test_joint_search_raises_other_errors(self, monkeypatch):
+        # only the search's ValueErrors send the sweep to per-scheme
+        # searches; any other failure of the joint search propagates
+        def broken(fields, h, P):
+            raise TypeError("joint search broken")
+
+        monkeypatch.setattr(simkit, "_ring_coords", broken)
+        with pytest.raises(TypeError, match="joint search broken"):
+            run_sweep(SweepConfig(snr_db=(10.0,), trials=2))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,13 @@ import cflat
 import cflat.svp as svp
 
 from cflat.channel import BlockFadingChannel, coefficient_embeddings, naive_rate
-from cflat.codec import _hnf_column_basis
-from cflat.numfield import RingElement, make_quadratic_field
+from cflat.codec import (
+    NestedCodePair,
+    _hnf_column_basis,
+    build_construction_a,
+    enumerate_fine_vectors,
+)
+from cflat.numfield import RingElement, make_quadratic_field, prime_above
 from cflat.simkit import sample_channels
 from cflat.svp import (
     LLL_DELTA,
@@ -29,7 +34,7 @@ from cflat.svp import (
     _lll_reduce,
     _lll_shortest,
     _naive_rates,
-    _search_basis,
+    _search_bases,
     _shortest_batch,
     best_equation,
     best_integer_block,
@@ -44,6 +49,7 @@ from svp_certificate import box_points, certify_shortest
 
 F5 = make_quadratic_field(5)
 F3 = make_quadratic_field(3)
+REPEAT_CODE = NestedCodePair(p=11, r=1, T=2, l_f=1, l_c=0, G_f=((1,), (1,)))
 
 
 def zero_channel(n, L, P=10.0):
@@ -473,7 +479,7 @@ class TestGaussPath:
         # (2, 2) ones, built and reduced as a batch and one at a time
         P = 10.0 ** (snr_db / 10.0)
         h = np.array([sample_channels(43, t, 2, 2) for t in range(100)])
-        am = _search_basis(None, h, P)
+        am = _search_bases([None], h, P)
         assert bits(am) == bits([build_search_basis(None, BlockFadingChannel(x, P)) for x in h])
         assert_batch_equals_single(am)
         for j in range(2):
@@ -515,7 +521,7 @@ def sweep_bases(d, L, snrs, trials, seed=53):
     (batch, m, k) array."""
     field = None if d is None else make_quadratic_field(d)
     h = np.array([sample_channels(seed, t, 2, L) for t in range(trials)])
-    return np.concatenate([_search_basis(field, h, 10.0 ** (s / 10.0)) for s in snrs])
+    return np.concatenate([_search_bases([field], h, 10.0 ** (s / 10.0)) for s in snrs])
 
 
 def assert_lll_batch_equals_scalar(bases):
@@ -543,6 +549,47 @@ class TestLLLBatch:
         # 8 bases in chunks of 3, the last one short
         monkeypatch.setattr(svp, "_LLL_CHUNK", 3)
         assert_batch_equals_single(sweep_bases(7, 2, (0.0, 30.0, 60.0, 90.0), 2))
+
+    def test_group_boundary(self, monkeypatch):
+        # a step gathers the bases at one loop index in groups of at most
+        # max(_LLL_GROUP, batch // 4): 25 bases in groups of 6, the last one
+        # short
+        monkeypatch.setattr(svp, "_LLL_GROUP", 5)
+        bases = sweep_bases(3, 2, (0.0, 40.0, 80.0, 120.0, 160.0), 5)
+        assert_lll_batch_equals_scalar(bases)
+        assert_batch_equals_single(bases)
+
+    def test_joint_ring_search_equals_per_field_calls(self, monkeypatch):
+        # _ring_coords searches every field's bases for a run of channels in
+        # one _shortest_batch call of at most _LLL_CHUNK bases, field k's
+        # basis for channel i at item k * run + i: a chunk of 7 holds two
+        # channels of each of three fields.  Bases equal build_search_basis's
+        # and coordinates those of one _shortest_batch call per field
+        monkeypatch.setattr(svp, "_LLL_CHUNK", 7)
+        fields = [make_quadratic_field(d) for d in (3, 5, 7)]
+        h = np.array([sample_channels(29, t, 2, 2) for t in range(4)] * 3)
+        P = np.repeat([1.0, 1e4, 1e8], 4)
+        calls = []
+        real = svp._shortest_batch
+
+        def recording(bases):
+            calls.append(bits(bases))
+            return real(bases)
+
+        monkeypatch.setattr(svp, "_shortest_batch", recording)
+        coords = svp._ring_coords(fields, h, P)
+        assert calls == [
+            bits(
+                [
+                    build_search_basis(f, BlockFadingChannel(h[i], P[i]))
+                    for f in fields
+                    for i in range(lo, lo + 2)
+                ]
+            )
+            for lo in range(0, 12, 2)
+        ]
+        for field, got in zip(fields, coords):
+            assert bits(got) == bits(real(_search_bases([field], h, P))[0])
 
     def test_enumeration_skip_keeps_lll_shortest_answers(self, monkeypatch):
         # Sweep bases of the three ring schemes from 0 to 200 dB, after the
@@ -579,6 +626,27 @@ class TestLLLBatch:
         bases = sweep_bases(5, 2, (snr_db,), 21, seed=1)
         assert not _lll_batch(_finite_column_batch(bases))[4].all()
         assert_batch_equals_single(bases)
+
+
+def test_search_does_not_use_builtin_sum(monkeypatch):
+    # builtin sum of floats is compensated from Python 3.12, so its bits
+    # depend on the interpreter; the enumeration centres and minkowski_bound
+    # are summed left to right instead, from 0.0 as Python 3.11's sum does
+    B = build_search_basis(F5, random_channel(np.random.default_rng(13), L=3))
+    lat = build_construction_a(F5, prime_above(F5, 11), REPEAT_CODE, gamma=1.0)
+    want = (shortest_vector(B), minkowski_bound(B), enumerate_fine_vectors(lat, 3.0))
+
+    def no_sum(*args):
+        raise AssertionError("builtin sum called")
+
+    monkeypatch.setattr(svp, "sum", no_sum, raising=False)
+    got = (shortest_vector(B), minkowski_bound(B), enumerate_fine_vectors(lat, 3.0))
+    assert tuple(got[0].coords) == tuple(want[0].coords)
+    assert got[0].norm_sq.hex() == want[0].norm_sq.hex()
+    assert got[1].hex() == want[1].hex()
+    assert got[2] and len(got[2]) == len(want[2])
+    for (a, x), (b, y) in zip(got[2], want[2]):
+        assert bits(a) == bits(b) and bits(x) == bits(y)
 
 
 def bits(x):
