@@ -22,7 +22,8 @@ from .channel import BlockFadingChannel, _snr_linear
 from .codec import (
     NestedCodePair,
     RadiusTooSmall,
-    build_construction_a,
+    _build_unit,
+    _scale_unit,
     simulate_codec,
     union_bound,
 )
@@ -329,11 +330,14 @@ def _cmd_codec(args, cfg: CliConfig) -> int:
         G_f=_default_generator(args.T, args.lf),
     )
     h = sample_channels(cfg.seed, 0, field.degree, cfg.L)
+    # only the scale depends on the SNR: build and calibrate once, then
+    # scale as build_construction_a(..., target_power=P) would
+    unit = _build_unit(field, prime, codes, calibrate=True)
     rows = ["snr_db,error_rate,stderr,union_bound,trials"]
     for snr in cfg.snr_db:
         P = _snr_linear(snr)
         ch = BlockFadingChannel(h, P)
-        lat = build_construction_a(field, prime, codes, target_power=P)
+        lat = _scale_unit(unit, target_power=P)
         cand = best_equation(field, ch)
         sim = simulate_codec(lat, ch, cand, cfg.trials, cfg.seed)
         ub = _codec_union_bound(lat, cand)

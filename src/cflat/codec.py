@@ -281,6 +281,25 @@ def _index_digits(idx, q: int, start: int, stop: int) -> np.ndarray:
     return (np.asarray(idx)[..., None] // _digit_weights(q, start, stop)) % q
 
 
+class _UnitLattice(NamedTuple):
+    """The SNR-independent part of a build: everything at gamma = 1, and the
+    unit region's per-dimension second moment m0 (None when uncalibrated)."""
+
+    field: NumberField
+    prime: PrimeIdeal
+    codes: NestedCodePair
+    leaders: np.ndarray
+    residues: np.ndarray
+    embedded: np.ndarray  # unscaled embedded leaders
+    vol_fine: float
+    vol_coarse: float
+    region: np.ndarray  # unscaled shaping parallelepiped
+    pideal_basis: np.ndarray
+    pideal_embedded: np.ndarray  # unscaled
+    rate: float
+    m0: float | None
+
+
 def build_construction_a(
     field: NumberField,
     prime: PrimeIdeal,
@@ -298,6 +317,15 @@ def build_construction_a(
     """
     if (target_power is None) == (gamma is None):
         raise ValueError("give exactly one of target_power or gamma")
+    unit = _build_unit(field, prime, codes, calibrate=gamma is None)
+    return _scale_unit(unit, target_power, gamma)
+
+
+def _build_unit(
+    field: NumberField, prime: PrimeIdeal, codes: NestedCodePair, calibrate: bool
+) -> _UnitLattice:
+    """Check the inputs and build the lattice pair at gamma = 1; with
+    calibrate, also draw the power calibration's samples."""
     if prime.field is not field and prime.field.d != field.d:
         raise DimensionMismatch("prime ideal belongs to a different field")
     if codes.p != prime.p or codes.r != prime.r:
@@ -352,41 +380,63 @@ def build_construction_a(
     else:
         region_unit = em @ np.array(coarse_basis, dtype=np.int64).T
 
-    if gamma is None:
+    m0 = None
+    if calibrate:
         rng = np.random.default_rng(_POWER_SEED)
         z = rng.uniform(-0.5, 0.5, size=(_POWER_SAMPLES, 2 * T))
         samples = z @ region_unit.T
         m0 = float(np.einsum("ij,ij->i", samples, samples).mean()) / (n * T)
-        gamma = math.sqrt(target_power / m0)
 
     phi = field.embedding
-    embedded = gamma * np.einsum("jk,atk->ajt", phi, leaders.astype(float))
-    region_scaled = gamma * region_unit
-    pideal_embedded = gamma * (phi @ pideal_basis.astype(float))
+    return _UnitLattice(
+        field=field,
+        prime=prime,
+        codes=codes,
+        leaders=leaders,
+        residues=residues,
+        embedded=np.einsum("jk,atk->ajt", phi, leaders.astype(float)),
+        vol_fine=vol_fine,
+        vol_coarse=vol_coarse,
+        region=region_unit,
+        pideal_basis=pideal_basis,
+        pideal_embedded=phi @ pideal_basis.astype(float),
+        rate=((l_f - l_c) * prime.r / T) * math.log2(prime.p),
+        m0=m0,
+    )
+
+
+def _scale_unit(
+    unit: _UnitLattice, target_power: float | None = None, gamma: float | None = None
+) -> ConstructionALattice:
+    """The lattice pair of a unit build scaled by gamma, or by
+    sqrt(target_power / m0) with gamma None."""
+    if gamma is None:
+        gamma = math.sqrt(target_power / unit.m0)
+    region_scaled = gamma * unit.region
+    pideal_embedded = gamma * unit.pideal_embedded
     qmat, rmat = np.linalg.qr(pideal_embedded)
     signs = np.sign(np.diag(rmat))
     qmat = qmat * signs
     rmat = (rmat.T * signs).T
 
-    rate = ((l_f - l_c) * prime.r / T) * math.log2(prime.p)
     return ConstructionALattice(
-        field=field,
-        prime=prime,
-        codes=codes,
+        field=unit.field,
+        prime=unit.prime,
+        codes=unit.codes,
         gamma=float(gamma),
-        T=T,
-        Fq=Fq,
-        coset_leaders=leaders,
-        leader_residues=residues,
-        embedded_leaders=embedded,
-        vol_fine_unit=vol_fine,
-        vol_coarse_unit=vol_coarse,
+        T=unit.codes.T,
+        Fq=unit.prime.residue_field,
+        coset_leaders=unit.leaders,
+        leader_residues=unit.residues,
+        embedded_leaders=gamma * unit.embedded,
+        vol_fine_unit=unit.vol_fine,
+        vol_coarse_unit=unit.vol_coarse,
         region_scaled=region_scaled,
         region_inv=np.linalg.inv(region_scaled),
-        pideal_basis=pideal_basis,
+        pideal_basis=unit.pideal_basis,
         pideal_embedded=pideal_embedded,
-        message_rate_bits=rate,
-        _phi_inv=np.linalg.inv(phi),
+        message_rate_bits=unit.rate,
+        _phi_inv=np.linalg.inv(unit.field.embedding),
         _cvp_q=qmat,
         _cvp_r=rmat,
     )
@@ -417,7 +467,9 @@ def reduce_mod_coarse(lat: ConstructionALattice, X: np.ndarray) -> np.ndarray:
     """Fold (..., n, T) matrices into the centered fundamental parallelepiped
     of the scaled coarse lattice."""
     X = np.asarray(X, dtype=float)
-    zc = X.reshape(X.shape[:-2] + (lat.n * lat.T,)) @ lat.region_inv.T
+    # one 2-D product over all leading axes: numpy's stacked products are
+    # about ten times slower on small matrices, with the same bits
+    zc = X.reshape(-1, lat.n * lat.T) @ lat.region_inv.T
     return ((zc - np.rint(zc)) @ lat.region_scaled.T).reshape(X.shape)
 
 
@@ -533,13 +585,24 @@ def _decode_leader_indices(lat: ConstructionALattice, S: np.ndarray) -> np.ndarr
     return best_idx
 
 
+def _block_sum(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_l diag(w[:, l]) X_l for per-block weights w (n, L) and matrices
+    X (..., L, n, T), as (..., n, T): the terms added left to right, which
+    gives np.einsum("jl,...ljt->...jt", w, X)'s bits at a third of its time
+    (up to the sign of a zero sum: einsum adds into +0.0)."""
+    acc = w[:, 0, None] * X[..., 0, :, :]
+    for l in range(1, w.shape[1]):
+        acc = acc + w[:, l, None] * X[..., l, :, :]
+    return acc
+
+
 def _observation(Y: np.ndarray, candidate: EquationCandidate, dithers=None) -> np.ndarray:
     """b_j Y_j - sum_l sigma_j(a_l) D_l: the MMSE-scaled observations (..., n, T)
     with the dithers (..., L, n, T) removed."""
     S = np.asarray(candidate.b)[:, None] * np.asarray(Y, dtype=float)
     if dithers is None:
         return S
-    return S - np.einsum("jl,...ljt->...jt", candidate.sigma, np.asarray(dithers, dtype=float))
+    return S - _block_sum(np.asarray(candidate.sigma), np.asarray(dithers, dtype=float))
 
 
 def decode_equation(
@@ -721,8 +784,8 @@ def simulate_codec(
         zdith = rng.uniform(-0.5, 0.5, size=(m, L, 2 * lat.T))
         noise = noise_std * rng.standard_normal((m, lat.n, lat.T))
 
-        D = (zdith @ lat.region_scaled.T).reshape(m, L, lat.n, lat.T)
-        Y = np.einsum("jl,bljt->bjt", ch.h, encode(lat, w, D)) + noise
+        D = (zdith.reshape(-1, 2 * lat.T) @ lat.region_scaled.T).reshape(m, L, lat.n, lat.T)
+        Y = _block_sum(ch.h, encode(lat, w, D)) + noise
         S = _observation(Y, candidate, D)
         # free the batch's intermediates before the decoder allocates: the
         # heap's high-water mark sets the resident peak

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import cflat.cli
+import cflat.codec
 from cflat.cli import (
     MAX_SNR_POINTS,
     InvalidValue,
@@ -19,9 +21,10 @@ from cflat.cli import (
     parse_config,
 )
 from cflat.channel import BlockFadingChannel
-from cflat.codec import RadiusTooSmall
+from cflat.codec import RadiusTooSmall, build_construction_a
 from cflat.svp import best_equation
-from cflat.numfield import make_quadratic_field
+from cflat.numfield import make_quadratic_field, prime_above
+from blas_kernels import outputs_per_kernel
 
 
 class TestParseConfig:
@@ -353,6 +356,50 @@ class TestCodecCommand:
         assert len(lines) == 2
         assert lines[1].split(",")[3] == "0.000000e+00"
 
+    @pytest.mark.parametrize("lf, lc", [("1", "0"), ("2", "1")], ids=["k11", "k121"])
+    def test_lattice_built_once_per_call(self, tmp_path, monkeypatch, lf, lc):
+        """The unit build and its calibration draw run once per call; the
+        lattice at each SNR point is the one build_construction_a gives."""
+        real_unit, real_rng = cflat.codec._build_unit, np.random.default_rng
+        real_sim = cflat.cli.simulate_codec
+        units, draws, used = [], [], []
+
+        def counting_unit(*args, **kwargs):
+            units.append(args)
+            return real_unit(*args, **kwargs)
+
+        def counting_rng(seed=None):
+            draws.append(seed)
+            return real_rng(seed)
+
+        def recording_sim(lat, ch, cand, trials, seed):
+            used.append((ch.P, lat))
+            return real_sim(lat, ch, cand, trials, seed)
+
+        monkeypatch.setattr(cflat.codec, "_build_unit", counting_unit)
+        monkeypatch.setattr(cflat.cli, "_build_unit", counting_unit)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(cflat.cli, "simulate_codec", recording_sim)
+        args = ["codec", "--d", "5", "--p", "11", "--T", "2", "--lf", lf, "--lc", lc,
+                "--snr-db", "0:10:60", "--trials", "10", "--seed", "4",
+                "--output", str(tmp_path / "codec.csv")]  # fmt: skip
+        assert main(args) == 0
+        monkeypatch.undo()
+        assert len(units) == 1
+        assert draws.count(cflat.codec._POWER_SEED) == 1
+        assert [P for P, _ in used] == [10.0 ** (k / 10) for k in range(0, 61, 10)]
+        field = make_quadratic_field(5)
+        prime = prime_above(field, 11)
+        for P, lat in used:
+            want = build_construction_a(field, prime, lat.codes, target_power=P)
+            for f in dataclasses.fields(want):
+                got, ref = getattr(lat, f.name), getattr(want, f.name)
+                if isinstance(ref, np.ndarray):
+                    assert got.dtype == ref.dtype and got.shape == ref.shape, f.name
+                    assert got.tobytes() == ref.tobytes(), f.name
+                elif isinstance(ref, (int, float, cflat.codec.NestedCodePair)):
+                    assert got == ref, f.name
+
     def test_mu_half_tie_ideal_finishes(self):
         # the embedded ideal basis of (41, 67) has mu = 1/2 exactly; run in a
         # subprocess so a hang in its reduction fails instead of stalling
@@ -523,3 +570,20 @@ def test_every_subcommand_exits_0_or_2(case, tmp_path):
         assert not err and out.stdout
     else:
         assert len(err) == 1 and err[0].startswith("error: "), out.stderr
+
+
+# a small k11 `cflat codec` run's CSV text
+_CODEC_KERNEL_CHILD = """
+from cflat.cli import main
+main(["codec", "--d", "5", "--p", "11", "--T", "2", "--lf", "1", "--lc", "0",
+      "--snr-db", "0:10:30", "--trials", "20000", "--seed", "7"])
+"""
+
+
+def test_codec_csv_does_not_depend_on_the_blas_kernel():
+    # the Monte Carlo's 2-D products and the build's calibration run on
+    # BLAS; their last bits may follow the kernel, the CSV must not
+    outs = outputs_per_kernel(_CODEC_KERNEL_CHILD)
+    assert outs[0].startswith("snr_db,error_rate,stderr,union_bound,trials\n")
+    assert len(outs[0].splitlines()) == 5
+    assert outs[0] == outs[1] == outs[2]

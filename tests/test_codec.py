@@ -18,6 +18,7 @@ from cflat.codec import (
     NestedCodePair,
     RadiusTooSmall,
     RankDeficientCode,
+    _block_sum,
     _code_lattice_basis,
     _decode_leader_indices,
     _embedding_map,
@@ -734,6 +735,97 @@ class TestSimulate:
         )
         with pytest.raises(ValueError):
             simulate_codec(powered_lattice, ch, cand, 0, seed=1)
+
+
+def einsum_block_sum(w, X):
+    """The einsum _block_sum replaced in _observation and simulate_codec: the
+    oracle for its bits."""
+    return np.einsum("jl,...ljt->...jt", w, X)
+
+
+def stacked_reduce_mod_coarse(lat, X):
+    """reduce_mod_coarse with numpy's stacked products over the leading axes,
+    as it was computed before the one 2-D product: the oracle for its bits."""
+    X = np.asarray(X, dtype=float)
+    zc = X.reshape(X.shape[:-2] + (lat.n * lat.T,)) @ lat.region_inv.T
+    return ((zc - np.rint(zc)) @ lat.region_scaled.T).reshape(X.shape)
+
+
+def stacked_observations(lat, ch, cand, trials, seed):
+    """simulate_codec's batches of observations, from its draws in its order,
+    computed with the stacked products and einsums it used to call."""
+    n, T, L, l_m = lat.n, lat.T, ch.L, lat.codes.l_f - lat.codes.l_c
+    rng = np.random.default_rng(seed)
+    out = []
+    for start in range(0, trials, cflat.codec._SIM_BATCH):
+        m = min(cflat.codec._SIM_BATCH, trials - start)
+        w = rng.integers(0, lat.Fq.q, size=(m, L, l_m))
+        zdith = rng.uniform(-0.5, 0.5, size=(m, L, 2 * T))
+        noise = rng.standard_normal((m, n, T))
+        D = (zdith @ lat.region_scaled.T).reshape(m, L, n, T)
+        X = stacked_reduce_mod_coarse(lat, encode(lat, w) + D)
+        Y = np.einsum("jl,bljt->bjt", ch.h, X) + noise
+        out.append(cand.b[:, None] * Y - einsum_block_sum(cand.sigma, D))
+    return out
+
+
+class TestMonteCarloArithmetic:
+    """The Monte Carlo's plain 2-D products and left-to-right sums give the
+    bits of the stacked products and einsums they replaced."""
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("batch", [(), (257,)], ids=["no-batch", "batch"])
+    def test_block_sum_equals_einsum(self, L, batch):
+        rng = np.random.default_rng(L)
+        for scale in 10.0 ** np.arange(-3, 6):
+            w = rng.standard_normal((2, L)) * scale
+            X = rng.standard_normal(batch + (L, 2, 3)) * scale
+            got = _block_sum(w, X)
+            assert got.shape == batch + (2, 3)
+            assert got.tobytes() == einsum_block_sum(w, X).tobytes()
+            if batch:
+                want = np.einsum("jl,bljt->bjt", w, X)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["powered_lattice", "lat121", "lat_nested", "lat4"])
+    def test_reduce_mod_coarse_equals_stacked_products(self, request, name):
+        lat = request.getfixturevalue(name)
+        rng = np.random.default_rng(11)
+        for scale in (1e-3, 1.0, 1e3):
+            X = rng.standard_normal((300, 3, lat.n, lat.T)) * scale * lat.gamma
+            got = reduce_mod_coarse(lat, X)
+            assert got.tobytes() == stacked_reduce_mod_coarse(lat, X).tobytes()
+            for one in X[:20, 0]:  # (n, T): a vector times a matrix before
+                want = stacked_reduce_mod_coarse(lat, one)
+                assert reduce_mod_coarse(lat, one).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, h",
+        [
+            ("powered_lattice", [[0.9, -0.3], [0.2, 1.1]]),
+            ("lat121", [[0.9, -0.3], [0.2, 1.1]]),
+            ("powered_lattice", [[0.9, -0.3, 0.5], [0.2, 1.1, -0.7]]),
+        ],
+        ids=["k11-L2", "k121-L2", "k11-L3"],
+    )
+    def test_observations_equal_stacked_products(self, request, monkeypatch, name, h):
+        lat = request.getfixturevalue(name)
+        ch = BlockFadingChannel(np.array(h), 100.0)
+        cand = best_equation(F5, ch)
+        trials, seed = cflat.codec._SIM_BATCH + 904, 21
+        real = cflat.codec._decode_leader_indices
+        seen = []
+
+        def recording(lat, S):
+            seen.append(S.copy())
+            return real(lat, S)
+
+        monkeypatch.setattr(cflat.codec, "_decode_leader_indices", recording)
+        simulate_codec(lat, ch, cand, trials, seed)
+        want = stacked_observations(lat, ch, cand, trials, seed)
+        assert len(seen) == len(want) == 2
+        for got, ref in zip(seen, want):
+            assert got.tobytes() == ref.tobytes()
 
 
 @pytest.fixture(scope="module")

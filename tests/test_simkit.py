@@ -1,12 +1,8 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import cflat
 import cflat.simkit as simkit
 import cflat.svp as svp
 from cflat.channel import BlockFadingChannel, mac_sum_capacity, naive_rate
@@ -20,6 +16,7 @@ from cflat.simkit import (
     sample_channels,
 )
 from cflat.svp import best_equation, build_search_basis
+from blas_kernels import outputs_per_kernel
 
 SMALL = SweepConfig(
     snr_db=(0.0, 10.0, 20.0),
@@ -343,21 +340,7 @@ main(["rate", "--d", "3", "--snr-db", "60", "--h", "0.9,-0.3,0.5;0.2,1.1,-0.7"])
 
 
 def test_rates_do_not_depend_on_the_blas_kernel():
-    # in child processes, one per OpenBLAS core type (a build with one
-    # kernel ignores the variable); numpy's dot products follow the kernel,
-    # the rate layer's explicit sums do not
-    src = os.path.dirname(os.path.dirname(cflat.__file__))
-    paths = [src, os.environ.get("PYTHONPATH")]
-    outs = []
-    for core in (None, "Haswell", "Prescott"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        env.pop("OPENBLAS_CORETYPE", None)
-        if core is not None:
-            env["OPENBLAS_CORETYPE"] = core
-        out = subprocess.run(
-            [sys.executable, "-c", _KERNEL_CHILD],
-            capture_output=True, text=True, timeout=120, env=env,
-        )  # fmt: skip
-        assert out.returncode == 0, out.stderr
-        outs.append(out.stdout)
+    # numpy's dot products follow the kernel, the rate layer's explicit sums
+    # do not
+    outs = outputs_per_kernel(_KERNEL_CHILD)
     assert outs[0] == outs[1] == outs[2]
