@@ -9,6 +9,7 @@ failing run never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -379,7 +380,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call and reused:
+    parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cflat",
         description="Compute-and-forward rate and codec simulations over "

@@ -11,12 +11,19 @@ search is kept as an independent oracle.  The sweep builds and checks its
 bases, and runs the Gauss path and LLL, over a batch of channels at once,
 with the floating-point operations of a single call; the bases of all its
 ring schemes are built and searched together, a chunk of channels at a
-time.  It enumerates basis by basis, and only where the enumeration can
-return more than the first reduced vector.
+time.  Where the enumeration can return only the first reduced vector it
+is skipped; the other bases of up to six columns are scored at once on a
+box of reduced coordinates that provably holds the enumeration's answer,
+with its arithmetic (Fincke and Pohst, Math. Comp. 1985, for the box).
+Only ties, near ties, wider boxes and bases of more than six columns are
+enumerated basis by basis.  Every shortest-vector enumeration stops at a
+node budget with SearchTooLarge.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,6 +46,7 @@ __all__ = [
     "NonFiniteBasis",
     "RankDeficient",
     "TooLarge",
+    "SearchTooLarge",
     "SVPResult",
     "build_search_basis",
     "shortest_vector",
@@ -53,6 +61,12 @@ _REL_TIE = 1e-9
 # Gauss path: candidates this close to the shortest reduced vector go on to
 # _pick_candidate, which applies _REL_TIE in the original basis
 _GAUSS_TIE = 1e-6
+# a shortest-vector enumeration stops past this many nodes: at most about
+# 0.6 s of walk, at the 2.4 us a node measured in dimension 40 on a 2.1 GHz
+# Xeon (an L = 20 ring search needs 87 k nodes at 60 dB, 8.7 M at 120 dB),
+# and over 700 times the 350 nodes of the largest search in the tests and
+# the benchmark
+_NODE_BUDGET = 250_000
 
 
 class RankDeficient(ValueError):
@@ -66,6 +80,19 @@ class NonFiniteBasis(ValueError):
 
 class TooLarge(ValueError):
     """Brute-force search box is empty or too large to enumerate."""
+
+
+class SearchTooLarge(ValueError):
+    """A shortest-vector enumeration needs more than _NODE_BUDGET nodes.
+    Names the search dimension, and the SNR P unless it is NaN (unknown)."""
+
+    def __init__(self, dim: int, P: float = math.nan):
+        at = "" if math.isnan(P) else f" at {10.0 * math.log10(P):g} dB"
+        super().__init__(
+            f"shortest-vector search in dimension {dim}{at} needs more than "
+            f"{_NODE_BUDGET} enumeration nodes"
+        )
+        self.dim = dim
 
 
 def _gram_sqrt(h: np.ndarray, P) -> np.ndarray:
@@ -273,7 +300,9 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
     shrink=True the bound tightens as better vectors are found and all
     candidates tied with the minimum (relative _REL_TIE) are collected; with
     shrink=False every vector inside the fixed radius is returned.  Returns
-    (candidates, node_count) with candidates as (dist, z list) pairs.
+    (candidates, node_count) with candidates as (dist, z list) pairs.  With
+    shrink=True, raises SearchTooLarge once the walk has visited more than
+    _NODE_BUDGET nodes, checked as it climbs a level.
     """
     k = len(R)
     y = [0.0] * k if target is None else [float(t) for t in target]
@@ -289,6 +318,7 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
     z[i] = round(c)
     step[i] = 1 if c - z[i] >= 0 else -1
     nodes = 0
+    cap = _NODE_BUDGET if shrink else math.inf
     while True:
         nodes += 1
         w = (z[i] - center[i]) * R[i][i]
@@ -320,6 +350,8 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
             i += 1
             if i == k:
                 break
+            if nodes > cap:
+                raise SearchTooLarge(k)
             z[i] += step[i]
             step[i] = -step[i] - (1 if step[i] >= 0 else -1)
     if shrink:
@@ -535,34 +567,42 @@ _LLL_CHUNK = 4096
 _LLL_GROUP = 192
 
 
-def _shortest_batch(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shortest_batch(bases: np.ndarray, P=None) -> tuple[np.ndarray, np.ndarray]:
     """shortest_vector on each basis of a (batch, m, k) array: coordinates
     (batch, k) as floats, and norms.  Two columns go through _gauss_batch,
     more through _lll_chunk, _LLL_CHUNK bases at a time.  The results equal
     shortest_vector's, and an error is the one a loop of shortest_vector
-    calls raises first."""
+    calls raises first; a SearchTooLarge names the basis' SNR from P, a
+    float or an array (batch,), when it is given."""
     cols = _finite_column_batch(bases)
     if len(cols) == 2:
         return _gauss_batch(cols)
     coords = np.empty((len(bases), len(cols)))
     norms = np.empty(len(bases))
+    P = np.broadcast_to(math.nan if P is None else P, len(bases))
     for lo in range(0, len(bases), _LLL_CHUNK):
         part = slice(lo, lo + _LLL_CHUNK)
-        coords[part], norms[part] = _lll_chunk(cols[..., part])
+        coords[part], norms[part] = _lll_chunk(cols[..., part], P[part])
     return coords, norms
 
 
-def _lll_chunk(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_lll_shortest on each basis of cols (k, m, batch): _lll_batch, then
-    per basis the rank guard of _reduced_factor and the enumeration.
+    per basis the rank guard of _reduced_factor and the enumeration.  P
+    (batch,) holds each basis' SNR for SearchTooLarge, NaN where unknown.
 
     The enumeration is skipped where its first comparisons show that it
     returns only +-b_1, the first reduced vector: R_00^2 is within the
     radius, which then stays below 4 R_00^2 and below every R_ii^2 with
-    i >= 1.  The coordinates are then the sign-normalized row 0 of T,
-    scored by _norm_sq, as _pick_candidate scores them, for all such bases
-    at once.  A basis _lll_batch could not finish exactly, or that fails the
-    rank guard, goes through _lll_shortest, which raises its error."""
+    i >= 1.  The coordinates are then the sign-normalized row 0 of T.  For
+    the other bases of at most _BOX_DIM columns, _box_shortest finds the
+    enumeration's answer at once where it can.  Both kinds are
+    sign-normalized and scored by _norm_sq, as _pick_candidate scores
+    them.  The rest (ties, near ties, wide boxes, more columns) are
+    enumerated one at a time; a SearchTooLarge names the basis' SNR.  A
+    basis _lll_batch could not
+    finish exactly, or that fails the rank guard, goes through
+    _lll_shortest, which raises its error."""
     b, T, mu, norms, exact = _lll_batch(cols)
     # a basis that left _lll_batch early holds arbitrary values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -579,23 +619,118 @@ def _lll_chunk(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             & (4.0 * first > limit)
             & (diag[1:] * diag[1:] > limit).all(axis=0)
         )
-        lead = T[0]
+        lead = T[0].copy()
+        box = np.flatnonzero(exact & ~lone) if len(T) <= _BOX_DIM else []
+        solved = lone.copy()
+        step = _BOX_CELLS // 3 ** len(T) + 1
+        for lo in range(0, len(box), step):
+            idx = box[lo : lo + step]
+            # R[j][i] = mu[i][j] sqrt(B_j), as _reduced_factor builds it
+            R = mu[..., idx].transpose(1, 0, 2) * diag[:, None, idx]
+            found, z = _box_shortest(R, T[..., idx], bound[idx])
+            solved[idx[found]] = True
+            lead[:, idx[found]] = z[:, found]
         sign = lead[0]
         for x in lead[1:]:
             sign = np.where(sign == 0.0, x, sign)
         lead = np.where(sign < 0.0, -lead, lead)
         norm_sq = _norm_sq(cols, lead)
     coords = lead.T
-    for i in np.flatnonzero(~lone):
+    for i in np.flatnonzero(~solved):
         basis_cols = cols[..., i].tolist()
-        if exact[i]:
-            R = (mu[..., i].T * diag[:, i, None]).tolist()
-            Ti = [[int(x) for x in row] for row in T[..., i].tolist()]
-            res = _search_reduced(basis_cols, Ti, R, float(bound[i]))
-        else:
-            res = _lll_shortest(basis_cols)
+        try:
+            if exact[i]:
+                R = (mu[..., i].T * diag[:, i, None]).tolist()
+                Ti = [[int(x) for x in row] for row in T[..., i].tolist()]
+                res = _search_reduced(basis_cols, Ti, R, float(bound[i]))
+            else:
+                res = _lll_shortest(basis_cols)
+        except SearchTooLarge as exc:
+            raise SearchTooLarge(exc.dim, float(P[i])) from None
         coords[i], norm_sq[i] = res.coords, res.norm_sq
     return coords, norm_sq
+
+
+# _lll_chunk box-scores bases of at most _BOX_DIM columns, whose boxes hold
+# at most 364 points up to sign, _BOX_CELLS / 3^m + 1 bases per
+# _box_shortest call, which bounds its work arrays
+_BOX_DIM = 6
+_BOX_CELLS = 1 << 15
+
+
+def _box_shortest(R: np.ndarray, T: np.ndarray, bound: np.ndarray):
+    """The answer of _search_reduced(., T, R, bound) for each factor R (m, m,
+    batch) with transform T (m, m, batch), where it can be read off a box of
+    coefficients at once: (found, coords), found (batch,) and the original
+    coordinates z T (m, batch), not yet sign-normalized, where found.
+
+    Every vector within the radius has |z_i| <= sqrt(bound) ||row_i(R^-1)||
+    (Cauchy-Schwarz; widened by 1e-6 against rounding, which also covers
+    the radius' _REL_TIE).  Where each such width is below 2, the
+    enumeration's candidates lie in {-1, 0, 1}^m, and its squared distance
+    for a given z does not depend on the path that reaches z: centres are
+    left-to-right sums, partial sums run from the top level.  So each of the
+    (3^m - 1) / 2 points up to sign is scored with that arithmetic, and
+    d(-z) = d(z) bit for bit.  The enumeration's final radius ends within a
+    factor (1 + _REL_TIE)(1 + 1e-12) of the minimum d_min, so where d_min
+    is within its starting radius and no other point up to sign lies within
+    d_min (1 + _REL_TIE)(1 + 1e-11), it returns just +-z for the minimizer
+    z, and so does the box.  Ties, near ties, wider boxes and transforms
+    whose z T could reach 2^52 are not found."""
+    m, _, size = R.shape
+    # row i of R^-1 is (e_i - sum_{k > i} R[i][k] row_k) / R[i][i]
+    inv = [None] * m
+    for i in range(m - 1, -1, -1):
+        row = np.zeros((m, size))
+        row[i] = 1.0
+        for k in range(i + 1, m):
+            row = row - R[i, k] * inv[k]
+        inv[i] = row / R[i, i]
+    widths = np.sqrt(bound) * np.sqrt(np.array([_dim_sum(x * x) for x in inv]))
+    reach = np.abs(T[0])
+    for x in T[1:]:
+        reach = reach + np.abs(x)
+    narrow = np.flatnonzero(
+        (widths * (1.0 + 1e-6) < 2.0).all(axis=0) & (reach.max(axis=0) < 2.0**52)
+    )
+    pts = _box_points(m)
+    d = _box_distances(R[..., narrow], pts)
+    d_min = d.min(axis=0)
+    near = (d <= d_min * (1.0 + _REL_TIE) * (1.0 + 1e-11)).sum(axis=0)
+    found = np.zeros(size, dtype=bool)
+    found[narrow] = (near == 1) & (d_min <= bound[narrow] * (1.0 + _REL_TIE))
+    z = pts[d.argmin(axis=0)].T
+    Tn = T[..., narrow]
+    coords = np.zeros((m, size))
+    acc = z[0] * Tn[0]
+    for i in range(1, m):
+        acc = acc + z[i] * Tn[i]
+    coords[:, narrow] = acc
+    return found, coords
+
+
+def _box_distances(R: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """_enumerate's squared distance of each point z of pts (points, m) for
+    each factor R (m, m, batch), as a (points, batch) array: per level from
+    the top, centre (0 - sum_{j > i} R[i][j] z_j) / R[i][i] summed left to
+    right from 0.0, then d = d + ((z_i - centre) R[i][i])^2 from 0.0."""
+    m = len(pts[0])
+    d = 0.0
+    for i in range(m - 1, -1, -1):
+        acc = 0.0
+        for j in range(i + 1, m):
+            acc = acc + R[i, j] * pts[:, j, None]
+        w = (pts[:, i, None] - (0.0 - acc) / R[i, i]) * R[i, i]
+        d = d + w * w
+    return d
+
+
+@functools.cache
+def _box_points(m: int) -> np.ndarray:
+    """The nonzero points of {-1, 0, 1}^m whose first nonzero entry is 1, as
+    floats (points, m)."""
+    box = itertools.product((0.0, 1.0, -1.0), repeat=m)
+    return np.array([z for z in box if any(z) and _normalize_sign(z) == z])
 
 
 def shortest_vector(basis: np.ndarray) -> SVPResult:
@@ -666,7 +801,10 @@ def best_equation(
 ) -> EquationCandidate:
     """Rate-optimal coefficient vector over the ring (field=None: over Z,
     searching the Gram sum_j M_j instead)."""
-    res = shortest_vector(build_search_basis(field, ch))
+    try:
+        res = shortest_vector(build_search_basis(field, ch))
+    except SearchTooLarge as exc:
+        raise SearchTooLarge(exc.dim, ch.P) from None
     return am_rate(ch, _coords_to_coefficients(field, res.coords, ch.L), field)
 
 
@@ -682,7 +820,8 @@ def _ring_coords(fields: list, h: np.ndarray, P: np.ndarray) -> np.ndarray:
     step = max(1, _LLL_CHUNK // len(fields))
     for lo in range(0, size, step):
         part = slice(lo, lo + step)
-        found = _shortest_batch(_search_bases(fields, h[part], P[part]))[0]
+        bases = _search_bases(fields, h[part], P[part])
+        found = _shortest_batch(bases, np.tile(P[part], len(fields)))[0]
         coords[:, part] = found.reshape(len(fields), -1, L * n)
     return coords
 
@@ -695,7 +834,7 @@ def _best_equation_rates(
     they are given."""
     n, L = h.shape[1:]
     if coords is None:
-        coords = _shortest_batch(_search_bases([field], h, P))[0]
+        coords = _shortest_batch(_search_bases([field], h, P), P)[0]
     if field is None:
         sigma = [[coords[:, l] for l in range(L)]] * n
     else:
@@ -710,7 +849,10 @@ def _best_equation_rates(
 def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
     """Exact minimizer of a^T M a over nonzero integer vectors for one block."""
     R = _gram_sqrt(np.atleast_2d(np.asarray(h_j, dtype=float)), P)[0]
-    res = shortest_vector(R)
+    try:
+        res = shortest_vector(R)
+    except SearchTooLarge as exc:
+        raise SearchTooLarge(exc.dim, P) from None
     return tuple(int(x) for x in res.coords), res.norm_sq
 
 
@@ -719,7 +861,7 @@ def _naive_rates(h: np.ndarray, P: np.ndarray) -> np.ndarray:
     SNRs P (batch,)."""
     best = 0.0
     for j, gains in enumerate(_user_columns(h)):
-        coords = _shortest_batch(_gram_sqrt(h[:, j], P))[0]
+        coords = _shortest_batch(_gram_sqrt(h[:, j], P), P)[0]
         f = _block_terms(gains, list(coords.T), P)[0]
         best = np.maximum(best, _rate_from_quad_form(1, f))
     return best

@@ -535,6 +535,12 @@ EXIT_CASES = {
         ["rate", "--d", "5", "--snr-db", "20", "--h", "1e160,1e160;1e160,1e160"], None, 2,
     ),
     "sweep_L7": (["sweep", "--L", "7", "--snr-db", "0,20,40", "--trials", "2"], None, 0),
+    # a 40-D ring search that needs 8.7 M enumeration nodes: refused at the
+    # node budget, in a few seconds
+    "sweep_L20_snr_120": (
+        ["sweep", "--L", "20", "--schemes", "am_ring(5)", "--trials", "1", "--snr-db", "120"],
+        None, 2,
+    ),
     "codec_L7": (_codec(5, 11, 2, 1, 0, "--L", "7", "--snr-db", "20", "--trials", "200"), None, 0),
     "field_d_max_prime": (["field", "info", "--d", "999999999989"], None, 0),
     "codec_d_max_prime": (_codec(999999999989, 2, 1, 0, 0), None, 0),
@@ -570,6 +576,54 @@ def test_every_subcommand_exits_0_or_2(case, tmp_path):
         assert not err and out.stdout
     else:
         assert len(err) == 1 and err[0].startswith("error: "), out.stderr
+
+
+def test_cached_parser_gives_a_fresh_parsers_results(capsys, monkeypatch):
+    # main builds its parser once and reuses it; in-process calls in a row,
+    # a rejected flag first, exit and print as with a parser built per call
+    runs = [
+        ["rate", "--d", "5", "--snr-db", "20", "--bogus"],
+        ["rate", "--d", "5", "--snr-db", "20", "--h", _H],
+        ["sweep", "--snr-db", "0,20", "--trials", "3"],
+        _codec(5, 11, 2, 1, 0),
+    ]
+
+    def outcomes():
+        got = []
+        for argv in runs:
+            code = main(argv)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    cached = outcomes()
+    assert cflat.cli._build_parser() is cflat.cli._build_parser()
+    monkeypatch.setattr(cflat.cli, "_build_parser", cflat.cli._build_parser.__wrapped__)
+    assert cached == outcomes()
+    assert [c[0] for c in cached] == [2, 0, 0, 0]
+    assert "unrecognized arguments: --bogus" in cached[0][2]
+
+
+_NUMPY_MA_CHILD = """
+import sys
+from cflat.cli import main
+main(["sweep", "--trials", "20", "--output", sys.argv[1]])
+main(["sweep", "--L", "3", "--trials", "5", "--output", sys.argv[1]])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sweep_does_not_import_numpy_ma(tmp_path):
+    # some numpy set routines (setdiff1d) import numpy.ma on first use,
+    # about 1.9 MB of resident memory; the sweep uses boolean masks instead
+    src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_CHILD, str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )  # fmt: skip
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 # a small k11 `cflat codec` run's CSV text

@@ -114,17 +114,19 @@ class TestRunSweep:
         ],
         ids=["default", "0-200", "non-monotone", "one-trial", "L3", "ring-0-300"],
     )  # fmt: skip
-    def test_warm_start_equals_cold_calls(self, snr_db, trials, L, seed, schemes, monkeypatch):
+    def test_sweep_equals_cold_calls(self, snr_db, trials, L, seed, schemes, monkeypatch):
         # run_sweep evaluates each scheme over all (SNR point, trial) pairs
         # as one batch, the ring schemes' searches as one joint search, with a
         # lockstep LLL over every basis of more than two columns (the ring
         # schemes, and the Z schemes at L = 3); its rates must be bit-equal to
         # cold best_equation, naive_rate and mac_sum_capacity calls.  No
         # scalar LLL runs, except for a basis that the batch could not finish
-        # exactly
+        # exactly, and exactly the bases the box search leaves are
+        # enumerated one at a time
         cfg = SweepConfig(snr_db=snr_db, trials=trials, L=L, schemes=schemes, master_seed=seed)
-        scalar_calls, inexact = [], []
+        scalar_calls, inexact, unresolved, searched = [], [], [], []
         real_reduce, real_batch = svp._lll_reduce, svp._lll_batch
+        real_box, real_search = svp._box_shortest, svp._search_reduced
 
         def recording_reduce(rows):
             scalar_calls.append(rows)
@@ -135,9 +137,23 @@ class TestRunSweep:
             inexact.append(int((~out[4]).sum()))
             return out
 
+        def recording_box(R, T, bound):
+            found, coords = real_box(R, T, bound)
+            unresolved.append(int((~found).sum()))
+            return found, coords
+
+        def recording_search(*args):
+            searched.append(args)
+            return real_search(*args)
+
         monkeypatch.setattr(svp, "_lll_reduce", recording_reduce)
         monkeypatch.setattr(svp, "_lll_batch", recording_batch)
+        monkeypatch.setattr(svp, "_box_shortest", recording_box)
+        monkeypatch.setattr(svp, "_search_reduced", recording_search)
         res = run_sweep(cfg)
+        # an inexact basis is enumerated by _lll_shortest after the scalar LLL
+        assert len(searched) == sum(unresolved) + sum(inexact)
+        monkeypatch.setattr(svp, "_search_reduced", real_search)
         # a batch per chunk of the joint ring search, which takes every ring
         # scheme's bases for a run of _LLL_CHUNK // rings channels; at L = 3
         # also one for am_Z and one per block for naive_Z
@@ -207,9 +223,9 @@ class TestRunSweep:
         calls = []
         real = svp._shortest_batch
 
-        def recording(bases):
+        def recording(bases, P):
             calls.append(np.array(bases))
-            return real(bases)
+            return real(bases, P)
 
         monkeypatch.setattr(svp, "_shortest_batch", recording)
         res = run_sweep(cfg)

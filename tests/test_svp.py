@@ -18,12 +18,13 @@ from cflat.codec import (
     enumerate_fine_vectors,
 )
 from cflat.numfield import RingElement, make_quadratic_field, prime_above
-from cflat.simkit import sample_channels
+from cflat.simkit import SweepConfig, run_sweep, sample_channels
 from cflat.svp import (
     LLL_DELTA,
     NonFiniteBasis,
     RankDeficient,
     SVPResult,
+    SearchTooLarge,
     TooLarge,
     _GAUSS_TIE,
     _enumerate,
@@ -34,6 +35,7 @@ from cflat.svp import (
     _lll_reduce,
     _lll_shortest,
     _naive_rates,
+    _reduced_factor,
     _search_bases,
     _shortest_batch,
     best_equation,
@@ -572,9 +574,9 @@ class TestLLLBatch:
         calls = []
         real = svp._shortest_batch
 
-        def recording(bases):
+        def recording(bases, P):
             calls.append(bits(bases))
-            return real(bases)
+            return real(bases, P)
 
         monkeypatch.setattr(svp, "_shortest_batch", recording)
         coords = svp._ring_coords(fields, h, P)
@@ -595,27 +597,85 @@ class TestLLLBatch:
         # Sweep bases of the three ring schemes from 0 to 200 dB, after the
         # zero channel's basis, whose two unit users tie at norm 2: there
         # R_11^2 = R_00^2, so the enumeration must run, and it picks
-        # (0, 0, 1, 0).  Most sweep bases skip it.
+        # (0, 0, 1, 0).  Most sweep bases skip it, and the box search takes
+        # the rest: exactly the bases it leaves are enumerated
         bases = np.concatenate(
             [build_search_basis(F5, zero_channel(2, 2))[None]]
             + [sweep_bases(d, 2, range(0, 210, 20), 10) for d in (3, 5, 7)]
         )
-        enumerated = []
-        real = svp._search_reduced
-
-        def recording(cols, *args):
-            enumerated.append(cols)
-            return real(cols, *args)
-
-        monkeypatch.setattr(svp, "_search_reduced", recording)
+        unresolved, enumerated = record_fallback(monkeypatch)
         coords, norms = _shortest_batch(bases)
-        assert enumerated[0] == bases[0].T.tolist()
-        assert len(enumerated) < len(bases) / 2
+        assert enumerated == unresolved
+        assert enumerated[0] == bits(_reduced_factor(bases[0].T.tolist())[2])
+        assert len(enumerated) < len(bases) / 20
         assert tuple(coords[0]) == (0, 0, 1, 0)
-        for B, c, norm_sq in zip(bases, coords, norms):
-            want = _lll_shortest(B.T.tolist())
-            assert tuple(c) == tuple(want.coords)
-            assert norm_sq.hex() == want.norm_sq.hex()
+        assert_equals_lll_shortest(bases, coords, norms)
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            [(d, L, range(0, 210, 20), 8 if L == 2 else 3, 53) for d in (3, 5, 7) for L in (2, 3)],
+            [(d, 2, range(0, 310, 10), 100, 1) for d in (3, 5, 7)],
+            [(d, 3, range(0, 110, 10), 10, 53) for d in (None, 3, 5, 7)],
+        ],
+        ids=["lll-batch", "ring-0-300", "L3"],
+    )
+    def test_box_search_equals_enumeration(self, sets, monkeypatch):
+        # _box_shortest scores a box of reduced coordinates with the
+        # enumeration's own arithmetic: every basis it takes gets the
+        # coordinates and norm_sq bits of _search_reduced, here through
+        # _lll_shortest, whose scalar LLL the batch matches bit for bit; the
+        # bases it leaves are the ones enumerated.  On these sets (the LLL
+        # batch tests' ones, the sweep's 0-300 dB ring check, 3-D and 6-D
+        # bases at L = 3) it leaves none
+        unresolved, enumerated = record_fallback(monkeypatch)
+        for d, L, snrs, trials, seed in sets:
+            bases = sweep_bases(d, L, snrs, trials, seed=seed)
+            coords, norms = _shortest_batch(bases)
+            assert enumerated == unresolved == []
+            assert_equals_lll_shortest(bases, coords, norms)
+            enumerated.clear()  # _lll_shortest enumerates every basis
+
+    @pytest.mark.parametrize("gap, boxed", [(5e-10, False), (3e-9, True)])
+    def test_near_tie_falls_back(self, gap, boxed, monkeypatch):
+        # b_1 = (1, 0, 0), b_2 = (0.4, s, 0) with |b_2|^2 = 1 + gap, b_3 =
+        # 3 e_3: reduced as given, and not skipped, as R_11^2 < R_00^2.
+        # Within _REL_TIE the enumeration collects both and the tie-break
+        # picks (0, 1, 0), the longer one; the box leaves that to it.  Past
+        # the tie it takes b_1 itself
+        s = math.sqrt(0.84 + gap)
+        B = np.array([[1.0, 0.4, 0.0], [0.0, s, 0.0], [0.0, 0.0, 3.0]])
+        unresolved, enumerated = record_fallback(monkeypatch)
+        coords, norms = _shortest_batch(B[None])
+        R = bits(_reduced_factor(B.T.tolist())[2])
+        assert enumerated == unresolved == ([] if boxed else [R])
+        assert tuple(coords[0]) == ((1, 0, 0) if boxed else (0, 1, 0))
+        assert_equals_lll_shortest(B[None], coords, norms)
+
+    @pytest.mark.parametrize("alternating", [False, True], ids=["widest-2.004", "minimum-outside"])
+    def test_wide_box_falls_back(self, alternating, monkeypatch):
+        # LLL-reduced 6-D bases at the Lovasz bound, every mu_ij = 0.49 (or
+        # +-0.49 alternating) and each Gram-Schmidt length sqrt(0.755) of
+        # the one before.  With equal signs the widest box is 2.004, just
+        # past {-1, 0, 1}; with alternating ones the boxes reach 6.03 and
+        # the shortest vector, (3, -2, 1, -1, 1, -1), lies outside the
+        # unit box, so a box search would answer wrongly.  Both are
+        # enumerated
+        m = 6
+        r = 0.755 ** (np.arange(m) / 2)
+        R = np.diag(r)
+        for i in range(1, m):
+            for j in range(i):
+                R[j, i] = 0.49 * r[j] * (-1) ** ((i + j + 1) * alternating)
+        bound = min(float(x @ x) for x in R.T)
+        widths = math.sqrt(bound) * np.linalg.norm(np.linalg.inv(R), axis=1)
+        assert 2.0 < widths.max() < (7.0 if alternating else 2.01)
+        unresolved, enumerated = record_fallback(monkeypatch)
+        coords, norms = _shortest_batch(R[None])
+        assert enumerated == unresolved == [bits(_reduced_factor(R.T.tolist())[2])]
+        if alternating:
+            assert tuple(coords[0]) == (3, -2, 1, -1, 1, -1)
+        assert_equals_lll_shortest(R[None], coords, norms)
 
     @pytest.mark.parametrize("snr_db", [600.0, 1500.0, 2000.0])
     def test_transforms_past_2_53_leave_the_batch(self, snr_db):
@@ -630,17 +690,31 @@ class TestLLLBatch:
 
 def test_search_does_not_use_builtin_sum(monkeypatch):
     # builtin sum of floats is compensated from Python 3.12, so its bits
-    # depend on the interpreter; the enumeration centres and minkowski_bound
-    # are summed left to right instead, from 0.0 as Python 3.11's sum does
+    # depend on the interpreter; the enumeration centres, the box search's
+    # and minkowski_bound are summed left to right instead, from 0.0 as
+    # Python 3.11's sum does
     B = build_search_basis(F5, random_channel(np.random.default_rng(13), L=3))
     lat = build_construction_a(F5, prime_above(F5, 11), REPEAT_CODE, gamma=1.0)
-    want = (shortest_vector(B), minkowski_bound(B), enumerate_fine_vectors(lat, 3.0))
+    # sweep bases at L = 2 and 3, most of those not skipped box-searched
+    batch = [sweep_bases(5, L, (0.0, 20.0, 40.0), 10) for L in (2, 3)]
+
+    def searches():
+        return (
+            shortest_vector(B),
+            minkowski_bound(B),
+            enumerate_fine_vectors(lat, 3.0),
+            [_shortest_batch(bases) for bases in batch],
+        )
+
+    want = searches()
 
     def no_sum(*args):
         raise AssertionError("builtin sum called")
 
     monkeypatch.setattr(svp, "sum", no_sum, raising=False)
-    got = (shortest_vector(B), minkowski_bound(B), enumerate_fine_vectors(lat, 3.0))
+    got = searches()
+    for (c, n), (c0, n0) in zip(got[3], want[3]):
+        assert bits(c) == bits(c0) and bits(n) == bits(n0)
     assert tuple(got[0].coords) == tuple(want[0].coords)
     assert got[0].norm_sq.hex() == want[0].norm_sq.hex()
     assert got[1].hex() == want[1].hex()
@@ -651,6 +725,36 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
 
 def bits(x):
     return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+def assert_equals_lll_shortest(bases, coords, norms):
+    """The coordinates and norms of _shortest_batch(bases) are those of
+    _lll_shortest on each basis, bit for bit."""
+    for B, c, norm_sq in zip(bases, coords, norms):
+        want = _lll_shortest(B.T.tolist())
+        assert tuple(c) == tuple(want.coords)
+        assert norm_sq.hex() == want.norm_sq.hex()
+
+
+def record_fallback(monkeypatch):
+    """Spies on _lll_chunk: returns (unresolved, enumerated), lists that
+    fill with the bits of each triangular factor R that _box_shortest left
+    unresolved, and of each one _search_reduced enumerated, in call order."""
+    unresolved, enumerated = [], []
+    real_box, real_search = svp._box_shortest, svp._search_reduced
+
+    def box(R, T, bound):
+        found, coords = real_box(R, T, bound)
+        unresolved.extend(bits(R[..., i]) for i in np.flatnonzero(~found))
+        return found, coords
+
+    def search(cols, T, R, bound):
+        enumerated.append(bits(R))
+        return real_search(cols, T, R, bound)
+
+    monkeypatch.setattr(svp, "_box_shortest", box)
+    monkeypatch.setattr(svp, "_search_reduced", search)
+    return unresolved, enumerated
 
 
 def assert_batch_equals_single(bases):
@@ -672,6 +776,33 @@ def test_naive_batch_equals_single_calls(L):
         P = 10.0 ** (snr_db / 10.0)
         want = [naive_rate(BlockFadingChannel(x, P))[2] for x in h]
         assert bits(_naive_rates(h, P)) == bits(want)
+
+
+class TestNodeBudget:
+    def test_error_names_dimension_and_snr(self, monkeypatch):
+        # the shortest-vector enumeration stops past _NODE_BUDGET nodes; an
+        # entry point that knows the SNR names it, the basis search does not
+        monkeypatch.setattr(svp, "_NODE_BUDGET", 5)
+        h = sample_channels(3, 0, 2, 3)
+        ch = BlockFadingChannel(h, 1e3)
+        with pytest.raises(SearchTooLarge, match="dimension 6 at 30 dB needs more than 5 "):
+            best_equation(F5, ch)
+        with pytest.raises(SearchTooLarge, match="dimension 3 at 30 dB needs more than 5 "):
+            best_integer_block(h[0], 1e3)
+        with pytest.raises(SearchTooLarge, match="search in dimension 6 needs more than 5 "):
+            shortest_vector(build_search_basis(F5, ch))
+        # 8-D bases take no box search, so the sweep enumerates the ones it
+        # does not skip
+        cfg = SweepConfig(L=4, snr_db=(30.0,), trials=3, schemes=("am_ring(5)",))
+        with pytest.raises(SearchTooLarge, match="dimension 8 at 30 dB needs more than 5 "):
+            run_sweep(cfg)
+
+    def test_codec_walk_is_not_bounded(self, monkeypatch):
+        # the closest-point walk of the codec lists every point of its disc
+        lat = build_construction_a(F5, prime_above(F5, 11), REPEAT_CODE, gamma=1.0)
+        want = enumerate_fine_vectors(lat, 3.0)
+        monkeypatch.setattr(svp, "_NODE_BUDGET", 1)
+        assert len(enumerate_fine_vectors(lat, 3.0)) == len(want) > 1
 
 
 class TestBruteForce:
