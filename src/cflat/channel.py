@@ -97,28 +97,30 @@ def _user_columns(h: np.ndarray) -> list:
     return [[h[:, j, l] for l in range(h.shape[2])] for j in range(h.shape[1])]
 
 
-def _each(fn, *xs):
-    """fn on Python floats, or fn per element of equal-shape arrays (an
-    array of the results).  math.log2 runs this way because np.log2 differs
-    from libm in the last bit on some inputs and hosts."""
-    if isinstance(xs[0], np.ndarray):
-        return np.array([fn(*v) for v in zip(*(x.tolist() for x in xs))])
-    return fn(*xs)
-
-
-def _log2_pos(x: float) -> float:
-    return max(math.log2(x), 0.0) if x > 0 else 0.0
+def _log2(x):
+    """math.log2 of a Python float, or of each element of a 1-D array (an
+    array of the results): np.log2 differs from libm in the last bit on
+    some inputs and hosts."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.log2, x.tolist()), float, len(x))
+    return math.log2(x)
 
 
 def _rate_from_quad_form(n: int, f):
-    """(n/2) log2+ (n / f), per element for an array f."""
-
-    def rate(x):
-        if x <= 0:
-            raise ValueError(f"quadratic form must be positive, got {x}")
-        return 0.5 * n * _log2_pos(n / x)
-
-    return _each(rate, f)
+    """(n/2) log2+ (n / f), per element for an array f; ValueError for the
+    first f that is not positive."""
+    if isinstance(f, np.ndarray):
+        bad = f <= 0
+        if not bad.any():
+            with np.errstate(over="ignore"):
+                x = n / f
+            # log2+ is 0.0 where n / f is not positive (f = inf) or is NaN
+            return 0.5 * n * np.maximum(_log2(np.where(x > 0, x, 1.0)), 0.0)
+        f = float(f[bad][0])  # raised below
+    if f <= 0:
+        raise ValueError(f"quadratic form must be positive, got {f}")
+    x = n / f
+    return 0.5 * n * (max(math.log2(x), 0.0) if x > 0 else 0.0)
 
 
 def coefficient_embeddings(a, field: NumberField | None, n: int) -> np.ndarray:
@@ -215,9 +217,23 @@ def _block_terms(h, s, P: float):
     return f, b, nu_sq
 
 
-def _noise_identity(total: float, Pf: float) -> None:
-    if not math.isclose(total, Pf, rel_tol=1e-9, abs_tol=1e-12):
-        raise AssertionError(f"noise identity violated: n*sigma_AM^2={total} vs P*f={Pf}")
+def _noise_identity(total, Pf) -> None:
+    """AssertionError unless math.isclose(total, Pf, rel_tol=1e-9,
+    abs_tol=1e-12), for Python floats or per element of equal-shape arrays.
+    On arrays, numpy runs isclose's own comparisons, which for finite
+    operands are its result; elements that are not finite, or that fail,
+    go to math.isclose, and the first that fails there raises."""
+    pairs = [(total, Pf)]
+    if isinstance(total, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.abs(Pf - total)
+            close = (diff <= np.abs(1e-9 * Pf)) | (diff <= np.abs(1e-9 * total))
+        close |= diff <= 1e-12
+        close &= np.isfinite(total) & np.isfinite(Pf)
+        pairs = zip(total[~close].tolist(), Pf[~close].tolist())
+    for a, b in pairs:
+        if not math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12):
+            raise AssertionError(f"noise identity violated: n*sigma_AM^2={a} vs P*f={b}")
 
 
 def _am_terms(h, s, P: float):
@@ -241,7 +257,7 @@ def _am_terms(h, s, P: float):
     total = nu_sq[0]  # n * sigma_AM^2
     for x in nu_sq[1:]:
         total = total + x
-    _each(_noise_identity, total, P * f)
+    _noise_identity(total, P * f)
     return b, nu_sq, f
 
 
@@ -289,7 +305,7 @@ def _mac_sum(h, P: float):
     """sum_j (1/2) log2(1 + P||h_j||^2) for rows h[j] of per-user operands."""
     total = 0.0
     for hj in h:
-        total = total + 0.5 * _each(math.log2, 1.0 + P * _dot(hj, hj))
+        total = total + 0.5 * _log2(1.0 + P * _dot(hj, hj))
     return total
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import svp
 from .channel import BlockFadingChannel, _dot, _mac_sum, _snr_linear, _user_columns
 from .numfield import make_quadratic_field
 from .svp import _best_equation_rates, _naive_rates, _ring_coords
@@ -147,10 +148,14 @@ def _joint_ring_search(fields: dict, hs: np.ndarray, P: np.ndarray) -> dict:
     """The search coordinates of every ring scheme, by d, from one joint
     search; {} if it raises one of the search's ValueErrors, so each scheme
     then searches on its own and the first error in scheme order is raised,
-    as without the joint search."""
+    as without the joint search.  One scheme whose bases fit one chunk
+    would search them in the same single call, so its error is raised at
+    once."""
     try:
         return dict(zip(fields, _ring_coords(list(fields.values()), hs, P)))
     except ValueError:
+        if len(fields) == 1 and len(hs) <= svp._LLL_CHUNK:
+            raise
         return {}
 
 

@@ -9,15 +9,17 @@ The SVP is solved exactly: by Gauss-Lagrange reduction for a 2-column basis
 enumeration (Schnorr and Euchner, Math. Programming 1994); a brute-force box
 search is kept as an independent oracle.  The sweep builds and checks its
 bases, and runs the Gauss path and LLL, over a batch of channels at once,
-with the floating-point operations of a single call; the bases of all its
-ring schemes are built and searched together, a chunk of channels at a
-time.  Where the enumeration can return only the first reduced vector it
-is skipped; the other bases of up to six columns are scored at once on a
-box of reduced coordinates that provably holds the enumeration's answer,
-with its arithmetic (Fincke and Pohst, Math. Comp. 1985, for the box).
-Only ties, near ties, wider boxes and bases of more than six columns are
-enumerated basis by basis.  Every shortest-vector enumeration stops at a
-node budget with SearchTooLarge.
+with the floating-point operations of a single call: the LLL (Lenstra,
+Lenstra and Lovasz, Math. Ann. 1982) in lockstep, each step run in place
+on the bases at one loop index, in passes up and then down the indices.
+The bases of all its ring schemes are built and searched together, a
+chunk of channels at a time.  Where the enumeration can return only the
+first reduced vector it is skipped; the other bases of up to six columns
+are scored at once on a box of reduced coordinates that provably holds
+the enumeration's answer, with its arithmetic (Fincke and Pohst, Math.
+Comp. 1985, for the box).  Only ties, near ties, wider boxes and bases of
+more than six columns are enumerated basis by basis.  Every
+shortest-vector enumeration stops at a node budget with SearchTooLarge.
 """
 
 from __future__ import annotations
@@ -205,11 +207,13 @@ def _lll_batch(cols: np.ndarray):
     """_lll_reduce on each basis of a batch, in lockstep: cols (m, dim,
     batch) as _finite_column_batch returns.  Each basis keeps its own loop
     index k; a pass runs one step of _lll_reduce's loop for the unfinished
-    bases at k = 0, then for those at k = 1, and so on up, the bases at one
-    k gathered together, at most a quarter of the batch (or _LLL_GROUP
-    bases, if more) at a time, with masks in place of the loop's branches.
-    The floating-point operations are _lll_reduce's in its order, so b, T,
-    mu and norms are bit-equal to its output.
+    bases at k = 1, then for those at k = 2, and so on up to m - 1, then
+    down again to k = 1.  A step runs on every basis in place, masked to
+    the bases at its k, and masks stand for the loop's branches.  Step k = 0
+    only sets b*_0 = b_0 and ||b*_0||^2: it runs before the loop, and then
+    inside the step at k = 1 for the bases that swap there.  The
+    floating-point operations are _lll_reduce's in its order, so b, T, mu
+    and norms are bit-equal to its output.
 
     Returns (b, T, mu, norms, exact), with b (m, dim, batch), T and mu (m,
     m, batch) and norms (m, batch).  T is held as doubles.  `exact` is False
@@ -221,64 +225,74 @@ def _lll_batch(cols: np.ndarray):
     _lll_reduce.
     """
     m, dim, size = cols.shape
-    # row i of a basis is (b_i, T_i, mu_i, b*_i, ||b*_i||^2): gathering a
-    # set of bases is one copy, and a size-reduction step updates one slice
-    state = np.zeros((size, m, 2 * dim + 2 * m + 1))
-    rows = state.transpose(1, 2, 0)
-    rows[:, :dim] = cols
-    rows[:, dim : dim + m] = rows[:, dim + m : dim + 2 * m] = np.eye(m)[:, :, None]
-    k = np.zeros(size, dtype=np.intp)
-    exact = np.ones(size, dtype=bool)
-    group_size = max(_LLL_GROUP, size // 4)
-    # a basis that leaves the loop early may have overflowed
-    with np.errstate(over="ignore", invalid="ignore"):
+    # row i of every basis is (max|T_i|, b_i, T_i, mu_i, ||b*_i||^2), each
+    # entry an array over the batch: a size-reduction step updates one slice
+    # of a row, a swap another; b*_i is kept apart, as only the loop reads it
+    rows = np.zeros((m, dim + 2 * m + 2, size))
+    rows[:, 0] = 1.0
+    rows[:, 1 : dim + 1] = cols
+    rows[:, dim + 1 : dim + m + 1] = rows[:, dim + m + 1 : -1] = np.eye(m)[:, :, None]
+    star = np.zeros((m, dim, size))
+    star[0] = cols[0]
+    rows[0, -1] = n0 = _dim_sum(cols[0] * cols[0])
+    exact = (n0 > 0.0) & (n0 < math.inf)
+    k = np.ones(size, dtype=np.intp)
+    # the unselected bases' arithmetic is discarded, and may overflow or
+    # divide by zero, as may a basis that leaves the loop early
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while ((k < m) & exact).any():
-            for kv in range(m):
-                idx = np.flatnonzero((k == kv) & exact)
-                for lo in range(0, idx.size, group_size):
-                    group = idx[lo : lo + group_size]
-                    part = state[group, : kv + 1]  # a step reads rows 0..kv only
-                    k[group], exact[group] = _lll_step(kv, part.transpose(1, 2, 0), m, dim)
-                    state[group, : kv + 1] = part
-    b, T, mu = rows[:, :dim], rows[:, dim : dim + m], rows[:, dim + m : dim + 2 * m]
+            for kv in [*range(1, m), *range(m - 2, 0, -1)]:
+                sel = (k == kv) & exact
+                if sel.any():
+                    up, ok = _lll_step(kv, rows[: kv + 1], star, sel, m, dim)
+                    np.copyto(k, np.where(up, kv + 1, max(kv - 1, 1)), where=sel)
+                    np.copyto(exact, ok, where=sel)
+    b, T, mu = np.split(rows[:, 1:-1], [dim, dim + m], axis=1)
     return b, T, mu, rows[:, -1], exact
 
 
-def _lll_step(kv: int, rows: np.ndarray, m: int, dim: int):
-    """One pass of _lll_reduce's loop at k = kv, in place, on rows 0..kv
-    (kv + 1, width, bases) of a set of _lll_batch's bases.  Returns each
-    basis' next k and whether it is still exact."""
-    T, mu = rows[:, dim : dim + m], rows[:, dim + m : dim + 2 * m]
-    star, norms = rows[:, dim + 2 * m : -1], rows[:, -1]
-    bk = rows[kv, :dim]
-    c = _dim_sum(bk * star[:kv]) / norms[:kv]
-    mu[kv, :kv] = c
-    v = bk
+def _lll_step(kv: int, rows: np.ndarray, star: np.ndarray, sel: np.ndarray, m: int, dim: int):
+    """One pass of _lll_reduce's loop at k = kv >= 1, in place, on rows
+    0..kv (kv + 1, width, batch) and b* of _lll_batch's bases where sel
+    holds; at kv = 1 also the pass at k = 0 that follows a swap.  Returns
+    per basis whether it goes up (True where sel does not hold), and
+    whether it is still exact."""
+    b, T, norms = rows[:, 1 : dim + 1], rows[:, dim + 1 : dim + m + 1], rows[:, -1]
+    mu = rows[:, dim + m + 1 : -1]
+    c = _dim_sum(b[kv] * star[:kv]) / norms[:kv]
+    np.copyto(mu[kv, :kv], c, where=sel)
+    v = b[kv]
     for j in range(kv):
         v = v - c[j] * star[j]
-    star[kv] = v
-    norms[kv] = nk = _dim_sum(v * v)
+    np.copyto(star[kv], v, where=sel)
+    nk = _dim_sum(v * v)
+    np.copyto(norms[kv], nk, where=sel)
     ok = (nk > 0.0) & (nk < math.inf)
     # every partial sum of T[kv] - sum_j q_j T[j] is an exact integer while
     # max|T[kv]| + sum_j |q_j| max|T[j]| < 2^53; that sum of nonnegative
     # integers, computed in floats, is below 2^53 exactly when the true sum is
-    tmax = np.abs(T).max(axis=1)
+    tmax = rows[:, 0]
     reach = tmax[kv]
     for j in range(kv - 1, -1, -1):
         q = np.rint(mu[kv, j])
         reach = reach + np.abs(q) * tmax[j]
         # b[kv], T[kv] and mu[kv][:j + 1]
-        w = dim + m + j + 1
-        np.subtract(rows[kv, :w], q * rows[j, :w], out=rows[kv, :w], where=q != 0.0)
+        w = dim + m + j + 2
+        np.subtract(rows[kv, 1:w], q * rows[j, 1:w], out=rows[kv, 1:w], where=sel & (q != 0.0))
     ok &= reach < 2.0**53
-    if kv == 0:
-        return 1, ok
+    np.copyto(tmax[kv], np.abs(T[kv]).max(axis=0), where=sel)
     m1 = mu[kv, kv - 1]
-    up = nk >= (LLL_DELTA - m1 * m1) * norms[kv - 1]
-    # swap b and T of rows kv - 1 and kv where the Lovasz test fails
-    pair = rows[kv - 1 : kv + 1, : dim + m]
+    up = (nk >= (LLL_DELTA - m1 * m1) * norms[kv - 1]) | ~sel
+    # swap max|T|, b and T of rows kv - 1 and kv where the Lovasz test fails
+    pair = rows[kv - 1 : kv + 1, : dim + m + 1]
     pair[...] = np.where(up, pair, pair[::-1])
-    return np.where(up, kv + 1, kv - 1), ok
+    if kv == 1:
+        # k = 0: b*_0 = b_0 and its norm, as every basis already holds
+        # unless it has just swapped
+        star[0] = b[0]
+        norms[0] = n0 = _dim_sum(b[0] * b[0])
+        ok &= (n0 > 0.0) & (n0 < math.inf)
+    return up, ok
 
 
 def _dim_sum(p: np.ndarray) -> np.ndarray:
@@ -561,10 +575,6 @@ def _search_reduced(cols: list, T, R, bound: float) -> SVPResult:
 
 # bases per _lll_batch call, which bounds the work arrays held at once
 _LLL_CHUNK = 4096
-# a lockstep step gathers at most a quarter of its batch, or this many bases
-# if more: its work copy stays small next to the batch's state, and a large
-# batch still takes few steps
-_LLL_GROUP = 192
 
 
 def _shortest_batch(bases: np.ndarray, P=None) -> tuple[np.ndarray, np.ndarray]:
@@ -633,7 +643,8 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         sign = lead[0]
         for x in lead[1:]:
             sign = np.where(sign == 0.0, x, sign)
-        lead = np.where(sign < 0.0, -lead, lead)
+        # + 0.0: a zero coordinate is +0.0, as in shortest_vector's integers
+        lead = np.where(sign < 0.0, -lead, lead) + 0.0
         norm_sq = _norm_sq(cols, lead)
     coords = lead.T
     for i in np.flatnonzero(~solved):

@@ -8,6 +8,7 @@ from cflat.channel import (
     ZeroCoefficient,
     _am_terms,
     _mac_sum,
+    _noise_identity,
     _rate_from_quad_form,
     _user_columns,
     am_rate,
@@ -304,6 +305,67 @@ class TestBatchKernel:
             _am_terms(_user_columns(h), _user_columns(sigma), 10.0)
         with pytest.raises(ZeroCoefficient, match="coefficient vector is zero"):
             am_rate(BlockFadingChannel(h[1], 10.0), (0, 0))
+
+
+def near(x, ulps):
+    """The floats within `ulps` steps of x, x included."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+# signed zeros, subnormals, the normal minimum, infinities, NaN, the ends of
+# the float range, and pairs within a few ulps of the relative (1e-9) and
+# absolute (1e-12) tolerances
+_ISCLOSE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300,
+    1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan,
+    *near(1e-12, 2), *near(-1e-12, 1), *near(5e-13, 1), *near(1.0 + 1e-9, 3),
+    *near(1.0 - 1e-9, 3), *near(1e-300 * (1.0 + 1e-9), 2), 1e-300,
+]  # fmt: skip
+
+
+class TestBatchChecks:
+    """The array paths of the noise-identity check and of the rate run
+    numpy operations, and agree with the scalar paths element by element."""
+
+    def test_noise_identity_agrees_with_math_isclose(self):
+        pairs = [(a, b) for a in _ISCLOSE_VALUES for b in _ISCLOSE_VALUES]
+        for a, b in pairs:
+            want = math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+            try:
+                _noise_identity(np.array([a]), np.array([b]))
+            except AssertionError:
+                assert not want, (a, b)
+            else:
+                assert want, (a, b)
+        total, Pf = np.array(pairs).T
+        close = [math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) for a, b in pairs]
+        assert 0 < sum(close) < len(pairs)
+        _noise_identity(total[close], Pf[close])
+        a, b = pairs[close.index(False)]
+        with pytest.raises(AssertionError) as batch:
+            _noise_identity(total, Pf)
+        with pytest.raises(AssertionError) as single:
+            _noise_identity(a, b)
+        assert str(batch.value) == str(single.value)
+
+    def test_rate_batch_equals_scalar_calls(self):
+        f = np.array([5e-324, 1e-300, 0.5, 1.0, 1.5, 2.0, 3.0, 1e308, math.inf, math.nan])
+        for n in (1, 2):
+            assert bits(_rate_from_quad_form(n, f)) == bits(
+                [_rate_from_quad_form(n, x) for x in f.tolist()]
+            )
+        for bad in ([1.0, -0.0, -1.0], [2.0, -3.0, 0.0]):
+            with pytest.raises(ValueError) as batch:
+                _rate_from_quad_form(2, np.array(bad))
+            with pytest.raises(ValueError) as single:
+                _rate_from_quad_form(2, bad[1])
+            assert str(batch.value) == str(single.value)
 
 
 class TestChannelValidation:

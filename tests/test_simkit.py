@@ -289,6 +289,29 @@ class TestRunSweep:
         assert "noise identity violated" in str(batch.value)
         assert str(batch.value) == str(single.value)
 
+    def test_one_ring_scheme_searches_once(self, capsys, monkeypatch):
+        # With one ring scheme whose bases fit one chunk, the joint search
+        # makes the very call the scheme's own search would, so its error
+        # is raised at once: a 40-D search refused at the node budget runs
+        # the lockstep LLL once
+        from cflat.cli import main
+
+        calls = []
+        real = svp._lll_batch
+
+        def recording(cols):
+            calls.append(cols.shape)
+            return real(cols)
+
+        monkeypatch.setattr(svp, "_lll_batch", recording)
+        argv = ["sweep", "--L", "20", "--schemes", "am_ring(5)", "--trials", "1"]
+        assert main([*argv, "--snr-db", "120"]) == 2
+        assert calls == [(40, 40, 1)]
+        assert capsys.readouterr().err == (
+            "error: shortest-vector search in dimension 40 at 120 dB needs more than "
+            "250000 enumeration nodes\n"
+        )
+
     def test_joint_search_raises_other_errors(self, monkeypatch):
         # only the search's ValueErrors send the sweep to per-scheme
         # searches; any other failure of the joint search propagates

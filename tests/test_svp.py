@@ -552,14 +552,74 @@ class TestLLLBatch:
         monkeypatch.setattr(svp, "_LLL_CHUNK", 3)
         assert_batch_equals_single(sweep_bases(7, 2, (0.0, 30.0, 60.0, 90.0), 2))
 
-    def test_group_boundary(self, monkeypatch):
-        # a step gathers the bases at one loop index in groups of at most
-        # max(_LLL_GROUP, batch // 4): 25 bases in groups of 6, the last one
-        # short
-        monkeypatch.setattr(svp, "_LLL_GROUP", 5)
+    def test_step_leaves_unselected_bases(self, monkeypatch):
+        # a step runs on every basis in place, masked to the bases at its
+        # loop index: 25 bases from 0 to 160 dB, which reach different loop
+        # indices after the first step.  The rows and b* of every other
+        # basis keep their bits, b*_0 and ||b*_0||^2 too, which the step at
+        # k = 1 rewrites for all
+        real = svp._lll_step
+        masked = []
+
+        def recording(kv, rows, star, sel, m, dim):
+            before = rows.copy(), star.copy()
+            out = real(kv, rows, star, sel, m, dim)
+            for x, y in zip(before, (rows, star)):
+                assert bits(x[..., ~sel]) == bits(y[..., ~sel])
+            masked.append(not sel.all())
+            return out
+
+        monkeypatch.setattr(svp, "_lll_step", recording)
         bases = sweep_bases(3, 2, (0.0, 40.0, 80.0, 120.0, 160.0), 5)
         assert_lll_batch_equals_scalar(bases)
+        assert sum(masked) > len(masked) / 2
         assert_batch_equals_single(bases)
+
+    @pytest.mark.parametrize("snr_db", [80.0, 600.0])
+    def test_carried_transform_maximum(self, snr_db, monkeypatch):
+        # each row carries max|T_i| for the 2^53 guard, swapped with b_i and
+        # T_i: after the batch it is |T| maxed over each row of every basis
+        # that finished exactly.  At 600 dB the guard still sends the same
+        # bases to the scalar LLL
+        real = svp._lll_step
+        states = []
+
+        def recording(kv, rows, *args):
+            states.append(rows.base)
+            return real(kv, rows, *args)
+
+        monkeypatch.setattr(svp, "_lll_step", recording)
+        bases = sweep_bases(5, 2, (snr_db,), 21, seed=1)
+        T, exact = _lll_batch(_finite_column_batch(bases))[1::3]
+        assert all(s is states[0] for s in states)
+        tmax = np.abs(T[..., exact]).max(axis=1)
+        assert bits(states[0][:, 0, exact]) == bits(tmax)
+        assert tmax.max() > (1 if snr_db < 600 else 2**28)
+        left = [3, 4, 7, 13, 17, 19, 20] if snr_db >= 600 else []
+        assert np.flatnonzero(~exact).tolist() == left
+
+    def test_sweep_unit_steps(self, monkeypatch):
+        # one step per loop index, k = 0 run inside the swap at k = 1, and
+        # passes up then down: the 660 ring bases of a 20-trial sweep take
+        # 52 lockstep steps (116 with a step at k = 0, upward passes only and
+        # at most a quarter of the batch per step)
+        real = svp._lll_step
+        steps = []
+
+        def counting(*args):
+            steps.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(svp, "_lll_step", counting)
+        run_sweep(SweepConfig(trials=20, master_seed=1000))
+        assert 0 not in steps and len(steps) <= 60
+
+    def test_zero_coordinates_are_positive_zero(self):
+        # sign normalization negates whole rows; a zero coordinate stays
+        # +0.0, as in shortest_vector's integer coordinates
+        bases = sweep_bases(5, 2, (0.0, 20.0, 40.0), 10)
+        coords = _shortest_batch(bases)[0]
+        assert bits(coords) == bits([shortest_vector(B).coords for B in bases])
 
     def test_joint_ring_search_equals_per_field_calls(self, monkeypatch):
         # _ring_coords searches every field's bases for a run of channels in
