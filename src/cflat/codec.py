@@ -46,10 +46,8 @@ __all__ = [
 MAX_COSET_LEADERS = 4096
 _POWER_SAMPLES = 100_000
 _POWER_SEED = 20260314
+_POWER_BLOCK = 1 << 14  # cells of the calibration draw held at once
 _SIM_BATCH = 4096
-# second-coordinate offsets from the Babai rounding: exhaustive for a 2D
-# basis LLL-reduced at delta = 0.99 (see _decode_leader_indices)
-_BABAI_WINDOW = np.array([[-1.0], [0.0], [1.0]])
 
 
 class DimensionMismatch(ValueError):
@@ -325,7 +323,11 @@ def _build_unit(
     field: NumberField, prime: PrimeIdeal, codes: NestedCodePair, calibrate: bool
 ) -> _UnitLattice:
     """Check the inputs and build the lattice pair at gamma = 1; with
-    calibrate, also draw the power calibration's samples."""
+    calibrate, also estimate the shaping region's second moment m0 from
+    _POWER_SAMPLES uniform draws.  The draw runs in blocks of at most
+    _POWER_BLOCK cells from one stream, and the per-sample norms fill one
+    array whose mean is m0: the bits of a one-block draw, without holding
+    the whole draw and its image."""
     if prime.field is not field and prime.field.d != field.d:
         raise DimensionMismatch("prime ideal belongs to a different field")
     if codes.p != prime.p or codes.r != prime.r:
@@ -383,9 +385,13 @@ def _build_unit(
     m0 = None
     if calibrate:
         rng = np.random.default_rng(_POWER_SEED)
-        z = rng.uniform(-0.5, 0.5, size=(_POWER_SAMPLES, 2 * T))
-        samples = z @ region_unit.T
-        m0 = float(np.einsum("ij,ij->i", samples, samples).mean()) / (n * T)
+        norms = np.empty(_POWER_SAMPLES)
+        rows = _POWER_BLOCK // (2 * T)  # T <= 882 under the volume check
+        for start in range(0, _POWER_SAMPLES, rows):
+            out = norms[start : start + rows]
+            samples = rng.uniform(-0.5, 0.5, size=(out.size, 2 * T)) @ region_unit.T
+            np.einsum("ij,ij->i", samples, samples, out=out)
+        m0 = float(norms.mean()) / (n * T)
 
     phi = field.embedding
     return _UnitLattice(
@@ -553,25 +559,9 @@ def _decode_leader_indices(lat: ConstructionALattice, S: np.ndarray) -> np.ndarr
     rounding, and three candidates per coordinate are exhaustive.  Ties go
     to the lowest leader index.
     """
-    qmat, rmat = lat._cvp_q, lat._cvp_r
-    r11, r12, r22 = rmat[0, 0], rmat[0, 1], rmat[1, 1]
     residues = lat.leader_residues.tolist()
-    firsts = {}  # (coordinate i, residue x) -> first leader holding x at i
-    for k, row in enumerate(residues):
-        for i, x in enumerate(row):
-            firsts.setdefault((i, x), k)
+    table = _residue_distances(lat, S, residues)
     B = S.shape[0]
-    # one block for all rows: many separately allocated rows fragment the
-    # heap and raise the resident peak
-    dist = np.empty((len(firsts), B))
-    table = [{} for _ in range(lat.T)]  # table[i][x]: row of coordinate i, residue x
-    for ((i, x), k), dmin in zip(firsts.items(), dist):
-        y = (S[:, :, i] - lat.embedded_leaders[k][:, i]) @ qmat  # (B, 2)
-        z2 = np.rint(y[:, 1] / r22) + _BABAI_WINDOW  # (3, B)
-        rem = y[:, 0] - r12 * z2
-        z1 = np.rint(rem / r11)
-        np.minimum.reduce((rem - r11 * z1) ** 2 + (y[:, 1] - r22 * z2) ** 2, out=dmin)
-        table[i][x] = dmin
     best = np.full(B, np.inf)
     best_idx = np.zeros(B, dtype=np.int64)
     total = np.empty(B)
@@ -583,6 +573,39 @@ def _decode_leader_indices(lat: ConstructionALattice, S: np.ndarray) -> np.ndarr
         np.copyto(best, total, where=better)
         best_idx[better] = k
     return best_idx
+
+
+def _residue_distances(lat: ConstructionALattice, S: np.ndarray, residues) -> list[dict]:
+    """table[i][x]: the (B,) squared distances from coordinate i of the
+    observations S (B, n, T) to the embedded ideal shifted by residue x,
+    for each (i, x) a leader holds.  The Babai window z2 - 1, z2, z2 + 1
+    runs in three reused (3, B) buffers."""
+    qmat, rmat = lat._cvp_q, lat._cvp_r
+    r11, r12, r22 = rmat[0, 0], rmat[0, 1], rmat[1, 1]
+    firsts = {}  # (coordinate i, residue x) -> first leader holding x at i
+    for k, row in enumerate(residues):
+        for i, x in enumerate(row):
+            firsts.setdefault((i, x), k)
+    B = S.shape[0]
+    cols = np.ascontiguousarray(S.transpose(2, 0, 1))  # (T, B, n)
+    # one block for all rows: many separately allocated rows fragment the
+    # heap and raise the resident peak
+    dist = np.empty((len(firsts), B))
+    z2, rem, z1 = np.empty((3, 3, B))
+    table = [{} for _ in range(lat.T)]
+    for ((i, x), k), dmin in zip(firsts.items(), dist):
+        y = (cols[i] - lat.embedded_leaders[k][:, i]) @ qmat  # (B, 2)
+        np.rint(np.divide(y[:, 1], r22, out=z2[1]), out=z2[1])
+        np.add(z2[1], -1.0, out=z2[0])
+        np.add(z2[1], 1.0, out=z2[2])
+        np.add(z2[1], 0.0, out=z2[1])  # rint(.) + 0.0: -0.0 becomes +0.0
+        np.subtract(y[:, 0], np.multiply(r12, z2, out=rem), out=rem)
+        np.rint(np.divide(rem, r11, out=z1), out=z1)
+        np.square(np.subtract(rem, np.multiply(r11, z1, out=z1), out=rem), out=rem)
+        np.square(np.subtract(y[:, 1], np.multiply(r22, z2, out=z2), out=z2), out=z2)
+        np.minimum.reduce(np.add(rem, z2, out=rem), out=dmin)
+        table[i][x] = dmin
+    return table
 
 
 def _block_sum(w: np.ndarray, X: np.ndarray) -> np.ndarray:

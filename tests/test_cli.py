@@ -549,6 +549,8 @@ EXIT_CASES = {
     "codec_T1": (_codec(5, 11, 1, 1, 0), None, 0),
     "codec_T0": (_codec(5, 11, 0, 0, 0), None, 2),
     "codec_lc_eq_lf": (_codec(5, 11, 2, 1, 1), None, 0),
+    # the largest T the volume check accepts at p = 11: a 442-D calibration
+    "codec_T221": (_codec(5, 11, 221, 0, 0, "--snr-db", "10", "--trials", "100"), None, 0),
     "svp_scale_1e100": (["svp", "--basis", "{f}"], "3 1e100 0 0 0 1e100 0 0 0 1e100", 0),
     "svp_scale_1e-100": (["svp", "--basis", "{f}"], "3 1e-100 0 0 0 1e-100 0 0 0 1e-100", 0),
     "svp_huge_entries": (["svp", "--basis", "{f}"], "2 1e200 0 0 1e200", 2),
@@ -641,3 +643,38 @@ def test_codec_csv_does_not_depend_on_the_blas_kernel():
     assert outs[0].startswith("snr_db,error_rate,stderr,union_bound,trials\n")
     assert len(outs[0].splitlines()) == 5
     assert outs[0] == outs[1] == outs[2]
+
+
+# the T = 221 run's peak resident size in KiB: VmHWM, since ru_maxrss keeps
+# the high-water mark of the process that forked the child
+_CODEC_T221_CHILD = """
+import sys
+from cflat.cli import main
+code = main(["codec", "--d", "5", "--p", "11", "--T", "221", "--lf", "0", "--lc", "0",
+             "--snr-db", "10", "--trials", "100", "--output", sys.argv[1]])
+with open("/proc/self/status") as f:
+    hwm = next(line.split()[1] for line in f if line.startswith("VmHWM:"))
+print(code, hwm)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_large_T_codec_memory_does_not_follow_the_calibration_draw(tmp_path):
+    # a one-block calibration draw holds two 100,000 x 442 arrays (about
+    # 700 MB); the blocked draw holds two blocks of at most 2^14 cells
+    src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out_csv = tmp_path / "codec.csv"
+    out = subprocess.run(
+        [sys.executable, "-c", _CODEC_T221_CHILD, str(out_csv)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )  # fmt: skip
+    assert out.returncode == 0, out.stderr
+    code, peak_kib = map(int, out.stdout.split())
+    assert code == 0
+    assert peak_kib < 150 * 1024
+    assert out_csv.read_text() == (
+        "snr_db,error_rate,stderr,union_bound,trials\n"
+        "10,0.000000e+00,0.000000e+00,0.000000e+00,100\n"
+    )

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from cflat.codec import (
     RadiusTooSmall,
     RankDeficientCode,
     _block_sum,
+    _build_unit,
     _code_lattice_basis,
     _decode_leader_indices,
     _embedding_map,
     _fq_gauss_jordan,
     _fq_solve,
     _pullback_coords,
+    _residue_distances,
     _residue_vector,
     build_construction_a,
     decode_equation,
@@ -39,6 +42,8 @@ from cflat.codec import (
 )
 from cflat.numfield import RingElement, make_quadratic_field, prime_above, residue_reduce
 from cflat.svp import best_equation
+from blas_kernels import outputs_per_kernel
+from power_oracle import one_block_m0
 from svp_certificate import box_points
 
 F5 = make_quadratic_field(5)
@@ -194,6 +199,96 @@ class TestBuild:
         assert lat.vol_coarse_unit == prime.residue_field.q**24 * 5 ** (24 / 2)
         with pytest.raises(DeskScaleExceeded, match=r"volume \d+\^25 \* 5\^\(25/2\) overflows"):
             build_construction_a(F5, prime, codes(25), gamma=1.0)
+
+
+def systematic_code(p, r, T, l_f, l_c):
+    """A nested pair whose fine generator has the identity on top (full
+    column rank) and fixed residues below it."""
+    q = p**r
+    G_f = tuple(
+        tuple(int(i == j) if i < l_f else (3 * i + j + 1) % q for j in range(l_f))
+        for i in range(T)
+    )
+    return NestedCodePair(p=p, r=r, T=T, l_f=l_f, l_c=l_c, G_f=G_f)
+
+
+def calibrated_unit(d, p, T, l_f, l_c):
+    field = make_quadratic_field(d)
+    prime = prime_above(field, p)
+    return _build_unit(field, prime, systematic_code(p, prime.r, T, l_f, l_c), calibrate=True)
+
+
+# (d, p, T, l_f, l_c): split and inert primes, p = 2, nested codes, and T up
+# to 70, so block heights from 8,192 rows (T = 1) to 117 (T = 70)
+CALIBRATION_GRID = [
+    (5, 11, 1, 1, 0),
+    (5, 11, 2, 1, 0),
+    (5, 11, 2, 2, 1),
+    (5, 2, 2, 1, 0),
+    (17, 2, 3, 1, 0),
+    (17, 11, 4, 1, 0),
+    (5, 11, 33, 0, 0),
+    (5, 2, 33, 2, 1),
+    (17, 2, 70, 1, 0),
+]
+
+# every grid case but T = 70, whose one-block oracle holds 224 MB per child
+_M0_PER_KERNEL_CHILD = """
+import sys
+sys.path.insert(0, {tests!r})
+from power_oracle import one_block_m0
+from test_codec import CALIBRATION_GRID, calibrated_unit
+for case in CALIBRATION_GRID[:-1]:
+    unit = calibrated_unit(*case)
+    print(case, unit.m0.hex(), one_block_m0(unit.region, unit.field.degree, unit.codes.T).hex())
+"""
+
+
+class TestPowerCalibration:
+    @pytest.mark.parametrize("case", CALIBRATION_GRID)
+    def test_blocked_draw_has_the_one_block_bits(self, case):
+        unit = calibrated_unit(*case)
+        T = unit.codes.T
+        assert cflat.codec._POWER_BLOCK // (2 * T) < cflat.codec._POWER_SAMPLES
+        want = one_block_m0(unit.region, unit.field.degree, T)
+        assert unit.m0.hex() == want.hex()
+
+    @pytest.mark.parametrize("rows", [1, 3, 4095, 30_000, 200_000])
+    def test_m0_bits_do_not_follow_block_height(self, monkeypatch, rows):
+        # rows = 1 runs one product per sample; 200,000 is one block
+        want = calibrated_unit(5, 2, 2, 1, 0).m0
+        monkeypatch.setattr(cflat.codec, "_POWER_BLOCK", 4 * rows)
+        assert calibrated_unit(5, 2, 2, 1, 0).m0.hex() == want.hex()
+
+    def test_m0_bits_do_not_follow_blas_kernel(self):
+        # the block products run on BLAS: the same bits, and the oracle's,
+        # under each core type
+        child = _M0_PER_KERNEL_CHILD.format(tests=os.path.dirname(__file__))
+        outs = outputs_per_kernel(child)
+        assert outs[0] == outs[1] == outs[2]
+        lines = outs[0].splitlines()
+        assert len(lines) == len(CALIBRATION_GRID) - 1
+        for line in lines:
+            got, want = line.split()[-2:]
+            assert got == want, line
+
+    def test_build_memory_does_not_follow_the_draw(self):
+        # T = 64: a one-block draw holds two 100,000 x 128 arrays (195 MiB);
+        # the blocked one holds two blocks and the (100,000,) norms array,
+        # beside the lattice's own (128, 128) matrices
+        T = 64
+        codes = NestedCodePair(p=11, r=1, T=T, l_f=0, l_c=0, G_f=((),) * T)
+        build_construction_a(F5, P11, codes, target_power=10.0)
+        block_bytes = 2 * 8 * cflat.codec._POWER_BLOCK
+        norms_bytes = 8 * cflat.codec._POWER_SAMPLES
+        bound = block_bytes + norms_bytes + 2 * 2**20
+        tracemalloc.start()
+        try:
+            build_construction_a(F5, P11, codes, target_power=10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestEncodeMembership:
@@ -927,6 +1022,24 @@ def _per_leader_decode(lat, S):
     return best_idx
 
 
+def _per_residue_distances(lat, S):
+    """{(i, x): (B,) distances}: one (3, B) window expression per
+    coordinate and residue, on strided columns of S."""
+    qmat, rmat = lat._cvp_q, lat._cvp_r
+    r11, r12, r22 = rmat[0, 0], rmat[0, 1], rmat[1, 1]
+    out = {}
+    for k, row in enumerate(lat.leader_residues.tolist()):
+        for i, x in enumerate(row):
+            if (i, x) in out:
+                continue
+            y = (S[:, :, i] - lat.embedded_leaders[k][:, i]) @ qmat
+            z2 = np.rint(y[:, 1] / r22) + np.array([[-1.0], [0.0], [1.0]])
+            rem = y[:, 0] - r12 * z2
+            z1 = np.rint(rem / r11)
+            out[i, x] = np.minimum.reduce((rem - r11 * z1) ** 2 + (y[:, 1] - r22 * z2) ** 2)
+    return out
+
+
 def _per_leader_leaves(lat, k, opts, suffix, i, rem, chosen, out):
     if i == lat.T:
         coords = np.empty((lat.T, 2), dtype=np.int64)
@@ -1017,6 +1130,18 @@ class TestResidueTableDecoder:
             assert np.array_equal(
                 _decode_leader_indices(lat, S), _per_leader_decode(lat, S)
             )
+
+    @pytest.mark.parametrize("name", ORACLE_LATTICES)
+    def test_residue_distances_have_the_window_expressions_bits(self, request, name):
+        lat = request.getfixturevalue(name)
+        rng = np.random.default_rng(23)
+        for scale in (0.3, 1.0, 30.0):
+            S = rng.standard_normal((700, lat.n, lat.T)) * lat.gamma * scale
+            table = _residue_distances(lat, S, lat.leader_residues.tolist())
+            want = _per_residue_distances(lat, S)
+            assert sum(map(len, table)) == len(want)
+            for (i, x), dist in want.items():
+                assert table[i][x].tobytes() == dist.tobytes(), (i, x)
 
     @pytest.mark.parametrize("name", ["lat121", "lat_zero_row", "lat4"])
     def test_matches_exhaustive_nearest_point(self, request, name):
