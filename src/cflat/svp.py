@@ -4,14 +4,13 @@ The quadratic form f(a) = sum_j sigma_j(a)^T M_j sigma_j(a) over ring
 coefficient vectors equals ||Bbar atilde||^2 on an explicit integer lattice,
 built from closed-form square roots of the per-block Gram matrices and the
 field embedding matrix.
-The SVP is solved exactly: by Gauss-Lagrange reduction for a 2-column basis
-(Nguyen and Stehle, ACM TALG 2009), otherwise by LLL then Schnorr-Euchner
-enumeration (Schnorr and Euchner, Math. Programming 1994); a brute-force box
-search is kept as an independent oracle.  The sweep builds and checks its
-bases, and runs the Gauss path and LLL, over a batch of channels at once,
-with the floating-point operations of a single call: the LLL (Lenstra,
-Lenstra and Lovasz, Math. Ann. 1982) in lockstep, each step run in place
-on the bases at one loop index, in passes up and then down the indices.
+The SVP is solved exactly, by LLL then Schnorr-Euchner enumeration
+(Schnorr and Euchner, Math. Programming 1994); a brute-force box search is
+kept as an independent oracle.  The sweep builds and checks its bases, and
+runs the LLL, over a batch of channels at once, with the floating-point
+operations of a single call: the LLL (Lenstra, Lenstra and Lovasz, Math.
+Ann. 1982) in lockstep, each step run in place on the bases at one loop
+index, in passes up and then down the indices.
 The bases of all its ring schemes are built and searched together, a
 chunk of channels at a time.  Where the enumeration can return only the
 first reduced vector it is skipped; the other bases of up to six columns
@@ -60,9 +59,9 @@ __all__ = [
 
 LLL_DELTA = 0.99
 _REL_TIE = 1e-9
-# Gauss path: candidates this close to the shortest reduced vector go on to
-# _pick_candidate, which applies _REL_TIE in the original basis
-_GAUSS_TIE = 1e-6
+# rank guard: a reduced basis whose Gram-Schmidt lengths span more than
+# 1 / _RANK_RATIO is numerically rank deficient
+_RANK_RATIO = 1e-12
 # a shortest-vector enumeration stops past this many nodes: at most about
 # 0.6 s of walk, at the 2.4 us a node measured in dimension 40 on a 2.1 GHz
 # Xeon (an L = 20 ring search needs 87 k nodes at 60 dB, 8.7 M at 120 dB),
@@ -111,7 +110,7 @@ def _gram_sqrt(h: np.ndarray, P) -> np.ndarray:
 class SVPResult:
     coords: np.ndarray  # nonzero integer vector atilde
     norm_sq: float
-    node_count: int  # enumeration nodes; size-reduction steps for 2 columns
+    node_count: int  # enumeration nodes
 
 
 def build_search_basis(
@@ -379,7 +378,7 @@ def _reduced_factor(cols: list):
     basis.  Raises if rank deficient."""
     reduced, T, mu, norms = _lll_reduce(cols)
     diag = [math.sqrt(x) for x in norms]
-    if min(diag) < 1e-12 * max(diag):
+    if min(diag) < _RANK_RATIO * max(diag):
         raise RankDeficient("basis is numerically rank deficient")
     return reduced, T, [[row[j] * d for row in mu] for j, d in enumerate(diag)]
 
@@ -451,111 +450,6 @@ def _finite_column_batch(bases: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _gauss_shortest(cols: list) -> SVPResult:
-    """Shortest vector of a 2-column basis by Gauss-Lagrange reduction.
-
-    The pair is swapped only when the norm strictly decreases, so the loop
-    ends even where a float mu of 1/2 rounds the wrong way.  In the reduced
-    pair (u, v) every vector other than +-u, +-v and +-(u +- v) is at least
-    3||u||^2 long, and u + v and u - v cannot both tie with u, so u, v and
-    u - sign(u.v) v, where within a relative _GAUSS_TIE of ||u||^2, hold all
-    shortest vectors.  _pick_candidate scores them in the original basis, as
-    the enumeration path does.  node_count is the number of size-reduction
-    steps (>= 1).  _gauss_batch runs the same arithmetic over a batch.
-    """
-    u, v = cols
-    tu, tv = (1, 0), (0, 1)  # coordinates of u and v in the original basis
-    nu, nv = _dot(u, u), _dot(v, v)
-    if nv < nu:
-        u, v, tu, tv, nu, nv = v, u, tv, tu, nv, nu
-    steps = 0
-    while True:
-        if nu <= 0.0:
-            raise RankDeficient("basis is numerically rank deficient")
-        steps += 1
-        q = round(_dot(u, v) / nu)
-        if q:
-            v = [x - q * y for x, y in zip(v, u)]
-            tv = (tv[0] - q * tu[0], tv[1] - q * tu[1])
-            nv = _dot(v, v)
-        if nv >= nu:
-            break
-        u, v, tu, tv, nu, nv = v, u, tv, tu, nv, nu
-    uv = _dot(u, v)
-    # the enumeration path's rank guard: Gram-Schmidt lengths within 1e12
-    if nu < 1e-24 * (nv - uv * uv / nu):
-        raise RankDeficient("basis is numerically rank deficient")
-    limit = nu * (1.0 + _GAUSS_TIE)
-    coord_set = {_normalize_sign(tu)}
-    if nv <= limit:
-        coord_set.add(_normalize_sign(tv))
-    s = 1 if uv > 0 else -1
-    if nu + nv - 2.0 * s * uv <= limit:
-        coord_set.add(_normalize_sign((tu[0] - s * tv[0], tu[1] - s * tv[1])))
-    a, norm_sq = _pick_candidate(cols, coord_set)
-    return SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=steps)
-
-
-def _gauss_batch(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_gauss_shortest on each basis of a batch, with masks in place of its
-    branches: cols (2, m, batch) as _finite_column_batch returns.  Returns
-    the coordinates (batch, 2) and the norms.  The coordinates are held as
-    doubles, exact integers below 2^53: a basis given in doubles resolves a
-    skew of at most about 2^53, and the sweep's per-block bases stay below
-    1e9 from 600 to 2500 dB."""
-    size = cols.shape[2]
-    u, v = cols
-    one, zero = np.ones(size), np.zeros(size)
-    tu, tv = np.array([one, zero]), np.array([zero, one])
-    nu, nv = _dot(u, u), _dot(v, v)
-    swap = nv < nu
-    u, v, tu, tv, nu, nv = (
-        np.where(swap, v, u), np.where(swap, u, v),
-        np.where(swap, tv, tu), np.where(swap, tu, tv),
-        np.where(swap, nv, nu), np.where(swap, nu, nv),
-    )  # fmt: skip
-    active = np.ones(size, dtype=bool)
-    while active.any():
-        if (nu[active] <= 0.0).any():
-            raise RankDeficient("basis is numerically rank deficient")
-        q = np.rint(_dot(u, v) / nu)
-        step = active & (q != 0.0)
-        v = np.where(step, v - q * u, v)
-        tv = np.where(step, tv - q * tu, tv)
-        nv = np.where(step, _dot(v, v), nv)
-        active &= nv < nu
-        u, v, tu, tv, nu, nv = (
-            np.where(active, v, u), np.where(active, u, v),
-            np.where(active, tv, tu), np.where(active, tu, tv),
-            np.where(active, nv, nu), np.where(active, nu, nv),
-        )  # fmt: skip
-    uv = _dot(u, v)
-    if (nu < 1e-24 * (nv - uv * uv / nu)).any():
-        raise RankDeficient("basis is numerically rank deficient")
-    limit = nu * (1.0 + _GAUSS_TIE)
-    s = np.where(uv > 0, 1.0, -1.0)
-    cands = [
-        (tu, True),
-        (tv, nv <= limit),
-        (tu - s * tv, nu + nv - 2.0 * s * uv <= limit),
-    ]
-    scores, coords = [], []
-    for t, included in cands:
-        flip = (t[0] < 0) | ((t[0] == 0) & (t[1] < 0))
-        t = np.where(flip, -t, t)
-        coords.append(t)
-        scores.append(np.where(included, _norm_sq(cols, t), np.inf))
-    cut = np.minimum.reduce(scores) * (1.0 + _REL_TIE)
-    best = np.full((2, size), np.inf)
-    norm_sq = np.zeros(size)
-    for t, score in zip(coords, scores):
-        lex = (t[0] < best[0]) | ((t[0] == best[0]) & (t[1] < best[1]))
-        take = (score <= cut) & lex
-        best = np.where(take, t, best)
-        norm_sq = np.where(take, score, norm_sq)
-    return best.T, norm_sq
-
-
 def _lll_shortest(cols: list) -> SVPResult:
     """LLL then full Schnorr-Euchner enumeration with initial radius the
     shortest LLL vector."""
@@ -579,14 +473,12 @@ _LLL_CHUNK = 4096
 
 def _shortest_batch(bases: np.ndarray, P=None) -> tuple[np.ndarray, np.ndarray]:
     """shortest_vector on each basis of a (batch, m, k) array: coordinates
-    (batch, k) as floats, and norms.  Two columns go through _gauss_batch,
-    more through _lll_chunk, _LLL_CHUNK bases at a time.  The results equal
-    shortest_vector's, and an error is the one a loop of shortest_vector
-    calls raises first; a SearchTooLarge names the basis' SNR from P, a
-    float or an array (batch,), when it is given."""
+    (batch, k) as floats, and norms, through _lll_chunk, _LLL_CHUNK bases
+    at a time.  The results equal shortest_vector's, and an error is the
+    one a loop of shortest_vector calls raises first; a SearchTooLarge
+    names the basis' SNR from P, a float or an array (batch,), when it is
+    given."""
     cols = _finite_column_batch(bases)
-    if len(cols) == 2:
-        return _gauss_batch(cols)
     coords = np.empty((len(bases), len(cols)))
     norms = np.empty(len(bases))
     P = np.broadcast_to(math.nan if P is None else P, len(bases))
@@ -617,7 +509,7 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # a basis that left _lll_batch early holds arbitrary values
     with np.errstate(over="ignore", invalid="ignore"):
         diag = np.sqrt(norms)
-        exact &= diag.min(axis=0) >= 1e-12 * diag.max(axis=0)
+        exact &= diag.min(axis=0) >= _RANK_RATIO * diag.max(axis=0)
         bound = _dim_sum(b * b).min(axis=0)
         # _enumerate's radius after its first candidate, +-b_1 at R_00^2
         first = diag[0] * diag[0]
@@ -745,17 +637,14 @@ def _box_points(m: int) -> np.ndarray:
 
 
 def shortest_vector(basis: np.ndarray) -> SVPResult:
-    """Exact SVP on the lattice generated by the basis columns: Gauss-Lagrange
-    reduction for two columns, otherwise LLL then full Schnorr-Euchner
-    enumeration with initial radius equal to the shortest LLL vector.  Ties
+    """Exact SVP on the lattice generated by the basis columns: LLL then
+    full Schnorr-Euchner enumeration with initial radius equal to the
+    shortest LLL vector.  Ties
     within a relative _REL_TIE go to the lexicographically smallest
     sign-normalized coordinates.  Raises NonFiniteBasis if an entry is not
     finite or a squared column norm overflows or is subnormal, RankDeficient
     if the columns are numerically dependent."""
-    cols = _finite_columns(np.asarray(basis, dtype=float))
-    if len(cols) == 2:
-        return _gauss_shortest(cols)
-    return _lll_shortest(cols)
+    return _lll_shortest(_finite_columns(np.asarray(basis, dtype=float)))
 
 
 def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:

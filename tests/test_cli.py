@@ -479,8 +479,8 @@ class TestSvpCommand:
             ("2 inf 0 0 1", "basis column 0 has a non-finite entry"),
             ("2 1e200 0 0 1e200", "squared norm of basis column 0 overflows"),
             ("3 1 0 0 0 1 0 0 -inf 1", "basis column 1 has a non-finite entry"),
-            # squared norm 1e-320: the Gauss and the LLL path's first
-            # size-reduction coefficient would overflow to inf
+            # squared norm 1e-320: the LLL's first size-reduction
+            # coefficient would overflow to inf
             ("2 1e-160 1e150 0 1", "squared norm of basis column 0 is subnormal"),
             ("3 1e-160 1e150 0 0 1 0 0 0 1", "squared norm of basis column 0 is subnormal"),
         ],
@@ -554,6 +554,11 @@ EXIT_CASES = {
     "svp_scale_1e100": (["svp", "--basis", "{f}"], "3 1e100 0 0 0 1e100 0 0 0 1e100", 0),
     "svp_scale_1e-100": (["svp", "--basis", "{f}"], "3 1e-100 0 0 0 1e-100 0 0 0 1e-100", 0),
     "svp_huge_entries": (["svp", "--basis", "{f}"], "2 1e200 0 0 1e200", 2),
+    # a per-block basis at 320 dB whose shortest vector has squared norm 0.0
+    "svp_rank_deficient_320_db": (
+        ["svp", "--basis", "{f}"],
+        "2 0.5727702124432328 -0.49467615283230176 -0.49467615283230176 0.4272297875567672", 2,
+    ),
 }  # fmt: skip
 
 

@@ -117,8 +117,7 @@ class TestRunSweep:
     def test_sweep_equals_cold_calls(self, snr_db, trials, L, seed, schemes, monkeypatch):
         # run_sweep evaluates each scheme over all (SNR point, trial) pairs
         # as one batch, the ring schemes' searches as one joint search, with a
-        # lockstep LLL over every basis of more than two columns (the ring
-        # schemes, and the Z schemes at L = 3); its rates must be bit-equal to
+        # lockstep LLL over every basis; its rates must be bit-equal to
         # cold best_equation, naive_rate and mac_sum_capacity calls.  No
         # scalar LLL runs, except for a basis that the batch could not finish
         # exactly, and exactly the bases the box search leaves are
@@ -155,12 +154,13 @@ class TestRunSweep:
         assert len(searched) == sum(unresolved) + sum(inexact)
         monkeypatch.setattr(svp, "_search_reduced", real_search)
         # a batch per chunk of the joint ring search, which takes every ring
-        # scheme's bases for a run of _LLL_CHUNK // rings channels; at L = 3
-        # also one for am_Z and one per block for naive_Z
+        # scheme's bases for a run of _LLL_CHUNK // rings channels, and one
+        # per chunk of _LLL_CHUNK bases for am_Z and for each block of naive_Z
         items = len(snr_db) * trials
         rings = sum(s.startswith("am_ring") for s in cfg.schemes)
         chunks = -(-items // (svp._LLL_CHUNK // rings)) if rings else 0
-        z_batches = {"am_Z": 1, "naive_Z": cfg.n} if L > 2 else {}
+        z_chunks = -(-items // svp._LLL_CHUNK)
+        z_batches = {"am_Z": z_chunks, "naive_Z": cfg.n * z_chunks}
         assert len(inexact) == chunks + sum(z_batches.get(s, 0) for s in cfg.schemes)
         assert len(scalar_calls) == sum(inexact)
 

@@ -26,15 +26,15 @@ from cflat.svp import (
     SVPResult,
     SearchTooLarge,
     TooLarge,
-    _GAUSS_TIE,
     _enumerate,
     _finite_column_batch,
-    _gauss_shortest,
     _gram_sqrt,
     _lll_batch,
     _lll_reduce,
     _lll_shortest,
     _naive_rates,
+    _norm_sq,
+    _normalize_sign,
     _reduced_factor,
     _search_bases,
     _shortest_batch,
@@ -349,7 +349,7 @@ class TestShortestVector:
          (1e200, "squared norm of basis column 0 overflows")],
     )
     def test_rejects_nonfinite_basis(self, k, bad, cause):
-        # both the Gauss (k = 2) and the LLL path check the entries first
+        # the search checks the entries before any reduction
         B = np.eye(k)
         B[k - 1, 0] = bad
         with pytest.raises(NonFiniteBasis, match=cause):
@@ -357,8 +357,8 @@ class TestShortestVector:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_rejects_subnormal_column_norm(self, k):
-        # squared norm 1e-320: the first size-reduction coefficient
-        # u.v / ||u||^2 of the Gauss (k = 2) or LLL path would overflow to inf
+        # squared norm 1e-320: the LLL's first size-reduction coefficient
+        # u.v / ||u||^2 would overflow to inf
         B = np.eye(k)
         B[0, 0], B[0, 1] = 1e-160, 1e150
         with pytest.raises(NonFiniteBasis, match="basis column 0 is subnormal"):
@@ -402,49 +402,53 @@ MU_HALF_PAIRS = (
     (105, 229), (109, 163),
 )
 
-# Exact ties, run as a child process so that a reduction loop that never
-# ends fails the test at its timeout instead of stalling the suite: the
-# square and hexagonal lattices (three tied shortest vectors), then the
-# mu = 1/2 ideal bases.  Each line: the Gauss path's coords and norm_sq bits,
-# then LLL + enumeration's, then the batched Gauss path's.
+# Exact ties, run as a child process so that a search that never ends fails
+# the test at its timeout instead of stalling the suite: the square and
+# hexagonal lattices (three tied shortest vectors), then the mu = 1/2 ideal
+# bases.  Each line: shortest_vector's coords and norm_sq bits, then the
+# batch's.
 _TIES_CHILD = """
 import numpy as np
 from cflat.numfield import make_quadratic_field, prime_above
-from cflat.svp import _finite_column_batch, _gauss_batch, _gauss_shortest, _lll_shortest
+from cflat.svp import _shortest_batch, shortest_vector
 bases = [np.eye(2), np.array([[1.0, 0.5], [0.0, 0.8660254037844386]])]
 for d, p in {pairs!r}:
     field = make_quadratic_field(d)
     bases.append(field.embedding @ prime_above(field, p).basis_matrix())
-coords, norms = _gauss_batch(_finite_column_batch(np.array(bases)))
+coords, norms = _shortest_batch(np.array(bases))
 for B, c, n in zip(bases, coords, norms):
-    cols = B.T.tolist()
-    g, e = _gauss_shortest(cols), _lll_shortest(cols)
-    print(*g.coords, g.norm_sq.hex(), *e.coords, e.norm_sq.hex(), *c.astype(int), n.hex())
+    e = shortest_vector(B)
+    print(*e.coords, e.norm_sq.hex(), *c.astype(int), n.hex())
 """
 
-
-def assert_same_answer(B):
-    """The Gauss path and LLL + enumeration give the same coordinates and
-    the same norm_sq bits."""
-    B = np.asarray(B, dtype=float)
-    cols = B.T.tolist()
-    g, e = _gauss_shortest(cols), _lll_shortest(cols)
-    assert tuple(g.coords) == tuple(e.coords)
-    assert g.norm_sq.hex() == e.norm_sq.hex()
+# relative gap between a near tie's reduced norm and the shortest one
+NEAR_TIE = 1e-6
 
 
-class TestGaussPath:
+def unimodular(rng, changes):
+    """A product of `changes` random elementary integer 2 x 2 matrices."""
+    U = np.eye(2, dtype=np.int64)
+    for _ in range(changes):
+        a, b = rng.permutation(2)
+        E = np.eye(2, dtype=np.int64)
+        E[a, b] = rng.integers(-3, 4)
+        U = U @ E
+    return U
+
+
+class TestTwoColumnBases:
+    # am_Z's (4, 2) basis and best_integer_block's per-block (2, 2) one at
+    # L = 2 take the LLL and box or enumeration search of every other basis
+
     @pytest.mark.parametrize("snr_db", range(0, 130, 10))
     def test_certified_0_to_120_db(self, snr_db):
-        # am_Z's (4, 2) basis and best_integer_block's per-block (2, 2) one
         P = 10.0 ** (snr_db / 10.0)
         for t in range(8):
             ch = BlockFadingChannel(sample_channels(41, t, 2, 2), P)
             for B in (build_search_basis(None, ch), *_gram_sqrt(ch.h, P)):
-                assert_same_answer(B)
                 certify_in_reduced_basis(B)
 
-    def test_exact_ties_finish_and_match_enumeration(self):
+    def test_exact_ties_finish_and_batch_equals_single(self):
         src = os.path.dirname(os.path.dirname(cflat.__file__))
         paths = [src, os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -456,29 +460,32 @@ class TestGaussPath:
         lines = [line.split() for line in out.stdout.splitlines()]
         assert len(lines) == 2 + len(MU_HALF_PAIRS)
         for line in lines:
-            assert line[:3] == line[3:6] == line[6:]
+            assert line[:3] == line[3:]
         assert lines[1][:2] == ["0", "1"]  # hexagonal: lexicographic pick
 
     def test_tied_lattices_under_unimodular_changes(self):
         # square and hexagonal lattices, rotated, rescaled and given in
-        # skewed bases: their 2 and 3 tied shortest vectors are all found
+        # skewed bases S U: their 2 and 3 tied shortest vectors S s are all
+        # found, so the pick is the lexicographically smallest U^-1 s
         rng = np.random.default_rng(13)
         shapes = (np.eye(2), np.array([[1.0, 0.5], [0.0, 3**0.5 / 2]]))
+        ties = (((1, 0), (0, 1)), ((1, 0), (0, 1), (1, -1)))
+        bases = []
         for i in range(400):
             th = rng.uniform(0.0, 2.0 * math.pi)
             rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-            U = np.eye(2, dtype=np.int64)
-            for _ in range(int(rng.integers(0, 6))):
-                a, b = rng.permutation(2)
-                E = np.eye(2, dtype=np.int64)
-                E[a, b] = rng.integers(-3, 4)
-                U = U @ E
-            assert_same_answer(rot @ shapes[i % 2] @ U * 10 ** rng.uniform(-3, 3))
+            U = unimodular(rng, int(rng.integers(0, 6)))
+            B = rot @ shapes[i % 2] @ U * 10 ** rng.uniform(-3, 3)
+            inv = np.rint(np.linalg.inv(U)).astype(np.int64)
+            want = min(_normalize_sign(tuple(int(x) for x in inv @ s)) for s in ties[i % 2])
+            assert tuple(shortest_vector(B).coords) == want
+            bases.append(B)
+        assert_batch_equals_single(bases)
 
     @pytest.mark.parametrize("snr_db", [0, 20, 50, 100, 200, 400])
     def test_batch_equals_single_calls(self, snr_db):
         # the sweep's bases for 100 channels, am_Z's (4, 2) and the per-block
-        # (2, 2) ones, built and reduced as a batch and one at a time
+        # (2, 2) ones, built and searched as a batch and one at a time
         P = 10.0 ** (snr_db / 10.0)
         h = np.array([sample_channels(43, t, 2, 2) for t in range(100)])
         am = _search_bases([None], h, P)
@@ -487,35 +494,54 @@ class TestGaussPath:
         for j in range(2):
             blocks = _gram_sqrt(h[:, j], P)
             assert bits(blocks) == bits([_gram_sqrt(x[j : j + 1], P)[0] for x in h])
-            assert_batch_equals_single(blocks)
+            if snr_db < 400:
+                assert_batch_equals_single(blocks)
+            else:
+                # some per-block bases are numerically rank deficient
+                assert_batch_raises_as_single(blocks)
 
     def test_batch_equals_single_calls_at_halves_and_near_ties(self):
         # u = (1, 0) and v with mu = k + 1/2 exactly or not, v's reduced norm
-        # (and for a half, that of u - v) within, at and beyond _GAUSS_TIE of
+        # (and for a half, that of u - v) within, at and beyond NEAR_TIE of
         # u's, as given and under unimodular changes of basis
         rng = np.random.default_rng(19)
         bases = []
         for x in (0.0, 0.3, 0.5 - 1e-9, 0.5, -0.5, 1.5, 2.5, -3.5):
             f = x - math.floor(x + 0.5)
             for eps in (-2e-6, -1e-7, 0.0, 1e-7, 0.5, 0.99, 1.0, 1.01, 2.0):
-                eps = eps * _GAUSS_TIE if abs(eps) > 1e-6 else eps
+                eps = eps * NEAR_TIE if abs(eps) > 1e-6 else eps
                 M = np.array([[1.0, x], [0.0, math.sqrt(1.0 + eps - f * f)]])
                 bases.append(M)
                 for _ in range(3):
-                    U = np.eye(2, dtype=np.int64)
-                    for _ in range(int(rng.integers(1, 5))):
-                        a, b = rng.permutation(2)
-                        E = np.eye(2, dtype=np.int64)
-                        E[a, b] = rng.integers(-3, 4)
-                        U = U @ E
+                    U = unimodular(rng, int(rng.integers(1, 5)))
                     bases.append(M @ U * 10 ** rng.uniform(-3, 3))
         assert_batch_equals_single(bases)
 
     def test_batch_with_huge_coefficients(self):
-        # size-reduction coefficients of 2^60 + 2^10 and 3e17, held exactly
-        # in the batch's double coordinates
+        # size-reduction coefficients of 2^60 + 2^10 and 3e17 pass the
+        # lockstep LLL's 2^53 transform guard: the batch hands those bases
+        # to the scalar LLL
         bases = [np.eye(2), [[1.0, 2.0**60 + 2.0**10], [0.0, 1.0]], [[1.0, -3e17], [0.0, 2.5]]]
+        exact = _lll_batch(_finite_column_batch(np.array(bases)))[4]
+        assert exact.tolist() == [True, False, False]
         assert_batch_equals_single(bases)
+
+    def test_zero_length_vector_is_rank_deficient(self, tmp_path):
+        # block 1 of sample_channels(47, 58, 2, 2) at 320 dB: LLL leaves
+        # Gram-Schmidt lengths more than 1e12 apart, and the shortest
+        # nonzero vector, (261592682, 302890073), has squared norm 0.0 in
+        # floats
+        h = sample_channels(47, 58, 2, 2)
+        B = _gram_sqrt(h[1:2], 1e32)[0]
+        assert B.ravel().tolist() == [
+            0.5727702124432328, -0.49467615283230176, -0.49467615283230176, 0.4272297875567672,
+        ]
+        assert _norm_sq(B.T.tolist(), (261592682, 302890073)) == 0.0
+        with pytest.raises(RankDeficient, match="numerically rank deficient"):
+            shortest_vector(B)
+        assert_batch_raises_as_single([B])
+        with pytest.raises(RankDeficient, match="numerically rank deficient"):
+            best_integer_block(h[1], 1e32)
 
 
 def sweep_bases(d, L, snrs, trials, seed=53):
@@ -606,9 +632,10 @@ class TestLLLBatch:
         real = svp._lll_step
         steps = []
 
-        def counting(*args):
-            steps.append(args[0])
-            return real(*args)
+        def counting(kv, rows, star, sel, m, dim):
+            if m == 4:  # the ring bases, not the 2-column Z ones
+                steps.append(kv)
+            return real(kv, rows, star, sel, m, dim)
 
         monkeypatch.setattr(svp, "_lll_step", counting)
         run_sweep(SweepConfig(trials=20, master_seed=1000))
@@ -819,8 +846,8 @@ def record_fallback(monkeypatch):
 
 def assert_batch_equals_single(bases):
     """_shortest_batch gives each basis the coordinates and norm_sq bits of
-    shortest_vector: the batched against the scalar Gauss path for two
-    columns, the lockstep LLL against the scalar one for more."""
+    shortest_vector: the lockstep LLL with its box and enumeration against
+    the scalar LLL and enumeration."""
     bases = np.array(bases, dtype=float)
     coords, norms = _shortest_batch(bases)
     for B, c, norm_sq in zip(bases, coords, norms):
@@ -829,11 +856,31 @@ def assert_batch_equals_single(bases):
         assert norm_sq.hex() == want.norm_sq.hex()
 
 
+def assert_batch_raises_as_single(bases):
+    """_shortest_batch raises the RankDeficient that the first failing call
+    of a loop of shortest_vector calls raises."""
+    with pytest.raises(RankDeficient) as single:
+        for B in bases:
+            shortest_vector(B)
+    with pytest.raises(RankDeficient) as batch:
+        _shortest_batch(np.array(bases, dtype=float))
+    assert str(batch.value) == str(single.value)
+
+
 @pytest.mark.parametrize("L", [2, 3])
 def test_naive_batch_equals_single_calls(L):
     h = np.array([sample_channels(47, t, 2, L) for t in range(60 if L == 2 else 15)])
     for snr_db in (0.0, 30.0, 100.0, 200.0, 400.0):
         P = 10.0 ** (snr_db / 10.0)
+        if L == 2 and snr_db == 400.0:
+            # some per-block bases are numerically rank deficient
+            with pytest.raises(RankDeficient) as single:
+                for x in h:
+                    naive_rate(BlockFadingChannel(x, P))
+            with pytest.raises(RankDeficient) as batch:
+                _naive_rates(h, P)
+            assert str(batch.value) == str(single.value)
+            continue
         want = [naive_rate(BlockFadingChannel(x, P))[2] for x in h]
         assert bits(_naive_rates(h, P)) == bits(want)
 
