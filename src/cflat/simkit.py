@@ -14,9 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svp
-from .channel import BlockFadingChannel, _dot, _mac_sum, _snr_linear, _user_columns
+from .channel import (
+    BlockFadingChannel,
+    _dot,
+    _mac_sum,
+    _snr_linear,
+    _user_columns,
+    mac_sum_capacity,
+    naive_rate,
+)
 from .numfield import make_quadratic_field
-from .svp import _best_equation_rates, _naive_rates, _ring_coords
+from .svp import _best_equation_rates, _naive_rates, _ring_coords, best_equation
 
 __all__ = [
     "InsufficientPoints",
@@ -150,13 +158,29 @@ def _joint_ring_search(fields: dict, hs: np.ndarray, P: np.ndarray) -> dict:
     then searches on its own and the first error in scheme order is raised,
     as without the joint search.  One scheme whose bases fit one chunk
     would search them in the same single call, so its error is raised at
-    once."""
+    once, not searched again as a batch."""
     try:
         return dict(zip(fields, _ring_coords(list(fields.values()), hs, P)))
     except ValueError:
         if len(fields) == 1 and len(hs) <= svp._LLL_CHUNK:
             raise
         return {}
+
+
+def _raise_as_single_calls(kind: str, field, h: np.ndarray, P: np.ndarray) -> None:
+    """The scheme's single call on each channel h[i] at SNR P[i], in order,
+    which raises the first error of a loop of cold calls.  A failed batch
+    comes here: it runs every item's search before any item's rate, and
+    naive_Z's blocks one after the other, so its own error can belong to a
+    later item."""
+    for hi, Pi in zip(h, P.tolist()):
+        ch = BlockFadingChannel(hi, Pi)
+        if kind == "mac":
+            mac_sum_capacity(ch)
+        elif kind == "naive":
+            naive_rate(ch)
+        else:
+            best_equation(field, ch)
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
@@ -170,7 +194,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
 
     A batch runs the same floating-point operations as a single call, and
     its LLL and enumeration are those of a cold call, so the rates equal
-    mac_sum_capacity, naive_rate and best_equation calls bit for bit."""
+    mac_sum_capacity, naive_rate and best_equation calls bit for bit.  A
+    scheme whose batch of more than one item raises is run again as single
+    calls, in (SNR point, trial) order, up to the first that raises, so the
+    error is the one cold calls in scheme order raise."""
     parsed = [_parse_scheme(s) for s in cfg.schemes]
     fields = {
         d: make_quadratic_field(d) for _, d in parsed if d is not None
@@ -191,16 +218,21 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         P = np.repeat(Ps, cfg.trials)
         ring = None  # each ring scheme's search coordinates, by d
         for k, (kind, d) in enumerate(parsed):
-            if kind == "mac":
-                r = _mac_sum(_user_columns(hs), P)
-            elif kind == "naive":
-                r = _naive_rates(hs, P)
-            elif d is None:
-                r = _best_equation_rates(None, hs, P)
-            else:
-                if ring is None:
-                    ring = _joint_ring_search(fields, hs, P)
-                r = _best_equation_rates(fields[d], hs, P, ring.get(d))
+            try:
+                if kind == "mac":
+                    r = _mac_sum(_user_columns(hs), P)
+                elif kind == "naive":
+                    r = _naive_rates(hs, P)
+                elif d is None:
+                    r = _best_equation_rates(None, hs, P)
+                else:
+                    if ring is None:
+                        ring = _joint_ring_search(fields, hs, P)
+                    r = _best_equation_rates(fields[d], hs, P, ring.get(d))
+            except (ValueError, AssertionError):
+                if len(hs) > 1:  # a batch of one item runs as its single call
+                    _raise_as_single_calls(kind, fields.get(d), hs, P)
+                raise
             rates[k] = np.reshape(r, rates.shape[1:])
 
     mean = rates.mean(axis=2)

@@ -464,6 +464,9 @@ def _search_reduced(cols: list, T, R, bound: float) -> SVPResult:
     if not cands:
         raise RankDeficient("enumeration found no lattice vector")
     a, norm_sq = _pick_candidate(cols, _original_coords(T, cands))
+    if norm_sq == 0.0:
+        # a nonzero integer vector of length 0.0 proves the dependence
+        raise RankDeficient("basis is numerically rank deficient: a nonzero vector has norm 0.0")
     return SVPResult(coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=nodes)
 
 
@@ -500,11 +503,12 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     the other bases of at most _BOX_DIM columns, _box_shortest finds the
     enumeration's answer at once where it can.  Both kinds are
     sign-normalized and scored by _norm_sq, as _pick_candidate scores
-    them.  The rest (ties, near ties, wide boxes, more columns) are
-    enumerated one at a time; a SearchTooLarge names the basis' SNR.  A
-    basis _lll_batch could not
-    finish exactly, or that fails the rank guard, goes through
-    _lll_shortest, which raises its error."""
+    them.  The rest (ties, near ties, wide boxes, more columns, answers of
+    squared norm 0.0) are enumerated one at a time, in order, so the first
+    error is the one a loop of single calls raises; a SearchTooLarge names
+    the basis' SNR.  A basis _lll_batch could not finish exactly, or that
+    fails the rank guard, goes through _lll_shortest, which raises its
+    error."""
     b, T, mu, norms, exact = _lll_batch(cols)
     # a basis that left _lll_batch early holds arbitrary values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -538,6 +542,7 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         # + 0.0: a zero coordinate is +0.0, as in shortest_vector's integers
         lead = np.where(sign < 0.0, -lead, lead) + 0.0
         norm_sq = _norm_sq(cols, lead)
+    solved &= norm_sq != 0.0
     coords = lead.T
     for i in np.flatnonzero(~solved):
         basis_cols = cols[..., i].tolist()
@@ -643,7 +648,9 @@ def shortest_vector(basis: np.ndarray) -> SVPResult:
     within a relative _REL_TIE go to the lexicographically smallest
     sign-normalized coordinates.  Raises NonFiniteBasis if an entry is not
     finite or a squared column norm overflows or is subnormal, RankDeficient
-    if the columns are numerically dependent."""
+    if the columns are numerically dependent: the reduced basis' Gram-Schmidt
+    lengths lie more than 1 / _RANK_RATIO apart, or the shortest nonzero
+    vector found has squared norm 0.0 in floats."""
     return _lll_shortest(_finite_columns(np.asarray(basis, dtype=float)))
 
 

@@ -519,7 +519,10 @@ _H = "1,0.5;0.3,1"
 EXIT_CASES = {
     "rate_snr_400": (["rate", "--d", "5", "--snr-db", "400", "--h", _H], None, 0),
     "rate_snr_-400": (["rate", "--d", "5", "--snr-db", "-400", "--h", _H], None, 0),
-    "sweep_snr_pm400": (["sweep", "--snr-db=-400,400", "--trials", "3"], None, 0),
+    # at 400 dB a per-block basis of naive_Z (trial 2, block 0) is
+    # numerically rank deficient: its shortest vector has squared norm 0.0
+    "sweep_snr_pm400": (["sweep", "--snr-db=-400,400", "--trials", "3"], None, 2),
+    "sweep_snr_-400": (["sweep", "--snr-db=-400", "--trials", "3"], None, 0),
     "sweep_gain_overflow": (["sweep", "--snr-db=0,3080", "--trials", "3"], None, 2),
     # 10^(snr/10) itself overflows a float from about 3083 dB
     "rate_snr_overflow": (["rate", "--d", "5", "--snr-db", "3100", "--h", _H], None, 2),
@@ -558,6 +561,12 @@ EXIT_CASES = {
     "svp_rank_deficient_320_db": (
         ["svp", "--basis", "{f}"],
         "2 0.5727702124432328 -0.49467615283230176 -0.49467615283230176 0.4272297875567672", 2,
+    ),
+    # block 0 of sample_channels(43, 20, 2, 2) at 400 dB: the rank guard
+    # passes, and the vector found, (369060607, 365735051), has squared norm 0.0
+    "svp_zero_norm_answer_400_db": (
+        ["svp", "--basis", "{f}"],
+        "2 0.4954742684615199 -0.499979517334502 -0.499979517334502 0.5045257315384801", 2,
     ),
 }  # fmt: skip
 

@@ -203,6 +203,31 @@ class TestRunSweep:
         assert "noise identity violated" in str(batch.value)
         assert str(batch.value) == str(single.value)
 
+    @pytest.mark.parametrize("scheme, seed", [("am_ring(3)", 1), ("naive_Z", 2)])
+    def test_a_later_error_of_the_batch_keeps_the_order(self, scheme, seed):
+        # At 3000 dB each batch meets a later trial's error first: am_ring(3)
+        # searches every trial, and trial 16's search fails (squared norm
+        # 0.0), before trial 1's rate fails; naive_Z searches block 0 of every
+        # trial, and trial 11's fails, before block 1, where trial 9's fails.
+        # The sweep raises the first error of cold calls in trial order
+        P = 10.0 ** (3000.0 / 10.0)
+        cfg = SweepConfig(snr_db=(3000.0,), trials=20, schemes=(scheme,), master_seed=seed)
+        with pytest.raises((ValueError, AssertionError)) as batch:
+            run_sweep(cfg)
+        with pytest.raises((ValueError, AssertionError)) as single:
+            for t in range(20):
+                ch = BlockFadingChannel(sample_channels(seed, t, 2, 2), P)
+                if scheme == "naive_Z":
+                    naive_rate(ch)
+                else:
+                    best_equation(make_quadratic_field(3), ch)
+        assert type(batch.value) is type(single.value)
+        assert str(batch.value) == str(single.value)
+        if scheme == "naive_Z":
+            assert str(batch.value) == "basis is numerically rank deficient"
+        else:
+            assert "noise identity violated" in str(batch.value)
+
     @pytest.mark.parametrize(
         "schemes, chunk, run",
         [
@@ -257,11 +282,13 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("cause", ["non-finite", "rank-deficient"])
     def test_joint_search_keeps_the_error_order(self, cause, monkeypatch):
-        # At 3000 dB am_ring(3)'s search succeeds and its rate raises the
-        # noise-identity AssertionError.  am_ring(7)'s search fails there
-        # (RankDeficient), or on bases made non-finite (NonFiniteBasis), so
-        # the joint search raises; the sweep then searches scheme by scheme
-        # and raises am_ring(3)'s error first, as cold calls in scheme order do
+        # At 3000 dB am_ring(3)'s rate raises the noise-identity
+        # AssertionError from trial 1, and its search fails from trial 16 (a
+        # shortest vector of squared norm 0.0).  am_ring(7)'s search fails
+        # there (RankDeficient), or on bases made non-finite (NonFiniteBasis),
+        # so the joint search raises; the sweep then runs scheme by scheme and
+        # raises am_ring(3)'s trial-1 error first, as cold calls in scheme
+        # order do
         if cause == "non-finite":
             real = svp._search_bases
 

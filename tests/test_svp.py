@@ -543,6 +543,41 @@ class TestTwoColumnBases:
         with pytest.raises(RankDeficient, match="numerically rank deficient"):
             best_integer_block(h[1], 1e32)
 
+    def test_zero_norm_answer_is_rank_deficient(self):
+        # block 0 of sample_channels(43, 20, 2, 2) at 400 dB passes the
+        # Gram-Schmidt rank guard, but the search's answer, (369060607,
+        # 365735051), has squared norm 0.0, which proves the dependence
+        h = sample_channels(43, 20, 2, 2)
+        B = _gram_sqrt(h[0:1], 1e40)[0]
+        _reduced_factor(B.T.tolist())
+        assert _norm_sq(B.T.tolist(), (369060607, 365735051)) == 0.0
+        with pytest.raises(RankDeficient, match="nonzero vector has norm 0.0"):
+            shortest_vector(B)
+        assert_batch_raises_as_single([np.eye(2), B])
+        with pytest.raises(RankDeficient, match="nonzero vector has norm 0.0"):
+            best_integer_block(h[0], 1e40)
+
+    def test_305_to_600_db_answers_are_nonzero(self):
+        # am_Z's (4, 2) and the per-block (2, 2) bases of 40 channels, every
+        # 5 dB: no answer has squared norm 0.0, and each set's batch raises
+        # the first error of a loop of single calls, or equals the loop
+        h = np.array([sample_channels(5, t, 2, 2) for t in range(40)])
+        raised = 0
+        for snr_db in range(305, 605, 5):
+            P = 10.0 ** (snr_db / 10.0)
+            for bases in (_search_bases([None], h, P), *(_gram_sqrt(h[:, j], P) for j in range(2))):
+                kept = []
+                for B in bases:
+                    try:
+                        assert shortest_vector(B).norm_sq > 0.0
+                        kept.append(B)
+                    except RankDeficient:
+                        raised += 1
+                if len(kept) < len(bases):
+                    assert_batch_raises_as_single(bases)
+                assert_batch_equals_single(kept)
+        assert raised > 0
+
 
 def sweep_bases(d, L, snrs, trials, seed=53):
     """The search bases of `trials` channels at each SNR of snrs, in one
@@ -872,7 +907,7 @@ def test_naive_batch_equals_single_calls(L):
     h = np.array([sample_channels(47, t, 2, L) for t in range(60 if L == 2 else 15)])
     for snr_db in (0.0, 30.0, 100.0, 200.0, 400.0):
         P = 10.0 ** (snr_db / 10.0)
-        if L == 2 and snr_db == 400.0:
+        if snr_db == 400.0:
             # some per-block bases are numerically rank deficient
             with pytest.raises(RankDeficient) as single:
                 for x in h:
