@@ -193,8 +193,9 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     slower than one thread).
 
     A batch runs the same floating-point operations as a single call, and
-    its LLL and enumeration are those of a cold call, so the rates equal
-    mac_sum_capacity, naive_rate and best_equation calls bit for bit.  A
+    its search answers are certified to be those of a cold call, so the
+    rates equal mac_sum_capacity, naive_rate and best_equation calls bit
+    for bit.  A
     scheme whose batch of more than one item raises is run again as single
     calls, in (SNR point, trial) order, up to the first that raises, so the
     error is the one cold calls in scheme order raise."""
@@ -271,8 +272,8 @@ def dof_slope(
         if window[0] <= snr <= window[1]:
             xs.append(0.5 * (snr / 10.0) * math.log2(10.0))
             ys.append(float(result.mean[k, s]))
-    if len(xs) < 3:
+    if len(set(xs)) < 3:
         raise InsufficientPoints(
-            f"need >= 3 SNR points in [{window[0]}, {window[1]}], got {len(xs)}"
+            f"need >= 3 distinct SNR points in [{window[0]}, {window[1]}], got {len(set(xs))}"
         )
     return float(np.polyfit(xs, ys, 1)[0])

@@ -7,17 +7,16 @@ field embedding matrix.
 The SVP is solved exactly, by LLL then Schnorr-Euchner enumeration
 (Schnorr and Euchner, Math. Programming 1994); a brute-force box search is
 kept as an independent oracle.  The sweep builds and checks its bases, and
-runs the LLL, over a batch of channels at once, with the floating-point
-operations of a single call: the LLL (Lenstra, Lenstra and Lovasz, Math.
-Ann. 1982) in lockstep, each step run in place on the bases at one loop
-index, in passes up and then down the indices.
-The bases of all its ring schemes are built and searched together, a
-chunk of channels at a time.  Where the enumeration can return only the
-first reduced vector it is skipped; the other bases of up to six columns
-are scored at once on a box of reduced coordinates that provably holds
-the enumeration's answer, with its arithmetic (Fincke and Pohst, Math.
-Comp. 1985, for the box).  Only ties, near ties, wider boxes and bases of
-more than six columns are enumerated basis by basis.  Every
+runs an odd-even LLL (Lenstra, Lenstra and Lovasz, Math. Ann. 1982;
+Villard, ISSAC 1992), over a batch of channels at once, the bases of all
+its ring schemes together, a chunk of channels at a time.  It takes an
+answer from its own reduction only where that answer is certified to be
+the one of a single call: the first reduced vector where it is provably
+the unique shortest, and for the other bases of up to six columns the
+minimum of a box of reduced coordinates that provably holds every vector
+near it (Fincke and Pohst, Math. Comp. 1985), each with a margin over the
+rounding of both reductions.  Ties, near ties, wider boxes, bases of more
+than six columns and skewed bases run the single call.  Every
 shortest-vector enumeration stops at a node budget with SearchTooLarge.
 """
 
@@ -59,6 +58,16 @@ __all__ = [
 
 LLL_DELTA = 0.99
 _REL_TIE = 1e-9
+# rounding guard of the batch's certificates.  A reduction forms each
+# reduced vector b_i = T_i B from the columns B_k by cancelling sums, so its
+# computed b_i is off by u ||T_i||_1 max_k ||B_k|| (u = 2^-53) times a
+# growth factor of its path, measured at most 9 (batch) and 4 (_lll_reduce)
+# in exact arithmetic over 2- to 20-column sweep bases up to 300 dB.  Taking
+# that error below _ROUNDING / 2 ||T_i||_1 max_k ||B_k||, 57 times the
+# largest measured, the squared length of a vector z T B with |z_i| <= 1,
+# at least min_i ||b*_i||, is off by a relative eps = _ROUNDING sum |T|
+# max_k ||B_k|| / min_i ||b*_i|| at most, to first order, in either reduction
+_ROUNDING = 2.0**-43
 # rank guard: a reduced basis whose Gram-Schmidt lengths span more than
 # 1 / _RANK_RATIO is numerically rank deficient
 _RANK_RATIO = 1e-12
@@ -168,7 +177,6 @@ def _lll_reduce(rows):
     transform[i][k]*rows[k], transform unimodular, and the reduced rows' GSO.
     GSO row k is recomputed from b[k] whenever the loop reaches k: updating
     it across swaps loses high-SNR bases' small norms to rounding.
-    _lll_batch runs the same arithmetic over a batch.
     """
     m = len(rows)
     b = [[float(x) for x in r] for r in rows]
@@ -203,103 +211,72 @@ def _lll_reduce(rows):
 
 
 def _lll_batch(cols: np.ndarray):
-    """_lll_reduce on each basis of a batch, in lockstep: cols (m, dim,
-    batch) as _finite_column_batch returns.  Each basis keeps its own loop
-    index k; a pass runs one step of _lll_reduce's loop for the unfinished
-    bases at k = 1, then for those at k = 2, and so on up to m - 1, then
-    down again to k = 1.  A step runs on every basis in place, masked to
-    the bases at its k, and masks stand for the loop's branches.  Step k = 0
-    only sets b*_0 = b_0 and ||b*_0||^2: it runs before the loop, and then
-    inside the step at k = 1 for the bases that swap there.  The
-    floating-point operations are _lll_reduce's in its order, so b, T, mu
-    and norms are bit-equal to its output.
+    """Odd-even LLL (Villard, ISSAC 1992) on each basis of a batch: cols (m,
+    dim, batch) as _finite_column_batch returns.  A round recomputes the
+    Gram-Schmidt data from b by modified Gram-Schmidt, size-reduces column
+    by column (j = m - 2 down to 0, every row below j at once), then swaps
+    every pair (k - 1, k) of the round's parity that fails the Lovasz test
+    at LLL_DELTA, so every basis moves on every round.  A basis is done
+    once a round makes no nonzero size reduction and every pair passes the
+    test; it then stays as it is.
 
     Returns (b, T, mu, norms, exact), with b (m, dim, batch), T and mu (m,
     m, batch) and norms (m, batch).  T is held as doubles.  `exact` is False
     for a basis that reached a Gram-Schmidt norm that is not positive and
-    finite (where _lll_reduce raises, or its float arithmetic has left the
-    finite range), or a transform row update whose entries might reach 2^53,
-    beyond which a double no longer holds every integer; such a basis leaves
-    the loop, its outputs are not meaningful, and the caller runs it through
-    _lll_reduce.
+    finite, a size reduction whose transform entries might reach 2^53,
+    beyond which a double no longer holds every integer, or that is not done
+    within 64 m + 256 rounds; its outputs are not meaningful.
     """
     m, dim, size = cols.shape
-    # row i of every basis is (max|T_i|, b_i, T_i, mu_i, ||b*_i||^2), each
-    # entry an array over the batch: a size-reduction step updates one slice
-    # of a row, a swap another; b*_i is kept apart, as only the loop reads it
-    rows = np.zeros((m, dim + 2 * m + 2, size))
-    rows[:, 0] = 1.0
-    rows[:, 1 : dim + 1] = cols
-    rows[:, dim + 1 : dim + m + 1] = rows[:, dim + m + 1 : -1] = np.eye(m)[:, :, None]
-    star = np.zeros((m, dim, size))
-    star[0] = cols[0]
-    rows[0, -1] = n0 = _dim_sum(cols[0] * cols[0])
-    exact = (n0 > 0.0) & (n0 < math.inf)
-    k = np.ones(size, dtype=np.intp)
-    # the unselected bases' arithmetic is discarded, and may overflow or
-    # divide by zero, as may a basis that leaves the loop early
+    w = dim + m
+    # row i of every basis is (b_i, T_i, mu_i, ||b*_i||^2), each entry an
+    # array over the batch: one size-reduction update writes b, T and mu of
+    # all rows below a column (mu_ii = 1 makes it mu_ij -= q), and a swap
+    # exchanges b and T
+    rows = np.zeros((m, w + m + 1, size))
+    rows[:, :dim] = cols
+    rows[:, dim:w] = rows[:, w:-1] = np.eye(m)[:, :, None]
+    mu, norms = rows[:, w:-1], rows[:, -1]
+    ok = np.ones(size, dtype=bool)
+    # column j's rounded coefficients, rows j + 1 to m - 1, are q[at[j]:]
+    q = np.zeros((m * (m - 1) // 2, size))
+    at = [j * (2 * m - j - 1) // 2 for j in range(m)]
+    sub = np.arange(1, m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while ((k < m) & exact).any():
-            for kv in [*range(1, m), *range(m - 2, 0, -1)]:
-                sel = (k == kv) & exact
-                if sel.any():
-                    up, ok = _lll_step(kv, rows[: kv + 1], star, sel, m, dim)
-                    np.copyto(k, np.where(up, kv + 1, max(kv - 1, 1)), where=sel)
-                    np.copyto(exact, ok, where=sel)
-    b, T, mu = np.split(rows[:, 1:-1], [dim, dim + m], axis=1)
-    return b, T, mu, rows[:, -1], exact
-
-
-def _lll_step(kv: int, rows: np.ndarray, star: np.ndarray, sel: np.ndarray, m: int, dim: int):
-    """One pass of _lll_reduce's loop at k = kv >= 1, in place, on rows
-    0..kv (kv + 1, width, batch) and b* of _lll_batch's bases where sel
-    holds; at kv = 1 also the pass at k = 0 that follows a swap.  Returns
-    per basis whether it goes up (True where sel does not hold), and
-    whether it is still exact."""
-    b, T, norms = rows[:, 1 : dim + 1], rows[:, dim + 1 : dim + m + 1], rows[:, -1]
-    mu = rows[:, dim + m + 1 : -1]
-    c = _dim_sum(b[kv] * star[:kv]) / norms[:kv]
-    np.copyto(mu[kv, :kv], c, where=sel)
-    v = b[kv]
-    for j in range(kv):
-        v = v - c[j] * star[j]
-    np.copyto(star[kv], v, where=sel)
-    nk = _dim_sum(v * v)
-    np.copyto(norms[kv], nk, where=sel)
-    ok = (nk > 0.0) & (nk < math.inf)
-    # every partial sum of T[kv] - sum_j q_j T[j] is an exact integer while
-    # max|T[kv]| + sum_j |q_j| max|T[j]| < 2^53; that sum of nonnegative
-    # integers, computed in floats, is below 2^53 exactly when the true sum is
-    tmax = rows[:, 0]
-    reach = tmax[kv]
-    for j in range(kv - 1, -1, -1):
-        q = np.rint(mu[kv, j])
-        reach = reach + np.abs(q) * tmax[j]
-        # b[kv], T[kv] and mu[kv][:j + 1]
-        w = dim + m + j + 2
-        np.subtract(rows[kv, 1:w], q * rows[j, 1:w], out=rows[kv, 1:w], where=sel & (q != 0.0))
-    ok &= reach < 2.0**53
-    np.copyto(tmax[kv], np.abs(T[kv]).max(axis=0), where=sel)
-    m1 = mu[kv, kv - 1]
-    up = (nk >= (LLL_DELTA - m1 * m1) * norms[kv - 1]) | ~sel
-    # swap max|T|, b and T of rows kv - 1 and kv where the Lovasz test fails
-    pair = rows[kv - 1 : kv + 1, : dim + m + 1]
-    pair[...] = np.where(up, pair, pair[::-1])
-    if kv == 1:
-        # k = 0: b*_0 = b_0 and its norm, as every basis already holds
-        # unless it has just swapped
-        star[0] = b[0]
-        norms[0] = n0 = _dim_sum(b[0] * b[0])
-        ok &= (n0 > 0.0) & (n0 < math.inf)
-    return up, ok
-
-
-def _dim_sum(p: np.ndarray) -> np.ndarray:
-    """p summed over its second-to-last axis left to right, as _dot sums."""
-    acc = p[..., 0, :]
-    for i in range(1, p.shape[-2]):
-        acc = acc + p[..., i, :]
-    return acc
+        for rnd in range(64 * m + 256):
+            # a norm of 0 or inf makes q, so the 2^53 test, NaN or inf
+            v = rows[:, :dim].copy()
+            for j in range(m):
+                dots = np.einsum("idn,dn->in", v[j:], v[j])
+                norms[j] = dots[0]
+                if j + 1 < m:
+                    c = np.divide(dots[1:], dots[0], out=mu[j + 1 :, j])
+                    v[j + 1 :] -= c[:, None] * v[j]
+            del v
+            # row j is reduced at columns below j, after the rows below it,
+            # so every T entry reached is at most max|T| (1 + (m - 1) max|q|),
+            # and exact below 2^53
+            tmax = np.abs(rows[:, dim:w]).max(axis=(0, 1))
+            for j in range(m - 2, -1, -1):
+                qj = np.rint(mu[j + 1 :, j], out=q[at[j] : at[j] + m - j - 1])
+                rows[j + 1 :, : w + j + 1] -= qj[:, None] * rows[j, : w + j + 1]
+            qmax = np.abs(q).max(axis=0, initial=0.0)
+            ok &= tmax * (1.0 + (m - 1) * qmax) < 2.0**53
+            m1 = mu[sub, sub - 1]
+            fail = norms[1:] < (LLL_DELTA - m1 * m1) * norms[:-1]
+            done = ~(fail.any(axis=0) | (qmax > 0.0))
+            if (done | ~ok).all():
+                break
+            # fail[k] is pair (k, k + 1); the pairs of one parity are disjoint
+            k = rnd % 2 if m > 2 else 0
+            s = fail[k::2, None]
+            lo, hi = rows[k : m - 1 : 2, :w], rows[k + 1 :: 2, :w]
+            tmp = lo.copy()
+            np.copyto(lo, hi, where=s)
+            np.copyto(hi, tmp, where=s)
+            del tmp
+    exact = ok & done & ((norms > 0.0) & (norms < math.inf)).all(axis=0)
+    return rows[:, :dim], rows[:, dim:w], mu, norms, exact
 
 
 def _enumerate(R, bound_sq, shrink=True, target=None):
@@ -454,13 +431,7 @@ def _lll_shortest(cols: list) -> SVPResult:
     """LLL then full Schnorr-Euchner enumeration with initial radius the
     shortest LLL vector."""
     reduced, T, R = _reduced_factor(cols)
-    return _search_reduced(cols, T, R, min(_dot(v, v) for v in reduced))
-
-
-def _search_reduced(cols: list, T, R, bound: float) -> SVPResult:
-    """The enumeration of _lll_shortest over the factor R of the basis
-    columns cols reduced by the integer transform T, from radius bound."""
-    cands, nodes = _enumerate(R, bound, shrink=True)
+    cands, nodes = _enumerate(R, min(_dot(v, v) for v in reduced), shrink=True)
     if not cands:
         raise RankDeficient("enumeration found no lattice vector")
     a, norm_sq = _pick_candidate(cols, _original_coords(T, cands))
@@ -492,50 +463,56 @@ def _shortest_batch(bases: np.ndarray, P=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_lll_shortest on each basis of cols (k, m, batch): _lll_batch, then
-    per basis the rank guard of _reduced_factor and the enumeration.  P
-    (batch,) holds each basis' SNR for SearchTooLarge, NaN where unknown.
+    """_lll_shortest's answer on each basis of cols (k, m, batch), read off
+    _lll_batch's reduction where it is certified.  P (batch,) holds each
+    basis' SNR for SearchTooLarge, NaN where unknown.
 
-    The enumeration is skipped where its first comparisons show that it
-    returns only +-b_1, the first reduced vector: R_00^2 is within the
-    radius, which then stays below 4 R_00^2 and below every R_ii^2 with
-    i >= 1.  The coordinates are then the sign-normalized row 0 of T.  For
-    the other bases of at most _BOX_DIM columns, _box_shortest finds the
-    enumeration's answer at once where it can.  Both kinds are
+    The answer is certified where, in the batch's arithmetic, one vector
+    up to sign is shorter than every other by the factor tie = (1 +
+    _REL_TIE)(1 + 8 eps), where eps (_ROUNDING) bounds the relative
+    rounding of either reduction's squared lengths: _lll_shortest's
+    enumeration then holds just that vector within its tie window.  It is
+    +-b_1, the first reduced vector, where every R_ii^2 with i >= 1 exceeds
+    tie R_00^2, as a vector whose last nonzero coordinate is i has squared
+    norm at least R_ii^2; for the other bases of at most _BOX_DIM columns,
+    _box_shortest finds it where it can.  The coordinates are
     sign-normalized and scored by _norm_sq, as _pick_candidate scores
     them.  The rest (ties, near ties, wide boxes, more columns, answers of
-    squared norm 0.0) are enumerated one at a time, in order, so the first
-    error is the one a loop of single calls raises; a SearchTooLarge names
-    the basis' SNR.  A basis _lll_batch could not finish exactly, or that
-    fails the rank guard, goes through _lll_shortest, which raises its
-    error."""
+    squared norm 0.0, bases past the rounding or rank guards or that
+    _lll_batch could not finish exactly) go through _lll_shortest one at a
+    time, in order, so the first error is the one a loop of single calls
+    raises; a SearchTooLarge names the basis' SNR."""
     b, T, mu, norms, exact = _lll_batch(cols)
+    m = len(T)
     # a basis that left _lll_batch early holds arbitrary values
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diag = np.sqrt(norms)
-        exact &= diag.min(axis=0) >= _RANK_RATIO * diag.max(axis=0)
-        bound = _dim_sum(b * b).min(axis=0)
-        # _enumerate's radius after its first candidate, +-b_1 at R_00^2
-        first = diag[0] * diag[0]
-        best = np.where(first < bound * (1.0 - 1e-12), first, bound)
-        limit = best * (1.0 + _REL_TIE)
-        lone = (
-            exact
-            & (first <= bound * (1.0 + _REL_TIE))
-            & (4.0 * first > limit)
-            & (diag[1:] * diag[1:] > limit).all(axis=0)
-        )
+        low = diag.min(axis=0)
+        colmax = np.sqrt((cols * cols).sum(axis=1).max(axis=0))
+        eps = _ROUNDING * np.abs(T).sum(axis=(0, 1)) * colmax / low
+        tie = (1.0 + _REL_TIE) * (1.0 + 8.0 * eps)
+        # then _lll_reduce's basis passes _reduced_factor's rank guard: an
+        # LLL-reduced basis at LLL_DELTA has Gram-Schmidt lengths at most
+        # alpha^((m-1)/2) times the longest column and at least
+        # alpha^((1-m)/2) lambda_1 >= alpha^((1-m)/2) low, alpha = 1 /
+        # (LLL_DELTA - 1/4)
+        alpha = 1.0 / (LLL_DELTA - 0.25)
+        ok = exact & (8.0 * eps < 1.0) & (low >= _RANK_RATIO * alpha ** (m - 1) * colmax)
+        lone = ok & (norms[1:] > tie * norms[0]).all(axis=0)
+        bound = (b * b).sum(axis=1).min(axis=0)
+        del b, norms
         lead = T[0].copy()
-        box = np.flatnonzero(exact & ~lone) if len(T) <= _BOX_DIM else []
-        solved = lone.copy()
-        step = _BOX_CELLS // 3 ** len(T) + 1
+        box = np.flatnonzero(ok & ~lone) if m <= _BOX_DIM else []
+        solved = lone
+        step = _BOX_CELLS // 3**m + 1
         for lo in range(0, len(box), step):
             idx = box[lo : lo + step]
             # R[j][i] = mu[i][j] sqrt(B_j), as _reduced_factor builds it
             R = mu[..., idx].transpose(1, 0, 2) * diag[:, None, idx]
-            found, z = _box_shortest(R, T[..., idx], bound[idx])
+            found, z = _box_shortest(R, T[..., idx], bound[idx], tie[idx])
             solved[idx[found]] = True
             lead[:, idx[found]] = z[:, found]
+        del T, mu
         sign = lead[0]
         for x in lead[1:]:
             sign = np.where(sign == 0.0, x, sign)
@@ -545,14 +522,8 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     solved &= norm_sq != 0.0
     coords = lead.T
     for i in np.flatnonzero(~solved):
-        basis_cols = cols[..., i].tolist()
         try:
-            if exact[i]:
-                R = (mu[..., i].T * diag[:, i, None]).tolist()
-                Ti = [[int(x) for x in row] for row in T[..., i].tolist()]
-                res = _search_reduced(basis_cols, Ti, R, float(bound[i]))
-            else:
-                res = _lll_shortest(basis_cols)
+            res = _lll_shortest(cols[..., i].tolist())
         except SearchTooLarge as exc:
             raise SearchTooLarge(exc.dim, float(P[i])) from None
         coords[i], norm_sq[i] = res.coords, res.norm_sq
@@ -566,25 +537,22 @@ _BOX_DIM = 6
 _BOX_CELLS = 1 << 15
 
 
-def _box_shortest(R: np.ndarray, T: np.ndarray, bound: np.ndarray):
-    """The answer of _search_reduced(., T, R, bound) for each factor R (m, m,
-    batch) with transform T (m, m, batch), where it can be read off a box of
-    coefficients at once: (found, coords), found (batch,) and the original
+def _box_shortest(R: np.ndarray, T: np.ndarray, bound: np.ndarray, tie: np.ndarray):
+    """The shortest vector up to sign for each factor R (m, m, batch) with
+    transform T (m, m, batch), where a box of coefficients shows it to be
+    shorter than every other vector by the factor tie (batch,), in R's
+    arithmetic: (found, coords), found (batch,) and the original
     coordinates z T (m, batch), not yet sign-normalized, where found.
 
-    Every vector within the radius has |z_i| <= sqrt(bound) ||row_i(R^-1)||
-    (Cauchy-Schwarz; widened by 1e-6 against rounding, which also covers
-    the radius' _REL_TIE).  Where each such width is below 2, the
-    enumeration's candidates lie in {-1, 0, 1}^m, and its squared distance
-    for a given z does not depend on the path that reaches z: centres are
-    left-to-right sums, partial sums run from the top level.  So each of the
-    (3^m - 1) / 2 points up to sign is scored with that arithmetic, and
-    d(-z) = d(z) bit for bit.  The enumeration's final radius ends within a
-    factor (1 + _REL_TIE)(1 + 1e-12) of the minimum d_min, so where d_min
-    is within its starting radius and no other point up to sign lies within
-    d_min (1 + _REL_TIE)(1 + 1e-11), it returns just +-z for the minimizer
-    z, and so does the box.  Ties, near ties, wider boxes and transforms
-    whose z T could reach 2^52 are not found."""
+    Every vector within the radius bound tie^2 has |z_i| <= sqrt(bound) tie
+    ||row_i(R^-1)|| (Cauchy-Schwarz; widened by 1e-6 against rounding).
+    Where each such width is below 2, every vector within it lies in {-1,
+    0, 1}^m, and each of the (3^m - 1) / 2 points up to sign is scored with
+    _enumerate's arithmetic.  The minimizer z is found where its squared
+    length d_min is at most bound tie and no other point up to sign lies
+    within d_min tie: every vector outside the box is longer than bound
+    tie^2.  Ties, near ties, wider boxes and transforms whose z T could
+    reach 2^52 are not found."""
     m, _, size = R.shape
     # row i of R^-1 is (e_i - sum_{k > i} R[i][k] row_k) / R[i][i]
     inv = [None] * m
@@ -594,7 +562,7 @@ def _box_shortest(R: np.ndarray, T: np.ndarray, bound: np.ndarray):
         for k in range(i + 1, m):
             row = row - R[i, k] * inv[k]
         inv[i] = row / R[i, i]
-    widths = np.sqrt(bound) * np.sqrt(np.array([_dim_sum(x * x) for x in inv]))
+    widths = np.sqrt(bound) * tie * np.sqrt(np.array([(x * x).sum(axis=0) for x in inv]))
     reach = np.abs(T[0])
     for x in T[1:]:
         reach = reach + np.abs(x)
@@ -604,9 +572,9 @@ def _box_shortest(R: np.ndarray, T: np.ndarray, bound: np.ndarray):
     pts = _box_points(m)
     d = _box_distances(R[..., narrow], pts)
     d_min = d.min(axis=0)
-    near = (d <= d_min * (1.0 + _REL_TIE) * (1.0 + 1e-11)).sum(axis=0)
+    near = (d <= d_min * tie[narrow]).sum(axis=0)
     found = np.zeros(size, dtype=bool)
-    found[narrow] = (near == 1) & (d_min <= bound[narrow] * (1.0 + _REL_TIE))
+    found[narrow] = (near == 1) & (d_min <= bound[narrow] * tie[narrow])
     z = pts[d.argmin(axis=0)].T
     Tn = T[..., narrow]
     coords = np.zeros((m, size))
@@ -720,7 +688,7 @@ def _ring_coords(fields: list, h: np.ndarray, P: np.ndarray) -> np.ndarray:
     (len(fields), batch, L deg), over the channels h (batch, n, L) at the
     SNRs P (batch,).  One _shortest_batch call takes every field's bases for
     a run of channels, at most _LLL_CHUNK bases: bases of the same shape
-    share the lockstep LLL's steps, and only one chunk's bases are held at
+    share the batched LLL's rounds, and only one chunk's bases are held at
     once."""
     size, n, L = h.shape
     coords = np.empty((len(fields), size, L * n))

@@ -17,6 +17,29 @@ from cflat.simkit import (
 )
 from cflat.svp import best_equation, build_search_basis
 from blas_kernels import outputs_per_kernel
+from hypothesis import given, settings, strategies as st
+
+def cold_rates(cfg):
+    """Each rate of run_sweep(cfg) from a cold mac_sum_capacity, naive_rate
+    or best_equation call, (schemes, SNR points, trials), in run_sweep's
+    error order: every trial's channel at every SNR point, then scheme by
+    scheme over (SNR point, trial)."""
+    fields = {d: make_quadratic_field(d) for d in (3, 5, 7)}
+    hs = [sample_channels(cfg.master_seed, t, cfg.n, cfg.L) for t in range(cfg.trials)]
+    chans = [[BlockFadingChannel(h, 10.0 ** (snr / 10.0)) for h in hs] for snr in cfg.snr_db]
+    cold = np.zeros((len(cfg.schemes), len(cfg.snr_db), cfg.trials))
+    for k, name in enumerate(cfg.schemes):
+        for si, row in enumerate(chans):
+            for t, ch in enumerate(row):
+                if name == "mac":
+                    cold[k, si, t] = mac_sum_capacity(ch)
+                elif name == "naive_Z":
+                    cold[k, si, t] = naive_rate(ch)[2]
+                else:
+                    d = None if name == "am_Z" else int(name[len("am_ring(") : -1])
+                    cold[k, si, t] = best_equation(fields.get(d), ch).rate_bits
+    return cold
+
 
 SMALL = SweepConfig(
     snr_db=(0.0, 10.0, 20.0),
@@ -116,16 +139,16 @@ class TestRunSweep:
     )  # fmt: skip
     def test_sweep_equals_cold_calls(self, snr_db, trials, L, seed, schemes, monkeypatch):
         # run_sweep evaluates each scheme over all (SNR point, trial) pairs
-        # as one batch, the ring schemes' searches as one joint search, with a
-        # lockstep LLL over every basis; its rates must be bit-equal to
-        # cold best_equation, naive_rate and mac_sum_capacity calls.  No
-        # scalar LLL runs, except for a basis that the batch could not finish
-        # exactly, and exactly the bases the box search leaves are
-        # enumerated one at a time
+        # as one batch, the ring schemes' searches as one joint search, with
+        # an odd-even LLL over every basis; its rates must be bit-equal to
+        # cold best_equation, naive_rate and mac_sum_capacity calls.  A basis
+        # runs the scalar LLL and its enumeration only where the batch takes
+        # no certified answer: every basis the batch could not finish
+        # exactly or the box search leaves, and on a grid below 150 dB none
         cfg = SweepConfig(snr_db=snr_db, trials=trials, L=L, schemes=schemes, master_seed=seed)
-        scalar_calls, inexact, unresolved, searched = [], [], [], []
+        scalar_calls, inexact, unresolved = [], [], []
         real_reduce, real_batch = svp._lll_reduce, svp._lll_batch
-        real_box, real_search = svp._box_shortest, svp._search_reduced
+        real_box = svp._box_shortest
 
         def recording_reduce(rows):
             scalar_calls.append(rows)
@@ -136,23 +159,18 @@ class TestRunSweep:
             inexact.append(int((~out[4]).sum()))
             return out
 
-        def recording_box(R, T, bound):
-            found, coords = real_box(R, T, bound)
+        def recording_box(R, T, bound, tie):
+            found, coords = real_box(R, T, bound, tie)
             unresolved.append(int((~found).sum()))
             return found, coords
-
-        def recording_search(*args):
-            searched.append(args)
-            return real_search(*args)
 
         monkeypatch.setattr(svp, "_lll_reduce", recording_reduce)
         monkeypatch.setattr(svp, "_lll_batch", recording_batch)
         monkeypatch.setattr(svp, "_box_shortest", recording_box)
-        monkeypatch.setattr(svp, "_search_reduced", recording_search)
         res = run_sweep(cfg)
-        # an inexact basis is enumerated by _lll_shortest after the scalar LLL
-        assert len(searched) == sum(unresolved) + sum(inexact)
-        monkeypatch.setattr(svp, "_search_reduced", real_search)
+        assert len(scalar_calls) >= sum(unresolved) + sum(inexact)
+        if max(snr_db) < 150:
+            assert not scalar_calls
         # a batch per chunk of the joint ring search, which takes every ring
         # scheme's bases for a run of _LLL_CHUNK // rings channels, and one
         # per chunk of _LLL_CHUNK bases for am_Z and for each block of naive_Z
@@ -162,22 +180,8 @@ class TestRunSweep:
         z_chunks = -(-items // svp._LLL_CHUNK)
         z_batches = {"am_Z": z_chunks, "naive_Z": cfg.n * z_chunks}
         assert len(inexact) == chunks + sum(z_batches.get(s, 0) for s in cfg.schemes)
-        assert len(scalar_calls) == sum(inexact)
 
-        fields = {d: make_quadratic_field(d) for d in (3, 5, 7)}
-        cold = np.zeros_like(res.rates)
-        for t in range(cfg.trials):
-            h = sample_channels(cfg.master_seed, t, cfg.n, cfg.L)
-            for si, snr in enumerate(snr_db):
-                ch = BlockFadingChannel(h, 10.0 ** (snr / 10.0))
-                for k, name in enumerate(cfg.schemes):
-                    if name == "mac":
-                        cold[k, si, t] = mac_sum_capacity(ch)
-                    elif name == "naive_Z":
-                        cold[k, si, t] = naive_rate(ch)[2]
-                    else:
-                        d = None if name == "am_Z" else int(name[len("am_ring(") : -1])
-                        cold[k, si, t] = best_equation(fields.get(d), ch).rate_bits
+        cold = cold_rates(cfg)
         assert res.rates.tobytes() == cold.tobytes()
 
     def test_batched_errors_keep_their_messages(self):
@@ -320,7 +324,7 @@ class TestRunSweep:
         # With one ring scheme whose bases fit one chunk, the joint search
         # makes the very call the scheme's own search would, so its error
         # is raised at once: a 40-D search refused at the node budget runs
-        # the lockstep LLL once
+        # the batch LLL once
         from cflat.cli import main
 
         calls = []
@@ -386,6 +390,14 @@ class TestDofSlope:
         with pytest.raises(InsufficientPoints):
             dof_slope(res, "mac", (49, 50))
 
+    def test_repeated_points_count_once(self):
+        # three copies of one SNR point fit no slope: the sweep records no
+        # degrees of freedom (a least-squares fit warned RankWarning)
+        res = run_sweep(SweepConfig(snr_db=(30.0, 30.0, 30.0), trials=1, schemes=("mac",)))
+        assert res.dof == {"mac": None}
+        with pytest.raises(InsufficientPoints, match="3 distinct SNR points .* got 1"):
+            dof_slope(res, "mac", (30, 50))
+
     def test_sweep_populates_dof(self):
         cfg = SweepConfig(
             snr_db=(30.0, 40.0, 50.0), trials=5, schemes=("mac",), master_seed=2
@@ -410,3 +422,25 @@ def test_rates_do_not_depend_on_the_blas_kernel():
     # do not
     outs = outputs_per_kernel(_KERNEL_CHILD)
     assert outs[0] == outs[1] == outs[2]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    L=st.sampled_from([1, 2, 3]),
+    snr_db=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=3),
+    trials=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    schemes=st.lists(st.sampled_from(SweepConfig().schemes), min_size=1, max_size=3, unique=True),
+)
+def test_sweep_rates_equal_cold_calls(L, snr_db, trials, seed, schemes):
+    # any small sweep at L = 1, 2 or 3, 0-300 dB: the batched rates are
+    # bit-equal to cold calls, or both raise the same error first
+    cfg = SweepConfig(L=L, snr_db=tuple(snr_db), trials=trials, schemes=tuple(schemes), master_seed=seed)
+    try:
+        rates = run_sweep(cfg).rates
+    except (ValueError, AssertionError) as exc:
+        with pytest.raises(type(exc)) as single:
+            cold_rates(cfg)
+        assert str(single.value) == str(exc)
+    else:
+        assert rates.tobytes() == cold_rates(cfg).tobytes()

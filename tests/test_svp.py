@@ -519,8 +519,8 @@ class TestTwoColumnBases:
 
     def test_batch_with_huge_coefficients(self):
         # size-reduction coefficients of 2^60 + 2^10 and 3e17 pass the
-        # lockstep LLL's 2^53 transform guard: the batch hands those bases
-        # to the scalar LLL
+        # batch LLL's 2^53 transform guard: the batch hands those bases to
+        # the scalar LLL
         bases = [np.eye(2), [[1.0, 2.0**60 + 2.0**10], [0.0, 1.0]], [[1.0, -3e17], [0.0, 2.5]]]
         exact = _lll_batch(_finite_column_batch(np.array(bases)))[4]
         assert exact.tolist() == [True, False, False]
@@ -587,94 +587,78 @@ def sweep_bases(d, L, snrs, trials, seed=53):
     return np.concatenate([_search_bases([field], h, 10.0 ** (s / 10.0)) for s in snrs])
 
 
-def assert_lll_batch_equals_scalar(bases):
-    """_lll_batch gives every basis _lll_reduce's b, T, mu and norms, bit
-    for bit."""
+def exact_det(rows):
+    """The determinant of a square integer matrix (lists of ints), by
+    fraction-free Gaussian elimination (Bareiss) in Python ints."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def assert_lll_batch_contract(bases):
+    """Every basis _lll_batch returns is an LLL reduction of its input B: T
+    is an integer matrix with |det T| = 1 in Python ints; each b_i is T_i B,
+    summed exactly, to within the rounding svp._ROUNDING assumes; and b is
+    size-reduced and meets the Lovasz condition at LLL_DELTA, in the batch's
+    own Gram-Schmidt data and in a QR factorization of b."""
+    bases = np.asarray(bases, dtype=float)
     b, T, mu, norms, exact = _lll_batch(_finite_column_batch(bases))
     assert exact.all()
     for i, B in enumerate(bases):
-        for got, want in zip((b, T, mu, norms), _lll_reduce(list(B.T))):
-            assert bits(got[..., i]) == bits(want)
+        Ti = T[..., i]
+        assert np.array_equal(Ti, np.rint(Ti))
+        ints = [[int(x) for x in row] for row in Ti.tolist()]
+        assert abs(exact_det(ints)) == 1
+        scale = math.sqrt(max(float(c @ c) for c in B.T))
+        exact_B = [[Fraction(x) for x in r] for r in B.tolist()]
+        for row, t in zip(b[..., i].tolist(), ints):
+            err = [Fraction(x) - sum(e * k for e, k in zip(r, t)) for x, r in zip(row, exact_B)]
+            assert math.sqrt(sum(e * e for e in err)) <= svp._ROUNDING / 2 * sum(map(abs, t)) * scale
+        assert np.all(np.abs(np.tril(mu[..., i], -1)) <= 0.5)
+        for k in range(1, len(Ti)):
+            m1 = mu[k, k - 1, i]
+            assert norms[k, i] >= (LLL_DELTA - m1 * m1) * norms[k - 1, i]
+        R = np.linalg.qr(b[..., i].T, mode="r")
+        qr_mu = R / np.diag(R)[:, None]  # qr_mu[j, k] = mu_kj for j < k
+        qr_norms = np.diag(R) ** 2
+        assert np.all(np.abs(np.triu(qr_mu, 1)) <= 0.5 + 1e-9)
+        for k in range(1, len(qr_norms)):
+            assert qr_norms[k] >= (LLL_DELTA - qr_mu[k - 1, k] ** 2) * qr_norms[k - 1] * (1 - 1e-9)
 
 
 class TestLLLBatch:
     @pytest.mark.parametrize("L", [2, 3])
     @pytest.mark.parametrize("d", [None, 3, 5, 7])
-    def test_bit_equal_to_scalar_lll(self, d, L):
-        assert_lll_batch_equals_scalar(sweep_bases(d, L, range(0, 210, 20), 8 if L == 2 else 3))
+    def test_output_is_an_lll_reduction(self, d, L):
+        assert_lll_batch_contract(sweep_bases(d, L, range(0, 210, 20), 8 if L == 2 else 3))
 
     def test_batch_of_one(self):
         bases = sweep_bases(5, 2, (40.0,), 1)
-        assert_lll_batch_equals_scalar(bases)
+        assert_lll_batch_contract(bases)
+        assert_batch_equals_single(bases)
+
+    def test_wide_bases_batch_equals_single_calls(self):
+        # L = 10: 20-column ring bases, past the box search, so each answer
+        # is the +-b_1 skip or a single call
+        bases = sweep_bases(5, 10, (0.0, 20.0, 40.0), 2)
+        assert bases.shape[1:] == (20, 20)
+        assert_lll_batch_contract(bases)
         assert_batch_equals_single(bases)
 
     def test_chunk_boundary(self, monkeypatch):
         # 8 bases in chunks of 3, the last one short
         monkeypatch.setattr(svp, "_LLL_CHUNK", 3)
         assert_batch_equals_single(sweep_bases(7, 2, (0.0, 30.0, 60.0, 90.0), 2))
-
-    def test_step_leaves_unselected_bases(self, monkeypatch):
-        # a step runs on every basis in place, masked to the bases at its
-        # loop index: 25 bases from 0 to 160 dB, which reach different loop
-        # indices after the first step.  The rows and b* of every other
-        # basis keep their bits, b*_0 and ||b*_0||^2 too, which the step at
-        # k = 1 rewrites for all
-        real = svp._lll_step
-        masked = []
-
-        def recording(kv, rows, star, sel, m, dim):
-            before = rows.copy(), star.copy()
-            out = real(kv, rows, star, sel, m, dim)
-            for x, y in zip(before, (rows, star)):
-                assert bits(x[..., ~sel]) == bits(y[..., ~sel])
-            masked.append(not sel.all())
-            return out
-
-        monkeypatch.setattr(svp, "_lll_step", recording)
-        bases = sweep_bases(3, 2, (0.0, 40.0, 80.0, 120.0, 160.0), 5)
-        assert_lll_batch_equals_scalar(bases)
-        assert sum(masked) > len(masked) / 2
-        assert_batch_equals_single(bases)
-
-    @pytest.mark.parametrize("snr_db", [80.0, 600.0])
-    def test_carried_transform_maximum(self, snr_db, monkeypatch):
-        # each row carries max|T_i| for the 2^53 guard, swapped with b_i and
-        # T_i: after the batch it is |T| maxed over each row of every basis
-        # that finished exactly.  At 600 dB the guard still sends the same
-        # bases to the scalar LLL
-        real = svp._lll_step
-        states = []
-
-        def recording(kv, rows, *args):
-            states.append(rows.base)
-            return real(kv, rows, *args)
-
-        monkeypatch.setattr(svp, "_lll_step", recording)
-        bases = sweep_bases(5, 2, (snr_db,), 21, seed=1)
-        T, exact = _lll_batch(_finite_column_batch(bases))[1::3]
-        assert all(s is states[0] for s in states)
-        tmax = np.abs(T[..., exact]).max(axis=1)
-        assert bits(states[0][:, 0, exact]) == bits(tmax)
-        assert tmax.max() > (1 if snr_db < 600 else 2**28)
-        left = [3, 4, 7, 13, 17, 19, 20] if snr_db >= 600 else []
-        assert np.flatnonzero(~exact).tolist() == left
-
-    def test_sweep_unit_steps(self, monkeypatch):
-        # one step per loop index, k = 0 run inside the swap at k = 1, and
-        # passes up then down: the 660 ring bases of a 20-trial sweep take
-        # 52 lockstep steps (116 with a step at k = 0, upward passes only and
-        # at most a quarter of the batch per step)
-        real = svp._lll_step
-        steps = []
-
-        def counting(kv, rows, star, sel, m, dim):
-            if m == 4:  # the ring bases, not the 2-column Z ones
-                steps.append(kv)
-            return real(kv, rows, star, sel, m, dim)
-
-        monkeypatch.setattr(svp, "_lll_step", counting)
-        run_sweep(SweepConfig(trials=20, master_seed=1000))
-        assert 0 not in steps and len(steps) <= 60
 
     def test_zero_coordinates_are_positive_zero(self):
         # sign normalization negates whole rows; a zero coordinate stays
@@ -717,19 +701,18 @@ class TestLLLBatch:
 
     def test_enumeration_skip_keeps_lll_shortest_answers(self, monkeypatch):
         # Sweep bases of the three ring schemes from 0 to 200 dB, after the
-        # zero channel's basis, whose two unit users tie at norm 2: there
-        # R_11^2 = R_00^2, so the enumeration must run, and it picks
-        # (0, 0, 1, 0).  Most sweep bases skip it, and the box search takes
-        # the rest: exactly the bases it leaves are enumerated
+        # zero channel's basis, whose two unit users tie at norm 2: no
+        # certificate takes it, so the single call runs, and it picks (0, 0,
+        # 1, 0).  Most sweep bases skip the box, the box search takes most
+        # of the rest, and every basis it leaves takes the single call
         bases = np.concatenate(
             [build_search_basis(F5, zero_channel(2, 2))[None]]
             + [sweep_bases(d, 2, range(0, 210, 20), 10) for d in (3, 5, 7)]
         )
-        unresolved, enumerated = record_fallback(monkeypatch)
+        unresolved, cold = record_fallback(monkeypatch)
         coords, norms = _shortest_batch(bases)
-        assert enumerated == unresolved
-        assert enumerated[0] == bits(_reduced_factor(bases[0].T.tolist())[2])
-        assert len(enumerated) < len(bases) / 20
+        assert cold[0] == bits(bases[0])
+        assert len(unresolved) <= len(cold) < len(bases) / 20
         assert tuple(coords[0]) == (0, 0, 1, 0)
         assert_equals_lll_shortest(bases, coords, norms)
 
@@ -743,34 +726,36 @@ class TestLLLBatch:
         ids=["lll-batch", "ring-0-300", "L3"],
     )
     def test_box_search_equals_enumeration(self, sets, monkeypatch):
-        # _box_shortest scores a box of reduced coordinates with the
-        # enumeration's own arithmetic: every basis it takes gets the
-        # coordinates and norm_sq bits of _search_reduced, here through
-        # _lll_shortest, whose scalar LLL the batch matches bit for bit; the
-        # bases it leaves are the ones enumerated.  On these sets (the LLL
-        # batch tests' ones, the sweep's 0-300 dB ring check, 3-D and 6-D
-        # bases at L = 3) it leaves none
-        unresolved, enumerated = record_fallback(monkeypatch)
+        # the +-b_1 skip and _box_shortest take an answer from the batch's
+        # reduction only where it is certified to be _lll_shortest's: every
+        # basis gets its coordinates and norm_sq bits.  On these sets (the
+        # LLL batch tests' ones, the sweep's 0-300 dB ring check, 3-D and
+        # 6-D bases at L = 3) the single calls are left to bases at 150 dB
+        # and above, past the rounding guard or near a tie there
+        unresolved, cold = record_fallback(monkeypatch)
         for d, L, snrs, trials, seed in sets:
             bases = sweep_bases(d, L, snrs, trials, seed=seed)
+            high = [s for s in snrs if s >= 150]
+            high = {bits(B) for B in sweep_bases(d, L, high, trials, seed=seed)} if high else set()
             coords, norms = _shortest_batch(bases)
-            assert enumerated == unresolved == []
+            assert len(unresolved) <= len(cold) and set(cold) <= high
             assert_equals_lll_shortest(bases, coords, norms)
-            enumerated.clear()  # _lll_shortest enumerates every basis
+            unresolved.clear()
+            cold.clear()
 
     @pytest.mark.parametrize("gap, boxed", [(5e-10, False), (3e-9, True)])
     def test_near_tie_falls_back(self, gap, boxed, monkeypatch):
         # b_1 = (1, 0, 0), b_2 = (0.4, s, 0) with |b_2|^2 = 1 + gap, b_3 =
         # 3 e_3: reduced as given, and not skipped, as R_11^2 < R_00^2.
         # Within _REL_TIE the enumeration collects both and the tie-break
-        # picks (0, 1, 0), the longer one; the box leaves that to it.  Past
-        # the tie it takes b_1 itself
+        # picks (0, 1, 0), the longer one; the box leaves that to the single
+        # call.  Past the tie it takes b_1 itself
         s = math.sqrt(0.84 + gap)
         B = np.array([[1.0, 0.4, 0.0], [0.0, s, 0.0], [0.0, 0.0, 3.0]])
-        unresolved, enumerated = record_fallback(monkeypatch)
+        unresolved, cold = record_fallback(monkeypatch)
         coords, norms = _shortest_batch(B[None])
-        R = bits(_reduced_factor(B.T.tolist())[2])
-        assert enumerated == unresolved == ([] if boxed else [R])
+        assert cold == ([] if boxed else [bits(B)])
+        assert len(unresolved) == len(cold)
         assert tuple(coords[0]) == ((1, 0, 0) if boxed else (0, 1, 0))
         assert_equals_lll_shortest(B[None], coords, norms)
 
@@ -792,22 +777,70 @@ class TestLLLBatch:
         bound = min(float(x @ x) for x in R.T)
         widths = math.sqrt(bound) * np.linalg.norm(np.linalg.inv(R), axis=1)
         assert 2.0 < widths.max() < (7.0 if alternating else 2.01)
-        unresolved, enumerated = record_fallback(monkeypatch)
+        unresolved, cold = record_fallback(monkeypatch)
         coords, norms = _shortest_batch(R[None])
-        assert enumerated == unresolved == [bits(_reduced_factor(R.T.tolist())[2])]
+        assert cold == [bits(R)] and len(unresolved) == 1
         if alternating:
             assert tuple(coords[0]) == (3, -2, 1, -1, 1, -1)
         assert_equals_lll_shortest(R[None], coords, norms)
 
     @pytest.mark.parametrize("snr_db", [600.0, 1500.0, 2000.0])
-    def test_transforms_past_2_53_leave_the_batch(self, snr_db):
-        # Ring lattices so skewed that some LLL transforms would outgrow the
-        # integers a double holds: the batch hands those bases to the scalar
-        # kernel, and every basis gets shortest_vector's answer.  Without
-        # the hand-over, trials 4, 7 and 20 at 600 dB get other coordinates.
+    def test_transforms_past_2_53_leave_the_batch(self, snr_db, monkeypatch):
+        # Ring lattices so skewed that an earlier batch LLL's transforms
+        # could outgrow the integers a double holds.  The odd-even batch
+        # finishes them exactly, its transforms below 2^32, but the rounding
+        # guard sends every one to the single call, and every basis gets
+        # shortest_vector's answer.  An earlier kernel without a hand-over
+        # gave trials 4, 7 and 20 at 600 dB other coordinates.
         bases = sweep_bases(5, 2, (snr_db,), 21, seed=1)
-        assert not _lll_batch(_finite_column_batch(bases))[4].all()
+        T, exact = _lll_batch(_finite_column_batch(bases))[1::3]
+        assert exact.all() and np.abs(T).max() < 2**32
+        _, cold = record_fallback(monkeypatch)
+        _shortest_batch(bases)
+        assert cold == [bits(B) for B in bases]
+        monkeypatch.undo()
         assert_batch_equals_single(bases)
+
+
+# (d, SNR dB, trial) of the sweep's 0-300 dB ring check, sample_channels(1,
+# t, 2, 2), on which the batch's certificates without the rounding guard
+# (_ROUNDING = 0) take other coordinates than shortest_vector: all at max_j
+# P||h_j||^2 >= 10^25.6
+UNGUARDED_WRONG = (
+    (3, 260, 60), (3, 290, 50), (3, 290, 53), (3, 300, 23), (3, 300, 68),
+    (3, 300, 72), (5, 280, 87), (5, 290, 4), (5, 290, 63), (5, 300, 4),
+    (5, 300, 30), (5, 300, 36), (5, 300, 49), (5, 300, 58), (5, 300, 61),
+    (5, 300, 72), (5, 300, 93), (5, 300, 95), (7, 250, 88), (7, 280, 72),
+    (7, 300, 94),
+)
+
+
+def ring_basis(d, snr_db, t):
+    ch = BlockFadingChannel(sample_channels(1, t, 2, 2), 10.0 ** (snr_db / 10.0))
+    return build_search_basis(make_quadratic_field(d), ch)
+
+
+class TestRoundingGuard:
+    def test_guard_keeps_single_call_answers(self, monkeypatch):
+        bases = np.array([ring_basis(*item) for item in UNGUARDED_WRONG])
+        assert_batch_equals_single(bases)
+        monkeypatch.setattr(svp, "_ROUNDING", 0.0)
+        coords = _shortest_batch(bases)[0]
+        for B, c in zip(bases, coords):
+            assert tuple(c) != tuple(shortest_vector(B).coords)
+
+    def test_certified_just_inside_the_guard(self, monkeypatch):
+        # at 220 dB the batch's rounding bound is 8 eps = 0.998 on this
+        # basis, just inside the guard 8 eps < 1: the batch certifies its
+        # answer, and with twice the bound the single call runs
+        B = ring_basis(3, 220, 88)
+        _, cold = record_fallback(monkeypatch)
+        coords, norms = _shortest_batch(B[None])
+        assert cold == []
+        assert_equals_lll_shortest(B[None], coords, norms)
+        monkeypatch.setattr(svp, "_ROUNDING", 2.0 * svp._ROUNDING)
+        _shortest_batch(B[None])
+        assert cold == [bits(B)]
 
 
 def test_search_does_not_use_builtin_sum(monkeypatch):
@@ -859,30 +892,31 @@ def assert_equals_lll_shortest(bases, coords, norms):
 
 
 def record_fallback(monkeypatch):
-    """Spies on _lll_chunk: returns (unresolved, enumerated), lists that
-    fill with the bits of each triangular factor R that _box_shortest left
-    unresolved, and of each one _search_reduced enumerated, in call order."""
-    unresolved, enumerated = [], []
-    real_box, real_search = svp._box_shortest, svp._search_reduced
+    """Spies on _lll_chunk: returns (unresolved, cold), lists that fill with
+    the bits of each transform T whose basis _box_shortest left unresolved,
+    and of each basis (as a (dim, k) array) that _lll_chunk handed to
+    _lll_shortest, in call order."""
+    unresolved, cold = [], []
+    real_box, real_cold = svp._box_shortest, svp._lll_shortest
 
-    def box(R, T, bound):
-        found, coords = real_box(R, T, bound)
-        unresolved.extend(bits(R[..., i]) for i in np.flatnonzero(~found))
+    def box(R, T, bound, tie):
+        found, coords = real_box(R, T, bound, tie)
+        unresolved.extend(bits(T[..., i]) for i in np.flatnonzero(~found))
         return found, coords
 
-    def search(cols, T, R, bound):
-        enumerated.append(bits(R))
-        return real_search(cols, T, R, bound)
+    def single(cols):
+        cold.append(bits(np.array(cols).T))
+        return real_cold(cols)
 
     monkeypatch.setattr(svp, "_box_shortest", box)
-    monkeypatch.setattr(svp, "_search_reduced", search)
-    return unresolved, enumerated
+    monkeypatch.setattr(svp, "_lll_shortest", single)
+    return unresolved, cold
 
 
 def assert_batch_equals_single(bases):
     """_shortest_batch gives each basis the coordinates and norm_sq bits of
-    shortest_vector: the lockstep LLL with its box and enumeration against
-    the scalar LLL and enumeration."""
+    shortest_vector: the batch LLL with its certificates and single calls
+    against the scalar LLL and enumeration."""
     bases = np.array(bases, dtype=float)
     coords, norms = _shortest_batch(bases)
     for B, c, norm_sq in zip(bases, coords, norms):
