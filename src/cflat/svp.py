@@ -12,12 +12,13 @@ Villard, ISSAC 1992), over a batch of channels at once, the bases of all
 its ring schemes together, a chunk of channels at a time.  It takes an
 answer from its own reduction only where that answer is certified to be
 the one of a single call: the first reduced vector where it is provably
-the unique shortest, and for the other bases of up to six columns the
+the unique shortest, for the other bases of up to six columns the
 minimum of a box of reduced coordinates that provably holds every vector
-near it (Fincke and Pohst, Math. Comp. 1985), each with a margin over the
-rounding of both reductions.  Ties, near ties, wider boxes, bases of more
-than six columns and skewed bases run the single call.  Every
-shortest-vector enumeration stops at a node budget with SearchTooLarge.
+near it (Fincke and Pohst, Math. Comp. 1985), and for the rest an
+enumeration over its own factor, each with a margin over the rounding of
+both reductions.  Ties, near ties and skewed bases run the single call.
+Every shortest-vector enumeration stops at a node budget with
+SearchTooLarge.
 """
 
 from __future__ import annotations
@@ -61,13 +62,15 @@ _REL_TIE = 1e-9
 # rounding guard of the batch's certificates.  A reduction forms each
 # reduced vector b_i = T_i B from the columns B_k by cancelling sums, so its
 # computed b_i is off by u ||T_i||_1 max_k ||B_k|| (u = 2^-53) times a
-# growth factor of its path, measured at most 9 (batch) and 4 (_lll_reduce)
-# in exact arithmetic over 2- to 20-column sweep bases up to 300 dB.  Taking
-# that error below _ROUNDING / 2 ||T_i||_1 max_k ||B_k||, 57 times the
-# largest measured, the squared length of a vector z T B with |z_i| <= 1,
-# at least min_i ||b*_i||, is off by a relative eps = _ROUNDING sum |T|
-# max_k ||B_k|| / min_i ||b*_i|| at most, to first order, in either reduction
-_ROUNDING = 2.0**-43
+# growth factor of its path, measured in exact arithmetic at most 9 (batch)
+# and 4 (_lll_reduce) on sweep bases of 2 to 20 columns up to 300 dB and of
+# 4 columns at 600 to 2000 dB; beyond that it is assumed.  _ROUNDING / 2 =
+# 32 u allows 3.5 times the largest.  A vector w = z R of the reduced basis
+# has |z_i| <= ||row_i(R^-1)|| ||w|| (Cauchy-Schwarz), so its squared length
+# is off by a relative eps = _ROUNDING max_k ||B_k|| sum_i ||row_i(R^-1)||
+# ||T_i||_1 at most, to first order; the batch's eps stands for both
+# reductions'
+_ROUNDING = 2.0**-47
 # rank guard: a reduced basis whose Gram-Schmidt lengths span more than
 # 1 / _RANK_RATIO is numerically rank deficient
 _RANK_RATIO = 1e-12
@@ -279,7 +282,7 @@ def _lll_batch(cols: np.ndarray):
     return rows[:, :dim], rows[:, dim:w], mu, norms, exact
 
 
-def _enumerate(R, bound_sq, shrink=True, target=None):
+def _enumerate(R, bound_sq, shrink=True, target=None, tie=None):
     """Schnorr-Euchner enumeration over an upper-triangular factor R.
 
     Finds integer vectors z with ||R z - target||^2 <= bound, visiting each
@@ -289,7 +292,9 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
     triangular frame) every vector is, the zero vector included.  With
     shrink=True the bound tightens as better vectors are found and all
     candidates tied with the minimum (relative _REL_TIE) are collected; with
-    shrink=False every vector inside the fixed radius is returned.  Returns
+    shrink=False every vector inside the fixed radius is returned.  A tie
+    factor widens the window to every vector within tie times the minimum,
+    including those found before it.  Returns
     (candidates, node_count) with candidates as (dist, z list) pairs.  With
     shrink=True, raises SearchTooLarge once the walk has visited more than
     _NODE_BUDGET nodes, checked as it climbs a level.
@@ -297,7 +302,8 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
     k = len(R)
     y = [0.0] * k if target is None else [float(t) for t in target]
     best = float(bound_sq)
-    limit = best * (1.0 + _REL_TIE)
+    rel = 1.0 + _REL_TIE if tie is None else tie
+    limit = best * rel
     cands = []
     z = [0] * k
     center = [0.0] * k
@@ -318,10 +324,9 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
                 if target is not None or any(z):
                     if shrink and d < best * (1.0 - 1e-12):
                         best = d
-                        limit = best * (1.0 + _REL_TIE)
-                        cands = [(d, z.copy())]
-                    else:
-                        cands.append((d, z.copy()))
+                        limit = best * rel
+                        cands = [c for c in cands if tie and c[0] <= limit]
+                    cands.append((d, z.copy()))
                 z[0] += step[0]
                 step[0] = -step[0] - (1 if step[0] >= 0 else -1)
             else:
@@ -345,7 +350,7 @@ def _enumerate(R, bound_sq, shrink=True, target=None):
             z[i] += step[i]
             step[i] = -step[i] - (1 if step[i] >= 0 else -1)
     if shrink:
-        cands = [(d, zz) for d, zz in cands if d <= best * (1.0 + _REL_TIE)]
+        cands = [(d, zz) for d, zz in cands if d <= limit]
     return cands, nodes
 
 
@@ -474,36 +479,41 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     enumeration then holds just that vector within its tie window.  It is
     +-b_1, the first reduced vector, where every R_ii^2 with i >= 1 exceeds
     tie R_00^2, as a vector whose last nonzero coordinate is i has squared
-    norm at least R_ii^2; for the other bases of at most _BOX_DIM columns,
-    _box_shortest finds it where it can.  The coordinates are
-    sign-normalized and scored by _norm_sq, as _pick_candidate scores
-    them.  The rest (ties, near ties, wide boxes, more columns, answers of
-    squared norm 0.0, bases past the rounding or rank guards or that
-    _lll_batch could not finish exactly) go through _lll_shortest one at a
-    time, in order, so the first error is the one a loop of single calls
-    raises; a SearchTooLarge names the basis' SNR."""
+    norm at least R_ii^2; for the other bases of at most _BOX_DIM columns
+    whose box of coefficients is narrow, _box_shortest finds it where it
+    can, and for the rest _enumerate over the batch's factor, its tie
+    window widened to tie.  The coordinates are sign-normalized and scored
+    by _norm_sq, as _pick_candidate scores them.  The rest (ties, near
+    ties, answers of squared norm 0.0, enumerations past the node budget,
+    bases past the rounding or rank guards or that _lll_batch could not
+    finish exactly) go through _lll_shortest one at a time, in order, so
+    the first error is the one a loop of single calls raises; a
+    SearchTooLarge names the basis' SNR."""
     b, T, mu, norms, exact = _lll_batch(cols)
     m = len(T)
     # a basis that left _lll_batch early holds arbitrary values
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diag = np.sqrt(norms)
-        low = diag.min(axis=0)
+        inv = _inverse_row_norms(mu, diag)
         colmax = np.sqrt((cols * cols).sum(axis=1).max(axis=0))
-        eps = _ROUNDING * np.abs(T).sum(axis=(0, 1)) * colmax / low
+        eps = _ROUNDING * colmax * (inv * np.abs(T).sum(axis=1)).sum(axis=0)
         tie = (1.0 + _REL_TIE) * (1.0 + 8.0 * eps)
         # then _lll_reduce's basis passes _reduced_factor's rank guard: an
         # LLL-reduced basis at LLL_DELTA has Gram-Schmidt lengths at most
         # alpha^((m-1)/2) times the longest column and at least
-        # alpha^((1-m)/2) lambda_1 >= alpha^((1-m)/2) low, alpha = 1 /
-        # (LLL_DELTA - 1/4)
+        # alpha^((1-m)/2) lambda_1 >= alpha^((1-m)/2) min_i ||b*_i||, alpha
+        # = 1 / (LLL_DELTA - 1/4)
         alpha = 1.0 / (LLL_DELTA - 0.25)
-        ok = exact & (8.0 * eps < 1.0) & (low >= _RANK_RATIO * alpha ** (m - 1) * colmax)
-        lone = ok & (norms[1:] > tie * norms[0]).all(axis=0)
+        low = _RANK_RATIO * alpha ** (m - 1) * colmax
+        ok = exact & (8.0 * eps < 1.0) & (diag.min(axis=0) >= low)
+        solved = ok & (norms[1:] > tie * norms[0]).all(axis=0)
         bound = (b * b).sum(axis=1).min(axis=0)
-        del b, norms
+        # every vector within the radius bound tie^2 has |z_i| <= sqrt(bound)
+        # tie ||row_i(R^-1)|| (Cauchy-Schwarz; widened by 1e-6 against
+        # rounding): below 2, the box {-1, 0, 1}^m holds it
+        narrow = (np.sqrt(bound) * tie * inv * (1.0 + 1e-6) < 2.0).all(axis=0)
+        box = np.flatnonzero(ok & ~solved & narrow) if m <= _BOX_DIM else []
         lead = T[0].copy()
-        box = np.flatnonzero(ok & ~lone) if m <= _BOX_DIM else []
-        solved = lone
         step = _BOX_CELLS // 3**m + 1
         for lo in range(0, len(box), step):
             idx = box[lo : lo + step]
@@ -512,6 +522,17 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             found, z = _box_shortest(R, T[..., idx], bound[idx], tie[idx])
             solved[idx[found]] = True
             lead[:, idx[found]] = z[:, found]
+        for i in np.flatnonzero(ok & ~solved):
+            try:
+                R = (mu[..., i].T * diag[:, i, None]).tolist()
+                cands = _enumerate(R, bound[i] * tie[i], tie=float(tie[i]))[0]
+            except SearchTooLarge:
+                continue
+            a = _original_coords(T[..., i].tolist(), cands)
+            if len(cands) == 2 == 2 * len(a) and cands[0][0] <= bound[i] * tie[i]:
+                (a,) = a
+                solved[i] = max(map(abs, a)) < 2**52
+                lead[:, i] = a
         del T, mu
         sign = lead[0]
         for x in lead[1:]:
@@ -530,6 +551,22 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return coords, norm_sq
 
 
+def _inverse_row_norms(mu: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """||row_i(R^-1)|| (m, batch) for the factors R[j][i] = mu[i][j]
+    diag[j] of a batch, mu (m, m, batch) and diag (m, batch), by
+    back-substitution: row i of R^-1, zero before entry i, is (e_i -
+    sum_{k > i} R[i][k] row_k) / R[i][i], with R[i][i] = diag[i]."""
+    m = len(diag)
+    inv = [None] * m  # entries i to m - 1 of row i
+    for i in range(m - 1, -1, -1):
+        row = np.zeros((m - i, diag.shape[1]))
+        row[0] = 1.0
+        for k in range(i + 1, m):
+            row[k - i :] -= mu[k, i] * diag[i] * inv[k]
+        inv[i] = row / diag[i]
+    return np.sqrt(np.array([(x * x).sum(axis=0) for x in inv]))
+
+
 # _lll_chunk box-scores bases of at most _BOX_DIM columns, whose boxes hold
 # at most 364 points up to sign, _BOX_CELLS / 3^m + 1 bases per
 # _box_shortest call, which bounds its work arrays
@@ -539,36 +576,22 @@ _BOX_CELLS = 1 << 15
 
 def _box_shortest(R: np.ndarray, T: np.ndarray, bound: np.ndarray, tie: np.ndarray):
     """The shortest vector up to sign for each factor R (m, m, batch) with
-    transform T (m, m, batch), where a box of coefficients shows it to be
-    shorter than every other vector by the factor tie (batch,), in R's
-    arithmetic: (found, coords), found (batch,) and the original
-    coordinates z T (m, batch), not yet sign-normalized, where found.
+    transform T (m, m, batch), whose vectors within the radius bound tie^2
+    all lie in the box {-1, 0, 1}^m, where the box shows it to be shorter
+    than every other vector by the factor tie (batch,), in R's arithmetic:
+    (found, coords), found (batch,) and the original coordinates z T (m,
+    batch), not yet sign-normalized, where found.
 
-    Every vector within the radius bound tie^2 has |z_i| <= sqrt(bound) tie
-    ||row_i(R^-1)|| (Cauchy-Schwarz; widened by 1e-6 against rounding).
-    Where each such width is below 2, every vector within it lies in {-1,
-    0, 1}^m, and each of the (3^m - 1) / 2 points up to sign is scored with
-    _enumerate's arithmetic.  The minimizer z is found where its squared
-    length d_min is at most bound tie and no other point up to sign lies
-    within d_min tie: every vector outside the box is longer than bound
-    tie^2.  Ties, near ties, wider boxes and transforms whose z T could
-    reach 2^52 are not found."""
+    Each of the (3^m - 1) / 2 points up to sign is scored with _enumerate's
+    arithmetic.  The minimizer z is found where its squared length d_min
+    is at most bound tie and no other point up to sign lies within d_min
+    tie: every vector outside the box is longer than bound tie^2.  Ties,
+    near ties and transforms whose z T could reach 2^52 are not found."""
     m, _, size = R.shape
-    # row i of R^-1 is (e_i - sum_{k > i} R[i][k] row_k) / R[i][i]
-    inv = [None] * m
-    for i in range(m - 1, -1, -1):
-        row = np.zeros((m, size))
-        row[i] = 1.0
-        for k in range(i + 1, m):
-            row = row - R[i, k] * inv[k]
-        inv[i] = row / R[i, i]
-    widths = np.sqrt(bound) * tie * np.sqrt(np.array([(x * x).sum(axis=0) for x in inv]))
     reach = np.abs(T[0])
     for x in T[1:]:
         reach = reach + np.abs(x)
-    narrow = np.flatnonzero(
-        (widths * (1.0 + 1e-6) < 2.0).all(axis=0) & (reach.max(axis=0) < 2.0**52)
-    )
+    narrow = np.flatnonzero(reach.max(axis=0) < 2.0**52)
     pts = _box_points(m)
     d = _box_distances(R[..., narrow], pts)
     d_min = d.min(axis=0)

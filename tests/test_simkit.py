@@ -144,11 +144,12 @@ class TestRunSweep:
         # cold best_equation, naive_rate and mac_sum_capacity calls.  A basis
         # runs the scalar LLL and its enumeration only where the batch takes
         # no certified answer: every basis the batch could not finish
-        # exactly or the box search leaves, and on a grid below 150 dB none
+        # exactly, and those past the rounding guard or near a tie within
+        # its window: none up to 200 dB, and at most the measured 2,106 of
+        # the 9,300 ring bases of ring-0-300
         cfg = SweepConfig(snr_db=snr_db, trials=trials, L=L, schemes=schemes, master_seed=seed)
-        scalar_calls, inexact, unresolved = [], [], []
+        scalar_calls, inexact = [], []
         real_reduce, real_batch = svp._lll_reduce, svp._lll_batch
-        real_box = svp._box_shortest
 
         def recording_reduce(rows):
             scalar_calls.append(rows)
@@ -159,18 +160,10 @@ class TestRunSweep:
             inexact.append(int((~out[4]).sum()))
             return out
 
-        def recording_box(R, T, bound, tie):
-            found, coords = real_box(R, T, bound, tie)
-            unresolved.append(int((~found).sum()))
-            return found, coords
-
         monkeypatch.setattr(svp, "_lll_reduce", recording_reduce)
         monkeypatch.setattr(svp, "_lll_batch", recording_batch)
-        monkeypatch.setattr(svp, "_box_shortest", recording_box)
         res = run_sweep(cfg)
-        assert len(scalar_calls) >= sum(unresolved) + sum(inexact)
-        if max(snr_db) < 150:
-            assert not scalar_calls
+        assert sum(inexact) <= len(scalar_calls) <= (2106 if max(snr_db) > 200 else 0)
         # a batch per chunk of the joint ring search, which takes every ring
         # scheme's bases for a run of _LLL_CHUNK // rings channels, and one
         # per chunk of _LLL_CHUNK bases for am_Z and for each block of naive_Z

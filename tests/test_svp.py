@@ -649,16 +649,44 @@ class TestLLLBatch:
 
     def test_wide_bases_batch_equals_single_calls(self):
         # L = 10: 20-column ring bases, past the box search, so each answer
-        # is the +-b_1 skip or a single call
+        # is the +-b_1 skip, an enumeration over the batch's factor or a
+        # single call.  The reduction keeps its contract, its rounding
+        # within what svp._ROUNDING assumes, up to 200 dB
         bases = sweep_bases(5, 10, (0.0, 20.0, 40.0), 2)
         assert bases.shape[1:] == (20, 20)
         assert_lll_batch_contract(bases)
         assert_batch_equals_single(bases)
+        assert_lll_batch_contract(sweep_bases(5, 10, (100.0, 150.0, 200.0), 2))
 
     def test_chunk_boundary(self, monkeypatch):
         # 8 bases in chunks of 3, the last one short
         monkeypatch.setattr(svp, "_LLL_CHUNK", 3)
         assert_batch_equals_single(sweep_bases(7, 2, (0.0, 30.0, 60.0, 90.0), 2))
+
+    def test_sweep_unit_rounds(self, monkeypatch):
+        # a round of the odd-even LLL runs one einsum per column: the 660
+        # ring bases of a 20-trial sweep unit take 16 rounds, and the batch
+        # answers every one of them
+        rounds, einsums = [], []
+        real_einsum, real_batch = np.einsum, svp._lll_batch
+
+        def counting_einsum(*args, **kwargs):
+            einsums.append(1)
+            return real_einsum(*args, **kwargs)
+
+        def counting_batch(cols):
+            einsums.clear()
+            out = real_batch(cols)
+            if len(cols) == 4:  # the ring bases, not the 2-column Z ones
+                rounds.append(len(einsums) // 4)
+            return out
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        monkeypatch.setattr(svp, "_lll_batch", counting_batch)
+        *_, cold = record_fallback(monkeypatch)
+        run_sweep(SweepConfig(trials=20, master_seed=1000))
+        assert len(rounds) == 1 and rounds[0] <= 20
+        assert cold == []
 
     def test_zero_coordinates_are_positive_zero(self):
         # sign normalization negates whole rows; a zero coordinate stays
@@ -701,61 +729,68 @@ class TestLLLBatch:
 
     def test_enumeration_skip_keeps_lll_shortest_answers(self, monkeypatch):
         # Sweep bases of the three ring schemes from 0 to 200 dB, after the
-        # zero channel's basis, whose two unit users tie at norm 2: no
-        # certificate takes it, so the single call runs, and it picks (0, 0,
-        # 1, 0).  Most sweep bases skip the box, the box search takes most
-        # of the rest, and every basis it leaves takes the single call
+        # zero channel's basis, whose two unit users tie at norm 2: the box
+        # and the enumeration over the batch's factor find the tie, so the
+        # single call runs, and it picks (0, 0, 1, 0).  Most sweep bases
+        # skip the box, and the box search takes all but one, a 200 dB
+        # basis near a tie within the rounding guard's window
         bases = np.concatenate(
             [build_search_basis(F5, zero_channel(2, 2))[None]]
             + [sweep_bases(d, 2, range(0, 210, 20), 10) for d in (3, 5, 7)]
         )
-        unresolved, cold = record_fallback(monkeypatch)
+        unresolved, enumerated, cold = record_fallback(monkeypatch)
         coords, norms = _shortest_batch(bases)
+        assert len(unresolved) == len(enumerated) == len(cold) == 2
         assert cold[0] == bits(bases[0])
-        assert len(unresolved) <= len(cold) < len(bases) / 20
         assert tuple(coords[0]) == (0, 0, 1, 0)
         assert_equals_lll_shortest(bases, coords, norms)
 
     @pytest.mark.parametrize(
         "sets",
         [
-            [(d, L, range(0, 210, 20), 8 if L == 2 else 3, 53) for d in (3, 5, 7) for L in (2, 3)],
-            [(d, 2, range(0, 310, 10), 100, 1) for d in (3, 5, 7)],
-            [(d, 3, range(0, 110, 10), 10, 53) for d in (None, 3, 5, 7)],
+            [(d, L, range(0, 210, 20), 8 if L == 2 else 3, 53, 0) for d in (3, 5, 7) for L in (2, 3)],
+            [(d, 2, range(0, 310, 10), 100, 1, cold) for d, cold in ((3, 664), (5, 732), (7, 710))],
+            [(d, 3, range(0, 110, 10), 10, 53, 0) for d in (None, 3, 5, 7)],
         ],
         ids=["lll-batch", "ring-0-300", "L3"],
     )
     def test_box_search_equals_enumeration(self, sets, monkeypatch):
-        # the +-b_1 skip and _box_shortest take an answer from the batch's
-        # reduction only where it is certified to be _lll_shortest's: every
-        # basis gets its coordinates and norm_sq bits.  On these sets (the
-        # LLL batch tests' ones, the sweep's 0-300 dB ring check, 3-D and
-        # 6-D bases at L = 3) the single calls are left to bases at 150 dB
-        # and above, past the rounding guard or near a tie there
-        unresolved, cold = record_fallback(monkeypatch)
-        for d, L, snrs, trials, seed in sets:
+        # the +-b_1 skip, _box_shortest and the enumeration over the batch's
+        # factor take an answer from the batch's reduction only where it is
+        # certified to be _lll_shortest's: every basis gets its coordinates
+        # and norm_sq bits.  On the LLL batch tests' sets and the 3-D and
+        # 6-D bases at L = 3 the box search takes every basis not skipped.
+        # Of the 3,100 bases of each field in the sweep's 0-300 dB ring
+        # check, the single call takes at most the measured 664, 732 and 710
+        # (past the rounding guard, or near a tie within its window), all
+        # at 190 dB and above
+        unresolved, enumerated, cold = record_fallback(monkeypatch)
+        for d, L, snrs, trials, seed, most in sets:
             bases = sweep_bases(d, L, snrs, trials, seed=seed)
-            high = [s for s in snrs if s >= 150]
+            high = [s for s in snrs if s >= 190]
             high = {bits(B) for B in sweep_bases(d, L, high, trials, seed=seed)} if high else set()
             coords, norms = _shortest_batch(bases)
-            assert len(unresolved) <= len(cold) and set(cold) <= high
+            if not most:
+                assert unresolved == enumerated == cold == []
+            assert len(cold) <= most and set(cold) <= high
             assert_equals_lll_shortest(bases, coords, norms)
-            unresolved.clear()
-            cold.clear()
+            for spied in (unresolved, enumerated, cold):
+                spied.clear()
 
     @pytest.mark.parametrize("gap, boxed", [(5e-10, False), (3e-9, True)])
     def test_near_tie_falls_back(self, gap, boxed, monkeypatch):
         # b_1 = (1, 0, 0), b_2 = (0.4, s, 0) with |b_2|^2 = 1 + gap, b_3 =
         # 3 e_3: reduced as given, and not skipped, as R_11^2 < R_00^2.
         # Within _REL_TIE the enumeration collects both and the tie-break
-        # picks (0, 1, 0), the longer one; the box leaves that to the single
-        # call.  Past the tie it takes b_1 itself
+        # picks (0, 1, 0), the longer one; the box and the enumeration over
+        # the batch's factor leave that to the single call.  Past the tie
+        # the box takes b_1 itself
         s = math.sqrt(0.84 + gap)
         B = np.array([[1.0, 0.4, 0.0], [0.0, s, 0.0], [0.0, 0.0, 3.0]])
-        unresolved, cold = record_fallback(monkeypatch)
+        unresolved, enumerated, cold = record_fallback(monkeypatch)
         coords, norms = _shortest_batch(B[None])
         assert cold == ([] if boxed else [bits(B)])
-        assert len(unresolved) == len(cold)
+        assert len(unresolved) == len(enumerated) == len(cold)
         assert tuple(coords[0]) == ((1, 0, 0) if boxed else (0, 1, 0))
         assert_equals_lll_shortest(B[None], coords, norms)
 
@@ -766,8 +801,9 @@ class TestLLLBatch:
         # the one before.  With equal signs the widest box is 2.004, just
         # past {-1, 0, 1}; with alternating ones the boxes reach 6.03 and
         # the shortest vector, (3, -2, 1, -1, 1, -1), lies outside the
-        # unit box, so a box search would answer wrongly.  Both are
-        # enumerated
+        # unit box, so a box search would answer wrongly.  Both skip the
+        # box and are enumerated over the batch's factor, which certifies
+        # the answer
         m = 6
         r = 0.755 ** (np.arange(m) / 2)
         R = np.diag(r)
@@ -777,9 +813,9 @@ class TestLLLBatch:
         bound = min(float(x @ x) for x in R.T)
         widths = math.sqrt(bound) * np.linalg.norm(np.linalg.inv(R), axis=1)
         assert 2.0 < widths.max() < (7.0 if alternating else 2.01)
-        unresolved, cold = record_fallback(monkeypatch)
+        unresolved, enumerated, cold = record_fallback(monkeypatch)
         coords, norms = _shortest_batch(R[None])
-        assert cold == [bits(R)] and len(unresolved) == 1
+        assert unresolved == cold == [] and len(enumerated) == 1
         if alternating:
             assert tuple(coords[0]) == (3, -2, 1, -1, 1, -1)
         assert_equals_lll_shortest(R[None], coords, norms)
@@ -788,14 +824,16 @@ class TestLLLBatch:
     def test_transforms_past_2_53_leave_the_batch(self, snr_db, monkeypatch):
         # Ring lattices so skewed that an earlier batch LLL's transforms
         # could outgrow the integers a double holds.  The odd-even batch
-        # finishes them exactly, its transforms below 2^32, but the rounding
-        # guard sends every one to the single call, and every basis gets
+        # finishes them exactly, its transforms below 2^32 and its rounding
+        # within what svp._ROUNDING assumes, but the rounding guard sends
+        # every one to the single call, and every basis gets
         # shortest_vector's answer.  An earlier kernel without a hand-over
         # gave trials 4, 7 and 20 at 600 dB other coordinates.
         bases = sweep_bases(5, 2, (snr_db,), 21, seed=1)
-        T, exact = _lll_batch(_finite_column_batch(bases))[1::3]
-        assert exact.all() and np.abs(T).max() < 2**32
-        _, cold = record_fallback(monkeypatch)
+        assert_lll_batch_contract(bases)
+        T = _lll_batch(_finite_column_batch(bases))[1]
+        assert np.abs(T).max() < 2**32
+        *_, cold = record_fallback(monkeypatch)
         _shortest_batch(bases)
         assert cold == [bits(B) for B in bases]
         monkeypatch.undo()
@@ -830,17 +868,29 @@ class TestRoundingGuard:
             assert tuple(c) != tuple(shortest_vector(B).coords)
 
     def test_certified_just_inside_the_guard(self, monkeypatch):
-        # at 220 dB the batch's rounding bound is 8 eps = 0.998 on this
+        # at 250 dB the batch's rounding bound is 8 eps = 0.967 on this
         # basis, just inside the guard 8 eps < 1: the batch certifies its
         # answer, and with twice the bound the single call runs
-        B = ring_basis(3, 220, 88)
-        _, cold = record_fallback(monkeypatch)
+        B = ring_basis(3, 250, 58)
+        *_, cold = record_fallback(monkeypatch)
         coords, norms = _shortest_batch(B[None])
         assert cold == []
         assert_equals_lll_shortest(B[None], coords, norms)
         monkeypatch.setattr(svp, "_ROUNDING", 2.0 * svp._ROUNDING)
         _shortest_batch(B[None])
         assert cold == [bits(B)]
+
+
+def test_widened_tie_window_keeps_earlier_candidates():
+    # R's columns b_1 = (1, 0) and b_2 = (0.4, s) with |b_2|^2 = 0.9: from
+    # the radius 2 the walk meets +-b_1 first, then the shorter +-b_2.  The
+    # window widened to 1.2 keeps +-b_1, as 1 <= 0.9 * 1.2; the default
+    # window, as the single call uses it, holds +-b_2 alone
+    R = [[1.0, 0.4], [0.0, math.sqrt(0.74)]]
+    wide = _enumerate(R, 2.0, tie=1.2)[0]
+    assert sorted(tuple(z) for _, z in wide) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    narrow = _enumerate(R, 2.0)[0]
+    assert sorted(tuple(z) for _, z in narrow) == [(0, -1), (0, 1)]
 
 
 def test_search_does_not_use_builtin_sum(monkeypatch):
@@ -892,25 +942,32 @@ def assert_equals_lll_shortest(bases, coords, norms):
 
 
 def record_fallback(monkeypatch):
-    """Spies on _lll_chunk: returns (unresolved, cold), lists that fill with
-    the bits of each transform T whose basis _box_shortest left unresolved,
-    and of each basis (as a (dim, k) array) that _lll_chunk handed to
-    _lll_shortest, in call order."""
-    unresolved, cold = [], []
-    real_box, real_cold = svp._box_shortest, svp._lll_shortest
+    """Spies on _lll_chunk: returns (unresolved, enumerated, cold), lists
+    that fill, in call order, with the bits of each transform T whose basis
+    _box_shortest left unresolved, of each factor R (as an array) that
+    _lll_chunk enumerated with a widened tie window, and of each basis (as a
+    (dim, k) array) that _lll_chunk handed to _lll_shortest."""
+    unresolved, enumerated, cold = [], [], []
+    real_box, real_enum, real_cold = svp._box_shortest, svp._enumerate, svp._lll_shortest
 
     def box(R, T, bound, tie):
         found, coords = real_box(R, T, bound, tie)
         unresolved.extend(bits(T[..., i]) for i in np.flatnonzero(~found))
         return found, coords
 
+    def enum(R, bound_sq, shrink=True, target=None, tie=None):
+        if tie is not None:
+            enumerated.append(bits(np.array(R)))
+        return real_enum(R, bound_sq, shrink, target, tie)
+
     def single(cols):
         cold.append(bits(np.array(cols).T))
         return real_cold(cols)
 
     monkeypatch.setattr(svp, "_box_shortest", box)
+    monkeypatch.setattr(svp, "_enumerate", enum)
     monkeypatch.setattr(svp, "_lll_shortest", single)
-    return unresolved, cold
+    return unresolved, enumerated, cold
 
 
 def assert_batch_equals_single(bases):
