@@ -63,13 +63,13 @@ _REL_TIE = 1e-9
 # reduced vector b_i = T_i B from the columns B_k by cancelling sums, so its
 # computed b_i is off by u ||T_i||_1 max_k ||B_k|| (u = 2^-53) times a
 # growth factor of its path, measured in exact arithmetic at most 9 (batch)
-# and 4 (_lll_reduce) on sweep bases of 2 to 20 columns up to 300 dB and of
-# 4 columns at 600 to 2000 dB; beyond that it is assumed.  _ROUNDING / 2 =
-# 32 u allows 3.5 times the largest.  A vector w = z R of the reduced basis
-# has |z_i| <= ||row_i(R^-1)|| ||w|| (Cauchy-Schwarz), so its squared length
-# is off by a relative eps = _ROUNDING max_k ||B_k|| sum_i ||row_i(R^-1)||
-# ||T_i||_1 at most, to first order; the batch's eps stands for both
-# reductions'
+# and 4 (_lll_reduce) on sweep bases of 2 to 6 columns up to 300 dB, of 10
+# and 20 columns up to 200 dB and of 4 columns at 600 to 2000 dB; beyond
+# that it is assumed.  _ROUNDING / 2 = 32 u allows 3.5 times the largest.
+# A vector w = z R of the reduced basis has |z_i| <= ||row_i(R^-1)|| ||w||
+# (Cauchy-Schwarz), so its squared length is off by a relative eps =
+# _ROUNDING max_k ||B_k|| sum_i ||row_i(R^-1)|| ||T_i||_1 at most, to first
+# order; the batch's eps stands for both reductions'
 _ROUNDING = 2.0**-47
 # rank guard: a reduced basis whose Gram-Schmidt lengths span more than
 # 1 / _RANK_RATIO is numerically rank deficient

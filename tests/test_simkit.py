@@ -428,7 +428,9 @@ def test_rates_do_not_depend_on_the_blas_kernel():
 def test_sweep_rates_equal_cold_calls(L, snr_db, trials, seed, schemes):
     # any small sweep at L = 1, 2 or 3, 0-300 dB: the batched rates are
     # bit-equal to cold calls, or both raise the same error first
-    cfg = SweepConfig(L=L, snr_db=tuple(snr_db), trials=trials, schemes=tuple(schemes), master_seed=seed)
+    cfg = SweepConfig(
+        L=L, snr_db=tuple(snr_db), trials=trials, schemes=tuple(schemes), master_seed=seed
+    )
     try:
         rates = run_sweep(cfg).rates
     except (ValueError, AssertionError) as exc:

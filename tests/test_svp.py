@@ -623,7 +623,8 @@ def assert_lll_batch_contract(bases):
         exact_B = [[Fraction(x) for x in r] for r in B.tolist()]
         for row, t in zip(b[..., i].tolist(), ints):
             err = [Fraction(x) - sum(e * k for e, k in zip(r, t)) for x, r in zip(row, exact_B)]
-            assert math.sqrt(sum(e * e for e in err)) <= svp._ROUNDING / 2 * sum(map(abs, t)) * scale
+            allowed = svp._ROUNDING / 2 * sum(map(abs, t)) * scale
+            assert math.sqrt(sum(e * e for e in err)) <= allowed
         assert np.all(np.abs(np.tril(mu[..., i], -1)) <= 0.5)
         for k in range(1, len(Ti)):
             m1 = mu[k, k - 1, i]
@@ -748,7 +749,11 @@ class TestLLLBatch:
     @pytest.mark.parametrize(
         "sets",
         [
-            [(d, L, range(0, 210, 20), 8 if L == 2 else 3, 53, 0) for d in (3, 5, 7) for L in (2, 3)],
+            [
+                (d, L, range(0, 210, 20), 8 if L == 2 else 3, 53, 0)
+                for d in (3, 5, 7)
+                for L in (2, 3)
+            ],
             [(d, 2, range(0, 310, 10), 100, 1, cold) for d, cold in ((3, 664), (5, 732), (7, 710))],
             [(d, 3, range(0, 110, 10), 10, 53, 0) for d in (None, 3, 5, 7)],
         ],
