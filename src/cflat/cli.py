@@ -19,18 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlockFadingChannel, _snr_linear
-from .codec import (
-    NestedCodePair,
-    RadiusTooSmall,
-    _build_unit,
-    _scale_unit,
-    simulate_codec,
-    union_bound,
-)
-from .numfield import make_quadratic_field, prime_above
-from .simkit import SweepConfig, _parse_scheme, run_sweep, sample_channels
-from .svp import best_equation, shortest_vector
+# each subcommand imports the cflat modules it uses when it runs, so `cflat
+# svp` or `cflat rate` does not compile the codec and the simulator
 
 __all__ = [
     "CliError",
@@ -139,6 +129,8 @@ def _validate(cfg: dict) -> CliConfig:
         schemes = tuple(s.strip() for s in schemes.split(",") if s.strip())
     if not schemes:
         raise InvalidValue("schemes must be nonempty")
+    from .simkit import _parse_scheme
+
     for s in schemes:
         try:
             _parse_scheme(s)
@@ -229,6 +221,8 @@ def _load_channel(args) -> np.ndarray:
 
 
 def _cmd_field(args, cfg: CliConfig) -> int:
+    from .numfield import make_quadratic_field
+
     field = make_quadratic_field(args.d)
     lines = [
         f"field Q(sqrt({field.d}))",
@@ -243,6 +237,10 @@ def _cmd_field(args, cfg: CliConfig) -> int:
 
 
 def _cmd_rate(args, cfg: CliConfig) -> int:
+    from .channel import BlockFadingChannel, _snr_linear
+    from .numfield import make_quadratic_field
+    from .svp import best_equation
+
     h = _load_channel(args)
     P = _snr_linear(args.snr_db)
     ch = BlockFadingChannel(h, P)
@@ -266,6 +264,8 @@ def _cmd_rate(args, cfg: CliConfig) -> int:
 
 
 def _cmd_sweep(args, cfg: CliConfig) -> int:
+    from .simkit import SweepConfig, run_sweep
+
     sweep_cfg = SweepConfig(
         n=cfg.n,
         L=cfg.L,
@@ -299,6 +299,8 @@ def _default_generator(T: int, l_f: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _codec_union_bound(lat, cand) -> float:
+    from .codec import RadiusTooSmall, union_bound
+
     radius = lat.gamma * math.sqrt(lat.n * lat.T)
     for _ in range(30):
         try:
@@ -320,6 +322,12 @@ def _codec_union_bound(lat, cand) -> float:
 
 
 def _cmd_codec(args, cfg: CliConfig) -> int:
+    from .channel import BlockFadingChannel, _snr_linear
+    from .codec import NestedCodePair, _build_unit, _scale_unit, simulate_codec
+    from .numfield import make_quadratic_field, prime_above
+    from .simkit import sample_channels
+    from .svp import best_equation
+
     field = make_quadratic_field(args.d)
     prime = prime_above(field, args.p)
     codes = NestedCodePair(
@@ -350,6 +358,8 @@ def _cmd_codec(args, cfg: CliConfig) -> int:
 
 
 def _cmd_svp(args, cfg: CliConfig) -> int:
+    from .svp import shortest_vector
+
     with open(args.basis, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     if not tokens:
@@ -447,7 +457,7 @@ def main(argv=None) -> int:
         flags = {k: getattr(args, k, None) for k in flag_keys}
         if args.command in ("field", "svp", "rate"):
             # these subcommands only use the output path from the config layer
-            cfg = parse_config(None, {"output": getattr(args, "output", None)})
+            cfg = CliConfig(output=args.output or None)
         else:
             cfg = parse_config(getattr(args, "config", None), flags)
         return _COMMANDS[args.command](args, cfg)

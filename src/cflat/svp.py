@@ -173,6 +173,26 @@ def _search_bases(fields: list, h: np.ndarray, P) -> np.ndarray:
     return out.T
 
 
+@functools.cache
+def _unrolled(n: int):
+    """_lll_reduce's kernels for vectors of length n, compiled from source
+    that holds only integer indices, once per n: dot(x, y) = x[0]*y[0] +
+    x[1]*y[1] + ..., summed left to right as channel._dot's loop (which
+    reads x[0] even when n is 0), sub(x, y, c) = [x[0] - c*y[0], ...], and
+    sub_into(x, y, c), the same update in place on x[:n]."""
+    terms = " + ".join(f"x[{i}] * y[{i}]" for i in range(max(n, 1)))
+    rows = ", ".join(f"x[{i}] - c * y[{i}]" for i in range(n))
+    steps = "".join(f"\n    x[{i}] -= c * y[{i}]" for i in range(n))
+    namespace = {}
+    exec(
+        f"def dot(x, y):\n    return {terms}\n"
+        f"def sub(x, y, c):\n    return [{rows}]\n"
+        f"def sub_into(x, y, c):\n    pass{steps}\n",
+        namespace,
+    )
+    return namespace["dot"], namespace["sub"], namespace["sub_into"]
+
+
 def _lll_reduce(rows):
     """Floating-point LLL on a list of basis row vectors.
 
@@ -180,6 +200,11 @@ def _lll_reduce(rows):
     transform[i][k]*rows[k], transform unimodular, and the reduced rows' GSO.
     GSO row k is recomputed from b[k] whenever the loop reaches k: updating
     it across swaps loses high-SNR bases' small norms to rounding.
+    The dot products and row updates run as _unrolled's kernels, which do
+    the plain loop's floating-point operations in its order: every output
+    and the RankDeficient are bit-identical to it (tests/lll_oracle.py), so
+    the growth factor measured for _lll_reduce in the _ROUNDING comment
+    still holds.
     """
     m = len(rows)
     b = [[float(x) for x in r] for r in rows]
@@ -187,24 +212,27 @@ def _lll_reduce(rows):
     mu = [[float(i == j) for j in range(m)] for i in range(m)]  # mu[i][i] = 1
     norms = [0.0] * m
     star = [None] * m
+    dot, sub, _ = _unrolled(len(b[0]) if m else 0)
+    sub_T = _unrolled(m)[1]
+    sub_mu = [_unrolled(j + 1)[2] for j in range(m)]  # mu[k][:j + 1] update
     k = 0
     while k < m:
-        v = b[k]
+        bk, muk = b[k], mu[k]
+        v = bk
         for j in range(k):
-            mu[k][j] = c = _dot(b[k], star[j]) / norms[j]
-            v = [x - c * y for x, y in zip(v, star[j])]
+            muk[j] = c = dot(bk, star[j]) / norms[j]
+            v = sub(v, star[j], c)
         star[k] = v
-        norms[k] = _dot(v, v)
+        norms[k] = dot(v, v)
         if norms[k] <= 0.0:
             raise RankDeficient("basis is numerically rank deficient")
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(muk[j])
             if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                T[k] = [x - q * y for x, y in zip(T[k], T[j])]
-                for jj in range(j + 1):
-                    mu[k][jj] -= q * mu[j][jj]
-        if k == 0 or norms[k] >= (LLL_DELTA - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
+                b[k] = sub(b[k], b[j], q)
+                T[k] = sub_T(T[k], T[j], q)
+                sub_mu[j](muk, mu[j], q)
+        if k == 0 or norms[k] >= (LLL_DELTA - muk[k - 1] * muk[k - 1]) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

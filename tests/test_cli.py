@@ -325,7 +325,7 @@ class TestCodecCommand:
         assert terms[: done[0] + 1] == sorted(terms[: done[0] + 1])
 
     def test_radius_too_small_step_logged(self, tmp_path, monkeypatch, caplog):
-        real = cflat.cli.union_bound
+        real = cflat.codec.union_bound
         calls = []
 
         def first_call_too_small(lat, nu_sq, radius):
@@ -334,7 +334,8 @@ class TestCodecCommand:
                 raise RadiusTooSmall("no vector")
             return real(lat, nu_sq, radius)
 
-        monkeypatch.setattr(cflat.cli, "union_bound", first_call_too_small)
+        # cflat codec imports union_bound from cflat.codec when it runs
+        monkeypatch.setattr(cflat.codec, "union_bound", first_call_too_small)
         caplog.set_level(logging.DEBUG, logger="cflat.codec")
         out = tmp_path / "codec.csv"
         args = self.K121_ARGS + ["--snr-db", "10", "--trials", "50"]
@@ -361,7 +362,7 @@ class TestCodecCommand:
         """The unit build and its calibration draw run once per call; the
         lattice at each SNR point is the one build_construction_a gives."""
         real_unit, real_rng = cflat.codec._build_unit, np.random.default_rng
-        real_sim = cflat.cli.simulate_codec
+        real_sim = cflat.codec.simulate_codec
         units, draws, used = [], [], []
 
         def counting_unit(*args, **kwargs):
@@ -377,9 +378,8 @@ class TestCodecCommand:
             return real_sim(lat, ch, cand, trials, seed)
 
         monkeypatch.setattr(cflat.codec, "_build_unit", counting_unit)
-        monkeypatch.setattr(cflat.cli, "_build_unit", counting_unit)
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        monkeypatch.setattr(cflat.cli, "simulate_codec", recording_sim)
+        monkeypatch.setattr(cflat.codec, "simulate_codec", recording_sim)
         args = ["codec", "--d", "5", "--p", "11", "--T", "2", "--lf", lf, "--lc", lc,
                 "--snr-db", "0:10:60", "--trials", "10", "--seed", "4",
                 "--output", str(tmp_path / "codec.csv")]  # fmt: skip
@@ -640,6 +640,41 @@ def test_sweep_does_not_import_numpy_ma(tmp_path):
     )  # fmt: skip
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+_MODULES_CHILD = """
+import sys
+from cflat.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("cflat.")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, out, modules",
+    [
+        (["svp", "--basis", "BASIS"], "norm_sq 11\ncoords 0 1 0\n", "channel cli numfield svp"),
+        (["rate", "--d", "5", "--snr-db", "20", "--h", _H], "rate_bits 4.380516\n", "channel cli numfield svp"),
+        (["field", "info", "--d", "5"], "discriminant 5\n", "cli numfield"),
+    ],
+    ids=["svp", "rate", "field"],
+)
+def test_subcommand_loads_only_the_modules_it_uses(tmp_path, argv, out, modules):
+    # a fresh `cflat svp` or `cflat rate` compiles neither cflat.codec nor
+    # cflat.simkit: each subcommand imports its modules when it runs
+    basis = tmp_path / "basis.txt"
+    basis.write_text("3\n4 1 3\n1 3 1\n0 1 4\n")
+    argv = [str(basis) if a == "BASIS" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run(
+        [sys.executable, "-c", _MODULES_CHILD, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )  # fmt: skip
+    assert child.returncode == 0, child.stderr
+    assert out in child.stdout
+    assert child.stderr.split() == ["0"] + [f"cflat.{m}" for m in modules.split()]
 
 
 # a small k11 `cflat codec` run's CSV text
