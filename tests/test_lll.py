@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cflat.channel import BlockFadingChannel
 from cflat.numfield import make_quadratic_field, prime_above
 from cflat.simkit import sample_channels
-from cflat.svp import RankDeficient, _lll_reduce, _search_bases, build_search_basis
+from cflat.svp import _lll_reduce, _search_bases, build_search_basis
 from lll_oracle import lll_reduce
 
 # the input pool seed of the benchmark's rate-highsnr workload
@@ -38,8 +38,9 @@ def assert_bit_equal(rows):
 
 def assert_bit_equal_on(bases):
     """Both reductions on the columns of each basis of a (batch, m, k) array,
-    as shortest_vector passes them; returns the outcomes."""
-    return [assert_bit_equal(basis.T.tolist()) for basis in bases]
+    as shortest_vector passes them."""
+    for basis in bases:
+        assert_bit_equal(basis.T.tolist())
 
 
 def snr_grid(lo, hi, step):
@@ -94,7 +95,7 @@ def test_codec_ideal_bases():
         for p in (2, 3, 5, 7, 11, 13):
             if field.discriminant % p:
                 cols = field.embedding @ prime_above(field, p).basis_matrix()
-                assert_bit_equal(list(cols.T))
+                assert_bit_equal(list(cols.T))  # numpy rows, as the codec passes
                 reduced += 1
     assert reduced == 19
 
@@ -112,16 +113,8 @@ def test_codec_ideal_bases():
     ],
 )
 def test_rank_deficient_inputs(rows):
-    assert outcome(lll_reduce, rows) == ("RankDeficient", "basis is numerically rank deficient")
-    with pytest.raises(RankDeficient):
-        _lll_reduce(rows)
-    assert_bit_equal(rows)
-
-
-def test_kernels_match_numpy_rows():
-    # numpy rows (the codec passes them) convert to the same floats
-    rows = [np.array([3.0, 1.0, 4.0]), np.array([1.0, 5.0, 9.0]), np.array([2.0, 6.0, 5.0])]
-    assert assert_bit_equal(rows) == outcome(lll_reduce, [r.tolist() for r in rows])
+    # the same check raises, with the same message
+    assert assert_bit_equal(rows) == ("RankDeficient", "basis is numerically rank deficient")
 
 
 @st.composite
