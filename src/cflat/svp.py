@@ -173,19 +173,29 @@ def _search_bases(fields: list, h: np.ndarray, P) -> np.ndarray:
     return out.T
 
 
+# terms per statement of an unrolled dot product: a longer chain of + nests
+# deeper than the compiler's recursion limit (from about 3,000 terms)
+_DOT_TERMS = 256
+
+
 @functools.cache
 def _unrolled(n: int):
     """_lll_reduce's kernels for vectors of length n, compiled from source
     that holds only integer indices, once per n: dot(x, y) = x[0]*y[0] +
     x[1]*y[1] + ..., summed left to right as channel._dot's loop (which
-    reads x[0] even when n is 0), sub(x, y, c) = [x[0] - c*y[0], ...], and
-    sub_into(x, y, c), the same update in place on x[:n]."""
-    terms = " + ".join(f"x[{i}] * y[{i}]" for i in range(max(n, 1)))
+    reads x[0] even when n is 0), in statements of _DOT_TERMS terms,
+    sub(x, y, c) = [x[0] - c*y[0], ...], and sub_into(x, y, c), the same
+    update in place on x[:n]."""
+    terms = [f"x[{i}] * y[{i}]" for i in range(max(n, 1))]
+    sums = "".join(
+        f"\n    acc = {'acc + ' if lo else ''}{' + '.join(terms[lo : lo + _DOT_TERMS])}"
+        for lo in range(0, len(terms), _DOT_TERMS)
+    )
     rows = ", ".join(f"x[{i}] - c * y[{i}]" for i in range(n))
     steps = "".join(f"\n    x[{i}] -= c * y[{i}]" for i in range(n))
     namespace = {}
     exec(
-        f"def dot(x, y):\n    return {terms}\n"
+        f"def dot(x, y):{sums}\n    return acc\n"
         f"def sub(x, y, c):\n    return [{rows}]\n"
         f"def sub_into(x, y, c):\n    pass{steps}\n",
         namespace,

@@ -100,6 +100,15 @@ def test_codec_ideal_bases():
     assert reduced == 19
 
 
+def test_rows_longer_than_one_dot_statement():
+    # the unrolled dot product sums _DOT_TERMS terms per statement: rows of
+    # 600 floats take three, and rows of 5,000 entries would not compile as
+    # one chain of +
+    rng = np.random.default_rng(7)
+    assert_bit_equal(rng.standard_normal((4, 600)).tolist())
+    assert_bit_equal(rng.integers(-9, 10, (3, 5000)).astype(float).tolist())
+
+
 @pytest.mark.parametrize(
     "rows",
     [
