@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import svp
 from .channel import (
     BlockFadingChannel,
     _dot,
@@ -24,7 +23,14 @@ from .channel import (
     naive_rate,
 )
 from .numfield import make_quadratic_field
-from .svp import _best_equation_rates, _naive_rates, _ring_coords, best_equation
+from .svp import (
+    _am_rates,
+    _best_equation_rates,
+    _integer_coords,
+    _naive_rates,
+    _ring_coords,
+    best_equation,
+)
 
 __all__ = [
     "InsufficientPoints",
@@ -143,36 +149,97 @@ class SweepResult:
     dof: dict
 
 
-def _check_channels(h: np.ndarray, P: float) -> None:
+def _check_channels(h: np.ndarray, Ps: list) -> None:
     """BlockFadingChannel's checks on every channel of a batch h (batch, n,
-    L) at SNR P, raising its error for the first channel that fails."""
-    BlockFadingChannel(h[0], P)
-    if not math.isfinite(P * float(_dot(h.T, h.T).max())):
-        for hi in h:
-            BlockFadingChannel(hi, P)
+    L) at each SNR of Ps, raising its error for the first SNR and channel
+    that fails.  Every check passes where P > 0 and P times the largest
+    ||h_j||^2 is finite (a non-finite gain makes that product NaN or inf,
+    and so does an infinite P)."""
+    peak = float(_dot(h.T, h.T).max())
+    for P in Ps:
+        if not (P > 0 and math.isfinite(P * peak)):
+            for hi in h:
+                BlockFadingChannel(hi, P)
 
 
-def _joint_ring_search(fields: dict, hs: np.ndarray, P: np.ndarray) -> dict:
-    """The search coordinates of every ring scheme, by d, from one joint
-    search; {} if it raises one of the search's ValueErrors, so each scheme
-    then searches on its own and the first error in scheme order is raised,
-    as without the joint search.  One scheme whose bases fit one chunk
-    would search them in the same single call, so its error is raised at
-    once, not searched again as a batch."""
+def _searched(found: dict, keys: list, search) -> None:
+    """Store the coordinates search() returns for the schemes `keys` in
+    found.  A search over one scheme's bases alone is that scheme's own
+    search, so its error is stored for the scheme before it propagates."""
     try:
-        return dict(zip(fields, _ring_coords(list(fields.values()), hs, P)))
-    except ValueError:
-        if len(fields) == 1 and len(hs) <= svp._LLL_CHUNK:
+        coords = search()
+    except ValueError as exc:
+        if len(keys) == 1:
+            found[keys[0]] = exc
+        raise
+    found.update(zip(keys, coords))
+
+
+def _joint_rates(parsed: list, fields: dict, h: np.ndarray, P: np.ndarray, found: dict):
+    """Every scheme's rates (schemes, batch) on the channels h (batch, n, L)
+    at the SNRs P (batch,), from joint passes: one search over the bases of
+    every am_ring(d) scheme, one over those of am_Z and both naive_Z
+    blocks, one _am_terms pass over every arithmetic-mean scheme and one
+    _block_terms pass over both naive_Z blocks.  Each search's coordinates
+    go into found, by scheme."""
+    am = list(dict.fromkeys(d for kind, d in parsed if kind == "am"))
+    z, naive = None in am, ("naive", None) in parsed
+    if fields:
+        keys = [("am", d) for d in fields]
+        _searched(found, keys, lambda: _ring_coords(list(fields.values()), h, P))
+    if z or naive:
+
+        def search():
+            coords = _integer_coords(h, P, z, naive)
+            return [coords[0]] * z + [coords[z:]] * naive
+
+        _searched(found, [("am", None)] * z + [("naive", None)] * naive, search)
+    rates = {}
+    if ("mac", None) in parsed:
+        rates["mac", None] = _mac_sum(_user_columns(h), P)
+    if am:
+        coords = [found["am", d] for d in am]
+        am_rates = _am_rates([fields.get(d) for d in am], h, P, coords)
+        rates.update(zip([("am", d) for d in am], am_rates))
+    if naive:
+        rates["naive", None] = _naive_rates(h, P, found["naive", None])
+    return np.array([rates[s] for s in parsed])
+
+
+def _rates_by_scheme(parsed: list, fields: dict, h: np.ndarray, P: np.ndarray, found: dict):
+    """Every scheme's rates (schemes, batch), scheme by scheme, from the
+    search coordinates in found where a joint search gave them; a scheme
+    whose own search failed there raises that error.  The first scheme that
+    raises runs again as single calls, so the error is the one cold calls in
+    scheme order raise first."""
+    rates = []
+    for kind, d in parsed:
+        coords = found.get((kind, d))
+        try:
+            if isinstance(coords, Exception):
+                raise coords
+            if kind == "mac":
+                r = _mac_sum(_user_columns(h), P)
+            elif kind == "naive":
+                r = _naive_rates(h, P, coords)
+            else:
+                r = _best_equation_rates(fields.get(d), h, P, coords)
+        except (ValueError, AssertionError):
+            # a batch of one item is its single call, but for naive_Z, whose
+            # batch searches both blocks before either block's rate
+            if len(h) > 1 or kind == "naive":
+                _raise_as_single_calls(kind, fields.get(d), h, P)
             raise
-        return {}
+        rates.append(r)
+    return np.array(rates)
 
 
 def _raise_as_single_calls(kind: str, field, h: np.ndarray, P: np.ndarray) -> None:
     """The scheme's single call on each channel h[i] at SNR P[i], in order,
     which raises the first error of a loop of cold calls.  A failed batch
     comes here: it runs every item's search before any item's rate, and
-    naive_Z's blocks one after the other, so its own error can belong to a
-    later item."""
+    naive_Z's blocks together, so its own error can belong to a later
+    item."""
     for hi, Pi in zip(h, P.tolist()):
         ch = BlockFadingChannel(hi, Pi)
         if kind == "mac":
@@ -186,19 +253,21 @@ def _raise_as_single_calls(kind: str, field, h: np.ndarray, P: np.ndarray) -> No
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Evaluate every scheme on common channel draws: one draw per trial is
     shared across all schemes and SNR points.  After every SNR point's
-    channel checks, each scheme runs once, as one batch over all (SNR point,
-    trial) pairs; the coefficient searches of all am_ring(d) schemes run as
-    one joint search, chunk by chunk, when the first of them is reached.  `threads` is
-    accepted and ignored (a thread pool over this interpreter-bound work ran
-    slower than one thread).
+    channel checks, the schemes run as joint batches over all (SNR point,
+    trial) pairs (_joint_rates): one coefficient search over the bases of
+    every am_ring(d) scheme and one over those of am_Z and naive_Z, chunk by
+    chunk, then one rate pass for all arithmetic-mean schemes and one for
+    naive_Z's blocks.  `threads` is accepted and ignored (a thread pool over
+    this interpreter-bound work ran slower than one thread).
 
     A batch runs the same floating-point operations as a single call, and
     its search answers are certified to be those of a cold call, so the
     rates equal mac_sum_capacity, naive_rate and best_equation calls bit
-    for bit.  A
-    scheme whose batch of more than one item raises is run again as single
-    calls, in (SNR point, trial) order, up to the first that raises, so the
-    error is the one cold calls in scheme order raise."""
+    for bit.  If a joint pass raises, the schemes run one by one
+    (_rates_by_scheme), and a scheme whose batch of more than one item
+    raises is run again as single calls, in (SNR point, trial) order, up to
+    the first that raises, so the error is the one cold calls in scheme
+    order raise."""
     parsed = [_parse_scheme(s) for s in cfg.schemes]
     fields = {
         d: make_quadratic_field(d) for _, d in parsed if d is not None
@@ -212,29 +281,16 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     # arrays overflow to inf without a warning, as the Python floats of a
     # single call do, so both reach the same checks
     with np.errstate(over="ignore", invalid="ignore"):
-        for P in Ps:
-            _check_channels(h, P)
+        _check_channels(h, Ps)
         # item s * trials + t is trial t at SNR point s
         hs = np.tile(h, (len(Ps), 1, 1))
         P = np.repeat(Ps, cfg.trials)
-        ring = None  # each ring scheme's search coordinates, by d
-        for k, (kind, d) in enumerate(parsed):
-            try:
-                if kind == "mac":
-                    r = _mac_sum(_user_columns(hs), P)
-                elif kind == "naive":
-                    r = _naive_rates(hs, P)
-                elif d is None:
-                    r = _best_equation_rates(None, hs, P)
-                else:
-                    if ring is None:
-                        ring = _joint_ring_search(fields, hs, P)
-                    r = _best_equation_rates(fields[d], hs, P, ring.get(d))
-            except (ValueError, AssertionError):
-                if len(hs) > 1:  # a batch of one item runs as its single call
-                    _raise_as_single_calls(kind, fields.get(d), hs, P)
-                raise
-            rates[k] = np.reshape(r, rates.shape[1:])
+        found = {}  # by scheme: search coordinates, or the search's error
+        try:
+            r = _joint_rates(parsed, fields, hs, P, found)
+        except (ValueError, AssertionError):
+            r = _rates_by_scheme(parsed, fields, hs, P, found)
+        rates[:] = r.reshape(rates.shape)
 
     mean = rates.mean(axis=2)
     if cfg.trials > 1:
@@ -265,7 +321,9 @@ def dof_slope(
     result: SweepResult, scheme: str, window: tuple[float, float] = DEFAULT_DOF_WINDOW
 ) -> float:
     """Least-squares slope of the mean rate against (1/2) log2 P over the SNR
-    window; the high-SNR value is the scheme's degrees of freedom."""
+    window; the high-SNR value is the scheme's degrees of freedom.  The
+    slope is the closed form sum (x - xbar)(y - ybar) / sum (x - xbar)^2,
+    every sum taken left to right."""
     k = result.schemes.index(scheme)
     xs, ys = [], []
     for s, snr in enumerate(result.snr_db):
@@ -276,4 +334,15 @@ def dof_slope(
         raise InsufficientPoints(
             f"need >= 3 distinct SNR points in [{window[0]}, {window[1]}], got {len(set(xs))}"
         )
-    return float(np.polyfit(xs, ys, 1)[0])
+    xbar, ybar = _sum(xs) / len(xs), _sum(ys) / len(ys)
+    dx = [x - xbar for x in xs]
+    return _sum([u * (y - ybar) for u, y in zip(dx, ys)]) / _sum([u * u for u in dx])
+
+
+def _sum(xs: list) -> float:
+    """sum(xs) from 0.0, left to right: builtin sum is compensated from
+    Python 3.12."""
+    acc = 0.0
+    for x in xs:
+        acc = acc + x
+    return acc

@@ -259,7 +259,15 @@ def _lll_batch(cols: np.ndarray):
     every pair (k - 1, k) of the round's parity that fails the Lovasz test
     at LLL_DELTA, so every basis moves on every round.  A basis is done
     once a round makes no nonzero size reduction and every pair passes the
-    test; it then stays as it is.
+    test; it then stays as it is.  Once at most half of the bases a round
+    works on are live (neither done nor past the 2^53 guard below), the
+    live ones are gathered into smaller working arrays and the rest are
+    written back.
+
+    Every operation acts on each basis alone, so a basis that finishes
+    exactly gets the same outputs, bit for bit, in any batch.  The working
+    arrays hold at least two bases (a lone basis twice): numpy sums a dot
+    product over an axis of length one in another order.
 
     Returns (b, T, mu, norms, exact), with b (m, dim, batch), T and mu (m,
     m, batch) and norms (m, batch).  T is held as doubles.  `exact` is False
@@ -274,17 +282,21 @@ def _lll_batch(cols: np.ndarray):
     # array over the batch: one size-reduction update writes b, T and mu of
     # all rows below a column (mu_ii = 1 makes it mu_ij -= q), and a swap
     # exchanges b and T
-    rows = np.zeros((m, w + m + 1, size))
-    rows[:, :dim] = cols
-    rows[:, dim:w] = rows[:, w:-1] = np.eye(m)[:, :, None]
-    mu, norms = rows[:, w:-1], rows[:, -1]
-    ok = np.ones(size, dtype=bool)
+    out = np.zeros((m, w + m + 1, size))
+    out[:, :dim] = cols
+    out[:, dim:w] = out[:, w:-1] = np.eye(m)[:, :, None]
+    exact = np.zeros(size, dtype=bool)  # ok and done, once written back
+    # the working rows are out itself, or a copy of out's bases at `held`
+    held = None if size > 1 else np.zeros(2, dtype=np.intp)
+    rows = out if held is None else out.take(held, axis=-1)
+    ok = np.ones(rows.shape[2], dtype=bool)
     # column j's rounded coefficients, rows j + 1 to m - 1, are q[at[j]:]
-    q = np.zeros((m * (m - 1) // 2, size))
+    q = np.zeros((m * (m - 1) // 2, rows.shape[2]))
     at = [j * (2 * m - j - 1) // 2 for j in range(m)]
     sub = np.arange(1, m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rnd in range(64 * m + 256):
+            mu, norms = rows[:, w:-1], rows[:, -1]
             # a norm of 0 or inf makes q, so the 2^53 test, NaN or inf
             v = rows[:, :dim].copy()
             for j in range(m):
@@ -305,9 +317,17 @@ def _lll_batch(cols: np.ndarray):
             ok &= tmax * (1.0 + (m - 1) * qmax) < 2.0**53
             m1 = mu[sub, sub - 1]
             fail = norms[1:] < (LLL_DELTA - m1 * m1) * norms[:-1]
-            done = ~(fail.any(axis=0) | (qmax > 0.0))
-            if (done | ~ok).all():
+            moving = fail.any(axis=0) | (qmax > 0.0)
+            live = np.flatnonzero(ok & moving)
+            if not len(live):
                 break
+            if 2 * len(live) <= len(ok) and max(len(live), 2) < len(ok):
+                _write_back(out, exact, held, rows, ok & ~moving)
+                live = np.repeat(live, 2) if len(live) == 1 else live
+                held = live if held is None else held[live]
+                # take, unlike indexing, keeps the batch axis contiguous
+                rows, q, fail = (x.take(live, axis=-1) for x in (rows, q, fail))
+                ok, moving = ok[live], moving[live]
             # fail[k] is pair (k, k + 1); the pairs of one parity are disjoint
             k = rnd % 2 if m > 2 else 0
             s = fail[k::2, None]
@@ -316,8 +336,20 @@ def _lll_batch(cols: np.ndarray):
             np.copyto(lo, hi, where=s)
             np.copyto(hi, tmp, where=s)
             del tmp
-    exact = ok & done & ((norms > 0.0) & (norms < math.inf)).all(axis=0)
-    return rows[:, :dim], rows[:, dim:w], mu, norms, exact
+    _write_back(out, exact, held, rows, ok & ~moving)
+    norms = out[:, -1]
+    exact &= ((norms > 0.0) & (norms < math.inf)).all(axis=0)
+    return out[:, :dim], out[:, dim:w], out[:, w:-1], norms, exact
+
+
+def _write_back(out, exact, held, rows, finished) -> None:
+    """Store _lll_batch's working rows and their flags (ok and done) at
+    their bases `held` of out and exact (all of them where held is None:
+    rows is out)."""
+    if held is None:
+        exact[:] = finished
+    else:
+        out[..., held], exact[held] = rows, finished
 
 
 def _enumerate(R, bound_sq, shrink=True, target=None, tie=None):
@@ -762,24 +794,69 @@ def _ring_coords(fields: list, h: np.ndarray, P: np.ndarray) -> np.ndarray:
     return coords
 
 
+def _integer_coords(h: np.ndarray, P, am: bool, blocks: bool) -> np.ndarray:
+    """The integer search coordinates (am + n blocks, batch, L) over the
+    channels h (batch, n, L) at the SNRs P, a float or an array (batch,):
+    with am, best_equation's over Z first, then with blocks
+    best_integer_block's for each block j of naive_rate.  As _ring_coords,
+    one _shortest_batch call takes all of them for a run of channels.  The
+    (L, L) block roots share the (nL, L) shape of the Z bases, padded with
+    zero rows: the padded basis spans the same lattice with the same
+    coordinates and lengths, and every sum over its rows only adds 0.0."""
+    size, n, L = h.shape
+    P = np.broadcast_to(P, size)
+    kinds = am + n * blocks
+    coords = np.empty((kinds, size, L))
+    dim = n * L if am else L
+    step = max(1, _LLL_CHUNK // kinds)
+    for lo in range(0, size, step):
+        part = slice(lo, lo + step)
+        hp, Pp = h[part], P[part]
+        # the column layout _finite_column_batch reads: basis k run + i is
+        # cols[..., k run + i].T
+        cols = np.zeros((L, dim, kinds, len(hp)))
+        if am:
+            cols[..., 0, :] = _search_bases([None], hp, Pp).T
+        for j in range(n * blocks):
+            cols[:, :L, am + j] = _gram_sqrt(hp[:, j], Pp).T
+        cols = cols.reshape(L, dim, -1)
+        found = _shortest_batch(cols.T, np.tile(Pp, kinds))[0]
+        coords[:, part] = found.reshape(kinds, -1, L)
+    return coords
+
+
+def _am_rates(fields: list, h: np.ndarray, P, coords: list) -> np.ndarray:
+    """best_equation's rate_bits for each field of the list (None: over Z),
+    (len(fields), batch), over the channels h (batch, n, L) at the SNRs P,
+    from each field's search coordinates (batch, L deg): one _am_terms call
+    over every field's channels, whose arithmetic acts element by
+    element."""
+    size, n, L = h.shape
+    sigma = [[[] for _ in range(L)] for _ in range(n)]
+    for field, c in zip(fields, coords):
+        for j in range(n):
+            for l in range(L):
+                if field is None:
+                    sigma[j][l].append(c[:, l])
+                else:
+                    deg, th = field.degree, field.theta[j]
+                    sigma[j][l].append(c[:, l * deg] + c[:, l * deg + 1] * th)
+    sigma = [[np.concatenate(s) for s in row] for row in sigma]
+    k = len(fields)
+    P = np.tile(np.broadcast_to(P, size), k)
+    f = _am_terms(_user_columns(np.tile(h, (k, 1, 1))), sigma, P)[2]
+    return _rate_from_quad_form(n, f).reshape(k, size)
+
+
 def _best_equation_rates(
     field: NumberField | None, h: np.ndarray, P: np.ndarray, coords=None
 ):
     """best_equation's rate_bits for each channel of a batch h (batch, n, L)
     at the SNRs P (batch,), from the search coordinates (batch, L deg) when
     they are given."""
-    n, L = h.shape[1:]
     if coords is None:
         coords = _shortest_batch(_search_bases([field], h, P), P)[0]
-    if field is None:
-        sigma = [[coords[:, l] for l in range(L)]] * n
-    else:
-        deg = field.degree
-        sigma = [
-            [coords[:, l * deg] + coords[:, l * deg + 1] * th for l in range(L)]
-            for th in field.theta
-        ]
-    return _rate_from_quad_form(n, _am_terms(_user_columns(h), sigma, P)[2])
+    return _am_rates([field], h, P, [coords])[0]
 
 
 def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
@@ -792,12 +869,19 @@ def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
     return tuple(int(x) for x in res.coords), res.norm_sq
 
 
-def _naive_rates(h: np.ndarray, P: np.ndarray) -> np.ndarray:
+def _naive_rates(h: np.ndarray, P, coords=None) -> np.ndarray:
     """naive_rate's rate for each channel of a batch h (batch, n, L) at the
-    SNRs P (batch,)."""
+    SNRs P, a float or an array (batch,), from each block's search
+    coordinates (n, batch, L) when they are given: one _block_terms call
+    over every block's channels."""
+    size, n, L = h.shape
+    P = np.broadcast_to(P, size)
+    if coords is None:
+        coords = _integer_coords(h, P, False, True)
+    gains = h.transpose(1, 0, 2).reshape(n * size, L)
+    s = coords.reshape(n * size, L)
+    f = _block_terms(list(gains.T), list(s.T), np.tile(P, n))[0]
     best = 0.0
-    for j, gains in enumerate(_user_columns(h)):
-        coords = _shortest_batch(_gram_sqrt(h[:, j], P), P)[0]
-        f = _block_terms(gains, list(coords.T), P)[0]
-        best = np.maximum(best, _rate_from_quad_form(1, f))
+    for rate in _rate_from_quad_form(1, f).reshape(n, size):
+        best = np.maximum(best, rate)
     return best

@@ -166,13 +166,14 @@ class TestRunSweep:
         assert sum(inexact) <= len(scalar_calls) <= (2106 if max(snr_db) > 200 else 0)
         # a batch per chunk of the joint ring search, which takes every ring
         # scheme's bases for a run of _LLL_CHUNK // rings channels, and one
-        # per chunk of _LLL_CHUNK bases for am_Z and for each block of naive_Z
+        # per chunk of the joint integer search, which takes am_Z's bases and
+        # naive_Z's n block roots for a run of _LLL_CHUNK // ints channels
         items = len(snr_db) * trials
         rings = sum(s.startswith("am_ring") for s in cfg.schemes)
         chunks = -(-items // (svp._LLL_CHUNK // rings)) if rings else 0
-        z_chunks = -(-items // svp._LLL_CHUNK)
-        z_batches = {"am_Z": z_chunks, "naive_Z": cfg.n * z_chunks}
-        assert len(inexact) == chunks + sum(z_batches.get(s, 0) for s in cfg.schemes)
+        ints = ("am_Z" in cfg.schemes) + cfg.n * ("naive_Z" in cfg.schemes)
+        z_chunks = -(-items // (svp._LLL_CHUNK // ints)) if ints else 0
+        assert len(inexact) == chunks + z_chunks
 
         cold = cold_rates(cfg)
         assert res.rates.tobytes() == cold.tobytes()
@@ -313,6 +314,74 @@ class TestRunSweep:
         assert "noise identity violated" in str(batch.value)
         assert str(batch.value) == str(single.value)
 
+    @pytest.mark.parametrize("cause", ["non-finite", "rank-deficient"])
+    def test_joint_integer_search_keeps_the_error_order(self, cause, monkeypatch):
+        # At 3000 dB naive_Z's searches fail from trial 9 (RankDeficient).
+        # am_Z's basis for trial 15 is made non-finite, or rank deficient
+        # with two equal columns, so the joint integer search over am_Z and
+        # both naive_Z blocks raises; the sweep then runs scheme by scheme
+        # and raises naive_Z's trial-9 error first, as cold calls in scheme
+        # order do
+        P = 10.0**300.0
+        h = np.array([sample_channels(2, t, 2, 2) for t in range(20)])
+        real = svp._search_bases
+
+        def patched(fields, hb, Pb):
+            bases = real(fields, hb, Pb)
+            for k, field in enumerate(fields):
+                for i in np.flatnonzero((hb == h[15]).all(axis=(1, 2))):
+                    B = bases[k * len(hb) + i]
+                    if field is None and cause == "non-finite":
+                        B[0, 0] = np.inf
+                    elif field is None:
+                        B[:, 1] = B[:, 0]
+            return bases
+
+        monkeypatch.setattr(svp, "_search_bases", patched)
+        with pytest.raises(svp.NonFiniteBasis if cause == "non-finite" else svp.RankDeficient):
+            svp._shortest_batch(patched([None], h, P))
+        cfg = SweepConfig(snr_db=(3000.0,), trials=20, schemes=("naive_Z", "am_Z"), master_seed=2)
+        with pytest.raises(ValueError) as joint:
+            svp._integer_coords(h, np.full(20, P), True, True)
+        with pytest.raises(ValueError) as batch:
+            run_sweep(cfg)
+        with pytest.raises(ValueError) as single:
+            cold_rates(cfg)
+        assert type(batch.value) is type(single.value) is svp.RankDeficient
+        assert str(batch.value) == str(single.value) == "basis is numerically rank deficient"
+        if cause == "non-finite":
+            assert type(joint.value) is svp.NonFiniteBasis
+
+    def test_stacked_rate_pass_keeps_the_error_order(self, monkeypatch):
+        # At 3000 dB, seed 3, every search succeeds, and the noise identity
+        # fails for am_ring(3) from trial 9 and for am_ring(5) from trial 0:
+        # the one _am_terms pass over all three schemes raises, and the
+        # sweep raises am_ring(3)'s trial-9 error, as cold calls in scheme
+        # order do
+        calls = []
+        real = svp._am_rates
+
+        def recording(fields, h, P, coords):
+            calls.append(len(fields))
+            return real(fields, h, P, coords)
+
+        monkeypatch.setattr(simkit, "_am_rates", recording)
+        cfg = SweepConfig(
+            snr_db=(3000.0,), trials=20, schemes=("am_ring(3)", "am_ring(5)", "am_Z"), master_seed=3
+        )
+        with pytest.raises(AssertionError) as batch:
+            run_sweep(cfg)
+        assert calls == [3]
+        field = make_quadratic_field(3)
+        with pytest.raises(AssertionError) as single:
+            for t in range(20):
+                best_equation(field, BlockFadingChannel(sample_channels(3, t, 2, 2), 10.0**300.0))
+        assert "noise identity violated" in str(batch.value)
+        assert str(batch.value) == str(single.value)
+        with pytest.raises(AssertionError) as single:
+            best_equation(field, BlockFadingChannel(sample_channels(3, 9, 2, 2), 10.0**300.0))
+        assert str(batch.value) == str(single.value)
+
     def test_one_ring_scheme_searches_once(self, capsys, monkeypatch):
         # With one ring scheme whose bases fit one chunk, the joint search
         # makes the very call the scheme's own search would, so its error
@@ -377,6 +446,17 @@ class TestDofSlope:
     def test_recovers_known_slope(self, slope):
         res = self.synthetic(slope)
         assert dof_slope(res, "mac", (30, 50)) == pytest.approx(slope, rel=1e-9)
+
+    def test_equals_least_squares_fit(self):
+        # the closed-form slope is numpy's least-squares line fit to within
+        # 1e-15 relative, on every scheme of a 50-trial sweep
+        res = run_sweep(SweepConfig(trials=50))
+        window = [s for s, snr in enumerate(res.snr_db) if 30.0 <= snr <= 50.0]
+        xs = [0.5 * (res.snr_db[s] / 10.0) * math.log2(10.0) for s in window]
+        for k, name in enumerate(res.schemes):
+            want = float(np.polyfit(xs, res.mean[k, window], 1)[0])
+            assert dof_slope(res, name) == pytest.approx(want, rel=1e-15, abs=0.0)
+            assert res.dof[name] == dof_slope(res, name)
 
     def test_insufficient_points(self):
         res = self.synthetic(1.0)

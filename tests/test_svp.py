@@ -689,6 +689,34 @@ class TestLLLBatch:
         assert len(rounds) == 1 and rounds[0] <= 20
         assert cold == []
 
+    def test_each_basis_as_if_alone(self, monkeypatch):
+        # a 20-trial headline unit makes two _lll_chunk calls, the 660 ring
+        # bases and the 660 integer bases of am_Z and both naive_Z blocks.
+        # Live-only rounds gather the unfinished bases into smaller arrays,
+        # so each basis' outputs must be those _lll_batch gives it alone:
+        # b, mu and norms bit for bit, T as integers
+        chunks = []
+        real = svp._lll_chunk
+
+        def recording(cols, P):
+            chunks.append(cols)
+            return real(cols, P)
+
+        monkeypatch.setattr(svp, "_lll_chunk", recording)
+        run_sweep(SweepConfig(trials=20, master_seed=1000))
+        assert [c.shape for c in chunks] == [(4, 4, 660), (2, 4, 660)]
+        for cols in chunks:
+            b, T, mu, norms, exact = _lll_batch(cols)
+            assert exact.all()
+            for i in range(cols.shape[2]):
+                one = _lll_batch(cols[..., i : i + 1])
+                assert bool(one[4][0])
+                assert T[..., i].astype(int).tolist() == one[1][..., 0].astype(int).tolist()
+                for x, y in ((b, one[0]), (mu, one[2]), (norms, one[3])):
+                    assert list(map(float.hex, x[..., i].ravel().tolist())) == list(
+                        map(float.hex, y[..., 0].ravel().tolist())
+                    )
+
     def test_zero_coordinates_are_positive_zero(self):
         # sign normalization negates whole rows; a zero coordinate stays
         # +0.0, as in shortest_vector's integer coordinates
@@ -995,6 +1023,42 @@ def assert_batch_raises_as_single(bases):
             shortest_vector(B)
     with pytest.raises(RankDeficient) as batch:
         _shortest_batch(np.array(bases, dtype=float))
+    assert str(batch.value) == str(single.value)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_padded_block_roots_equal_best_integer_block(L):
+    # naive_Z's (L, L) block roots, padded with zero rows to the (2L, L)
+    # shape of am_Z's bases, share one batch with them: the answers are
+    # best_integer_block's and shortest_vector's, bit for bit, 0-300 dB
+    h = np.array([sample_channels(61, t, 2, L) for t in range(12)])
+    for snr_db in range(0, 310, 20):
+        P = 10.0 ** (snr_db / 10.0)
+        roots = np.concatenate([_gram_sqrt(h[:, j], P) for j in range(2)])
+        coords, norms = _shortest_batch(np.concatenate([roots, np.zeros_like(roots)], axis=1))
+        blocks = [best_integer_block(x[j], P) for j in range(2) for x in h]
+        assert [tuple(c) for c in coords] == [a for a, _ in blocks]
+        assert [x.hex() for x in norms] == [f.hex() for _, f in blocks]
+        joint = svp._integer_coords(h, P, True, True)
+        chans = [BlockFadingChannel(x, P) for x in h]
+        want = [shortest_vector(build_search_basis(None, ch)).coords for ch in chans]
+        assert bits(joint[0]) == bits(want)
+        assert bits(joint[1:].reshape(-1, L)) == bits(coords)
+
+
+def test_padded_block_roots_raise_as_best_integer_block():
+    # at 400 dB some block roots are numerically rank deficient: padded,
+    # they raise the RankDeficient a loop of best_integer_block calls over
+    # the same blocks raises first
+    h = np.array([sample_channels(47, t, 2, 2) for t in range(60)])
+    P = 10.0**40.0
+    roots = np.concatenate([_gram_sqrt(h[:, j], P) for j in range(2)])
+    with pytest.raises(RankDeficient) as single:
+        for j in range(2):
+            for x in h:
+                best_integer_block(x[j], P)
+    with pytest.raises(RankDeficient) as batch:
+        _shortest_batch(np.concatenate([roots, np.zeros_like(roots)], axis=1))
     assert str(batch.value) == str(single.value)
 
 
