@@ -107,20 +107,24 @@ def _log2(x):
 
 
 def _rate_from_quad_form(n: int, f):
-    """(n/2) log2+ (n / f), per element for an array f; ValueError for the
-    first f that is not positive."""
+    """(n/2) log2+ (n / f) and the errors of the elements f that are not
+    positive, {index: ValueError}.  On an array f both are per element; a
+    Python float f that is not positive raises its ValueError, so its
+    errors are {}."""
     if isinstance(f, np.ndarray):
-        bad = f <= 0
-        if not bad.any():
-            with np.errstate(over="ignore"):
-                x = n / f
-            # log2+ is 0.0 where n / f is not positive (f = inf) or is NaN
-            return 0.5 * n * np.maximum(_log2(np.where(x > 0, x, 1.0)), 0.0)
-        f = float(f[bad][0])  # raised below
+        with np.errstate(over="ignore", divide="ignore"):
+            x = n / f
+        # log2+ is 0.0 where n / f is not positive (f = inf) or is NaN
+        rate = 0.5 * n * np.maximum(_log2(np.where(x > 0, x, 1.0)), 0.0)
+        return rate, {i: _not_positive(float(f[i])) for i in np.flatnonzero(f <= 0).tolist()}
     if f <= 0:
-        raise ValueError(f"quadratic form must be positive, got {f}")
+        raise _not_positive(f)
     x = n / f
-    return 0.5 * n * (max(math.log2(x), 0.0) if x > 0 else 0.0)
+    return 0.5 * n * (max(math.log2(x), 0.0) if x > 0 else 0.0), {}
+
+
+def _not_positive(f: float) -> ValueError:
+    return ValueError(f"quadratic form must be positive, got {f}")
 
 
 def coefficient_embeddings(a, field: NumberField | None, n: int) -> np.ndarray:
@@ -217,36 +221,47 @@ def _block_terms(h, s, P: float):
     return f, b, nu_sq
 
 
-def _noise_identity(total, Pf) -> None:
-    """AssertionError unless math.isclose(total, Pf, rel_tol=1e-9,
-    abs_tol=1e-12), for Python floats or per element of equal-shape arrays.
-    On arrays, numpy runs isclose's own comparisons, which for finite
-    operands are its result; elements that are not finite, or that fail,
-    go to math.isclose, and the first that fails there raises."""
-    pairs = [(total, Pf)]
-    if isinstance(total, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = np.abs(Pf - total)
-            close = (diff <= np.abs(1e-9 * Pf)) | (diff <= np.abs(1e-9 * total))
-        close |= diff <= 1e-12
-        close &= np.isfinite(total) & np.isfinite(Pf)
-        pairs = zip(total[~close].tolist(), Pf[~close].tolist())
-    for a, b in pairs:
-        if not math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12):
-            raise AssertionError(f"noise identity violated: n*sigma_AM^2={a} vs P*f={b}")
+def _noise_identity(total, Pf) -> dict:
+    """The elements where math.isclose(total, Pf, rel_tol=1e-9,
+    abs_tol=1e-12) fails, {index: AssertionError}, for equal-shape arrays;
+    Python floats raise the AssertionError, so their errors are {}.  On
+    arrays, numpy runs isclose's own comparisons, which for finite operands
+    are its result; elements that are not finite, or that fail, go to
+    math.isclose, and each message holds the element's own values."""
+    if not isinstance(total, np.ndarray):
+        if not math.isclose(total, Pf, rel_tol=1e-9, abs_tol=1e-12):
+            raise _identity_violated(total, Pf)
+        return {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(Pf - total)
+        close = (diff <= np.abs(1e-9 * Pf)) | (diff <= np.abs(1e-9 * total))
+    close |= diff <= 1e-12
+    close &= np.isfinite(total) & np.isfinite(Pf)
+    pairs = ((i, float(total[i]), float(Pf[i])) for i in np.flatnonzero(~close).tolist())
+    return {
+        i: _identity_violated(a, b)
+        for i, a, b in pairs
+        if not math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+    }
+
+
+def _identity_violated(total: float, Pf: float) -> AssertionError:
+    return AssertionError(f"noise identity violated: n*sigma_AM^2={total} vs P*f={Pf}")
 
 
 def _am_terms(h, s, P: float):
     """Per-block MMSE scalars b_j and noise variances nu_j^2 (lists over
-    blocks) and the quadratic form f = sum_j f_j of the arithmetic-mean
+    blocks), the quadratic form f = sum_j f_j of the arithmetic-mean
     decoder, for channel rows h[j] and embeddings s[j] = sigma_j(a), each a
-    list over users of operands.  Raises ZeroCoefficient where every
-    sigma_j(a) is zero, and AssertionError where sum_j nu_j^2 != P f."""
+    list over users of operands, and the errors of the elements that fail,
+    {index: error}: ZeroCoefficient where every sigma_j(a) is zero, else
+    AssertionError where sum_j nu_j^2 != P f.  For Python floats the error
+    is raised, so the errors are {}."""
     zero = True
     for sj in s:
         for x in sj:
             zero = zero & (x == 0.0)
-    if zero.any() if isinstance(zero, np.ndarray) else zero:
+    if not isinstance(zero, np.ndarray) and zero:
         raise ZeroCoefficient("coefficient vector is zero")
     b, nu_sq, f = [], [], 0.0
     for hj, sj in zip(h, s):
@@ -257,8 +272,11 @@ def _am_terms(h, s, P: float):
     total = nu_sq[0]  # n * sigma_AM^2
     for x in nu_sq[1:]:
         total = total + x
-    _noise_identity(total, P * f)
-    return b, nu_sq, f
+    errors = _noise_identity(total, P * f)
+    if isinstance(zero, np.ndarray):
+        for i in np.flatnonzero(zero).tolist():
+            errors[i] = ZeroCoefficient("coefficient vector is zero")
+    return b, nu_sq, f, errors
 
 
 def am_rate(
@@ -268,13 +286,13 @@ def am_rate(
     arithmetic-mean decoder for coefficient vector a, with per-block MMSE
     scaling."""
     sigma = coefficient_embeddings(a, field, ch.n)
-    b, nu_sq, f = _am_terms(ch.h.tolist(), sigma.tolist(), ch.P)
+    b, nu_sq, f, _ = _am_terms(ch.h.tolist(), sigma.tolist(), ch.P)
     return EquationCandidate(
         a=tuple(a),
         sigma=sigma,
         b=np.array(b),
         nu_sq=np.array(nu_sq),
-        rate_bits=_rate_from_quad_form(ch.n, f),
+        rate_bits=_rate_from_quad_form(ch.n, f)[0],
         quad_form=f,
     )
 
@@ -295,7 +313,7 @@ def naive_rate(ch: BlockFadingChannel, solver=None) -> tuple[int, tuple, float]:
     best = (0, (1,) + (0,) * (ch.L - 1), 0.0)
     for j, h_j in enumerate(ch.h.tolist()):
         a = tuple(int(x) for x in solver(ch.h[j], ch.P)[0])
-        rate = _rate_from_quad_form(1, _block_terms(h_j, [float(x) for x in a], ch.P)[0])
+        rate = _rate_from_quad_form(1, _block_terms(h_j, [float(x) for x in a], ch.P)[0])[0]
         if rate > best[2]:
             best = (j, a, rate)
     return best

@@ -13,24 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    BlockFadingChannel,
-    _dot,
-    _mac_sum,
-    _snr_linear,
-    _user_columns,
-    mac_sum_capacity,
-    naive_rate,
-)
+from .channel import BlockFadingChannel, _dot, _mac_sum, _snr_linear, _user_columns
 from .numfield import make_quadratic_field
-from .svp import (
-    _am_rates,
-    _best_equation_rates,
-    _integer_coords,
-    _naive_rates,
-    _ring_coords,
-    best_equation,
-)
+from .svp import _am_rates, _integer_coords, _naive_rates, _ring_coords
 
 __all__ = [
     "InsufficientPoints",
@@ -162,92 +147,50 @@ def _check_channels(h: np.ndarray, Ps: list) -> None:
                 BlockFadingChannel(hi, P)
 
 
-def _searched(found: dict, keys: list, search) -> None:
-    """Store the coordinates search() returns for the schemes `keys` in
-    found.  A search over one scheme's bases alone is that scheme's own
-    search, so its error is stored for the scheme before it propagates."""
-    try:
-        coords = search()
-    except ValueError as exc:
-        if len(keys) == 1:
-            found[keys[0]] = exc
-        raise
-    found.update(zip(keys, coords))
-
-
-def _joint_rates(parsed: list, fields: dict, h: np.ndarray, P: np.ndarray, found: dict):
+def _joint_rates(parsed: list, fields: dict, h: np.ndarray, P: np.ndarray, errors: dict):
     """Every scheme's rates (schemes, batch) on the channels h (batch, n, L)
     at the SNRs P (batch,), from joint passes: one search over the bases of
     every am_ring(d) scheme, one over those of am_Z and both naive_Z
     blocks, one _am_terms pass over every arithmetic-mean scheme and one
-    _block_terms pass over both naive_Z blocks.  Each search's coordinates
-    go into found, by scheme."""
+    _block_terms pass over both naive_Z blocks.  Each pass puts the error
+    of every item whose single call would raise into errors, under the
+    item's place in cold-call order: scheme, then item, then step, the
+    steps being an am scheme's search and rate, and naive_Z's block 0
+    search, block 0 rate, block 1 search and so on."""
+    size, n, _ = h.shape
+    start = np.arange(len(parsed) * size).reshape(len(parsed), size) * (2 * n)
+
+    def rank(schemes, steps):
+        """The ranks (len(schemes), batch) of step `steps` of each item."""
+        return start[[parsed.index(s) for s in schemes]] + steps
+
     am = list(dict.fromkeys(d for kind, d in parsed if kind == "am"))
     z, naive = None in am, ("naive", None) in parsed
+    blocks = 2 * np.arange(n)[:, None]  # naive_Z's block j search, its rate next
+    coords = {}
     if fields:
         keys = [("am", d) for d in fields]
-        _searched(found, keys, lambda: _ring_coords(list(fields.values()), h, P))
+        rings = _ring_coords(list(fields.values()), h, P, rank(keys, 0), errors)
+        coords.update(zip(keys, rings))
     if z or naive:
-
-        def search():
-            coords = _integer_coords(h, P, z, naive)
-            return [coords[0]] * z + [coords[z:]] * naive
-
-        _searched(found, [("am", None)] * z + [("naive", None)] * naive, search)
+        kinds = [("am", None)] * z + [("naive", None)] * (n * naive)
+        steps = np.concatenate([[[0]]] * z + [blocks] * naive)
+        ints = _integer_coords(h, P, z, naive, rank(kinds, steps), errors)
+        if z:
+            coords["am", None] = ints[0]
+        coords["naive", None] = ints[z:]
     rates = {}
     if ("mac", None) in parsed:
         rates["mac", None] = _mac_sum(_user_columns(h), P)
     if am:
-        coords = [found["am", d] for d in am]
-        am_rates = _am_rates([fields.get(d) for d in am], h, P, coords)
-        rates.update(zip([("am", d) for d in am], am_rates))
+        keys = [("am", d) for d in am]
+        am_coords = [coords[k] for k in keys]
+        am_rates = _am_rates([fields.get(d) for d in am], h, P, am_coords, rank(keys, 1), errors)
+        rates.update(zip(keys, am_rates))
     if naive:
-        rates["naive", None] = _naive_rates(h, P, found["naive", None])
+        ranks = rank([("naive", None)] * n, blocks + 1)
+        rates["naive", None] = _naive_rates(h, P, coords["naive", None], ranks, errors)
     return np.array([rates[s] for s in parsed])
-
-
-def _rates_by_scheme(parsed: list, fields: dict, h: np.ndarray, P: np.ndarray, found: dict):
-    """Every scheme's rates (schemes, batch), scheme by scheme, from the
-    search coordinates in found where a joint search gave them; a scheme
-    whose own search failed there raises that error.  The first scheme that
-    raises runs again as single calls, so the error is the one cold calls in
-    scheme order raise first."""
-    rates = []
-    for kind, d in parsed:
-        coords = found.get((kind, d))
-        try:
-            if isinstance(coords, Exception):
-                raise coords
-            if kind == "mac":
-                r = _mac_sum(_user_columns(h), P)
-            elif kind == "naive":
-                r = _naive_rates(h, P, coords)
-            else:
-                r = _best_equation_rates(fields.get(d), h, P, coords)
-        except (ValueError, AssertionError):
-            # a batch of one item is its single call, but for naive_Z, whose
-            # batch searches both blocks before either block's rate
-            if len(h) > 1 or kind == "naive":
-                _raise_as_single_calls(kind, fields.get(d), h, P)
-            raise
-        rates.append(r)
-    return np.array(rates)
-
-
-def _raise_as_single_calls(kind: str, field, h: np.ndarray, P: np.ndarray) -> None:
-    """The scheme's single call on each channel h[i] at SNR P[i], in order,
-    which raises the first error of a loop of cold calls.  A failed batch
-    comes here: it runs every item's search before any item's rate, and
-    naive_Z's blocks together, so its own error can belong to a later
-    item."""
-    for hi, Pi in zip(h, P.tolist()):
-        ch = BlockFadingChannel(hi, Pi)
-        if kind == "mac":
-            mac_sum_capacity(ch)
-        elif kind == "naive":
-            naive_rate(ch)
-        else:
-            best_equation(field, ch)
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
@@ -263,11 +206,12 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     A batch runs the same floating-point operations as a single call, and
     its search answers are certified to be those of a cold call, so the
     rates equal mac_sum_capacity, naive_rate and best_equation calls bit
-    for bit.  If a joint pass raises, the schemes run one by one
-    (_rates_by_scheme), and a scheme whose batch of more than one item
-    raises is run again as single calls, in (SNR point, trial) order, up to
-    the first that raises, so the error is the one cold calls in scheme
-    order raise."""
+    for bit.  Each pass keeps, for every item that fails, the error its
+    single call raises; a rate pass runs only on items whose search has an
+    answer, and a search runs no single call for an item after the first
+    error recorded so far.  The sweep raises the first of these errors in the
+    order of cold calls: scheme, then SNR point, then trial, and for
+    naive_Z block by block, each block's search before its rate."""
     parsed = [_parse_scheme(s) for s in cfg.schemes]
     fields = {
         d: make_quadratic_field(d) for _, d in parsed if d is not None
@@ -285,11 +229,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         # item s * trials + t is trial t at SNR point s
         hs = np.tile(h, (len(Ps), 1, 1))
         P = np.repeat(Ps, cfg.trials)
-        found = {}  # by scheme: search coordinates, or the search's error
-        try:
-            r = _joint_rates(parsed, fields, hs, P, found)
-        except (ValueError, AssertionError):
-            r = _rates_by_scheme(parsed, fields, hs, P, found)
+        errors = {}  # by place in cold-call order
+        r = _joint_rates(parsed, fields, hs, P, errors)
+        if errors:
+            raise errors[min(errors)]
         rates[:] = r.reshape(rates.shape)
 
     mean = rates.mean(axis=2)

@@ -156,7 +156,7 @@ def _search_bases(fields: list, h: np.ndarray, P) -> np.ndarray:
         if field is None:
             embs.append(np.ones((n, 1)))
         elif n != field.degree:
-            raise ValueError(f"field degree {field.degree} != block count {n}")
+            raise _degree_mismatch(field, n)
         else:
             embs.append(field.embedding)
     emb = np.array(embs)
@@ -171,6 +171,10 @@ def _search_bases(fields: list, h: np.ndarray, P) -> np.ndarray:
         out=out.reshape(L, deg, n, L, len(fields), size),
     )
     return out.T
+
+
+def _degree_mismatch(field: NumberField, n: int) -> ValueError:
+    return ValueError(f"field degree {field.degree} != block count {n}")
 
 
 # terms per statement of an unrolled dot product: a longer chain of + nests
@@ -489,17 +493,22 @@ def _finite_columns(basis: np.ndarray) -> list:
     return cols
 
 
-def _finite_column_batch(bases: np.ndarray) -> np.ndarray:
-    """_finite_columns on each basis of a (batch, m, k) array, raising its
-    error for the first basis that fails.  Returns the columns as a (k, m,
-    batch) array, so cols[c][r] is an array over the batch."""
+def _finite_column_batch(bases: np.ndarray) -> tuple[np.ndarray, dict]:
+    """_finite_columns on each basis of a (batch, m, k) array: the columns
+    as a (k, m, batch) array, so cols[c][r] is an array over the batch, and
+    {basis index: NonFiniteBasis} for each basis that fails, with the error
+    _finite_columns raises on it."""
     cols = np.ascontiguousarray(bases.transpose(2, 1, 0))
     with np.errstate(over="ignore"):  # an overflowing norm is caught below
         norms = np.array([_dot(c, c) for c in cols])
     bad = ~np.isfinite(norms) | ((0.0 < norms) & (norms < sys.float_info.min))
-    for basis in bases[bad.any(axis=0)]:
-        _finite_columns(basis)
-    return cols
+    errors = {}
+    for i in np.flatnonzero(bad.any(axis=0)).tolist():
+        try:
+            _finite_columns(bases[i])
+        except NonFiniteBasis as exc:
+            errors[i] = exc
+    return cols, errors
 
 
 def _lll_shortest(cols: list) -> SVPResult:
@@ -520,27 +529,54 @@ def _lll_shortest(cols: list) -> SVPResult:
 _LLL_CHUNK = 4096
 
 
-def _shortest_batch(bases: np.ndarray, P=None) -> tuple[np.ndarray, np.ndarray]:
+def _shortest_batch(bases: np.ndarray, P, rank: np.ndarray, errors: dict):
     """shortest_vector on each basis of a (batch, m, k) array: coordinates
-    (batch, k) as floats, and norms, through _lll_chunk, _LLL_CHUNK bases
-    at a time.  The results equal shortest_vector's, and an error is the
-    one a loop of shortest_vector calls raises first; a SearchTooLarge
-    names the basis' SNR from P, a float or an array (batch,), when it is
-    given."""
-    cols = _finite_column_batch(bases)
+    (batch, k) as floats, and norms, equal to shortest_vector's, NaN where
+    the basis has no answer.  rank (batch,) holds each basis' place in the
+    order of cold calls, and P, a float or an array (batch,), its SNR (NaN
+    where unknown).
+
+    A basis whose shortest_vector call would raise gets that error in
+    errors under its rank; a SearchTooLarge names the basis' SNR.  errors
+    may already hold errors of other searches: a basis ranked after the
+    first error recorded so far runs no single call and has no answer, as
+    its result cannot change which error comes first.  _lll_chunk answers
+    _LLL_CHUNK bases at a time where it can certify the answer; the rest
+    run _lll_shortest one at a time, in rank order, except the non-finite
+    bases, which fail _finite_column_batch's check."""
+    cols, bad = _finite_column_batch(bases)
     coords = np.empty((len(bases), len(cols)))
     norms = np.empty(len(bases))
-    P = np.broadcast_to(math.nan if P is None else P, len(bases))
+    solved = np.empty(len(bases), dtype=bool)
     for lo in range(0, len(bases), _LLL_CHUNK):
         part = slice(lo, lo + _LLL_CHUNK)
-        coords[part], norms[part] = _lll_chunk(cols[..., part], P[part])
+        coords[part], norms[part], solved[part] = _lll_chunk(cols[..., part])
+    for i, exc in bad.items():
+        errors[int(rank[i])] = exc
+        solved[i] = False
+    first = min(errors, default=math.inf)
+    for i in sorted(np.flatnonzero(~solved).tolist(), key=rank.__getitem__):
+        r = int(rank[i])
+        coords[i], norms[i] = math.nan, math.nan
+        if r >= first:  # a non-finite basis, or one after the first error
+            continue
+        try:
+            res = _lll_shortest(cols[..., i].tolist())
+        except SearchTooLarge as exc:
+            errors[r] = SearchTooLarge(exc.dim, float(np.broadcast_to(P, len(bases))[i]))
+        except ValueError as exc:
+            errors[r] = exc
+        else:
+            coords[i], norms[i] = res.coords, res.norm_sq
+            continue
+        first = r
     return coords, norms
 
 
-def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lll_chunk(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_lll_shortest's answer on each basis of cols (k, m, batch), read off
-    _lll_batch's reduction where it is certified.  P (batch,) holds each
-    basis' SNR for SearchTooLarge, NaN where unknown.
+    _lll_batch's reduction where it is certified: (coords, norms, solved),
+    each basis' coordinates (batch, k) and norm where `solved` holds.
 
     The answer is certified where, in the batch's arithmetic, one vector
     up to sign is shorter than every other by the factor tie = (1 +
@@ -553,12 +589,10 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     whose box of coefficients is narrow, _box_shortest finds it where it
     can, and for the rest _enumerate over the batch's factor, its tie
     window widened to tie.  The coordinates are sign-normalized and scored
-    by _norm_sq, as _pick_candidate scores them.  The rest (ties, near
-    ties, answers of squared norm 0.0, enumerations past the node budget,
-    bases past the rounding or rank guards or that _lll_batch could not
-    finish exactly) go through _lll_shortest one at a time, in order, so
-    the first error is the one a loop of single calls raises; a
-    SearchTooLarge names the basis' SNR."""
+    by _norm_sq, as _pick_candidate scores them.  The rest are not solved:
+    ties, near ties, answers of squared norm 0.0, enumerations past the
+    node budget, and bases past the rounding or rank guards or that
+    _lll_batch could not finish exactly."""
     b, T, mu, norms, exact = _lll_batch(cols)
     m = len(T)
     # a basis that left _lll_batch early holds arbitrary values
@@ -610,15 +644,7 @@ def _lll_chunk(cols: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         # + 0.0: a zero coordinate is +0.0, as in shortest_vector's integers
         lead = np.where(sign < 0.0, -lead, lead) + 0.0
         norm_sq = _norm_sq(cols, lead)
-    solved &= norm_sq != 0.0
-    coords = lead.T
-    for i in np.flatnonzero(~solved):
-        try:
-            res = _lll_shortest(cols[..., i].tolist())
-        except SearchTooLarge as exc:
-            raise SearchTooLarge(exc.dim, float(P[i])) from None
-        coords[i], norm_sq[i] = res.coords, res.norm_sq
-    return coords, norm_sq
+    return lead.T, norm_sq, solved & (norm_sq != 0.0)
 
 
 def _inverse_row_norms(mu: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -776,33 +802,48 @@ def best_equation(
     return am_rate(ch, _coords_to_coefficients(field, res.coords, ch.L), field)
 
 
-def _ring_coords(fields: list, h: np.ndarray, P: np.ndarray) -> np.ndarray:
+def _ring_coords(fields: list, h: np.ndarray, P: np.ndarray, rank: np.ndarray, errors: dict):
     """The search coordinates of best_equation for each field of the list,
     (len(fields), batch, L deg), over the channels h (batch, n, L) at the
-    SNRs P (batch,).  One _shortest_batch call takes every field's bases for
-    a run of channels, at most _LLL_CHUNK bases: bases of the same shape
+    SNRs P (batch,), NaN where a search has no answer; rank (len(fields),
+    batch) holds each search's place in cold-call order, and errors gets
+    each failed search's error under it, as _shortest_batch records them.
+    A field whose degree is not n fails every item's search, item 0's
+    first.  One _shortest_batch call takes every other field's bases for a
+    run of channels, at most _LLL_CHUNK bases: bases of the same shape
     share the batched LLL's rounds, and only one chunk's bases are held at
     once."""
     size, n, L = h.shape
-    coords = np.empty((len(fields), size, L * n))
-    step = max(1, _LLL_CHUNK // len(fields))
+    coords = np.full((len(fields), size, L * n), math.nan)
+    live = []
+    for k, field in enumerate(fields):
+        if field.degree == n:
+            live.append(k)
+        elif size:
+            errors[int(rank[k, 0])] = _degree_mismatch(field, n)
+    if not live:
+        return coords
+    step = max(1, _LLL_CHUNK // len(live))
     for lo in range(0, size, step):
         part = slice(lo, lo + step)
-        bases = _search_bases(fields, h[part], P[part])
-        found = _shortest_batch(bases, np.tile(P[part], len(fields)))[0]
-        coords[:, part] = found.reshape(len(fields), -1, L * n)
+        bases = _search_bases([fields[k] for k in live], h[part], P[part])
+        Pk, ranks = np.tile(P[part], len(live)), rank[live, part].ravel()
+        found = _shortest_batch(bases, Pk, ranks, errors)[0]
+        coords[live, part] = found.reshape(len(live), -1, L * n)
     return coords
 
 
-def _integer_coords(h: np.ndarray, P, am: bool, blocks: bool) -> np.ndarray:
+def _integer_coords(h: np.ndarray, P, am: bool, blocks: bool, rank: np.ndarray, errors: dict):
     """The integer search coordinates (am + n blocks, batch, L) over the
     channels h (batch, n, L) at the SNRs P, a float or an array (batch,):
     with am, best_equation's over Z first, then with blocks
     best_integer_block's for each block j of naive_rate.  As _ring_coords,
-    one _shortest_batch call takes all of them for a run of channels.  The
-    (L, L) block roots share the (nL, L) shape of the Z bases, padded with
-    zero rows: the padded basis spans the same lattice with the same
-    coordinates and lengths, and every sum over its rows only adds 0.0."""
+    NaN where a search has no answer, with each failed search's error in
+    errors under its rank (am + n blocks, batch), and one _shortest_batch
+    call takes all of them for a run of channels.  The (L, L) block roots
+    share the (nL, L) shape of the Z bases, padded with zero rows: the
+    padded basis spans the same lattice with the same coordinates and
+    lengths, and every sum over its rows only adds 0.0."""
     size, n, L = h.shape
     P = np.broadcast_to(P, size)
     kinds = am + n * blocks
@@ -820,20 +861,25 @@ def _integer_coords(h: np.ndarray, P, am: bool, blocks: bool) -> np.ndarray:
         for j in range(n * blocks):
             cols[:, :L, am + j] = _gram_sqrt(hp[:, j], Pp).T
         cols = cols.reshape(L, dim, -1)
-        found = _shortest_batch(cols.T, np.tile(Pp, kinds))[0]
+        found = _shortest_batch(cols.T, np.tile(Pp, kinds), rank[:, part].ravel(), errors)[0]
         coords[:, part] = found.reshape(kinds, -1, L)
     return coords
 
 
-def _am_rates(fields: list, h: np.ndarray, P, coords: list) -> np.ndarray:
+def _am_rates(fields: list, h: np.ndarray, P, coords: list, rank: np.ndarray, errors: dict):
     """best_equation's rate_bits for each field of the list (None: over Z),
     (len(fields), batch), over the channels h (batch, n, L) at the SNRs P,
-    from each field's search coordinates (batch, L deg): one _am_terms call
-    over every field's channels, whose arithmetic acts element by
-    element."""
+    from each field's search coordinates (batch, L deg), on the items whose
+    search has an answer (coordinates not NaN), NaN elsewhere: one
+    _am_terms call over every field's items, whose arithmetic acts element
+    by element.  An item whose am_rate call would raise gets that error in
+    errors under its rank (len(fields), batch)."""
     size, n, L = h.shape
+    # a field of another degree than n has no answer at all
+    live = [k for k, field in enumerate(fields) if field is None or field.degree == n]
     sigma = [[[] for _ in range(L)] for _ in range(n)]
-    for field, c in zip(fields, coords):
+    for k in live:
+        field, c = fields[k], coords[k]
         for j in range(n):
             for l in range(L):
                 if field is None:
@@ -841,22 +887,27 @@ def _am_rates(fields: list, h: np.ndarray, P, coords: list) -> np.ndarray:
                 else:
                     deg, th = field.degree, field.theta[j]
                     sigma[j][l].append(c[:, l * deg] + c[:, l * deg + 1] * th)
-    sigma = [[np.concatenate(s) for s in row] for row in sigma]
-    k = len(fields)
-    P = np.tile(np.broadcast_to(P, size), k)
-    f = _am_terms(_user_columns(np.tile(h, (k, 1, 1))), sigma, P)[2]
-    return _rate_from_quad_form(n, f).reshape(k, size)
+    out = np.full((len(fields), size), math.nan)
+    if not live:
+        return out
+    keep = _answered(~np.isnan(np.concatenate([coords[k][:, 0] for k in live])))
+    sigma = [[np.concatenate(s)[keep] for s in row] for row in sigma]
+    hs = _user_columns(np.tile(h, (len(live), 1, 1))[keep])
+    Ps = np.tile(np.broadcast_to(P, size), len(live))[keep]
+    *_, f, failed = _am_terms(hs, sigma, Ps)
+    rate, later = _rate_from_quad_form(n, f)
+    for e, exc in {**later, **failed}.items():
+        errors[int(rank[live].ravel()[keep][e])] = exc
+    rates = np.full(len(live) * size, math.nan)
+    rates[keep] = rate
+    out[live] = rates.reshape(len(live), size)
+    return out
 
 
-def _best_equation_rates(
-    field: NumberField | None, h: np.ndarray, P: np.ndarray, coords=None
-):
-    """best_equation's rate_bits for each channel of a batch h (batch, n, L)
-    at the SNRs P (batch,), from the search coordinates (batch, L deg) when
-    they are given."""
-    if coords is None:
-        coords = _shortest_batch(_search_bases([field], h, P), P)[0]
-    return _am_rates([field], h, P, [coords])[0]
+def _answered(mask: np.ndarray):
+    """An index of the items where mask holds: a slice, whose selections are
+    views, where it holds for every item."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
@@ -869,19 +920,25 @@ def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
     return tuple(int(x) for x in res.coords), res.norm_sq
 
 
-def _naive_rates(h: np.ndarray, P, coords=None) -> np.ndarray:
+def _naive_rates(h: np.ndarray, P, coords: np.ndarray, rank: np.ndarray, errors: dict):
     """naive_rate's rate for each channel of a batch h (batch, n, L) at the
     SNRs P, a float or an array (batch,), from each block's search
-    coordinates (n, batch, L) when they are given: one _block_terms call
-    over every block's channels."""
+    coordinates (n, batch, L): one _block_terms call over every block's
+    items whose search has an answer (coordinates not NaN).  A block whose
+    rate would raise gets that error in errors under its rank (n, batch);
+    an item with no rate for some block has rate NaN."""
     size, n, L = h.shape
-    P = np.broadcast_to(P, size)
-    if coords is None:
-        coords = _integer_coords(h, P, False, True)
-    gains = h.transpose(1, 0, 2).reshape(n * size, L)
     s = coords.reshape(n * size, L)
-    f = _block_terms(list(gains.T), list(s.T), np.tile(P, n))[0]
+    keep = _answered(~np.isnan(s[:, 0]))
+    gains = h.transpose(1, 0, 2).reshape(n * size, L)[keep]
+    Pb = np.tile(np.broadcast_to(P, size), n)[keep]
+    f = _block_terms(list(gains.T), list(s[keep].T), Pb)[0]
+    rate, failed = _rate_from_quad_form(1, f)
+    for e, exc in failed.items():
+        errors[int(rank.ravel()[keep][e])] = exc
+    rates = np.full(n * size, math.nan)
+    rates[keep] = rate
     best = 0.0
-    for rate in _rate_from_quad_form(1, f).reshape(n, size):
-        best = np.maximum(best, rate)
+    for r in rates.reshape(n, size):
+        best = np.maximum(best, r)
     return best

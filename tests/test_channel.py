@@ -279,11 +279,13 @@ class TestBatchKernel:
                 a = tuple(RingElement(int(u), int(v)) for u, v in coords[i])
             single.append(am_rate(BlockFadingChannel(h[i], float(P[i])), a, field))
         sigma = np.array([c.sigma for c in single])
-        b, nu_sq, f = _am_terms(_user_columns(h), _user_columns(sigma), P)
+        b, nu_sq, f, errors = _am_terms(_user_columns(h), _user_columns(sigma), P)
+        assert errors == {}
         assert bits(np.array(b).T) == bits([c.b for c in single])
         assert bits(np.array(nu_sq).T) == bits([c.nu_sq for c in single])
         assert bits(f) == bits([c.quad_form for c in single])
-        assert bits(_rate_from_quad_form(2, f)) == bits([c.rate_bits for c in single])
+        rates, errors = _rate_from_quad_form(2, f)
+        assert bits(rates) == bits([c.rate_bits for c in single]) and errors == {}
 
     def test_mac_batch_equals_single_calls(self):
         rng = np.random.default_rng(7)
@@ -298,13 +300,16 @@ class TestBatchKernel:
         assert bits(_mac_sum(_user_columns(h), P)) == bits(want)
 
     def test_zero_coefficient_in_a_batch(self):
+        # the batch records am_rate's error for the zero vector alone
         h = np.ones((3, 2, 2))
         sigma = np.ones((3, 2, 2))
         sigma[1] = 0.0
-        with pytest.raises(ZeroCoefficient, match="coefficient vector is zero"):
-            _am_terms(_user_columns(h), _user_columns(sigma), 10.0)
-        with pytest.raises(ZeroCoefficient, match="coefficient vector is zero"):
+        errors = _am_terms(_user_columns(h), _user_columns(sigma), 10.0)[3]
+        with pytest.raises(ZeroCoefficient, match="coefficient vector is zero") as single:
             am_rate(BlockFadingChannel(h[1], 10.0), (0, 0))
+        assert list(errors) == [1]
+        assert type(errors[1]) is ZeroCoefficient
+        assert str(errors[1]) == str(single.value)
 
 
 def near(x, ulps):
@@ -334,38 +339,39 @@ class TestBatchChecks:
     numpy operations, and agree with the scalar paths element by element."""
 
     def test_noise_identity_agrees_with_math_isclose(self):
+        # each element that fails has the scalar call's error, message and
+        # all, and no other element has one
         pairs = [(a, b) for a in _ISCLOSE_VALUES for b in _ISCLOSE_VALUES]
-        for a, b in pairs:
-            want = math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-            try:
-                _noise_identity(np.array([a]), np.array([b]))
-            except AssertionError:
-                assert not want, (a, b)
-            else:
-                assert want, (a, b)
         total, Pf = np.array(pairs).T
+        errors = _noise_identity(total, Pf)
         close = [math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) for a, b in pairs]
         assert 0 < sum(close) < len(pairs)
-        _noise_identity(total[close], Pf[close])
-        a, b = pairs[close.index(False)]
-        with pytest.raises(AssertionError) as batch:
-            _noise_identity(total, Pf)
-        with pytest.raises(AssertionError) as single:
-            _noise_identity(a, b)
-        assert str(batch.value) == str(single.value)
+        assert sorted(errors) == [i for i, ok in enumerate(close) if not ok]
+        for i, (a, b) in enumerate(pairs):
+            assert list(_noise_identity(np.array([a]), np.array([b]))) == [0] * (i in errors)
+            if i in errors:
+                with pytest.raises(AssertionError) as single:
+                    _noise_identity(a, b)
+                assert type(errors[i]) is AssertionError
+                assert str(errors[i]) == str(single.value)
+            else:
+                assert _noise_identity(a, b) == {}
 
     def test_rate_batch_equals_scalar_calls(self):
         f = np.array([5e-324, 1e-300, 0.5, 1.0, 1.5, 2.0, 3.0, 1e308, math.inf, math.nan])
         for n in (1, 2):
-            assert bits(_rate_from_quad_form(n, f)) == bits(
-                [_rate_from_quad_form(n, x) for x in f.tolist()]
-            )
+            rates, errors = _rate_from_quad_form(n, f)
+            assert bits(rates) == bits([_rate_from_quad_form(n, x)[0] for x in f.tolist()])
+            assert errors == {}
+        # each f that is not positive has the scalar call's error
         for bad in ([1.0, -0.0, -1.0], [2.0, -3.0, 0.0]):
-            with pytest.raises(ValueError) as batch:
-                _rate_from_quad_form(2, np.array(bad))
-            with pytest.raises(ValueError) as single:
-                _rate_from_quad_form(2, bad[1])
-            assert str(batch.value) == str(single.value)
+            errors = _rate_from_quad_form(2, np.array(bad))[1]
+            assert sorted(errors) == [1, 2]
+            for i in errors:
+                with pytest.raises(ValueError) as single:
+                    _rate_from_quad_form(2, bad[i])
+                assert type(errors[i]) is ValueError
+                assert str(errors[i]) == str(single.value)
 
 
 class TestChannelValidation:

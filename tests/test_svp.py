@@ -10,7 +10,14 @@ import pytest
 import cflat
 import cflat.svp as svp
 
-from cflat.channel import BlockFadingChannel, coefficient_embeddings, naive_rate
+from cflat.channel import (
+    BlockFadingChannel,
+    _block_terms,
+    _rate_from_quad_form,
+    am_rate,
+    coefficient_embeddings,
+    naive_rate,
+)
 from cflat.codec import (
     NestedCodePair,
     _hnf_column_basis,
@@ -84,6 +91,40 @@ def after_a_good_basis(B):
     """A batch of two bases: the identity, then B."""
     B = np.asarray(B, dtype=float)
     return np.array([np.eye(*B.shape), B])
+
+
+def batch_search(bases, P=math.nan):
+    """_shortest_batch on the bases, ranked in batch order as a loop of
+    shortest_vector calls: (coords, norms, errors by basis index)."""
+    errors = {}
+    bases = np.asarray(bases, dtype=float)
+    coords, norms = _shortest_batch(bases, P, np.arange(len(bases)), errors)
+    return coords, norms, errors
+
+
+def single_error(search, *args):
+    """The exception search(*args) raises."""
+    with pytest.raises(ValueError) as single:
+        search(*args)
+    return single.value
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+
+
+def recorded_error(B):
+    """The error batch_search records for B after a good basis, which has
+    none; it equals shortest_vector's on B."""
+    errors = batch_search(after_a_good_basis(B))[2]
+    assert list(errors) == [1]
+    assert_same_error(errors[1], single_error(shortest_vector, np.asarray(B, dtype=float)))
+    return errors[1]
+
+
+def raise_recorded_error(B):
+    raise recorded_error(B)
 
 
 def certify_in_reduced_basis(B):
@@ -236,8 +277,9 @@ class TestShortestVector:
         bad = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(RankDeficient):
             shortest_vector(bad)
-        with pytest.raises(RankDeficient, match="numerically rank deficient"):
-            _shortest_batch(after_a_good_basis(bad))
+        error = recorded_error(bad)
+        assert isinstance(error, RankDeficient)
+        assert "numerically rank deficient" in str(error)
 
     @pytest.mark.parametrize(
         "basis",
@@ -250,11 +292,9 @@ class TestShortestVector:
     def test_relative_rank_guard(self, basis):
         # one Gram-Schmidt length is below 1e-12 of the largest (the last
         # basis has a zero column); in a batch too
-        with pytest.raises(RankDeficient) as single:
+        with pytest.raises(RankDeficient):
             shortest_vector(np.array(basis))
-        with pytest.raises(RankDeficient) as batch:
-            _shortest_batch(after_a_good_basis(basis))
-        assert str(batch.value) == str(single.value)
+        assert isinstance(recorded_error(basis), RankDeficient)
 
     def test_oracle_equivalence_200_instances(self):
         # Every answer is certified by an exhaustive search over a box that
@@ -326,7 +366,7 @@ class TestShortestVector:
         # computed independently of the kernels (numpy QR), for the scalar
         # LLL and for the batch, which reduces all the bases at once
         bases = sweep_bases(d, L, range(0, 90, 10), 5, seed=31)
-        b, T, _, _, exact = _lll_batch(_finite_column_batch(bases))
+        b, T, _, _, exact = _lll_batch(_finite_column_batch(bases)[0])
         assert exact.all()
         for i, B in enumerate(bases):
             reduced, Ti, _, _ = _lll_reduce(list(B.T))
@@ -370,7 +410,7 @@ class TestShortestVector:
             shortest_vector,
             lambda B: brute_force_shortest(B, 2),
             minkowski_bound,
-            lambda B: _shortest_batch(after_a_good_basis(B)),
+            raise_recorded_error,
         ],
         ids=["shortest_vector", "brute_force", "minkowski", "batch"],
     )
@@ -415,7 +455,7 @@ bases = [np.eye(2), np.array([[1.0, 0.5], [0.0, 0.8660254037844386]])]
 for d, p in {pairs!r}:
     field = make_quadratic_field(d)
     bases.append(field.embedding @ prime_above(field, p).basis_matrix())
-coords, norms = _shortest_batch(np.array(bases))
+coords, norms = _shortest_batch(np.array(bases), float("nan"), np.arange(len(bases)), {{}})
 for B, c, n in zip(bases, coords, norms):
     e = shortest_vector(B)
     print(*e.coords, e.norm_sq.hex(), *c.astype(int), n.hex())
@@ -522,7 +562,7 @@ class TestTwoColumnBases:
         # batch LLL's 2^53 transform guard: the batch hands those bases to
         # the scalar LLL
         bases = [np.eye(2), [[1.0, 2.0**60 + 2.0**10], [0.0, 1.0]], [[1.0, -3e17], [0.0, 2.5]]]
-        exact = _lll_batch(_finite_column_batch(np.array(bases)))[4]
+        exact = _lll_batch(_finite_column_batch(np.array(bases))[0])[4]
         assert exact.tolist() == [True, False, False]
         assert_batch_equals_single(bases)
 
@@ -612,7 +652,7 @@ def assert_lll_batch_contract(bases):
     size-reduced and meets the Lovasz condition at LLL_DELTA, in the batch's
     own Gram-Schmidt data and in a QR factorization of b."""
     bases = np.asarray(bases, dtype=float)
-    b, T, mu, norms, exact = _lll_batch(_finite_column_batch(bases))
+    b, T, mu, norms, exact = _lll_batch(_finite_column_batch(bases)[0])
     assert exact.all()
     for i, B in enumerate(bases):
         Ti = T[..., i]
@@ -698,9 +738,9 @@ class TestLLLBatch:
         chunks = []
         real = svp._lll_chunk
 
-        def recording(cols, P):
+        def recording(cols):
             chunks.append(cols)
-            return real(cols, P)
+            return real(cols)
 
         monkeypatch.setattr(svp, "_lll_chunk", recording)
         run_sweep(SweepConfig(trials=20, master_seed=1000))
@@ -721,7 +761,7 @@ class TestLLLBatch:
         # sign normalization negates whole rows; a zero coordinate stays
         # +0.0, as in shortest_vector's integer coordinates
         bases = sweep_bases(5, 2, (0.0, 20.0, 40.0), 10)
-        coords = _shortest_batch(bases)[0]
+        coords = batch_search(bases)[0]
         assert bits(coords) == bits([shortest_vector(B).coords for B in bases])
 
     def test_joint_ring_search_equals_per_field_calls(self, monkeypatch):
@@ -737,12 +777,14 @@ class TestLLLBatch:
         calls = []
         real = svp._shortest_batch
 
-        def recording(bases, P):
+        def recording(bases, *args):
             calls.append(bits(bases))
-            return real(bases, P)
+            return real(bases, *args)
 
         monkeypatch.setattr(svp, "_shortest_batch", recording)
-        coords = svp._ring_coords(fields, h, P)
+        errors = {}
+        coords = svp._ring_coords(fields, h, P, np.arange(36).reshape(3, 12), errors)
+        assert errors == {}
         assert calls == [
             bits(
                 [
@@ -754,7 +796,7 @@ class TestLLLBatch:
             for lo in range(0, 12, 2)
         ]
         for field, got in zip(fields, coords):
-            assert bits(got) == bits(real(_search_bases([field], h, P))[0])
+            assert bits(got) == bits(batch_search(_search_bases([field], h, P))[0])
 
     def test_enumeration_skip_keeps_lll_shortest_answers(self, monkeypatch):
         # Sweep bases of the three ring schemes from 0 to 200 dB, after the
@@ -768,7 +810,7 @@ class TestLLLBatch:
             + [sweep_bases(d, 2, range(0, 210, 20), 10) for d in (3, 5, 7)]
         )
         unresolved, enumerated, cold = record_fallback(monkeypatch)
-        coords, norms = _shortest_batch(bases)
+        coords, norms, _ = batch_search(bases)
         assert len(unresolved) == len(enumerated) == len(cold) == 2
         assert cold[0] == bits(bases[0])
         assert tuple(coords[0]) == (0, 0, 1, 0)
@@ -802,7 +844,7 @@ class TestLLLBatch:
             bases = sweep_bases(d, L, snrs, trials, seed=seed)
             high = [s for s in snrs if s >= 190]
             high = {bits(B) for B in sweep_bases(d, L, high, trials, seed=seed)} if high else set()
-            coords, norms = _shortest_batch(bases)
+            coords, norms, _ = batch_search(bases)
             if not most:
                 assert unresolved == enumerated == cold == []
             assert len(cold) <= most and set(cold) <= high
@@ -821,7 +863,7 @@ class TestLLLBatch:
         s = math.sqrt(0.84 + gap)
         B = np.array([[1.0, 0.4, 0.0], [0.0, s, 0.0], [0.0, 0.0, 3.0]])
         unresolved, enumerated, cold = record_fallback(monkeypatch)
-        coords, norms = _shortest_batch(B[None])
+        coords, norms, _ = batch_search(B[None])
         assert cold == ([] if boxed else [bits(B)])
         assert len(unresolved) == len(enumerated) == len(cold)
         assert tuple(coords[0]) == ((1, 0, 0) if boxed else (0, 1, 0))
@@ -847,7 +889,7 @@ class TestLLLBatch:
         widths = math.sqrt(bound) * np.linalg.norm(np.linalg.inv(R), axis=1)
         assert 2.0 < widths.max() < (7.0 if alternating else 2.01)
         unresolved, enumerated, cold = record_fallback(monkeypatch)
-        coords, norms = _shortest_batch(R[None])
+        coords, norms, _ = batch_search(R[None])
         assert unresolved == cold == [] and len(enumerated) == 1
         if alternating:
             assert tuple(coords[0]) == (3, -2, 1, -1, 1, -1)
@@ -864,10 +906,10 @@ class TestLLLBatch:
         # gave trials 4, 7 and 20 at 600 dB other coordinates.
         bases = sweep_bases(5, 2, (snr_db,), 21, seed=1)
         assert_lll_batch_contract(bases)
-        T = _lll_batch(_finite_column_batch(bases))[1]
+        T = _lll_batch(_finite_column_batch(bases)[0])[1]
         assert np.abs(T).max() < 2**32
         *_, cold = record_fallback(monkeypatch)
-        _shortest_batch(bases)
+        batch_search(bases)
         assert cold == [bits(B) for B in bases]
         monkeypatch.undo()
         assert_batch_equals_single(bases)
@@ -896,7 +938,7 @@ class TestRoundingGuard:
         bases = np.array([ring_basis(*item) for item in UNGUARDED_WRONG])
         assert_batch_equals_single(bases)
         monkeypatch.setattr(svp, "_ROUNDING", 0.0)
-        coords = _shortest_batch(bases)[0]
+        coords = batch_search(bases)[0]
         for B, c in zip(bases, coords):
             assert tuple(c) != tuple(shortest_vector(B).coords)
 
@@ -906,11 +948,11 @@ class TestRoundingGuard:
         # answer, and with twice the bound the single call runs
         B = ring_basis(3, 250, 58)
         *_, cold = record_fallback(monkeypatch)
-        coords, norms = _shortest_batch(B[None])
+        coords, norms, _ = batch_search(B[None])
         assert cold == []
         assert_equals_lll_shortest(B[None], coords, norms)
         monkeypatch.setattr(svp, "_ROUNDING", 2.0 * svp._ROUNDING)
-        _shortest_batch(B[None])
+        batch_search(B[None])
         assert cold == [bits(B)]
 
 
@@ -941,7 +983,7 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
             shortest_vector(B),
             minkowski_bound(B),
             enumerate_fine_vectors(lat, 3.0),
-            [_shortest_batch(bases) for bases in batch],
+            [batch_search(bases)[:2] for bases in batch],
         )
 
     want = searches()
@@ -975,11 +1017,11 @@ def assert_equals_lll_shortest(bases, coords, norms):
 
 
 def record_fallback(monkeypatch):
-    """Spies on _lll_chunk: returns (unresolved, enumerated, cold), lists
-    that fill, in call order, with the bits of each transform T whose basis
-    _box_shortest left unresolved, of each factor R (as an array) that
+    """Spies on the batch search: returns (unresolved, enumerated, cold),
+    lists that fill, in call order, with the bits of each transform T whose
+    basis _box_shortest left unresolved, of each factor R (as an array) that
     _lll_chunk enumerated with a widened tie window, and of each basis (as a
-    (dim, k) array) that _lll_chunk handed to _lll_shortest."""
+    (dim, k) array) that _shortest_batch handed to _lll_shortest."""
     unresolved, enumerated, cold = [], [], []
     real_box, real_enum, real_cold = svp._box_shortest, svp._enumerate, svp._lll_shortest
 
@@ -1008,7 +1050,8 @@ def assert_batch_equals_single(bases):
     shortest_vector: the batch LLL with its certificates and single calls
     against the scalar LLL and enumeration."""
     bases = np.array(bases, dtype=float)
-    coords, norms = _shortest_batch(bases)
+    coords, norms, errors = batch_search(bases)
+    assert errors == {}
     for B, c, norm_sq in zip(bases, coords, norms):
         want = shortest_vector(B)
         assert tuple(c) == tuple(want.coords)
@@ -1016,14 +1059,19 @@ def assert_batch_equals_single(bases):
 
 
 def assert_batch_raises_as_single(bases):
-    """_shortest_batch raises the RankDeficient that the first failing call
-    of a loop of shortest_vector calls raises."""
+    """The first error _shortest_batch records is the RankDeficient that the
+    first failing call of a loop of shortest_vector calls raises, each
+    error it records is shortest_vector's on that basis, and the bases
+    before the first error have shortest_vector's answers."""
     with pytest.raises(RankDeficient) as single:
         for B in bases:
             shortest_vector(B)
-    with pytest.raises(RankDeficient) as batch:
-        _shortest_batch(np.array(bases, dtype=float))
-    assert str(batch.value) == str(single.value)
+    coords, norms, errors = batch_search(bases)
+    first = min(errors)
+    assert_same_error(errors[first], single.value)
+    for i, exc in errors.items():
+        assert_same_error(exc, single_error(shortest_vector, bases[i]))
+    assert_equals_lll_shortest(np.array(bases[:first], dtype=float), coords, norms)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -1035,11 +1083,13 @@ def test_padded_block_roots_equal_best_integer_block(L):
     for snr_db in range(0, 310, 20):
         P = 10.0 ** (snr_db / 10.0)
         roots = np.concatenate([_gram_sqrt(h[:, j], P) for j in range(2)])
-        coords, norms = _shortest_batch(np.concatenate([roots, np.zeros_like(roots)], axis=1))
+        coords, norms, _ = batch_search(np.concatenate([roots, np.zeros_like(roots)], axis=1))
         blocks = [best_integer_block(x[j], P) for j in range(2) for x in h]
         assert [tuple(c) for c in coords] == [a for a, _ in blocks]
         assert [x.hex() for x in norms] == [f.hex() for _, f in blocks]
-        joint = svp._integer_coords(h, P, True, True)
+        errors = {}
+        joint = svp._integer_coords(h, P, True, True, np.arange(36).reshape(3, 12), errors)
+        assert errors == {}
         chans = [BlockFadingChannel(x, P) for x in h]
         want = [shortest_vector(build_search_basis(None, ch)).coords for ch in chans]
         assert bits(joint[0]) == bits(want)
@@ -1057,9 +1107,8 @@ def test_padded_block_roots_raise_as_best_integer_block():
         for j in range(2):
             for x in h:
                 best_integer_block(x[j], P)
-    with pytest.raises(RankDeficient) as batch:
-        _shortest_batch(np.concatenate([roots, np.zeros_like(roots)], axis=1))
-    assert str(batch.value) == str(single.value)
+    errors = batch_search(np.concatenate([roots, np.zeros_like(roots)], axis=1))[2]
+    assert_same_error(errors[min(errors)], single.value)
 
 
 @pytest.mark.parametrize("L", [2, 3])
@@ -1072,12 +1121,61 @@ def test_naive_batch_equals_single_calls(L):
             with pytest.raises(RankDeficient) as single:
                 for x in h:
                     naive_rate(BlockFadingChannel(x, P))
-            with pytest.raises(RankDeficient) as batch:
-                _naive_rates(h, P)
-            assert str(batch.value) == str(single.value)
+            errors = naive_batch(h, P)[1]
+            assert_same_error(errors[min(errors)], single.value)
             continue
         want = [naive_rate(BlockFadingChannel(x, P))[2] for x in h]
-        assert bits(_naive_rates(h, P)) == bits(want)
+        rates, errors = naive_batch(h, P)
+        assert bits(rates) == bits(want) and errors == {}
+
+
+def test_rate_pass_errors_equal_single_calls():
+    # The rate passes record each item's error as its single call raises
+    # it, message and all: am_rate's noise identity at 3000 dB (every
+    # search succeeds for seed 3) and its ZeroCoefficient for a zero vector
+    # of am_Z, and the ValueError of naive_rate's block rate for block
+    # coordinates of 0, whose quadratic form is 0.0
+    h = np.array([sample_channels(3, t, 2, 2) for t in range(20)])
+    fields, P = [F3, F5, None], 10.0**300.0
+    chans = [BlockFadingChannel(x, P) for x in h]
+    coords = [
+        np.array([shortest_vector(build_search_basis(f, ch)).coords for ch in chans], dtype=float)
+        for f in fields
+    ]
+    coords[2][4] = 0.0
+    rank, errors = np.arange(60).reshape(3, 20), {}
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run_sweep
+        rates = svp._am_rates(fields, h, P, coords, rank, errors)
+    assert len(errors) > 1
+    for k, field in enumerate(fields):
+        for t, ch in enumerate(chans):
+            a = svp._coords_to_coefficients(field, coords[k][t], 2)
+            try:
+                want = am_rate(ch, a, field).rate_bits
+            except (ValueError, AssertionError) as exc:
+                assert_same_error(errors[rank[k, t]], exc)
+            else:
+                assert rank[k, t] not in errors and rates[k, t].hex() == want.hex()
+    P = 1e3
+    blocks = np.array([[best_integer_block(x[j], P)[0] for x in h] for j in range(2)], dtype=float)
+    blocks[1, 7] = 0.0
+    errors = {}
+    svp._naive_rates(h, P, blocks, rank[:2], errors)
+    assert list(errors) == [27]
+    with pytest.raises(ValueError) as single:
+        _rate_from_quad_form(1, _block_terms(h[7, 1].tolist(), [0.0, 0.0], P)[0])
+    assert_same_error(errors[27], single.value)
+
+
+def naive_batch(h, P):
+    """The sweep's naive_Z search and rate passes on the channels h at the
+    SNR P, ranked as a loop of naive_rate calls (block j of item i searched
+    at rank 2 (n i + j), its rate next): (rates, errors by rank)."""
+    size, n, _ = h.shape
+    rank = 2 * (n * np.arange(size) + np.arange(n)[:, None])
+    errors = {}
+    coords = svp._integer_coords(h, P, False, True, rank, errors)
+    return _naive_rates(h, P, coords, rank + 1, errors), errors
 
 
 class TestNodeBudget:
