@@ -465,18 +465,32 @@ def encode(lat: ConstructionALattice, w, dither: np.ndarray | None = None) -> np
     idx = (w.astype(np.int64) * _digit_weights(q, c.l_c, c.l_f)).sum(axis=-1)
     X = np.take(lat.embedded_leaders, idx, axis=0)
     if dither is not None:
-        X = reduce_mod_coarse(lat, X + dither)
+        # np.take's result is ours, so the sum and the fold go into it (into
+        # a C-ordered copy where the dither broadcasts it to a larger shape)
+        shape = np.broadcast_shapes(X.shape, np.shape(dither))
+        if shape != X.shape:
+            X = np.broadcast_to(X, shape).copy()
+        X += dither
+        _fold(lat, X)
     return X
 
 
 def reduce_mod_coarse(lat: ConstructionALattice, X: np.ndarray) -> np.ndarray:
     """Fold (..., n, T) matrices into the centered fundamental parallelepiped
     of the scaled coarse lattice."""
-    X = np.asarray(X, dtype=float)
+    X = np.array(X, dtype=float, order="C")
+    _fold(lat, X)
+    return X
+
+
+def _fold(lat: ConstructionALattice, X: np.ndarray) -> None:
+    """reduce_mod_coarse in place, on a C-contiguous float array X."""
     # one 2-D product over all leading axes: numpy's stacked products are
     # about ten times slower on small matrices, with the same bits
-    zc = X.reshape(-1, lat.n * lat.T) @ lat.region_inv.T
-    return ((zc - np.rint(zc)) @ lat.region_scaled.T).reshape(X.shape)
+    flat = X.reshape(-1, lat.n * lat.T)
+    zc = flat @ lat.region_inv.T
+    np.subtract(zc, np.rint(zc, out=flat), out=zc)
+    np.matmul(zc, lat.region_scaled.T, out=flat)
 
 
 # ---------------------------------------------------------------------------
@@ -565,21 +579,25 @@ def _decode_leader_indices(lat: ConstructionALattice, S: np.ndarray) -> np.ndarr
     best = np.full(B, np.inf)
     best_idx = np.zeros(B, dtype=np.int64)
     total = np.empty(B)
+    better = np.empty(B, dtype=bool)
     for k, row in enumerate(residues):
-        total.fill(0.0)
-        for dists, x in zip(table, row):
+        # each total starts from its first entry: distances are >= +0.0, so
+        # 0.0 + d is d
+        np.copyto(total, table[0][row[0]])
+        for dists, x in zip(table[1:], row[1:]):
             total += dists[x]
-        better = total < best
+        np.less(total, best, out=better)
         np.copyto(best, total, where=better)
-        best_idx[better] = k
+        np.copyto(best_idx, k, where=better)
     return best_idx
 
 
 def _residue_distances(lat: ConstructionALattice, S: np.ndarray, residues) -> list[dict]:
     """table[i][x]: the (B,) squared distances from coordinate i of the
     observations S (B, n, T) to the embedded ideal shifted by residue x,
-    for each (i, x) a leader holds.  The Babai window z2 - 1, z2, z2 + 1
-    runs in three reused (3, B) buffers."""
+    for each (i, x) a leader holds.  The shifted column and its rotation
+    into the triangular frame run in two reused (B, n) buffers, the Babai
+    window z2 - 1, z2, z2 + 1 in three reused (3, B) buffers."""
     qmat, rmat = lat._cvp_q, lat._cvp_r
     r11, r12, r22 = rmat[0, 0], rmat[0, 1], rmat[1, 1]
     firsts = {}  # (coordinate i, residue x) -> first leader holding x at i
@@ -587,14 +605,18 @@ def _residue_distances(lat: ConstructionALattice, S: np.ndarray, residues) -> li
         for i, x in enumerate(row):
             firsts.setdefault((i, x), k)
     B = S.shape[0]
-    cols = np.ascontiguousarray(S.transpose(2, 0, 1))  # (T, B, n)
     # one block for all rows: many separately allocated rows fragment the
     # heap and raise the resident peak
     dist = np.empty((len(firsts), B))
+    shifted, y = np.empty((2, B, lat.n))
     z2, rem, z1 = np.empty((3, 3, B))
     table = [{} for _ in range(lat.T)]
     for ((i, x), k), dmin in zip(firsts.items(), dist):
-        y = (cols[i] - lat.embedded_leaders[k][:, i]) @ qmat  # (B, 2)
+        # column by column: a 2-D subtract on the strided S[:, :, i] runs
+        # through a 64 KiB buffer, at four times the time
+        for j, v in enumerate(lat.embedded_leaders[k][:, i].tolist()):
+            np.subtract(S[:, j, i], v, out=shifted[:, j])
+        np.matmul(shifted, qmat, out=y)
         np.rint(np.divide(y[:, 1], r22, out=z2[1]), out=z2[1])
         np.add(z2[1], -1.0, out=z2[0])
         np.add(z2[1], 1.0, out=z2[2])
@@ -615,7 +637,7 @@ def _block_sum(w: np.ndarray, X: np.ndarray) -> np.ndarray:
     (up to the sign of a zero sum: einsum adds into +0.0)."""
     acc = w[:, 0, None] * X[..., 0, :, :]
     for l in range(1, w.shape[1]):
-        acc = acc + w[:, l, None] * X[..., l, :, :]
+        acc += w[:, l, None] * X[..., l, :, :]
     return acc
 
 
@@ -623,9 +645,9 @@ def _observation(Y: np.ndarray, candidate: EquationCandidate, dithers=None) -> n
     """b_j Y_j - sum_l sigma_j(a_l) D_l: the MMSE-scaled observations (..., n, T)
     with the dithers (..., L, n, T) removed."""
     S = np.asarray(candidate.b)[:, None] * np.asarray(Y, dtype=float)
-    if dithers is None:
-        return S
-    return S - _block_sum(np.asarray(candidate.sigma), np.asarray(dithers, dtype=float))
+    if dithers is not None:
+        S -= _block_sum(np.asarray(candidate.sigma), np.asarray(dithers, dtype=float))
+    return S
 
 
 def decode_equation(
@@ -785,10 +807,12 @@ def simulate_codec(
     """Empirical equation-error rate with fresh messages, dithers and noise
     per trial.  Deterministic for a given seed (fixed batch size).
 
-    noise_std scales the unit-variance channel noise; 0 gives the noiseless
-    sanity setting."""
+    noise_std scales the unit-variance channel noise and must be finite and
+    nonnegative; 0 gives the noiseless sanity setting."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     if ch.n != lat.n:
         raise DimensionMismatch("channel block count must match the field degree")
     L = ch.L
@@ -803,17 +827,22 @@ def simulate_codec(
     done = 0
     while done < trials:
         m = min(_SIM_BATCH, trials - done)
+        # every step writes into an array it owns, and each array is freed
+        # once read: the heap's high-water mark sets the resident peak
         w = rng.integers(0, q, size=(m, L, l_m))
         zdith = rng.uniform(-0.5, 0.5, size=(m, L, 2 * lat.T))
-        noise = noise_std * rng.standard_normal((m, lat.n, lat.T))
+        noise = rng.standard_normal((m, lat.n, lat.T))
+        noise *= noise_std
 
         D = (zdith.reshape(-1, 2 * lat.T) @ lat.region_scaled.T).reshape(m, L, lat.n, lat.T)
-        Y = _block_sum(ch.h, encode(lat, w, D)) + noise
+        del zdith
+        Y = _block_sum(ch.h, encode(lat, w, D))
+        Y += noise
+        del noise
         S = _observation(Y, candidate, D)
-        # free the batch's intermediates before the decoder allocates: the
-        # heap's high-water mark sets the resident peak
-        del zdith, noise, D, Y
+        del D, Y
         dec = _index_digits(_decode_leader_indices(lat, S), q, c.l_c, c.l_f)
+        del S
 
         truth = np.zeros((m, l_m), dtype=np.int64)
         for l in range(L):

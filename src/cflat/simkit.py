@@ -168,17 +168,28 @@ def _joint_rates(parsed: list, fields: dict, h: np.ndarray, P: np.ndarray, error
     z, naive = None in am, ("naive", None) in parsed
     blocks = 2 * np.arange(n)[:, None]  # naive_Z's block j search, its rate next
     coords = {}
-    if fields:
-        keys = [("am", d) for d in fields]
-        rings = _ring_coords(list(fields.values()), h, P, rank(keys, 0), errors)
-        coords.update(zip(keys, rings))
-    if z or naive:
-        kinds = [("am", None)] * z + [("naive", None)] * (n * naive)
-        steps = np.concatenate([[[0]]] * z + [blocks] * naive)
-        ints = _integer_coords(h, P, z, naive, rank(kinds, steps), errors)
-        if z:
-            coords["am", None] = ints[0]
-        coords["naive", None] = ints[z:]
+
+    def ring_search():
+        if fields:
+            keys = [("am", d) for d in fields]
+            rings = _ring_coords(list(fields.values()), h, P, rank(keys, 0), errors)
+            coords.update(zip(keys, rings))
+
+    def integer_search():
+        if z or naive:
+            kinds = [("am", None)] * z + [("naive", None)] * (n * naive)
+            steps = np.concatenate([[[0]]] * z + [blocks] * naive)
+            ints = _integer_coords(h, P, z, naive, rank(kinds, steps), errors)
+            if z:
+                coords["am", None] = ints[0]
+            coords["naive", None] = ints[z:]
+
+    # the searches run in the order of their schemes' first ranks, so the
+    # later one runs no single call for an item ranked after an error the
+    # earlier one found: the first scheme that searches decides
+    ring_first = next((d is not None for kind, d in parsed if kind != "mac"), True)
+    for search in (ring_search, integer_search) if ring_first else (integer_search, ring_search):
+        search()
     rates = {}
     if ("mac", None) in parsed:
         rates["mac", None] = _mac_sum(_user_columns(h), P)

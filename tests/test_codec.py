@@ -831,6 +831,65 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_codec(powered_lattice, ch, cand, 0, seed=1)
 
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf, -math.inf, -1.0], ids=repr)
+    def test_noise_scale_must_be_finite_and_nonnegative(self, powered_lattice, noise_std):
+        # a NaN or infinite scale made every observation NaN, which decoded
+        # to leader 0 with only RuntimeWarnings; 0.0, the noiseless setting,
+        # runs (test_noiseless_matched_channel_error_free)
+        ch = BlockFadingChannel(np.array([[0.9, -0.3], [0.2, 1.1]]), 100.0)
+        cand = best_equation(F5, ch)
+        with pytest.raises(ValueError, match="noise_std"):
+            simulate_codec(powered_lattice, ch, cand, 100, 1, noise_std)
+
+    @pytest.mark.parametrize("name", ["powered_lattice", "lat121"])
+    def test_steps_leave_their_arguments_unchanged(self, request, name):
+        # the batch steps write into arrays they own, never into an argument
+        lat = request.getfixturevalue(name)
+        c = lat.codes
+        ch = BlockFadingChannel(np.array([[0.9, -0.3], [0.2, 1.1]]), 100.0)
+        cand = best_equation(F5, ch)
+        rng = np.random.default_rng(31)
+        W = rng.integers(0, lat.Fq.q, size=(5, 2, c.l_f - c.l_c))
+        D = draw_dithers(lat, rng, (5, 2))
+        Y = rng.standard_normal((lat.n, lat.T)) * lat.gamma
+        arrays = [W, D, Y, ch.h, cand.sigma, cand.b, cand.nu_sq]
+        arrays += [v for v in vars(lat).values() if isinstance(v, np.ndarray)]
+        before = [a.tobytes() for a in arrays]
+        encode(lat, W, D)
+        encode(lat, W[0, 0], D)  # a dither that broadcasts the codeword
+        reduce_mod_coarse(lat, D)
+        decode_equation(lat, Y, cand, D[0])
+        simulate_codec(lat, ch, cand, 100, seed=4)
+        assert [a.tobytes() for a in arrays] == before
+
+    def test_batch_memory_is_the_decoder_table(self, powered_lattice):
+        # Two batches of the README code.  Every step writes into an array
+        # it owns, so the traced peak is the decoder's: the batch's
+        # observations S (B, n, T) and messages (B, L, l_m); one table row of
+        # B doubles per (coordinate, residue) pair, T q rows at most; the
+        # (B, n) shifted column and its rotation; the (3, 3, B) window; and
+        # the previous batch's (B, l_m) decodes and truths.  The encode
+        # phase holds less: the messages, the dithers D (B, L, n, T), the
+        # noise, the codewords X (B, L, n, T) and the fold's product.  An
+        # allowance of 128 KiB covers numpy's 64 KiB iterator buffer and the
+        # small objects.
+        lat = powered_lattice
+        ch = BlockFadingChannel(np.array([[0.9, -0.3], [0.2, 1.1]]), 100.0)
+        cand = best_equation(F5, ch)
+        B, n, T, L = cflat.codec._SIM_BATCH, lat.n, lat.T, ch.L
+        l_m = lat.codes.l_f - lat.codes.l_c
+        rows = T * lat.Fq.q
+        doubles = n * T + L * l_m + rows + 2 * n + 9 + 2 * l_m
+        bound = 8 * B * doubles + 128 * 2**10
+        simulate_codec(lat, ch, cand, 100, seed=1)  # first-call set-up
+        tracemalloc.start()
+        try:
+            simulate_codec(lat, ch, cand, 2 * B, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
 
 def einsum_block_sum(w, X):
     """The einsum _block_sum replaced in _observation and simulate_codec: the

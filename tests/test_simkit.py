@@ -428,8 +428,12 @@ class TestRunSweep:
             (("naive_Z", "am_Z"), 2, 2, 2, 3000.0, [(2, 4, 60)], 20),
             (("naive_Z", "am_ring(5)"), 2, 3, 2, 3000.0, [(2, 2, 60)], 29),
             (("am_ring(5)",), 1, 2, 20, 120.0, [(40, 40, 1)], 1),
+            (("naive_Z", "am_ring(3)"), 2, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 20),
         ],
-        ids=["two-rings", "two-rings-and-Z", "naive-and-Z", "ring-of-degree-2-at-n-3", "L20"],
+        ids=[
+            "two-rings", "two-rings-and-Z", "naive-and-Z", "ring-of-degree-2-at-n-3", "L20",
+            "naive-then-ring",
+        ],
     )
     def test_failing_sweep_searches_once(
         self, schemes, seed, n, L, snr_db, batches, most, monkeypatch
@@ -441,7 +445,10 @@ class TestRunSweep:
         # (raised for its first item, after naive_Z's items), or a 40-D
         # search refused at the node budget.  No basis runs the single call
         # twice, and no basis ranked after the first failing search runs it
-        # (at most the measured counts: 36, 50, 44, 41 and 1 at the parent)
+        # (at most the measured counts: 36, 50, 44, 41 and 1 at the parent).
+        # The integer and ring searches run in the order of their schemes,
+        # so naive_Z's trial-9 RankDeficient stops am_ring(3)'s single calls:
+        # 20, as for naive_Z alone (40 with the ring search run first)
         calls, singles = [], []
         real, real_single = svp._lll_batch, svp._lll_shortest
 

@@ -730,8 +730,9 @@ class TestLLLBatch:
         assert cold == []
 
     def test_each_basis_as_if_alone(self, monkeypatch):
-        # a 20-trial headline unit makes two _lll_chunk calls, the 660 ring
-        # bases and the 660 integer bases of am_Z and both naive_Z blocks.
+        # a 20-trial headline unit makes two _lll_chunk calls, in the order
+        # of the schemes: the 660 integer bases of am_Z and both naive_Z
+        # blocks, then the 660 ring bases.
         # Live-only rounds gather the unfinished bases into smaller arrays,
         # so each basis' outputs must be those _lll_batch gives it alone:
         # b, mu and norms bit for bit, T as integers
@@ -744,7 +745,7 @@ class TestLLLBatch:
 
         monkeypatch.setattr(svp, "_lll_chunk", recording)
         run_sweep(SweepConfig(trials=20, master_seed=1000))
-        assert [c.shape for c in chunks] == [(4, 4, 660), (2, 4, 660)]
+        assert [c.shape for c in chunks] == [(2, 4, 660), (4, 4, 660)]
         for cols in chunks:
             b, T, mu, norms, exact = _lll_batch(cols)
             assert exact.all()
