@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import BlockFadingChannel, _dot, _mac_sum, _snr_linear, _user_columns
 from .numfield import make_quadratic_field
-from .svp import _am_rates, _integer_coords, _naive_rates, _ring_coords
+from .svp import _am_rates, _naive_rates, _search_coords
 
 __all__ = [
     "InsufficientPoints",
@@ -149,9 +149,9 @@ def _check_channels(h: np.ndarray, Ps: list) -> None:
 
 def _joint_rates(parsed: list, fields: dict, h: np.ndarray, P: np.ndarray, errors: dict):
     """Every scheme's rates (schemes, batch) on the channels h (batch, n, L)
-    at the SNRs P (batch,), from joint passes: one search over the bases of
-    every am_ring(d) scheme, one over those of am_Z and both naive_Z
-    blocks, one _am_terms pass over every arithmetic-mean scheme and one
+    at the SNRs P (batch,), from joint passes: one search pass over the
+    bases of every am_ring(d) scheme, of am_Z and of both naive_Z blocks,
+    one _am_terms pass over every arithmetic-mean scheme and one
     _block_terms pass over both naive_Z blocks.  Each pass puts the error
     of every item whose single call would raise into errors, under the
     item's place in cold-call order: scheme, then item, then step, the
@@ -166,30 +166,15 @@ def _joint_rates(parsed: list, fields: dict, h: np.ndarray, P: np.ndarray, error
 
     am = list(dict.fromkeys(d for kind, d in parsed if kind == "am"))
     z, naive = None in am, ("naive", None) in parsed
-    blocks = 2 * np.arange(n)[:, None]  # naive_Z's block j search, its rate next
-    coords = {}
-
-    def ring_search():
-        if fields:
-            keys = [("am", d) for d in fields]
-            rings = _ring_coords(list(fields.values()), h, P, rank(keys, 0), errors)
-            coords.update(zip(keys, rings))
-
-    def integer_search():
-        if z or naive:
-            kinds = [("am", None)] * z + [("naive", None)] * (n * naive)
-            steps = np.concatenate([[[0]]] * z + [blocks] * naive)
-            ints = _integer_coords(h, P, z, naive, rank(kinds, steps), errors)
-            if z:
-                coords["am", None] = ints[0]
-            coords["naive", None] = ints[z:]
-
-    # the searches run in the order of their schemes' first ranks, so the
-    # later one runs no single call for an item ranked after an error the
-    # earlier one found: the first scheme that searches decides
-    ring_first = next((d is not None for kind, d in parsed if kind != "mac"), True)
-    for search in (ring_search, integer_search) if ring_first else (integer_search, ring_search):
-        search()
+    blocks = list(range(n)) * naive  # naive_Z's block j search, its rate next
+    rings = [("am", d) for d in fields]
+    ints = [("am", None)] * z + [("naive", None)] * len(blocks)
+    steps = np.array([0] * z + [2 * j for j in blocks], dtype=int)[:, None]
+    ranks = rank(rings, 0), rank(ints, steps)
+    ring_coords, int_coords = _search_coords(
+        list(fields.values()), [None] * z + blocks, h, P, ranks, errors
+    )
+    coords = dict(zip(rings + ints[:z], [*ring_coords, *int_coords[:z]]))
     rates = {}
     if ("mac", None) in parsed:
         rates["mac", None] = _mac_sum(_user_columns(h), P)
@@ -199,8 +184,8 @@ def _joint_rates(parsed: list, fields: dict, h: np.ndarray, P: np.ndarray, error
         am_rates = _am_rates([fields.get(d) for d in am], h, P, am_coords, rank(keys, 1), errors)
         rates.update(zip(keys, am_rates))
     if naive:
-        ranks = rank([("naive", None)] * n, blocks + 1)
-        rates["naive", None] = _naive_rates(h, P, coords["naive", None], ranks, errors)
+        ranks = rank([("naive", None)] * n, steps[z:] + 1)
+        rates["naive", None] = _naive_rates(h, P, int_coords[z:], ranks, errors)
     return np.array([rates[s] for s in parsed])
 
 
@@ -208,21 +193,23 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Evaluate every scheme on common channel draws: one draw per trial is
     shared across all schemes and SNR points.  After every SNR point's
     channel checks, the schemes run as joint batches over all (SNR point,
-    trial) pairs (_joint_rates): one coefficient search over the bases of
-    every am_ring(d) scheme and one over those of am_Z and naive_Z, chunk by
-    chunk, then one rate pass for all arithmetic-mean schemes and one for
-    naive_Z's blocks.  `threads` is accepted and ignored (a thread pool over
-    this interpreter-bound work ran slower than one thread).
+    trial) pairs (_joint_rates): one coefficient search pass, which
+    certifies the ring bases of every am_ring(d) scheme and the integer
+    bases of am_Z and naive_Z chunk by chunk and then runs one queue of
+    single calls, then one rate pass for all arithmetic-mean schemes and
+    one for naive_Z's blocks.  `threads` is accepted and ignored (a thread
+    pool over this interpreter-bound work ran slower than one thread).
 
     A batch runs the same floating-point operations as a single call, and
     its search answers are certified to be those of a cold call, so the
     rates equal mac_sum_capacity, naive_rate and best_equation calls bit
     for bit.  Each pass keeps, for every item that fails, the error its
     single call raises; a rate pass runs only on items whose search has an
-    answer, and a search runs no single call for an item after the first
-    error recorded so far.  The sweep raises the first of these errors in the
-    order of cold calls: scheme, then SNR point, then trial, and for
-    naive_Z block by block, each block's search before its rate."""
+    answer, and the search pass runs no single call for an item ranked
+    after the first error recorded so far.  The sweep raises the first of
+    these errors in the order of cold calls: scheme, then SNR point, then
+    trial, and for naive_Z block by block, each block's search before its
+    rate."""
     parsed = [_parse_scheme(s) for s in cfg.schemes]
     fields = {
         d: make_quadratic_field(d) for _, d in parsed if d is not None

@@ -8,15 +8,16 @@ The SVP is solved exactly, by LLL then Schnorr-Euchner enumeration
 (Schnorr and Euchner, Math. Programming 1994); a brute-force box search is
 kept as an independent oracle.  The sweep builds and checks its bases, and
 runs an odd-even LLL (Lenstra, Lenstra and Lovasz, Math. Ann. 1982;
-Villard, ISSAC 1992), over a batch of channels at once, the bases of all
-its ring schemes together, a chunk of channels at a time.  It takes an
-answer from its own reduction only where that answer is certified to be
-the one of a single call: the first reduced vector where it is provably
-the unique shortest, for the other bases of up to six columns the
-minimum of a box of reduced coordinates that provably holds every vector
-near it (Fincke and Pohst, Math. Comp. 1985), and for the rest an
-enumeration over its own factor, each with a margin over the rounding of
-both reductions.  Ties, near ties and skewed bases run the single call.
+Villard, ISSAC 1992), over a batch of channels at once, the ring bases of
+all its schemes together and the integer ones together, a chunk at a time.
+It takes an answer from its own reduction only where that answer is
+certified to be the one of a single call: the first reduced vector where
+it is provably the unique shortest, for the other bases of up to six
+columns the minimum of a box of reduced coordinates that provably holds
+every vector near it (Fincke and Pohst, Math. Comp. 1985), and for the
+rest an enumeration over its own factor, each with a margin over the
+rounding of both reductions.  Ties, near ties and skewed bases run the
+single call, all of them in one queue in the order of cold calls.
 Every shortest-vector enumeration stops at a node budget with
 SearchTooLarge.
 """
@@ -529,54 +530,56 @@ def _lll_shortest(cols: list) -> SVPResult:
 _LLL_CHUNK = 4096
 
 
-def _shortest_batch(bases: np.ndarray, P, rank: np.ndarray, errors: dict):
-    """shortest_vector on each basis of a (batch, m, k) array: coordinates
-    (batch, k) as floats, and norms, equal to shortest_vector's, NaN where
-    the basis has no answer.  rank (batch,) holds each basis' place in the
-    order of cold calls, and P, a float or an array (batch,), its SNR (NaN
-    where unknown).
+def _shortest_batch(chunks, errors: dict) -> list:
+    """shortest_vector on each basis of each chunk (bases, P, rank): a
+    (batch, m, k) array of bases, their SNRs P (batch,), NaN where unknown,
+    and their places rank (batch,) in the order of cold calls.  Gives each
+    chunk's coordinates (batch, k) as floats, equal to shortest_vector's,
+    NaN where the basis has no answer.
 
     A basis whose shortest_vector call would raise gets that error in
     errors under its rank; a SearchTooLarge names the basis' SNR.  errors
-    may already hold errors of other searches: a basis ranked after the
-    first error recorded so far runs no single call and has no answer, as
-    its result cannot change which error comes first.  _lll_chunk answers
-    _LLL_CHUNK bases at a time where it can certify the answer; the rest
-    run _lll_shortest one at a time, in rank order, except the non-finite
-    bases, which fail _finite_column_batch's check."""
-    cols, bad = _finite_column_batch(bases)
-    coords = np.empty((len(bases), len(cols)))
-    norms = np.empty(len(bases))
-    solved = np.empty(len(bases), dtype=bool)
-    for lo in range(0, len(bases), _LLL_CHUNK):
-        part = slice(lo, lo + _LLL_CHUNK)
-        coords[part], norms[part], solved[part] = _lll_chunk(cols[..., part])
-    for i, exc in bad.items():
-        errors[int(rank[i])] = exc
-        solved[i] = False
+    may already hold errors of other searches.  _lll_chunk answers each
+    chunk's bases where it can certify the answer, and the non-finite
+    bases fail _finite_column_batch's check.  Once every chunk is
+    certified, the rest run _lll_shortest one at a time, in rank order
+    across all chunks, except those ranked after the first error recorded
+    so far: they have no answer, as their results cannot change which
+    error comes first."""
+    out, held, queue = [], [], []
+    for c, (bases, P, rank) in enumerate(chunks):
+        cols, bad = _finite_column_batch(bases)
+        coords, solved = _lll_chunk(cols)
+        for i, exc in bad.items():
+            errors[int(rank[i])] = exc
+            solved[i] = False
+        left = np.flatnonzero(~solved)
+        coords[left] = math.nan
+        out.append(coords)
+        held.append((cols[..., left], P[left]))
+        queue += [(int(rank[i]), c, j, i) for j, i in enumerate(left.tolist())]
     first = min(errors, default=math.inf)
-    for i in sorted(np.flatnonzero(~solved).tolist(), key=rank.__getitem__):
-        r = int(rank[i])
-        coords[i], norms[i] = math.nan, math.nan
+    for r, c, j, i in sorted(queue):
         if r >= first:  # a non-finite basis, or one after the first error
             continue
+        cols, P = held[c]
         try:
-            res = _lll_shortest(cols[..., i].tolist())
+            res = _lll_shortest(cols[..., j].tolist())
         except SearchTooLarge as exc:
-            errors[r] = SearchTooLarge(exc.dim, float(np.broadcast_to(P, len(bases))[i]))
+            errors[r] = SearchTooLarge(exc.dim, float(P[j]))
         except ValueError as exc:
             errors[r] = exc
         else:
-            coords[i], norms[i] = res.coords, res.norm_sq
+            out[c][i] = res.coords
             continue
         first = r
-    return coords, norms
+    return out
 
 
-def _lll_chunk(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lll_chunk(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_lll_shortest's answer on each basis of cols (k, m, batch), read off
-    _lll_batch's reduction where it is certified: (coords, norms, solved),
-    each basis' coordinates (batch, k) and norm where `solved` holds.
+    _lll_batch's reduction where it is certified: (coords, solved), each
+    basis' coordinates (batch, k) where `solved` holds.
 
     The answer is certified where, in the batch's arithmetic, one vector
     up to sign is shorter than every other by the factor tie = (1 +
@@ -644,7 +647,7 @@ def _lll_chunk(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # + 0.0: a zero coordinate is +0.0, as in shortest_vector's integers
         lead = np.where(sign < 0.0, -lead, lead) + 0.0
         norm_sq = _norm_sq(cols, lead)
-    return lead.T, norm_sq, solved & (norm_sq != 0.0)
+    return lead.T, solved & (norm_sq != 0.0)
 
 
 def _inverse_row_norms(mu: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -802,68 +805,72 @@ def best_equation(
     return am_rate(ch, _coords_to_coefficients(field, res.coords, ch.L), field)
 
 
-def _ring_coords(fields: list, h: np.ndarray, P: np.ndarray, rank: np.ndarray, errors: dict):
-    """The search coordinates of best_equation for each field of the list,
-    (len(fields), batch, L deg), over the channels h (batch, n, L) at the
-    SNRs P (batch,), NaN where a search has no answer; rank (len(fields),
-    batch) holds each search's place in cold-call order, and errors gets
-    each failed search's error under it, as _shortest_batch records them.
-    A field whose degree is not n fails every item's search, item 0's
-    first.  One _shortest_batch call takes every other field's bases for a
-    run of channels, at most _LLL_CHUNK bases: bases of the same shape
-    share the batched LLL's rounds, and only one chunk's bases are held at
-    once."""
+def _search_coords(fields: list, blocks: list, h: np.ndarray, P, rank: tuple, errors: dict):
+    """The search coordinates over the channels h (batch, n, L) at the SNRs
+    P, a float or an array (batch,), NaN where a search has no answer:
+    best_equation's for each field of fields (len(fields), batch, L n), and
+    for each kind of blocks (len(blocks), batch, L), best_equation's over Z
+    for None and best_integer_block's for block j for j.  rank pairs their
+    places in cold-call order, and errors gets each failed search's error
+    under its rank.  A field whose degree is not n fails every item's
+    search, item 0's first.
+
+    The integer bases and the other fields' ring bases form two groups of
+    one shape each, built and certified in chunks of at most _LLL_CHUNK
+    bases: a run of channels with all the group's kinds, or a part of one
+    channel's kinds where they do not fit.  Then one queue of single calls
+    takes the uncertified bases of both groups in rank order
+    (_shortest_batch)."""
     size, n, L = h.shape
-    coords = np.full((len(fields), size, L * n), math.nan)
+    P = np.broadcast_to(P, size)
+    ring = np.full((len(fields), size, L * n), math.nan)
+    ints = np.full((len(blocks), size, L), math.nan)
     live = []
     for k, field in enumerate(fields):
         if field.degree == n:
             live.append(k)
         elif size:
-            errors[int(rank[k, 0])] = _degree_mismatch(field, n)
-    if not live:
-        return coords
-    step = max(1, _LLL_CHUNK // len(live))
-    for lo in range(0, size, step):
-        part = slice(lo, lo + step)
-        bases = _search_bases([fields[k] for k in live], h[part], P[part])
-        Pk, ranks = np.tile(P[part], len(live)), rank[live, part].ravel()
-        found = _shortest_batch(bases, Pk, ranks, errors)[0]
-        coords[live, part] = found.reshape(len(live), -1, L * n)
-    return coords
+            errors[int(rank[0][k, 0])] = _degree_mismatch(field, n)
+    # each group's basis function, kinds, and their rows of the output and rank
+    groups = [
+        (_integer_bases, blocks, list(range(len(blocks))), ints, rank[1]),
+        (_search_bases, [fields[k] for k in live], live, ring, rank[0]),
+    ]
+    parts = []
+    for build, kinds, rows, out, r in groups:
+        if not kinds:
+            continue
+        per = min(len(kinds), _LLL_CHUNK)
+        run = _LLL_CHUNK // per
+        for lo in range(0, size, run):
+            part = slice(lo, lo + run)
+            for k in range(0, len(kinds), per):
+                parts.append((build, kinds[k : k + per], rows[k : k + per], out, r, part))
+    chunks = (
+        (build(kinds, h[part], P[part]), np.tile(P[part], len(kinds)), r[rows, part].ravel())
+        for build, kinds, rows, _, r, part in parts
+    )
+    for (_, _, rows, out, _, part), coords in zip(parts, _shortest_batch(chunks, errors)):
+        out[rows, part] = coords.reshape(len(rows), -1, out.shape[2])
+    return ring, ints
 
 
-def _integer_coords(h: np.ndarray, P, am: bool, blocks: bool, rank: np.ndarray, errors: dict):
-    """The integer search coordinates (am + n blocks, batch, L) over the
-    channels h (batch, n, L) at the SNRs P, a float or an array (batch,):
-    with am, best_equation's over Z first, then with blocks
-    best_integer_block's for each block j of naive_rate.  As _ring_coords,
-    NaN where a search has no answer, with each failed search's error in
-    errors under its rank (am + n blocks, batch), and one _shortest_batch
-    call takes all of them for a run of channels.  The (L, L) block roots
-    share the (nL, L) shape of the Z bases, padded with zero rows: the
-    padded basis spans the same lattice with the same coordinates and
-    lengths, and every sum over its rows only adds 0.0."""
+def _integer_bases(blocks: list, h: np.ndarray, P) -> np.ndarray:
+    """The integer search bases (len(blocks) batch, m, L) over the channels
+    h (batch, n, L) at the SNRs P, item k batch + i for channel i, in
+    _search_bases' layout: for kind None best_equation's over Z, for kind j
+    best_integer_block's root of block j.  With a Z basis among them, m =
+    nL and the (L, L) roots are padded with zero rows, which span the same
+    lattice with the same coordinates and lengths: every sum over the rows
+    only adds 0.0."""
     size, n, L = h.shape
-    P = np.broadcast_to(P, size)
-    kinds = am + n * blocks
-    coords = np.empty((kinds, size, L))
-    dim = n * L if am else L
-    step = max(1, _LLL_CHUNK // kinds)
-    for lo in range(0, size, step):
-        part = slice(lo, lo + step)
-        hp, Pp = h[part], P[part]
-        # the column layout _finite_column_batch reads: basis k run + i is
-        # cols[..., k run + i].T
-        cols = np.zeros((L, dim, kinds, len(hp)))
-        if am:
-            cols[..., 0, :] = _search_bases([None], hp, Pp).T
-        for j in range(n * blocks):
-            cols[:, :L, am + j] = _gram_sqrt(hp[:, j], Pp).T
-        cols = cols.reshape(L, dim, -1)
-        found = _shortest_batch(cols.T, np.tile(Pp, kinds), rank[:, part].ravel(), errors)[0]
-        coords[:, part] = found.reshape(kinds, -1, L)
-    return coords
+    cols = np.zeros((L, n * L if None in blocks else L, len(blocks), size))
+    for k, j in enumerate(blocks):
+        if j is None:
+            cols[..., k, :] = _search_bases([None], h, P).T
+        else:
+            cols[:, :L, k] = _gram_sqrt(h[:, j], P).T
+    return cols.reshape(L, len(cols[0]), -1).T
 
 
 def _am_rates(fields: list, h: np.ndarray, P, coords: list, rank: np.ndarray, errors: dict):

@@ -25,6 +25,7 @@ from cflat.codec import RadiusTooSmall, build_construction_a
 from cflat.svp import best_equation
 from cflat.numfield import make_quadratic_field, prime_above
 from blas_kernels import outputs_per_kernel
+from child_env import child_env
 
 
 class TestParseConfig:
@@ -113,9 +114,7 @@ class TestParseConfig:
             "for spec in sys.argv[1:]:\n"
             "    print(main(['sweep', '--snr-db=' + spec, '--trials', '1', '--schemes', 'mac']))\n"
         )
-        src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        env = child_env()
         out = subprocess.run(
             [sys.executable, "-c", code, *self.ENDLESS_SNR_RANGES],
             capture_output=True, text=True, timeout=60, env=env,
@@ -403,9 +402,7 @@ class TestCodecCommand:
     def test_mu_half_tie_ideal_finishes(self):
         # the embedded ideal basis of (41, 67) has mu = 1/2 exactly; run in a
         # subprocess so a hang in its reduction fails instead of stalling
-        src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        env = child_env()
         out = subprocess.run(
             [sys.executable, "-m", "cflat.cli", "codec", "--d", "41", "--p", "67",
              "--T", "1", "--lf", "0", "--lc", "0", "--snr-db", "10", "--trials", "10"],
@@ -496,9 +493,7 @@ class TestSvpCommand:
         # in a subprocess so a reduction that loops on the tie fails
         f = tmp_path / "basis"
         f.write_text("2 1 0.5 0 0.8660254037844386\n")
-        src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        env = child_env()
         out = subprocess.run(
             [sys.executable, "-m", "cflat.cli", "svp", "--basis", str(f)],
             capture_output=True, text=True, timeout=60, env=env,
@@ -579,9 +574,7 @@ def test_every_subcommand_exits_0_or_2(case, tmp_path):
     f = tmp_path / "basis"
     if text is not None:
         f.write_text(text + "\n")
-    src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = child_env()
     out = subprocess.run(
         [sys.executable, "-m", "cflat.cli", *(a.replace("{f}", str(f)) for a in argv)],
         capture_output=True, text=True, timeout=30, env=env,
@@ -631,9 +624,7 @@ print("numpy.ma" in sys.modules)
 def test_sweep_does_not_import_numpy_ma(tmp_path):
     # some numpy set routines (setdiff1d) import numpy.ma on first use,
     # about 1.9 MB of resident memory; the sweep uses boolean masks instead
-    src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = child_env()
     out = subprocess.run(
         [sys.executable, "-c", _NUMPY_MA_CHILD, str(tmp_path / "out.csv")],
         capture_output=True, text=True, timeout=60, env=env,
@@ -665,9 +656,7 @@ def test_subcommand_loads_only_the_modules_it_uses(tmp_path, argv, out, modules)
     basis = tmp_path / "basis.txt"
     basis.write_text("3\n4 1 3\n1 3 1\n0 1 4\n")
     argv = [str(basis) if a == "BASIS" else a for a in argv]
-    src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = child_env()
     child = subprocess.run(
         [sys.executable, "-c", _MODULES_CHILD, *argv],
         capture_output=True, text=True, timeout=60, env=env,
@@ -711,9 +700,7 @@ print(code, hwm)
 def test_large_T_codec_memory_does_not_follow_the_calibration_draw(tmp_path):
     # a one-block calibration draw holds two 100,000 x 442 arrays (about
     # 700 MB); the blocked draw holds two blocks of at most 2^14 cells
-    src = os.path.dirname(os.path.dirname(cflat.cli.__file__))
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = child_env()
     out_csv = tmp_path / "codec.csv"
     out = subprocess.run(
         [sys.executable, "-c", _CODEC_T221_CHILD, str(out_csv)],

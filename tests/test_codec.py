@@ -43,6 +43,7 @@ from cflat.codec import (
 from cflat.numfield import RingElement, make_quadratic_field, prime_above, residue_reduce
 from cflat.svp import best_equation
 from blas_kernels import outputs_per_kernel
+from child_env import child_env
 from power_oracle import one_block_m0
 from svp_certificate import box_points
 
@@ -1323,9 +1324,7 @@ def test_ideal_reduction_terminates_on_mu_half_ties():
         f"for d, p in {pairs}:\n"
         "    print(d, p, _ideal_lattice(d, p).prime.r)\n"
     )
-    src = os.path.dirname(os.path.dirname(cflat.codec.__file__))
-    paths = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = child_env(os.path.dirname(__file__))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
     )

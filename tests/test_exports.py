@@ -2,7 +2,6 @@
 the package's lazy export table, which loads a submodule on first access."""
 
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
@@ -10,6 +9,7 @@ import sys
 import pytest
 
 import cflat
+from child_env import child_env
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cflat.__path__))
 
@@ -85,9 +85,7 @@ print(sorted(star) == sorted(cflat.__all__), len(star))
 
 
 def test_fresh_interpreter_loads_only_what_it_uses():
-    src = os.path.dirname(os.path.dirname(cflat.__file__))
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = child_env()
     out = subprocess.run(
         [sys.executable, "-c", _FRESH_CHILD], capture_output=True, text=True, timeout=60, env=env
     )

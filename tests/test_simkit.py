@@ -93,6 +93,10 @@ class TestSampleChannels:
         assert abs(corr) < 0.02
 
 
+# naive_Z between two ring schemes: one search pass interleaves their ranks
+RING_NAIVE_RING = ("am_ring(5)", "naive_Z", "am_ring(3)")
+
+
 class TestRunSweep:
     def test_single_trial_mac_matches_direct(self):
         cfg = SweepConfig(snr_db=(7.0,), trials=1, schemes=("mac",), master_seed=3)
@@ -254,21 +258,21 @@ class TestRunSweep:
         ids=["three-rings-chunk-7", "one-ring", "no-ring"],
     )
     def test_joint_ring_search_equals_per_scheme_calls(self, schemes, chunk, run, monkeypatch):
-        # every ring scheme's bases for a run of (SNR point, trial) items go
-        # through one _shortest_batch call, item k * run + i being ring scheme
-        # k at item i of the run; a chunk of 7 takes runs of two items, six
+        # every ring scheme's bases for a run of (SNR point, trial) items form
+        # one chunk of the search pass, item k * run + i being ring scheme k
+        # at item i of the run; a chunk of 7 takes runs of two items, six
         # bases of three schemes.  The rates equal those of one
         # _shortest_batch call per scheme, bit for bit
         monkeypatch.setattr(svp, "_LLL_CHUNK", chunk)
         cfg = SweepConfig(snr_db=(0.0, 25.0, 50.0), trials=2, schemes=schemes, master_seed=3)
         calls = []
-        real = svp._shortest_batch
+        real = svp._finite_column_batch
 
-        def recording(bases, *args):
+        def recording(bases):
             calls.append(np.array(bases))
-            return real(bases, *args)
+            return real(bases)
 
-        monkeypatch.setattr(svp, "_shortest_batch", recording)
+        monkeypatch.setattr(svp, "_finite_column_batch", recording)
         res = run_sweep(cfg)
         rings = [int(s[len("am_ring(") : -1]) for s in schemes if s.startswith("am_ring")]
         h = np.array([sample_channels(3, t, 2, 2) for t in range(2)])
@@ -289,12 +293,13 @@ class TestRunSweep:
             ]
         else:
             assert not joint
-        monkeypatch.setattr(svp, "_shortest_batch", real)
+        monkeypatch.setattr(svp, "_finite_column_batch", real)
         for k, name in enumerate(schemes):
             if name.startswith("am_ring"):
                 field = make_quadratic_field(int(name[len("am_ring(") : -1]))
                 rank, errors = np.arange(6), {}
-                coords = real(svp._search_bases([field], hs, P), P, rank, errors)[0]
+                chunk = (svp._search_bases([field], hs, P), P, rank)
+                (coords,) = svp._shortest_batch([chunk], errors)
                 want = svp._am_rates([field], hs, P, [coords], rank[None], errors)
                 assert errors == {}
                 assert res.rates[k].tobytes() == want.reshape(3, 2).tobytes()
@@ -325,7 +330,7 @@ class TestRunSweep:
         h = np.array([sample_channels(1, t, 2, 2) for t in range(20)])
         for k, want in ((0, svp.RankDeficient), (1, RAISED[cause])):
             rank, errors = np.arange(40).reshape(2, 20)[[k, 1 - k]], {}
-            svp._ring_coords(fields, h, np.full(20, 10.0**300.0), rank, errors)
+            svp._search_coords(fields, [], h, np.full(20, 10.0**300.0), (rank, None), errors)
             row, t = divmod(min(errors), 20)
             assert row == 0 and type(errors[min(errors)]) is want
             ch = BlockFadingChannel(h[t], 10.0**300.0)
@@ -367,13 +372,14 @@ class TestRunSweep:
         # of best_integer_block; non-finite bases are recorded wherever they
         # are ranked
         bases, errors = patched([None], h, P), {}
-        svp._shortest_batch(bases, P, np.arange(20), errors)
+        svp._shortest_batch([(bases, np.full(20, P), np.arange(20))], errors)
         first = min(errors)
         assert type(errors[first]) is RAISED[cause]
         assert_same_error(errors[first], single_error(svp.shortest_vector, bases[first]))
         cfg = SweepConfig(snr_db=(3000.0,), trials=20, schemes=("naive_Z", "am_Z"), master_seed=2)
         errors = {}
-        svp._integer_coords(h, np.full(20, P), True, True, np.arange(60).reshape(3, 20), errors)
+        rank = np.arange(60).reshape(3, 20)
+        svp._search_coords([], [None, 0, 1], h, np.full(20, P), (None, rank), errors)
         for r, exc in errors.items():
             j, t = divmod(r, 20)
             if j:
@@ -421,34 +427,46 @@ class TestRunSweep:
         assert str(batch.value) == str(single.value)
 
     @pytest.mark.parametrize(
-        "schemes, seed, n, L, snr_db, batches, most",
+        "schemes, seed, n, L, snr_db, batches, single",
         [
             (("am_ring(3)", "am_ring(7)"), 1, 2, 2, 3000.0, [(4, 4, 40)], 17),
-            (("am_ring(3)", "am_ring(5)", "am_Z"), 3, 2, 2, 3000.0, [(4, 4, 40), (2, 4, 20)], 40),
+            (("am_ring(3)", "am_ring(5)", "am_Z"), 3, 2, 2, 3000.0, [(2, 4, 20), (4, 4, 40)], 40),
             (("naive_Z", "am_Z"), 2, 2, 2, 3000.0, [(2, 4, 60)], 20),
             (("naive_Z", "am_ring(5)"), 2, 3, 2, 3000.0, [(2, 2, 60)], 29),
             (("am_ring(5)",), 1, 2, 20, 120.0, [(40, 40, 1)], 1),
+            (("naive_Z", "am_ring(3)"), 1, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 5),
             (("naive_Z", "am_ring(3)"), 2, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 20),
+            (("naive_Z", "am_ring(3)"), 3, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 6),
+            (("am_ring(3)", "naive_Z"), 1, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 17),
+            (("am_ring(3)", "naive_Z"), 2, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 40),
+            (("am_ring(3)", "naive_Z"), 3, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 26),
+            (RING_NAIVE_RING, 1, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 40)], 25),
+            (RING_NAIVE_RING, 2, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 40)], 40),
+            (RING_NAIVE_RING, 3, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 40)], 26),
         ],
         ids=[
             "two-rings", "two-rings-and-Z", "naive-and-Z", "ring-of-degree-2-at-n-3", "L20",
-            "naive-then-ring",
+            "naive-then-ring-1", "naive-then-ring", "naive-then-ring-3",
+            "ring-then-naive-1", "ring-then-naive-2", "ring-then-naive-3",
+            "ring-naive-ring-1", "ring-naive-ring-2", "ring-naive-ring-3",
         ],
-    )
+    )  # fmt: skip
     def test_failing_sweep_searches_once(
-        self, schemes, seed, n, L, snr_db, batches, most, monkeypatch
+        self, schemes, seed, n, L, snr_db, batches, single, monkeypatch
     ):
         # A failing sweep reduces each chunk of each lattice shape once, in
-        # its joint search, and raises the error cold calls raise first: a
-        # rate error of an item before the first failing search, an integer
-        # search's RankDeficient, a ring scheme whose field degree is not n
-        # (raised for its first item, after naive_Z's items), or a 40-D
-        # search refused at the node budget.  No basis runs the single call
-        # twice, and no basis ranked after the first failing search runs it
-        # (at most the measured counts: 36, 50, 44, 41 and 1 at the parent).
-        # The integer and ring searches run in the order of their schemes,
-        # so naive_Z's trial-9 RankDeficient stops am_ring(3)'s single calls:
-        # 20, as for naive_Z alone (40 with the ring search run first)
+        # its search pass, integer bases first, and raises the error cold
+        # calls raise first: a rate error of an item before the first
+        # failing search, an integer search's RankDeficient, a ring scheme
+        # whose field degree is not n (raised for its first item, after
+        # naive_Z's items), or a 40-D search refused at the node budget.  No
+        # basis runs the single call twice.  The single calls of both lattice
+        # shapes form one queue in cold-call order, which runs none ranked
+        # after the first error: where naive_Z sits between two ring
+        # schemes, its trial-9 RankDeficient stops am_ring(3)'s single calls
+        # (25, 40 and 26 for seeds 1-3, against 42, 60 and 46 with a queue
+        # per lattice shape); where the schemes do not interleave, the
+        # counts are those of a queue per shape run in scheme order
         calls, singles = [], []
         real, real_single = svp._lll_batch, svp._lll_shortest
 
@@ -468,9 +486,28 @@ class TestRunSweep:
         )
         batch = single_error(run_sweep, cfg)
         assert calls == batches
-        assert len(set(singles)) == len(singles) <= most
+        assert len(set(singles)) == len(singles) == single
         monkeypatch.undo()
         assert_same_error(batch, single_error(cold_rates, cfg))
+
+    def test_one_channels_bases_split_at_the_chunk(self, monkeypatch):
+        # at n = 3, am_Z and naive_Z have four integer bases per channel,
+        # more than a chunk of 3: each channel's bases are certified as a
+        # chunk of three and one of one, so no _lll_batch call holds more
+        # than _LLL_CHUNK bases, and the rates are those of cold calls
+        monkeypatch.setattr(svp, "_LLL_CHUNK", 3)
+        sizes = []
+        real = svp._lll_batch
+
+        def recording(cols):
+            sizes.append(cols.shape[2])
+            return real(cols)
+
+        monkeypatch.setattr(svp, "_lll_batch", recording)
+        cfg = SweepConfig(n=3, snr_db=(0.0, 20.0), trials=2, schemes=("naive_Z", "am_Z"))
+        res = run_sweep(cfg)
+        assert sizes == [3, 1] * 4
+        assert res.rates.tobytes() == cold_rates(cfg).tobytes()
 
     def test_one_ring_scheme_searches_once(self, capsys, monkeypatch):
         # With one ring scheme whose bases fit one chunk, the joint search
@@ -501,7 +538,7 @@ class TestRunSweep:
         def broken(*args):
             raise TypeError("joint search broken")
 
-        monkeypatch.setattr(simkit, "_ring_coords", broken)
+        monkeypatch.setattr(simkit, "_search_coords", broken)
         with pytest.raises(TypeError, match="joint search broken"):
             run_sweep(SweepConfig(snr_db=(10.0,), trials=2))
 

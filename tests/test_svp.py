@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import cflat
 import cflat.svp as svp
 
 from cflat.channel import (
@@ -53,6 +51,7 @@ from cflat.svp import (
     shortest_vector,
 )
 
+from child_env import child_env
 from rate_oracle import gram_matrix
 from svp_certificate import box_points, certify_shortest
 
@@ -94,12 +93,20 @@ def after_a_good_basis(B):
 
 
 def batch_search(bases, P=math.nan):
-    """_shortest_batch on the bases, ranked in batch order as a loop of
-    shortest_vector calls: (coords, norms, errors by basis index)."""
+    """_shortest_batch on the bases as one chunk, ranked in batch order as a
+    loop of shortest_vector calls: (coords, norms, errors by basis index),
+    each norm that of the basis' coordinates (norms_of)."""
     errors = {}
     bases = np.asarray(bases, dtype=float)
-    coords, norms = _shortest_batch(bases, P, np.arange(len(bases)), errors)
-    return coords, norms, errors
+    (coords,) = _shortest_batch([(bases, np.full(len(bases), P), np.arange(len(bases)))], errors)
+    return coords, norms_of(bases, coords), errors
+
+
+def norms_of(bases, coords):
+    """_norm_sq of each basis (batch, m, k) at its coordinates (batch, k),
+    as _pick_candidate scores a single call's answer; NaN where the
+    coordinates are NaN."""
+    return np.array([_norm_sq(B.T.tolist(), c.tolist()) for B, c in zip(bases, coords)])
 
 
 def single_error(search, *args):
@@ -450,15 +457,16 @@ MU_HALF_PAIRS = (
 _TIES_CHILD = """
 import numpy as np
 from cflat.numfield import make_quadratic_field, prime_above
-from cflat.svp import _shortest_batch, shortest_vector
+from cflat.svp import _norm_sq, _shortest_batch, shortest_vector
 bases = [np.eye(2), np.array([[1.0, 0.5], [0.0, 0.8660254037844386]])]
 for d, p in {pairs!r}:
     field = make_quadratic_field(d)
     bases.append(field.embedding @ prime_above(field, p).basis_matrix())
-coords, norms = _shortest_batch(np.array(bases), float("nan"), np.arange(len(bases)), {{}})
-for B, c, n in zip(bases, coords, norms):
+chunk = (np.array(bases), np.full(len(bases), np.nan), np.arange(len(bases)))
+(coords,) = _shortest_batch([chunk], {{}})
+for B, c in zip(bases, coords):
     e = shortest_vector(B)
-    print(*e.coords, e.norm_sq.hex(), *c.astype(int), n.hex())
+    print(*e.coords, e.norm_sq.hex(), *c.astype(int), _norm_sq(B.T.tolist(), c.tolist()).hex())
 """
 
 # relative gap between a near tie's reduced norm and the shortest one
@@ -489,9 +497,7 @@ class TestTwoColumnBases:
                 certify_in_reduced_basis(B)
 
     def test_exact_ties_finish_and_batch_equals_single(self):
-        src = os.path.dirname(os.path.dirname(cflat.__file__))
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        env = child_env()
         out = subprocess.run(
             [sys.executable, "-c", _TIES_CHILD.format(pairs=MU_HALF_PAIRS)],
             capture_output=True, text=True, timeout=60, env=env,
@@ -700,9 +706,30 @@ class TestLLLBatch:
         assert_lll_batch_contract(sweep_bases(5, 10, (100.0, 150.0, 200.0), 2))
 
     def test_chunk_boundary(self, monkeypatch):
-        # 8 bases in chunks of 3, the last one short
+        # the search pass certifies 8 bases in chunks of 3, the last one
+        # short, and each basis gets shortest_vector's answer
         monkeypatch.setattr(svp, "_LLL_CHUNK", 3)
-        assert_batch_equals_single(sweep_bases(7, 2, (0.0, 30.0, 60.0, 90.0), 2))
+        sizes = []
+        real = svp._lll_batch
+
+        def recording(cols):
+            sizes.append(cols.shape[2])
+            return real(cols)
+
+        monkeypatch.setattr(svp, "_lll_batch", recording)
+        snrs = (0.0, 30.0, 60.0, 90.0)
+        h = np.array([sample_channels(53, t, 2, 2) for t in range(2)] * 4)
+        P = np.repeat([10.0 ** (s / 10.0) for s in snrs], 2)
+        errors = {}
+        field = make_quadratic_field(7)
+        coords = svp._search_coords([field], [], h, P, (np.arange(8)[None], None), errors)[0][0]
+        assert errors == {} and sizes == [3, 3, 2]
+        bases = sweep_bases(7, 2, snrs, 2)
+        norms = norms_of(bases, coords)
+        for B, c, norm_sq in zip(bases, coords, norms):
+            want = shortest_vector(B)
+            assert tuple(c) == tuple(want.coords)
+            assert norm_sq.hex() == want.norm_sq.hex()
 
     def test_sweep_unit_rounds(self, monkeypatch):
         # a round of the odd-even LLL runs one einsum per column: the 660
@@ -766,25 +793,26 @@ class TestLLLBatch:
         assert bits(coords) == bits([shortest_vector(B).coords for B in bases])
 
     def test_joint_ring_search_equals_per_field_calls(self, monkeypatch):
-        # _ring_coords searches every field's bases for a run of channels in
-        # one _shortest_batch call of at most _LLL_CHUNK bases, field k's
-        # basis for channel i at item k * run + i: a chunk of 7 holds two
-        # channels of each of three fields.  Bases equal build_search_basis's
-        # and coordinates those of one _shortest_batch call per field
+        # _search_coords certifies every field's bases for a run of channels
+        # in one chunk of at most _LLL_CHUNK bases, field k's basis for
+        # channel i at item k * run + i: a chunk of 7 holds two channels of
+        # each of three fields.  Bases equal build_search_basis's and
+        # coordinates those of one _shortest_batch call per field
         monkeypatch.setattr(svp, "_LLL_CHUNK", 7)
         fields = [make_quadratic_field(d) for d in (3, 5, 7)]
         h = np.array([sample_channels(29, t, 2, 2) for t in range(4)] * 3)
         P = np.repeat([1.0, 1e4, 1e8], 4)
         calls = []
-        real = svp._shortest_batch
+        real = svp._finite_column_batch
 
-        def recording(bases, *args):
+        def recording(bases):
             calls.append(bits(bases))
-            return real(bases, *args)
+            return real(bases)
 
-        monkeypatch.setattr(svp, "_shortest_batch", recording)
+        monkeypatch.setattr(svp, "_finite_column_batch", recording)
         errors = {}
-        coords = svp._ring_coords(fields, h, P, np.arange(36).reshape(3, 12), errors)
+        rank = np.arange(36).reshape(3, 12)
+        coords = svp._search_coords(fields, [], h, P, (rank, None), errors)[0]
         assert errors == {}
         assert calls == [
             bits(
@@ -1022,7 +1050,7 @@ def record_fallback(monkeypatch):
     lists that fill, in call order, with the bits of each transform T whose
     basis _box_shortest left unresolved, of each factor R (as an array) that
     _lll_chunk enumerated with a widened tie window, and of each basis (as a
-    (dim, k) array) that _shortest_batch handed to _lll_shortest."""
+    (dim, k) array) that _shortest_batch's queue handed to _lll_shortest."""
     unresolved, enumerated, cold = [], [], []
     real_box, real_enum, real_cold = svp._box_shortest, svp._enumerate, svp._lll_shortest
 
@@ -1089,7 +1117,8 @@ def test_padded_block_roots_equal_best_integer_block(L):
         assert [tuple(c) for c in coords] == [a for a, _ in blocks]
         assert [x.hex() for x in norms] == [f.hex() for _, f in blocks]
         errors = {}
-        joint = svp._integer_coords(h, P, True, True, np.arange(36).reshape(3, 12), errors)
+        rank = np.arange(36).reshape(3, 12)
+        joint = svp._search_coords([], [None, 0, 1], h, P, (None, rank), errors)[1]
         assert errors == {}
         chans = [BlockFadingChannel(x, P) for x in h]
         want = [shortest_vector(build_search_basis(None, ch)).coords for ch in chans]
@@ -1175,7 +1204,7 @@ def naive_batch(h, P):
     size, n, _ = h.shape
     rank = 2 * (n * np.arange(size) + np.arange(n)[:, None])
     errors = {}
-    coords = svp._integer_coords(h, P, False, True, rank, errors)
+    coords = svp._search_coords([], list(range(n)), h, P, (None, rank), errors)[1]
     return _naive_rates(h, P, coords, rank + 1, errors), errors
 
 
