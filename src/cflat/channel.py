@@ -22,6 +22,7 @@ from .numfield import NumberField
 
 __all__ = [
     "ZeroCoefficient",
+    "NoiseIdentityViolated",
     "BlockFadingChannel",
     "EquationCandidate",
     "am_rate",
@@ -33,6 +34,11 @@ __all__ = [
 
 class ZeroCoefficient(ValueError):
     """The equation coefficient vector must be nonzero."""
+
+
+class NoiseIdentityViolated(ValueError):
+    """The two evaluations of the effective noise, sum_j nu_j^2 and P f,
+    disagree: the float evaluation has lost the channel."""
 
 
 @dataclass(frozen=True)
@@ -223,8 +229,8 @@ def _block_terms(h, s, P: float):
 
 def _noise_identity(total, Pf) -> dict:
     """The elements where math.isclose(total, Pf, rel_tol=1e-9,
-    abs_tol=1e-12) fails, {index: AssertionError}, for equal-shape arrays;
-    Python floats raise the AssertionError, so their errors are {}.  On
+    abs_tol=1e-12) fails, {index: NoiseIdentityViolated}, for equal-shape
+    arrays; Python floats raise the error, so their errors are {}.  On
     arrays, numpy runs isclose's own comparisons, which for finite operands
     are its result; elements that are not finite, or that fail, go to
     math.isclose, and each message holds the element's own values."""
@@ -245,8 +251,10 @@ def _noise_identity(total, Pf) -> dict:
     }
 
 
-def _identity_violated(total: float, Pf: float) -> AssertionError:
-    return AssertionError(f"noise identity violated: n*sigma_AM^2={total} vs P*f={Pf}")
+def _identity_violated(total: float, Pf: float) -> NoiseIdentityViolated:
+    return NoiseIdentityViolated(
+        f"noise identity violated: n*sigma_AM^2={total} vs P*f={Pf}"
+    )
 
 
 def _am_terms(h, s, P: float):
@@ -255,8 +263,8 @@ def _am_terms(h, s, P: float):
     decoder, for channel rows h[j] and embeddings s[j] = sigma_j(a), each a
     list over users of operands, and the errors of the elements that fail,
     {index: error}: ZeroCoefficient where every sigma_j(a) is zero, else
-    AssertionError where sum_j nu_j^2 != P f.  For Python floats the error
-    is raised, so the errors are {}."""
+    NoiseIdentityViolated where sum_j nu_j^2 != P f.  For Python floats the
+    error is raised, so the errors are {}."""
     zero = True
     for sj in s:
         for x in sj:

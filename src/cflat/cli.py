@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -323,7 +323,7 @@ def _codec_union_bound(lat, cand) -> float:
 
 def _cmd_codec(args, cfg: CliConfig) -> int:
     from .channel import BlockFadingChannel, _snr_linear
-    from .codec import NestedCodePair, _build_unit, _scale_unit, simulate_codec
+    from .codec import NestedCodePair, _build, _second_moment, simulate_codec
     from .numfield import make_quadratic_field, prime_above
     from .simkit import sample_channels
     from .svp import best_equation
@@ -340,13 +340,14 @@ def _cmd_codec(args, cfg: CliConfig) -> int:
     )
     h = sample_channels(cfg.seed, 0, field.degree, cfg.L)
     # only the scale depends on the SNR: build and calibrate once, then
-    # scale as build_construction_a(..., target_power=P) would
-    unit = _build_unit(field, prime, codes, calibrate=True)
+    # rescale as build_construction_a(..., target_power=P) would
+    unit = _build(field, prime, codes)
+    m0 = _second_moment(unit)
     rows = ["snr_db,error_rate,stderr,union_bound,trials"]
     for snr in cfg.snr_db:
         P = _snr_linear(snr)
         ch = BlockFadingChannel(h, P)
-        lat = _scale_unit(unit, target_power=P)
+        lat = replace(unit, gamma=math.sqrt(P / m0))
         cand = best_equation(field, ch)
         sim = simulate_codec(lat, ch, cand, cfg.trials, cfg.seed)
         ub = _codec_union_bound(lat, cand)

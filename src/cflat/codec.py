@@ -10,9 +10,9 @@ union bound on the decoding error probability with a Monte Carlo counterpart.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +66,7 @@ class DeskScaleExceeded(ValueError):
     """Configuration too large for exact coset-leader decoding."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class NestedCodePair:
     """Nested linear codes over F_{p^r}: the coarse generator is the first
     l_c columns of the fine one, so nesting holds by construction.
@@ -187,12 +187,10 @@ def _hnf_column_basis(generators, dim: int) -> list[list[int]]:
     return basis
 
 
-def _code_lattice_basis(prime: PrimeIdeal, codes: NestedCodePair, l: int):
+def _code_lattice_basis(prime: PrimeIdeal, codes: NestedCodePair, l: int) -> list[list[int]]:
     """Echelon basis, in flat ring coordinates (u_i, v_i interleaved), of the
-    Construction A lattice of the first l code columns (their lifts, times
-    theta too for an inert prime, and the ideal at every coordinate), and its
-    index in O^T: the exact product of the pivots.  That is q^(T - l) when
-    the columns have rank l; any other index raises RankDeficientCode."""
+    Construction A lattice of the first l code columns: their lifts, times
+    theta too for an inert prime, and the ideal at every coordinate."""
     Fq, T = prime.residue_field, codes.T
     gens = []
     for k in range(l):
@@ -202,11 +200,7 @@ def _code_lattice_basis(prime: PrimeIdeal, codes: NestedCodePair, l: int):
     for i in range(T):
         for u, v in prime.basis_matrix().T.tolist():
             gens.append([0] * (2 * i) + [u, v] + [0] * (2 * (T - i - 1)))
-    basis = _hnf_column_basis(gens, 2 * T)
-    index = math.prod(col[i] for i, col in enumerate(basis))
-    if len(basis) != 2 * T or index != codes.q ** (T - l):
-        raise RankDeficientCode(f"the first {l} code columns do not have rank {l}")
-    return basis, index
+    return _hnf_column_basis(gens, 2 * T)
 
 
 def _embedding_map(field: NumberField, T: int) -> np.ndarray:
@@ -223,41 +217,75 @@ def _embedding_map(field: NumberField, T: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclasses.dataclass(eq=False)
 class ConstructionALattice:
-    """Fine/coarse Construction A lattice pair, embedded and power-scaled.
+    """Fine/coarse Construction A lattice pair, embedded and scaled by gamma.
 
-    Immutable after build; all derived arrays are precomputed so encoding,
-    membership and decoding stay cheap.
+    The fields before gamma are the build, which does not depend on the
+    scale; __post_init__ derives the gamma-scaled arrays from them, so
+    dataclasses.replace(lat, gamma=g) rescales a lattice from any scale.
+    Immutable after build; the derived arrays keep encoding, membership and
+    decoding cheap.
     """
 
     field: NumberField
     prime: PrimeIdeal
     codes: NestedCodePair
-    gamma: float
-    T: int
-    Fq: ResidueField
     coset_leaders: np.ndarray  # (K, T, 2) ring coordinates in [0, p)
     leader_residues: np.ndarray  # (K, T) encoded residues
-    embedded_leaders: np.ndarray  # (K, n, T), gamma-scaled
-    vol_fine_unit: float
-    vol_coarse_unit: float
-    region_scaled: np.ndarray  # (nT, nT) columns of the shaping parallelepiped
-    region_inv: np.ndarray
+    embedded_unit: np.ndarray  # (K, n, T) embedded leaders at gamma = 1
+    region_unit: np.ndarray  # (nT, nT) shaping parallelepiped at gamma = 1
     pideal_basis: np.ndarray  # (2, 2) reduced integer columns of the ideal
-    pideal_embedded: np.ndarray  # (2, 2) gamma-scaled embedded ideal basis
-    message_rate_bits: float
-    _phi_inv: np.ndarray
-    _cvp_q: np.ndarray
-    _cvp_r: np.ndarray
+    gamma: float
+    embedded_leaders: np.ndarray = dataclasses.field(init=False)  # (K, n, T)
+    region_scaled: np.ndarray = dataclasses.field(init=False)  # region columns
+    region_inv: np.ndarray = dataclasses.field(init=False)
+    pideal_embedded: np.ndarray = dataclasses.field(init=False)  # (2, 2)
+    _phi_inv: np.ndarray = dataclasses.field(init=False)
+    _cvp_q: np.ndarray = dataclasses.field(init=False)
+    _cvp_r: np.ndarray = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        gamma = self.gamma = float(self.gamma)
+        phi = self.field.embedding
+        self.embedded_leaders = gamma * self.embedded_unit
+        self.region_scaled = gamma * self.region_unit
+        self.region_inv = np.linalg.inv(self.region_scaled)
+        self.pideal_embedded = gamma * (phi @ self.pideal_basis.astype(float))
+        qmat, rmat = np.linalg.qr(self.pideal_embedded)
+        signs = np.sign(np.diag(rmat))
+        self._cvp_q = qmat * signs
+        self._cvp_r = (rmat.T * signs).T
+        self._phi_inv = np.linalg.inv(phi)
 
     @property
     def n(self) -> int:
         return self.field.degree
 
     @property
+    def T(self) -> int:
+        return self.codes.T
+
+    @property
+    def Fq(self) -> ResidueField:
+        return self.prime.residue_field
+
+    @property
     def K(self) -> int:
         return len(self.coset_leaders)
+
+    @property
+    def vol_fine_unit(self) -> float:
+        return _unit_volume(self.field, self.codes, self.codes.l_f)
+
+    @property
+    def vol_coarse_unit(self) -> float:
+        return _unit_volume(self.field, self.codes, self.codes.l_c)
+
+    @property
+    def message_rate_bits(self) -> float:
+        c = self.codes
+        return ((c.l_f - c.l_c) * c.r / c.T) * math.log2(c.p)
 
     def __repr__(self) -> str:
         c = self.codes
@@ -265,6 +293,13 @@ class ConstructionALattice:
             f"ConstructionALattice(d={self.field.d}, p={self.prime.p}, r={self.prime.r}, "
             f"T={self.T}, l_f={c.l_f}, l_c={c.l_c}, gamma={self.gamma:.6g})"
         )
+
+
+def _unit_volume(field: NumberField, codes: NestedCodePair, l: int) -> float:
+    """Volume at gamma = 1 of the lattice of the first l code columns: a
+    rank-l code lifts to index q^(T - l) in O^T, whose embedding has volume
+    disc^(T/2)."""
+    return codes.q ** (codes.T - l) * field.discriminant ** (codes.T / 2)
 
 
 def _digit_weights(q: int, start: int, stop: int) -> np.ndarray:
@@ -279,25 +314,6 @@ def _index_digits(idx, q: int, start: int, stop: int) -> np.ndarray:
     return (np.asarray(idx)[..., None] // _digit_weights(q, start, stop)) % q
 
 
-class _UnitLattice(NamedTuple):
-    """The SNR-independent part of a build: everything at gamma = 1, and the
-    unit region's per-dimension second moment m0 (None when uncalibrated)."""
-
-    field: NumberField
-    prime: PrimeIdeal
-    codes: NestedCodePair
-    leaders: np.ndarray
-    residues: np.ndarray
-    embedded: np.ndarray  # unscaled embedded leaders
-    vol_fine: float
-    vol_coarse: float
-    region: np.ndarray  # unscaled shaping parallelepiped
-    pideal_basis: np.ndarray
-    pideal_embedded: np.ndarray  # unscaled
-    rate: float
-    m0: float | None
-
-
 def build_construction_a(
     field: NumberField,
     prime: PrimeIdeal,
@@ -310,24 +326,21 @@ def build_construction_a(
     With target_power given, gamma is set so the per-dimension second moment
     of the shaping region (Monte Carlo, fixed internal seed) equals the power
     budget; alternatively a gamma may be pinned directly.  The unit volumes
-    q^(T - l) disc^(T/2) are exact, the index q^(T - l) read off an integer
-    basis.  DeskScaleExceeded: over MAX_COSET_LEADERS or a float's range.
+    q^(T - l) disc^(T/2) are closed forms.  DeskScaleExceeded: over
+    MAX_COSET_LEADERS or a float's range.
     """
     if (target_power is None) == (gamma is None):
         raise ValueError("give exactly one of target_power or gamma")
-    unit = _build_unit(field, prime, codes, calibrate=gamma is None)
-    return _scale_unit(unit, target_power, gamma)
+    lat = _build(field, prime, codes)
+    if gamma is None:
+        gamma = math.sqrt(target_power / _second_moment(lat))
+    return dataclasses.replace(lat, gamma=gamma)
 
 
-def _build_unit(
-    field: NumberField, prime: PrimeIdeal, codes: NestedCodePair, calibrate: bool
-) -> _UnitLattice:
-    """Check the inputs and build the lattice pair at gamma = 1; with
-    calibrate, also estimate the shaping region's second moment m0 from
-    _POWER_SAMPLES uniform draws.  The draw runs in blocks of at most
-    _POWER_BLOCK cells from one stream, and the per-sample norms fill one
-    array whose mean is m0: the bits of a one-block draw, without holding
-    the whole draw and its image."""
+def _build(
+    field: NumberField, prime: PrimeIdeal, codes: NestedCodePair
+) -> ConstructionALattice:
+    """Check the inputs and build the lattice pair at gamma = 1."""
     if prime.field is not field and prime.field.d != field.d:
         raise DimensionMismatch("prime ideal belongs to a different field")
     if codes.p != prime.p or codes.r != prime.r:
@@ -358,16 +371,9 @@ def _build_unit(
     if log_vol > math.log(sys.float_info.max) - 1e-9:
         raise DeskScaleExceeded(f"volume {q}^{T - l_c} * {disc}^({T}/2) overflows")
 
-    n = field.degree
     residues = _fq_codewords(Fq, codes.G_f, _index_digits(np.arange(K), q, 0, l_f))
     # the lifts PrimeIdeal.leader gives: u = x mod p, v = x // p
     leaders = np.stack([residues % prime.p, residues // prime.p], axis=-1)
-
-    disc_half = disc ** (T / 2)
-    vol_fine = _code_lattice_basis(prime, codes, l_f)[1] * disc_half
-    coarse_basis, coarse_index = _code_lattice_basis(prime, codes, l_c)
-    vol_coarse = coarse_index * disc_half
-    em = _embedding_map(field, T)
 
     # shaping region: centered fundamental parallelepiped of the coarse lattice
     # (per-coordinate reduced ideal basis when the coarse code is trivial)
@@ -378,74 +384,37 @@ def _build_unit(
         region_cols = np.zeros((2 * T, 2 * T), dtype=np.int64)
         for i in range(T):
             region_cols[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = pideal_basis
-        region_unit = em @ region_cols
     else:
-        region_unit = em @ np.array(coarse_basis, dtype=np.int64).T
+        region_cols = np.array(_code_lattice_basis(prime, codes, l_c), dtype=np.int64).T
 
-    m0 = None
-    if calibrate:
-        rng = np.random.default_rng(_POWER_SEED)
-        norms = np.empty(_POWER_SAMPLES)
-        rows = _POWER_BLOCK // (2 * T)  # T <= 882 under the volume check
-        for start in range(0, _POWER_SAMPLES, rows):
-            out = norms[start : start + rows]
-            samples = rng.uniform(-0.5, 0.5, size=(out.size, 2 * T)) @ region_unit.T
-            np.einsum("ij,ij->i", samples, samples, out=out)
-        m0 = float(norms.mean()) / (n * T)
-
-    phi = field.embedding
-    return _UnitLattice(
+    return ConstructionALattice(
         field=field,
         prime=prime,
         codes=codes,
-        leaders=leaders,
-        residues=residues,
-        embedded=np.einsum("jk,atk->ajt", phi, leaders.astype(float)),
-        vol_fine=vol_fine,
-        vol_coarse=vol_coarse,
-        region=region_unit,
+        coset_leaders=leaders,
+        leader_residues=residues,
+        embedded_unit=np.einsum("jk,atk->ajt", field.embedding, leaders.astype(float)),
+        region_unit=_embedding_map(field, T) @ region_cols,
         pideal_basis=pideal_basis,
-        pideal_embedded=phi @ pideal_basis.astype(float),
-        rate=((l_f - l_c) * prime.r / T) * math.log2(prime.p),
-        m0=m0,
+        gamma=1.0,
     )
 
 
-def _scale_unit(
-    unit: _UnitLattice, target_power: float | None = None, gamma: float | None = None
-) -> ConstructionALattice:
-    """The lattice pair of a unit build scaled by gamma, or by
-    sqrt(target_power / m0) with gamma None."""
-    if gamma is None:
-        gamma = math.sqrt(target_power / unit.m0)
-    region_scaled = gamma * unit.region
-    pideal_embedded = gamma * unit.pideal_embedded
-    qmat, rmat = np.linalg.qr(pideal_embedded)
-    signs = np.sign(np.diag(rmat))
-    qmat = qmat * signs
-    rmat = (rmat.T * signs).T
-
-    return ConstructionALattice(
-        field=unit.field,
-        prime=unit.prime,
-        codes=unit.codes,
-        gamma=float(gamma),
-        T=unit.codes.T,
-        Fq=unit.prime.residue_field,
-        coset_leaders=unit.leaders,
-        leader_residues=unit.residues,
-        embedded_leaders=gamma * unit.embedded,
-        vol_fine_unit=unit.vol_fine,
-        vol_coarse_unit=unit.vol_coarse,
-        region_scaled=region_scaled,
-        region_inv=np.linalg.inv(region_scaled),
-        pideal_basis=unit.pideal_basis,
-        pideal_embedded=pideal_embedded,
-        message_rate_bits=unit.rate,
-        _phi_inv=np.linalg.inv(unit.field.embedding),
-        _cvp_q=qmat,
-        _cvp_r=rmat,
-    )
+def _second_moment(lat: ConstructionALattice) -> float:
+    """Per-dimension second moment m0 of the shaping region at gamma = 1,
+    estimated from _POWER_SAMPLES uniform draws.  The draw runs in blocks
+    of at most _POWER_BLOCK cells from one stream, and the per-sample norms
+    fill one array whose mean is m0: the bits of a one-block draw, without
+    holding the whole draw and its image."""
+    T = lat.T
+    rng = np.random.default_rng(_POWER_SEED)
+    norms = np.empty(_POWER_SAMPLES)
+    rows = _POWER_BLOCK // (2 * T)  # T <= 882 under the volume check
+    for start in range(0, _POWER_SAMPLES, rows):
+        out = norms[start : start + rows]
+        samples = rng.uniform(-0.5, 0.5, size=(out.size, 2 * T)) @ lat.region_unit.T
+        np.einsum("ij,ij->i", samples, samples, out=out)
+    return float(norms.mean()) / (lat.n * T)
 
 
 # ---------------------------------------------------------------------------

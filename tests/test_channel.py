@@ -5,6 +5,7 @@ import pytest
 
 from cflat.channel import (
     BlockFadingChannel,
+    NoiseIdentityViolated,
     ZeroCoefficient,
     _am_terms,
     _mac_sum,
@@ -350,9 +351,9 @@ class TestBatchChecks:
         for i, (a, b) in enumerate(pairs):
             assert list(_noise_identity(np.array([a]), np.array([b]))) == [0] * (i in errors)
             if i in errors:
-                with pytest.raises(AssertionError) as single:
+                with pytest.raises(NoiseIdentityViolated) as single:
                     _noise_identity(a, b)
-                assert type(errors[i]) is AssertionError
+                assert type(errors[i]) is NoiseIdentityViolated
                 assert str(errors[i]) == str(single.value)
             else:
                 assert _noise_identity(a, b) == {}

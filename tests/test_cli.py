@@ -358,15 +358,15 @@ class TestCodecCommand:
 
     @pytest.mark.parametrize("lf, lc", [("1", "0"), ("2", "1")], ids=["k11", "k121"])
     def test_lattice_built_once_per_call(self, tmp_path, monkeypatch, lf, lc):
-        """The unit build and its calibration draw run once per call; the
-        lattice at each SNR point is the one build_construction_a gives."""
-        real_unit, real_rng = cflat.codec._build_unit, np.random.default_rng
+        """The build at gamma = 1 and its calibration draw run once per call;
+        the lattice at each SNR point is the one build_construction_a gives."""
+        real_build, real_rng = cflat.codec._build, np.random.default_rng
         real_sim = cflat.codec.simulate_codec
-        units, draws, used = [], [], []
+        builds, draws, used = [], [], []
 
-        def counting_unit(*args, **kwargs):
-            units.append(args)
-            return real_unit(*args, **kwargs)
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
 
         def counting_rng(seed=None):
             draws.append(seed)
@@ -376,7 +376,7 @@ class TestCodecCommand:
             used.append((ch.P, lat))
             return real_sim(lat, ch, cand, trials, seed)
 
-        monkeypatch.setattr(cflat.codec, "_build_unit", counting_unit)
+        monkeypatch.setattr(cflat.codec, "_build", counting_build)
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         monkeypatch.setattr(cflat.codec, "simulate_codec", recording_sim)
         args = ["codec", "--d", "5", "--p", "11", "--T", "2", "--lf", lf, "--lc", lc,
@@ -384,7 +384,7 @@ class TestCodecCommand:
                 "--output", str(tmp_path / "codec.csv")]  # fmt: skip
         assert main(args) == 0
         monkeypatch.undo()
-        assert len(units) == 1
+        assert len(builds) == 1
         assert draws.count(cflat.codec._POWER_SEED) == 1
         assert [P for P, _ in used] == [10.0 ** (k / 10) for k in range(0, 61, 10)]
         field = make_quadratic_field(5)
@@ -524,6 +524,17 @@ EXIT_CASES = {
     "sweep_snr_overflow": (["sweep", "--snr-db", "3100", "--trials", "2", "--schemes", "mac"], None, 2),
     "codec_snr_overflow": (_codec(5, 11, 2, 1, 0, "--snr-db", "3100", "--trials", "10"), None, 2),
     "codec_snr_pm400": (_codec(5, 11, 2, 1, 0, "--snr-db=-400,400", "--trials", "200"), None, 0),
+    # the two evaluations of the effective noise disagree: NoiseIdentityViolated
+    "rate_noise_identity": (
+        ["rate", "--d", "5", "--h", "0.9,-0.3;0.2,1.1", "--snr-db", "3000"], None, 2,
+    ),
+    "sweep_noise_identity": (
+        ["sweep", "--schemes", "am_ring(3),naive_Z", "--snr-db", "3000", "--trials", "20",
+         "--seed", "2"], None, 2,
+    ),
+    "codec_noise_identity": (
+        _codec(5, 11, 2, 1, 0, "--snr-db", "3050", "--trials", "10"), None, 2,
+    ),
     "rate_zero_gains": (["rate", "--d", "5", "--snr-db", "20", "--h", "0,0;0,0"], None, 0),
     "rate_equal_gains": (["rate", "--d", "5", "--snr-db", "20", "--h", "1,1;1,1"], None, 0),
     "rate_subnormal_gains": (

@@ -20,7 +20,7 @@ from cflat.codec import (
     RadiusTooSmall,
     RankDeficientCode,
     _block_sum,
-    _build_unit,
+    _build,
     _code_lattice_basis,
     _decode_leader_indices,
     _embedding_map,
@@ -29,6 +29,7 @@ from cflat.codec import (
     _pullback_coords,
     _residue_distances,
     _residue_vector,
+    _second_moment,
     build_construction_a,
     decode_equation,
     encode,
@@ -128,6 +129,29 @@ class TestBuild:
                 assert np.array_equal(value, getattr(want, f.name)), f.name
         assert got.gamma == want.gamma == 1.0
 
+    @pytest.mark.parametrize("p", [11, 2], ids=["split", "inert"])
+    @pytest.mark.parametrize("l_f, l_c", [(1, 0), (2, 1)])
+    def test_rescale_equals_build_at_that_scale(self, p, l_f, l_c):
+        # the scaled arrays are derived from the unscaled ones, so a rescale
+        # from any scale, or a chain of them, never compounds
+        prime = prime_above(F5, p)
+        codes = systematic_code(p, prime.r, 2, l_f, l_c)
+        calibrated = build_construction_a(F5, prime, codes, target_power=100.0)
+        gammas = (1.0, calibrated.gamma, 1e-3)
+        want = {g: build_construction_a(F5, prime, codes, gamma=g) for g in gammas}
+        starts = [want[1.0], calibrated, want[1e-3]]
+        for start in starts:
+            chained = start
+            for g in gammas + gammas[::-1]:
+                chained = dataclasses.replace(chained, gamma=g)
+                for got in (dataclasses.replace(start, gamma=g), chained):
+                    assert got.gamma == want[g].gamma == g
+                    for f in dataclasses.fields(got):
+                        value, ref = getattr(got, f.name), getattr(want[g], f.name)
+                        if isinstance(ref, np.ndarray):
+                            assert value.dtype == ref.dtype and value.shape == ref.shape
+                            assert value.tobytes() == ref.tobytes(), f.name
+
     def test_field_prime_mismatch(self):
         P13 = prime_above(F5, 13)  # inert, r=2
         with pytest.raises(DimensionMismatch):
@@ -182,7 +206,7 @@ class TestBuild:
                         built += 1
                         for l, vol in ((l_f, lat.vol_fine_unit), (l_c, lat.vol_coarse_unit)):
                             assert vol == Fq.q ** (T - l) * field.discriminant ** (T / 2)
-                            basis = np.array(_code_lattice_basis(prime, codes, l)[0]).T
+                            basis = np.array(_code_lattice_basis(prime, codes, l)).T
                             det = abs(np.linalg.det(em @ basis))
                             assert vol == pytest.approx(det, rel=1e-9)
         assert built == 455
@@ -214,9 +238,12 @@ def systematic_code(p, r, T, l_f, l_c):
 
 
 def calibrated_unit(d, p, T, l_f, l_c):
+    """The lattice at gamma = 1 of a systematic code, and its region's
+    second moment m0."""
     field = make_quadratic_field(d)
     prime = prime_above(field, p)
-    return _build_unit(field, prime, systematic_code(p, prime.r, T, l_f, l_c), calibrate=True)
+    lat = _build(field, prime, systematic_code(p, prime.r, T, l_f, l_c))
+    return lat, _second_moment(lat)
 
 
 # (d, p, T, l_f, l_c): split and inert primes, p = 2, nested codes, and T up
@@ -240,26 +267,26 @@ sys.path.insert(0, {tests!r})
 from power_oracle import one_block_m0
 from test_codec import CALIBRATION_GRID, calibrated_unit
 for case in CALIBRATION_GRID[:-1]:
-    unit = calibrated_unit(*case)
-    print(case, unit.m0.hex(), one_block_m0(unit.region, unit.field.degree, unit.codes.T).hex())
+    lat, m0 = calibrated_unit(*case)
+    print(case, m0.hex(), one_block_m0(lat.region_unit, lat.n, lat.T).hex())
 """
 
 
 class TestPowerCalibration:
     @pytest.mark.parametrize("case", CALIBRATION_GRID)
     def test_blocked_draw_has_the_one_block_bits(self, case):
-        unit = calibrated_unit(*case)
-        T = unit.codes.T
+        lat, m0 = calibrated_unit(*case)
+        T = lat.T
         assert cflat.codec._POWER_BLOCK // (2 * T) < cflat.codec._POWER_SAMPLES
-        want = one_block_m0(unit.region, unit.field.degree, T)
-        assert unit.m0.hex() == want.hex()
+        want = one_block_m0(lat.region_unit, lat.n, T)
+        assert m0.hex() == want.hex()
 
     @pytest.mark.parametrize("rows", [1, 3, 4095, 30_000, 200_000])
     def test_m0_bits_do_not_follow_block_height(self, monkeypatch, rows):
         # rows = 1 runs one product per sample; 200,000 is one block
-        want = calibrated_unit(5, 2, 2, 1, 0).m0
+        want = calibrated_unit(5, 2, 2, 1, 0)[1]
         monkeypatch.setattr(cflat.codec, "_POWER_BLOCK", 4 * rows)
-        assert calibrated_unit(5, 2, 2, 1, 0).m0.hex() == want.hex()
+        assert calibrated_unit(5, 2, 2, 1, 0)[1].hex() == want.hex()
 
     def test_m0_bits_do_not_follow_blas_kernel(self):
         # the block products run on BLAS: the same bits, and the oracle's,

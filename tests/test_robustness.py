@@ -1,12 +1,16 @@
 """The rate algebra and the coefficient search answer, never raise, from 0 to
 120 dB, at channel gains from 1e-8 to 1e8 and with up to six users; f and
-every nu_j^2 match exact rational evaluations of the same float inputs."""
+every nu_j^2 match exact rational evaluations of the same float inputs.  No
+library module raises an internal AssertionError."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import cflat
 from cflat.channel import BlockFadingChannel, naive_rate
 from cflat.numfield import make_quadratic_field
 from cflat.simkit import sample_channels
@@ -74,3 +78,16 @@ def test_six_users_at_60_db():
 def test_zero_channel():
     # g = 1 and the Lagrange sum vanishes: f = ||s||^2, nu^2 = P ||s||^2
     check_channels([BlockFadingChannel(np.zeros((2, 3)), 1e6)])
+
+
+def test_no_module_raises_assertion_error():
+    # a failure the library can detect is a typed ValueError (exit 2), so
+    # no module names AssertionError or holds an assert statement
+    sources = sorted(pathlib.Path(cflat.__file__).parent.glob("*.py"))
+    assert len(sources) == 7
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                assert name != "AssertionError", f"{path.name}:{node.lineno}"

@@ -5,7 +5,13 @@ import pytest
 
 import cflat.simkit as simkit
 import cflat.svp as svp
-from cflat.channel import BlockFadingChannel, _snr_linear, mac_sum_capacity, naive_rate
+from cflat.channel import (
+    BlockFadingChannel,
+    NoiseIdentityViolated,
+    _snr_linear,
+    mac_sum_capacity,
+    naive_rate,
+)
 from cflat.numfield import make_quadratic_field
 from cflat.simkit import (
     InsufficientPoints,
@@ -44,7 +50,7 @@ def cold_rates(cfg):
 
 def single_error(call, *args):
     """The exception call(*args) raises."""
-    with pytest.raises((ValueError, AssertionError)) as single:
+    with pytest.raises(ValueError) as single:
         call(*args)
     return single.value
 
@@ -215,9 +221,9 @@ class TestRunSweep:
 
         P = 10.0 ** (3000.0 / 10.0)
         field = make_quadratic_field(5)
-        with pytest.raises(AssertionError) as batch:
+        with pytest.raises(NoiseIdentityViolated) as batch:
             run_sweep(SweepConfig(snr_db=(3000.0,), trials=20, schemes=("am_ring(5)",)))
-        with pytest.raises(AssertionError) as single:
+        with pytest.raises(NoiseIdentityViolated) as single:
             for t in range(20):
                 best_equation(field, BlockFadingChannel(sample_channels(1, t, 2, 2), P))
         assert "noise identity violated" in str(batch.value)
@@ -232,9 +238,9 @@ class TestRunSweep:
         # The sweep raises the first error of cold calls in trial order
         P = 10.0 ** (3000.0 / 10.0)
         cfg = SweepConfig(snr_db=(3000.0,), trials=20, schemes=(scheme,), master_seed=seed)
-        with pytest.raises((ValueError, AssertionError)) as batch:
+        with pytest.raises(ValueError) as batch:
             run_sweep(cfg)
-        with pytest.raises((ValueError, AssertionError)) as single:
+        with pytest.raises(ValueError) as single:
             for t in range(20):
                 ch = BlockFadingChannel(sample_channels(seed, t, 2, 2), P)
                 if scheme == "naive_Z":
@@ -306,10 +312,10 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("cause", ["non-finite", "rank-deficient"])
     def test_joint_search_keeps_the_error_order(self, cause, monkeypatch):
-        # At 3000 dB am_ring(3)'s rate raises the noise-identity
-        # AssertionError from trial 1, and its search fails from trial 16 (a
-        # shortest vector of squared norm 0.0).  am_ring(7)'s search fails
-        # there (RankDeficient), or on bases made non-finite (NonFiniteBasis).
+        # At 3000 dB am_ring(3)'s rate raises NoiseIdentityViolated from
+        # trial 1, and its search fails from trial 16 (a shortest vector of
+        # squared norm 0.0).  am_ring(7)'s search fails there
+        # (RankDeficient), or on bases made non-finite (NonFiniteBasis).
         # The joint search records each field's first failing search, with
         # best_equation's error on it, whichever field is ranked first; the
         # sweep raises am_ring(3)'s trial-1 rate error first, as cold calls
@@ -335,10 +341,10 @@ class TestRunSweep:
             assert row == 0 and type(errors[min(errors)]) is want
             ch = BlockFadingChannel(h[t], 10.0**300.0)
             assert_same_error(errors[min(errors)], single_error(best_equation, fields[k], ch))
-        with pytest.raises(AssertionError) as batch:
+        with pytest.raises(NoiseIdentityViolated) as batch:
             run_sweep(cfg)
         field = make_quadratic_field(3)
-        with pytest.raises(AssertionError) as single:
+        with pytest.raises(NoiseIdentityViolated) as single:
             for t in range(20):
                 best_equation(field, BlockFadingChannel(sample_channels(1, t, 2, 2), 10.0**300.0))
         assert "noise identity violated" in str(batch.value)
@@ -413,16 +419,16 @@ class TestRunSweep:
         cfg = SweepConfig(
             snr_db=(3000.0,), trials=20, schemes=("am_ring(3)", "am_ring(5)", "am_Z"), master_seed=3
         )
-        with pytest.raises(AssertionError) as batch:
+        with pytest.raises(NoiseIdentityViolated) as batch:
             run_sweep(cfg)
         assert calls == [3]
         field = make_quadratic_field(3)
-        with pytest.raises(AssertionError) as single:
+        with pytest.raises(NoiseIdentityViolated) as single:
             for t in range(20):
                 best_equation(field, BlockFadingChannel(sample_channels(3, t, 2, 2), 10.0**300.0))
         assert "noise identity violated" in str(batch.value)
         assert str(batch.value) == str(single.value)
-        with pytest.raises(AssertionError) as single:
+        with pytest.raises(NoiseIdentityViolated) as single:
             best_equation(field, BlockFadingChannel(sample_channels(3, 9, 2, 2), 10.0**300.0))
         assert str(batch.value) == str(single.value)
 
@@ -533,7 +539,7 @@ class TestRunSweep:
         )
 
     def test_joint_search_raises_other_errors(self, monkeypatch):
-        # only the ValueErrors and AssertionErrors of single calls are kept
+        # only the ValueErrors of single calls are kept
         # per item; any other failure of the joint search propagates
         def broken(*args):
             raise TypeError("joint search broken")
@@ -643,7 +649,7 @@ def test_sweep_rates_equal_cold_calls(L, snr_db, trials, seed, schemes):
     )
     try:
         rates = run_sweep(cfg).rates
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         with pytest.raises(type(exc)) as single:
             cold_rates(cfg)
         assert str(single.value) == str(exc)
