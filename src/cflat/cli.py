@@ -32,7 +32,8 @@ __all__ = [
     "main",
 ]
 
-# union-bound radius growth, one DEBUG record per radius tried
+# per SNR point, the Monte Carlo's certified trials and the union bound's
+# radius growth (one record per radius tried), all at DEBUG
 _codec_log = logging.getLogger("cflat.codec")
 
 CONFIG_KEYS = ("n", "L", "snr_db", "trials", "schemes", "seed", "d_list", "output")
@@ -350,6 +351,9 @@ def _cmd_codec(args, cfg: CliConfig) -> int:
         lat = replace(unit, gamma=math.sqrt(P / m0))
         cand = best_equation(field, ch)
         sim = simulate_codec(lat, ch, cand, cfg.trials, cfg.seed)
+        _codec_log.debug(
+            "monte carlo: %d of %d trials certified at %g dB", sim.certified, sim.trials, snr
+        )
         ub = _codec_union_bound(lat, cand)
         rows.append(
             f"{snr:g},{sim.error_rate:.6e},{sim.stderr:.6e},{ub:.6e},{sim.trials}"

@@ -48,6 +48,10 @@ _POWER_SAMPLES = 100_000
 _POWER_SEED = 20260314
 _POWER_BLOCK = 1 << 14  # cells of the calibration draw held at once
 _SIM_BATCH = 4096
+# the packing-radius certificate's relative margin and magnitude guard,
+# derived in _certified_sq
+_CERT_MARGIN = 2.0**-20
+_CERT_GUARD = 2.0**21
 
 
 class DimensionMismatch(ValueError):
@@ -105,6 +109,7 @@ class SimResult(NamedTuple):
     stderr: float
     errors: int
     trials: int
+    certified: int  # trials the packing-radius certificate settled undecoded
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +770,103 @@ def union_bound(
 # Monte Carlo error simulation
 
 
+def _fine_min_sq(lat: ConstructionALattice) -> float:
+    """d^2 = 2 gamma^2 w_min: a lower bound on the squared norm of a fine
+    vector outside the coarse lattice, where w_min is the least Hamming
+    weight of a fine codeword outside the coarse code (leaders q^l_c..).
+    Such a vector holds a nonzero x in O_K at w_min coordinates at least,
+    and sigma_1(x)^2 + sigma_2(x)^2 >= 2 |N(x)| >= 2 there.  math.inf with
+    l_f = l_c, where there is no such vector."""
+    rows = lat.leader_residues[lat.Fq.q**lat.codes.l_c :]
+    if not len(rows):
+        return math.inf
+    return 2.0 * lat.gamma**2 * int(np.count_nonzero(rows, axis=1).min())
+
+
+def _certified_sq(lat: ConstructionALattice, candidate: EquationCandidate) -> float:
+    """The squared norm below which a trial's effective noise
+    e = b Y - sum_l sigma(a_l) X_l settles its decode, or 0.0 (no trial is
+    settled) past the magnitude guard or with l_f = l_c.
+
+    Geometry (bounded-distance decoding; Conway & Sloane, SPLAG, ch. 1).  The
+    observation is S = lam + eps, lam = sum_l sigma(a_l) (c_l - R n_l) the
+    exact fine point of the transmitted class (leaders c_l, the coarse points
+    R n_l the fold took off).  A fine point t of another class has t - lam
+    outside the coarse lattice, so ||S - t|| >= d - ||eps|| (_fine_min_sq).
+    If every leader's computed total tau_k is within (mu/16) max(G_k, d^2)
+    of its exact squared distance G_k, and ||eps|| < d/2 - mu d/16, then
+    lam's leader totals at most eps^2 + mu d^2/16 and every other class at
+    least min(d^2 (1 - mu/16), (d - ||eps||)^2 - mu d^2/16), which is more:
+    the least total lies in the transmitted class, whatever its ties.
+
+    Float error (u = 2^-53, N = n T; Higham, Accuracy and Stability, ch. 3).
+    Per call: V = max |embedded leader entry|; r = r11 + |r12| + r22 of the
+    decoder's factor; rho = ||R||_inf for the region R, so a dither or
+    codeword entry is at most rho/2 (1 + N u); s = max_j sum_l |sigma_j(a_l)|;
+    F = || |R| |R^-1| ||_inf + ||R R^-1 - I||_inf / u for the stored inverse;
+    M = d + V + 2 r + s (V + rho) F.  The guard asks
+    sqrt(N) (N + L + 10) M <= 2^21 d.  On a trial with ||e|| < d/2:
+    - an embedded ring element gamma (a + b theta_j) is off by at most
+      8 u gamma (|sigma_1| + |sigma_2|), since |b| = |sigma_1 - sigma_2| /
+      sqrt(disc);
+    - the fold gives X_l - D_l = c_l - R n_l + phi_l with
+      |phi_l| <= (2 N + 50) u (V + rho) F: the coarse coordinates' product,
+      the inverse's residual, and R's and c_l's own errors;
+    - so every entry of S - lam - e is at most 8 (N + L + 10) u M (both
+      sums carry |b Y| <= d + s rho), and ||eps|| - ||e|| <= 2^-28 d;
+    - each window residual the decoder forms is within delta <= 2^8 u M of
+      the exact one (every term is at most M, and the LLL-reduced ideal
+      basis has |z_1| ||b_1|| + |z_2| ||b_2|| <= 2.01 ||z_1 b_1 + z_2 b_2||,
+      which bounds the QR factor's backward error), and the window holds
+      the nearest point, so a table entry is within
+      8 (delta sqrt(g) + delta^2 + u g) of its exact g, and tau_k within
+      2^-25 max(G_k, d^2) of G_k.
+    A computed ||e||^2 under (d^2/4)(1 - mu), with mu = 2^-20, gives
+    ||e|| < (d/2)(1 - mu/4) (its N-term sum is within N u < mu/4), so
+    ||eps|| < d/2 - mu d/16, and the decode is the transmitted class.  The
+    guard depends on the call alone: on a certified trial every magnitude
+    above is bounded by M, whatever the noise of the other trials.
+    """
+    d2 = _fine_min_sq(lat)
+    d = math.sqrt(d2)
+    if not 0.0 < d < math.inf:
+        return 0.0
+    R, R_inv = lat.region_scaled, lat.region_inv
+    N, L = len(R), candidate.sigma.shape[1]
+    fold = (np.abs(R) @ np.abs(R_inv)).sum(axis=1).max()
+    fold += np.abs(R @ R_inv - np.eye(N)).sum(axis=1).max() / 2.0**-53
+    rho = float(np.abs(R).sum(axis=1).max())
+    V = float(np.abs(lat.embedded_leaders).max())
+    s = float(np.abs(candidate.sigma).sum(axis=1).max())
+    r = float(np.abs(lat._cvp_r).sum())
+    M = d + V + 2.0 * r + s * (V + rho) * float(fold)
+    if not math.sqrt(N) * (N + L + 10) * M <= _CERT_GUARD * d:
+        return 0.0
+    return d2 / 4.0 * (1.0 - _CERT_MARGIN)
+
+
+def _weighted_sum(X: np.ndarray, sigma: np.ndarray, out: np.ndarray) -> None:
+    """sum_l diag(sigma[:, l]) X_l of codewords X (B, L, n, T) into out
+    (B, n, T), with the products formed in X: _block_sum's sum without its
+    arrays.  The weights are repeated along T, so each product runs over
+    whole rows rather than T-element pieces, which at T = 2 takes a third of
+    the time."""
+    np.multiply(X, np.repeat(sigma.T[:, :, None], X.shape[-1], axis=2), out=X)
+    np.copyto(out, X[:, 0])
+    for l in range(1, X.shape[1]):
+        out += X[:, l]
+
+
+def _uncertified(Y: np.ndarray, U: np.ndarray, b: np.ndarray, bound: float) -> np.ndarray:
+    """Indices of the trials whose effective noise e = b Y - U is not under
+    the bound, for channel outputs Y and weighted codewords
+    U = sum_l sigma(a_l) X_l, both (B, n, T); e is formed in Y."""
+    np.multiply(Y, np.repeat(np.asarray(b)[:, None], Y.shape[-1], axis=1), out=Y)
+    Y -= U
+    e = Y.reshape(len(Y), -1)
+    return np.flatnonzero(~(np.einsum("ij,ij->i", e, e) < bound))
+
+
 def simulate_codec(
     lat: ConstructionALattice,
     ch: BlockFadingChannel,
@@ -775,6 +877,12 @@ def simulate_codec(
 ) -> SimResult:
     """Empirical equation-error rate with fresh messages, dithers and noise
     per trial.  Deterministic for a given seed (fixed batch size).
+
+    A trial whose effective noise lies well inside the fine lattice's
+    packing ball decodes to its transmitted class (_certified_sq), so it
+    counts as correct without a decode; only the other trials reach the
+    decoder, whose answer for a trial does not depend on the batch around
+    it.  The error count is the one decoding every trial gives.
 
     noise_std scales the unit-variance channel noise and must be finite and
     nonnegative; 0 gives the noiseless sanity setting."""
@@ -790,9 +898,10 @@ def simulate_codec(
     c, q = lat.codes, lat.Fq.q
     l_m = c.l_f - c.l_c
     g = [residue_reduce(lat.prime, a) for a in candidate.a]
+    bound = _certified_sq(lat, candidate)
 
     rng = np.random.default_rng(seed)
-    errors = 0
+    errors = certified = 0
     done = 0
     while done < trials:
         m = min(_SIM_BATCH, trials - done)
@@ -805,15 +914,31 @@ def simulate_codec(
 
         D = (zdith.reshape(-1, 2 * lat.T) @ lat.region_scaled.T).reshape(m, L, lat.n, lat.T)
         del zdith
-        Y = _block_sum(ch.h, encode(lat, w, D))
+        X = encode(lat, w, D)
+        Y = _block_sum(ch.h, X)
         Y += noise
-        del noise
+        # the weighted codewords take the noise's buffer, so the codewords
+        # are freed before the observations are formed
+        _weighted_sum(X, candidate.sigma, out=noise)
+        del X
         S = _observation(Y, candidate, D)
-        del D, Y
+        del D
+        keep = _uncertified(Y, noise, candidate.b, bound)
+        del Y, noise
+        if len(keep) == 1 < m:
+            # one row alone would take numpy's vector-matrix product, whose
+            # last bits can differ from the batch's (the Haswell kernel's
+            # do); a certified row, which decodes to its class, goes with it
+            keep = np.append(keep, 1 if keep[0] == 0 else 0)
+        # the decoder gets only the rows the certificate leaves, and the
+        # effective noise and the index are freed before it runs
+        certified += m - len(keep)
+        S, w = S[keep], w[keep]
+        del keep
         dec = _index_digits(_decode_leader_indices(lat, S), q, c.l_c, c.l_f)
         del S
 
-        truth = np.zeros((m, l_m), dtype=np.int64)
+        truth = np.zeros((len(w), l_m), dtype=np.int64)
         for l in range(L):
             truth = lat.Fq.add(truth, lat.Fq.mul(g[l], w[:, l, :]))
         errors += int(np.count_nonzero(np.any(dec != truth, axis=1)))
@@ -821,4 +946,6 @@ def simulate_codec(
 
     rate = errors / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
-    return SimResult(error_rate=rate, stderr=stderr, errors=errors, trials=trials)
+    return SimResult(
+        error_rate=rate, stderr=stderr, errors=errors, trials=trials, certified=certified
+    )

@@ -314,8 +314,15 @@ class TestCodecCommand:
         loud = tmp_path / "loud.csv"
         assert main(args + ["--output", str(loud)]) == 0
         assert loud.read_bytes() == quiet.read_bytes()
-        steps = [r.getMessage() for r in caplog.records if r.name == "cflat.codec"]
+        logged = [r.getMessage() for r in caplog.records if r.name == "cflat.codec"]
         assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        # one certified-trials record per SNR point, before its radius steps
+        certified = [i for i, m in enumerate(logged) if m.startswith("monte carlo: ")]
+        assert certified[0] == 0
+        counts = [logged[i].split() for i in certified]
+        assert [(c[4], c[-2]) for c in counts] == [("200", "0"), ("200", "30")]
+        assert int(counts[0][2]) < int(counts[1][2]) <= 200
+        steps = [m for m in logged if not m.startswith("monte carlo: ")]
         assert all(m.startswith("union bound: radius ") for m in steps)
         terms = [int(m.split(", ")[1].split()[0]) for m in steps]
         # each SNR point grows the radius until it holds 1000 terms
@@ -339,7 +346,10 @@ class TestCodecCommand:
         out = tmp_path / "codec.csv"
         args = self.K121_ARGS + ["--snr-db", "10", "--trials", "50"]
         assert main(args + ["--output", str(out)]) == 0
-        first, second = (r.getMessage() for r in caplog.records[:2])
+        # the SNR point's certified-trials record comes first
+        logged = [r.getMessage() for r in caplog.records]
+        assert logged[0].startswith("monte carlo: ")
+        first, second = logged[1:3]
         assert first == (
             f"union bound: RadiusTooSmall at radius {calls[0]:.6g}, "
             f"doubling to {2 * calls[0]:.6g}"
