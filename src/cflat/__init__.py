@@ -28,9 +28,7 @@ _EXPORTS = {
         "SVPResult",
         "best_equation",
         "best_integer_block",
-        "brute_force_shortest",
         "build_search_basis",
-        "minkowski_bound",
         "shortest_vector",
     ),
     "codec": (
@@ -39,11 +37,6 @@ _EXPORTS = {
         "build_construction_a",
         "decode_equation",
         "encode",
-        "enumerate_fine_vectors",
-        "lattice_membership",
-        "product_distance",
-        "reduce_mod_coarse",
-        "ring_combine",
         "simulate_codec",
         "union_bound",
     ),

@@ -3,9 +3,9 @@
 A nested pair of linear codes over the residue field F_{p^r} is lifted to the
 ring of integers coordinate-wise, tiled by the ideal, and embedded into real
 space by the canonical embedding.  The module covers encoding with dithered
-parallelepiped shaping, ring-linear combining of codewords, exact
-fine-lattice decoding of equations, block-wise product distances, and the
-union bound on the decoding error probability with a Monte Carlo counterpart.
+parallelepiped shaping, exact fine-lattice decoding of an equation's ring
+combination of codewords, and the union bound on the decoding error
+probability with a Monte Carlo counterpart.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import BlockFadingChannel, EquationCandidate
-from .numfield import NumberField, PrimeIdeal, ResidueField, RingElement, residue_reduce
+from .numfield import NumberField, PrimeIdeal, ResidueField, residue_reduce
 from .svp import _enumerate, _lll_reduce
 
 __all__ = [
@@ -33,12 +33,7 @@ __all__ = [
     "SimResult",
     "build_construction_a",
     "encode",
-    "reduce_mod_coarse",
-    "ring_combine",
-    "lattice_membership",
-    "product_distance",
     "decode_equation",
-    "enumerate_fine_vectors",
     "union_bound",
     "simulate_codec",
 ]
@@ -151,17 +146,6 @@ def _fq_gauss_jordan(Fq: ResidueField, G_rows, c) -> tuple[list, list[int]]:
     return rows, piv_cols
 
 
-def _fq_solve(Fq: ResidueField, G_rows, c) -> tuple[int, ...] | None:
-    """Solve G w = c over F_q; None when c is outside the column span."""
-    rows, piv_cols = _fq_gauss_jordan(Fq, G_rows, c)
-    if any(row[-1] != 0 for row in rows[len(piv_cols) :]):
-        return None
-    w = [0] * (len(G_rows[0]) if G_rows and G_rows[0] else 0)
-    for row, col in zip(rows, piv_cols):
-        w[col] = row[-1]
-    return tuple(w)
-
-
 # ---------------------------------------------------------------------------
 # exact integer lattice plumbing
 
@@ -229,8 +213,8 @@ class ConstructionALattice:
     The fields before gamma are the build, which does not depend on the
     scale; __post_init__ derives the gamma-scaled arrays from them, so
     dataclasses.replace(lat, gamma=g) rescales a lattice from any scale.
-    Immutable after build; the derived arrays keep encoding, membership and
-    decoding cheap.
+    Immutable after build; the derived arrays keep encoding and decoding
+    cheap.
     """
 
     field: NumberField
@@ -246,7 +230,6 @@ class ConstructionALattice:
     region_scaled: np.ndarray = dataclasses.field(init=False)  # region columns
     region_inv: np.ndarray = dataclasses.field(init=False)
     pideal_embedded: np.ndarray = dataclasses.field(init=False)  # (2, 2)
-    _phi_inv: np.ndarray = dataclasses.field(init=False)
     _cvp_q: np.ndarray = dataclasses.field(init=False)
     _cvp_r: np.ndarray = dataclasses.field(init=False)
 
@@ -261,7 +244,6 @@ class ConstructionALattice:
         signs = np.sign(np.diag(rmat))
         self._cvp_q = qmat * signs
         self._cvp_r = (rmat.T * signs).T
-        self._phi_inv = np.linalg.inv(phi)
 
     @property
     def n(self) -> int:
@@ -449,82 +431,16 @@ def encode(lat: ConstructionALattice, w, dither: np.ndarray | None = None) -> np
     return X
 
 
-def reduce_mod_coarse(lat: ConstructionALattice, X: np.ndarray) -> np.ndarray:
-    """Fold (..., n, T) matrices into the centered fundamental parallelepiped
-    of the scaled coarse lattice."""
-    X = np.array(X, dtype=float, order="C")
-    _fold(lat, X)
-    return X
-
-
 def _fold(lat: ConstructionALattice, X: np.ndarray) -> None:
-    """reduce_mod_coarse in place, on a C-contiguous float array X."""
+    """Fold the (..., n, T) matrices of a C-contiguous float array X, in
+    place, into the centered fundamental parallelepiped of the scaled
+    coarse lattice."""
     # one 2-D product over all leading axes: numpy's stacked products are
     # about ten times slower on small matrices, with the same bits
     flat = X.reshape(-1, lat.n * lat.T)
     zc = flat @ lat.region_inv.T
     np.subtract(zc, np.rint(zc, out=flat), out=zc)
     np.matmul(zc, lat.region_scaled.T, out=flat)
-
-
-# ---------------------------------------------------------------------------
-# lattice structure
-
-
-def ring_combine(lat: ConstructionALattice, coeffs, codewords) -> np.ndarray:
-    """sum_l diag(sigma(a_l)) X_l: per-block scaling of each codeword's rows
-    by the coefficient conjugates.  Closed in the fine lattice."""
-    if len(coeffs) != len(codewords):
-        raise ValueError("one coefficient per codeword required")
-    out = np.zeros((lat.n, lat.T))
-    for a, X in zip(coeffs, codewords):
-        X = np.asarray(X, dtype=float)
-        if X.shape != (lat.n, lat.T):
-            raise ValueError(f"codeword must be {lat.n} x {lat.T}")
-        sig = lat.field.conjugates(a)
-        for j in range(lat.n):
-            out[j] += sig[j] * X[j]
-    return out
-
-
-def _pullback_coords(lat: ConstructionALattice, X, tol: float):
-    """Ring coordinates of X / gamma, or None when they are not near-integer."""
-    arr = np.asarray(X, dtype=float)
-    coords = lat._phi_inv @ (arr / lat.gamma)  # (2, T): rows u, v
-    rounded = np.rint(coords)
-    if np.max(np.abs(coords - rounded)) > tol:
-        return None
-    return rounded.astype(np.int64)
-
-
-def _residue_vector(lat: ConstructionALattice, coords: np.ndarray) -> list[int]:
-    prime = lat.prime
-    return [
-        residue_reduce(prime, RingElement(int(coords[0, i]), int(coords[1, i])))
-        for i in range(lat.T)
-    ]
-
-
-def lattice_membership(
-    lat: ConstructionALattice, which: str, X, tol: float = 1e-6
-) -> bool:
-    """Exact membership test: pull back through gamma and the embedding, check
-    integrality, then check the residue word against the chosen code."""
-    if which not in ("fine", "coarse"):
-        raise ValueError("which must be 'fine' or 'coarse'")
-    coords = _pullback_coords(lat, X, tol)
-    if coords is None:
-        return False
-    res = _residue_vector(lat, coords)
-    rows = lat.codes.G_f if which == "fine" else lat.codes.G_c
-    return _fq_solve(lat.Fq, rows, res) is not None
-
-
-def product_distance(x, n: int, T: int) -> float:
-    """Block-wise product distance: product over blocks of the per-block
-    squared norms of consecutive length-T slices."""
-    arr = np.asarray(x, dtype=float).reshape(n, T)
-    return float(np.prod(np.einsum("ij,ij->i", arr, arr)))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +487,11 @@ def _residue_distances(lat: ConstructionALattice, S: np.ndarray, residues) -> li
     observations S (B, n, T) to the embedded ideal shifted by residue x,
     for each (i, x) a leader holds.  The shifted column and its rotation
     into the triangular frame run in two reused (B, n) buffers, the Babai
-    window z2 - 1, z2, z2 + 1 in three reused (3, B) buffers."""
+    window z2 - 1, z2, z2 + 1 in three reused (3, B) buffers.  A row's
+    entries do not depend on the rows around it: one row alone would take
+    numpy's vector-matrix product, whose last bits can differ from the
+    matrix product's (the Haswell kernel's do), so it runs as two copies
+    of itself."""
     qmat, rmat = lat._cvp_q, lat._cvp_r
     r11, r12, r22 = rmat[0, 0], rmat[0, 1], rmat[1, 1]
     firsts = {}  # (coordinate i, residue x) -> first leader holding x at i
@@ -579,11 +499,13 @@ def _residue_distances(lat: ConstructionALattice, S: np.ndarray, residues) -> li
         for i, x in enumerate(row):
             firsts.setdefault((i, x), k)
     B = S.shape[0]
+    if B == 1:
+        S = np.concatenate((S, S))
     # one block for all rows: many separately allocated rows fragment the
     # heap and raise the resident peak
-    dist = np.empty((len(firsts), B))
-    shifted, y = np.empty((2, B, lat.n))
-    z2, rem, z1 = np.empty((3, 3, B))
+    dist = np.empty((len(firsts), len(S)))
+    shifted, y = np.empty((2, len(S), lat.n))
+    z2, rem, z1 = np.empty((3, 3, len(S)))
     table = [{} for _ in range(lat.T)]
     for ((i, x), k), dmin in zip(firsts.items(), dist):
         # column by column: a 2-D subtract on the strided S[:, :, i] runs
@@ -600,19 +522,22 @@ def _residue_distances(lat: ConstructionALattice, S: np.ndarray, residues) -> li
         np.square(np.subtract(rem, np.multiply(r11, z1, out=z1), out=rem), out=rem)
         np.square(np.subtract(y[:, 1], np.multiply(r22, z2, out=z2), out=z2), out=z2)
         np.minimum.reduce(np.add(rem, z2, out=rem), out=dmin)
-        table[i][x] = dmin
+        table[i][x] = dmin[:B]
     return table
 
 
-def _block_sum(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _block_sum(w: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_l diag(w[:, l]) X_l for per-block weights w (n, L) and matrices
-    X (..., L, n, T), as (..., n, T): the terms added left to right, which
-    gives np.einsum("jl,...ljt->...jt", w, X)'s bits at a third of its time
-    (up to the sign of a zero sum: einsum adds into +0.0)."""
-    acc = w[:, 0, None] * X[..., 0, :, :]
-    for l in range(1, w.shape[1]):
-        acc += w[:, l, None] * X[..., l, :, :]
-    return acc
+    X (..., L, n, T), as (..., n, T), into out when given: the terms added
+    left to right, which gives np.einsum("jl,...ljt->...jt", w, X)'s bits
+    at a third of its time (up to the sign of a zero sum: einsum adds into
+    +0.0).  The weights are repeated along T, so each product runs over
+    whole rows rather than T-element pieces, at half the time at T = 2."""
+    w = np.repeat(np.asarray(w).T[:, :, None], X.shape[-1], axis=2)  # (L, n, T)
+    out = np.multiply(w[0], X[..., 0, :, :], out=out)
+    for l in range(1, len(w)):
+        out += w[l] * X[..., l, :, :]
+    return out
 
 
 def _observation(Y: np.ndarray, candidate: EquationCandidate, dithers=None) -> np.ndarray:
@@ -635,7 +560,8 @@ def decode_equation(
 
     Transmitters fold [codeword + dither] into the shaping region, so the
     relay removes the scaled dithers; the leftover coarse-lattice offsets are
-    absorbed by the modulo reduction.
+    absorbed by the modulo reduction.  The answer is the one simulate_codec's
+    batch decode gives the same observation, bit for bit.
     """
     idx = int(_decode_leader_indices(lat, _observation(Y, candidate, dithers)[None])[0])
     c, q = lat.codes, lat.Fq.q
@@ -718,20 +644,6 @@ def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: 
                 # ring coordinates exactly
                 elif any(block_sq[T]) or any(e[3].any() for e in chosen):
                     yield chosen, block_sq[T]
-
-
-def enumerate_fine_vectors(
-    lat: ConstructionALattice, radius: float, exclude_coarse: bool = True
-):
-    """All nonzero fine-lattice vectors with (scaled) Euclidean norm <= radius,
-    as (ring coordinate array (T, 2), embedded n x T matrix) pairs.  With
-    exclude_coarse the coarse sublattice is dropped (the set behind the union
-    bound); coarse membership depends only on the coset leader.  The 2D disc
-    enumeration runs once per residue, not once per leader."""
-    return [
-        (np.array([e[3] for e in chosen]), np.column_stack([e[2] for e in chosen]))
-        for chosen, _ in _fine_vector_walk(lat, radius, exclude_coarse)
-    ]
 
 
 def union_bound(
@@ -845,18 +757,6 @@ def _certified_sq(lat: ConstructionALattice, candidate: EquationCandidate) -> fl
     return d2 / 4.0 * (1.0 - _CERT_MARGIN)
 
 
-def _weighted_sum(X: np.ndarray, sigma: np.ndarray, out: np.ndarray) -> None:
-    """sum_l diag(sigma[:, l]) X_l of codewords X (B, L, n, T) into out
-    (B, n, T), with the products formed in X: _block_sum's sum without its
-    arrays.  The weights are repeated along T, so each product runs over
-    whole rows rather than T-element pieces, which at T = 2 takes a third of
-    the time."""
-    np.multiply(X, np.repeat(sigma.T[:, :, None], X.shape[-1], axis=2), out=X)
-    np.copyto(out, X[:, 0])
-    for l in range(1, X.shape[1]):
-        out += X[:, l]
-
-
 def _uncertified(Y: np.ndarray, U: np.ndarray, b: np.ndarray, bound: float) -> np.ndarray:
     """Indices of the trials whose effective noise e = b Y - U is not under
     the bound, for channel outputs Y and weighted codewords
@@ -919,17 +819,12 @@ def simulate_codec(
         Y += noise
         # the weighted codewords take the noise's buffer, so the codewords
         # are freed before the observations are formed
-        _weighted_sum(X, candidate.sigma, out=noise)
+        _block_sum(candidate.sigma, X, out=noise)
         del X
         S = _observation(Y, candidate, D)
         del D
         keep = _uncertified(Y, noise, candidate.b, bound)
         del Y, noise
-        if len(keep) == 1 < m:
-            # one row alone would take numpy's vector-matrix product, whose
-            # last bits can differ from the batch's (the Haswell kernel's
-            # do); a certified row, which decodes to its class, goes with it
-            keep = np.append(keep, 1 if keep[0] == 0 else 0)
         # the decoder gets only the rows the certificate leaves, and the
         # effective noise and the index are freed before it runs
         certified += m - len(keep)

@@ -205,11 +205,11 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     rates equal mac_sum_capacity, naive_rate and best_equation calls bit
     for bit.  Each pass keeps, for every item that fails, the error its
     single call raises; a rate pass runs only on items whose search has an
-    answer, and the search pass runs no single call for an item ranked
-    after the first error recorded so far.  The sweep raises the first of
-    these errors in the order of cold calls: scheme, then SNR point, then
-    trial, and for naive_Z block by block, each block's search before its
-    rate."""
+    answer, and the search pass runs no single call, and reduces no chunk,
+    for items ranked after the first error recorded so far.  The sweep
+    raises the first of these errors in the order of cold calls: scheme,
+    then SNR point, then trial, and for naive_Z block by block, each
+    block's search before its rate."""
     parsed = [_parse_scheme(s) for s in cfg.schemes]
     fields = {
         d: make_quadratic_field(d) for _, d in parsed if d is not None

@@ -5,11 +5,11 @@ coefficient vectors equals ||Bbar atilde||^2 on an explicit integer lattice,
 built from closed-form square roots of the per-block Gram matrices and the
 field embedding matrix.
 The SVP is solved exactly, by LLL then Schnorr-Euchner enumeration
-(Schnorr and Euchner, Math. Programming 1994); a brute-force box search is
-kept as an independent oracle.  The sweep builds and checks its bases, and
-runs an odd-even LLL (Lenstra, Lenstra and Lovasz, Math. Ann. 1982;
-Villard, ISSAC 1992), over a batch of channels at once, the ring bases of
-all its schemes together and the integer ones together, a chunk at a time.
+(Schnorr and Euchner, Math. Programming 1994).  The sweep builds and
+checks its bases, and runs an odd-even LLL (Lenstra, Lenstra and Lovasz,
+Math. Ann. 1982; Villard, ISSAC 1992), over a batch of channels at once,
+the ring bases of all its schemes together and the integer ones together,
+a chunk at a time.
 It takes an answer from its own reduction only where that answer is
 certified to be the one of a single call: the first reduced vector where
 it is provably the unique shortest, for the other bases of up to six
@@ -25,6 +25,7 @@ SearchTooLarge.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import sys
@@ -47,15 +48,12 @@ from .numfield import NumberField, RingElement
 __all__ = [
     "NonFiniteBasis",
     "RankDeficient",
-    "TooLarge",
     "SearchTooLarge",
     "SVPResult",
     "build_search_basis",
     "shortest_vector",
-    "brute_force_shortest",
     "best_equation",
     "best_integer_block",
-    "minkowski_bound",
 ]
 
 LLL_DELTA = 0.99
@@ -90,10 +88,6 @@ class RankDeficient(ValueError):
 class NonFiniteBasis(ValueError):
     """A basis entry is not finite, or a squared column norm is not 0 or a
     normal float."""
-
-
-class TooLarge(ValueError):
-    """Brute-force search box is empty or too large to enumerate."""
 
 
 class SearchTooLarge(ValueError):
@@ -541,13 +535,39 @@ def _shortest_batch(chunks, errors: dict) -> list:
     errors under its rank; a SearchTooLarge names the basis' SNR.  errors
     may already hold errors of other searches.  _lll_chunk answers each
     chunk's bases where it can certify the answer, and the non-finite
-    bases fail _finite_column_batch's check.  Once every chunk is
-    certified, the rest run _lll_shortest one at a time, in rank order
-    across all chunks, except those ranked after the first error recorded
-    so far: they have no answer, as their results cannot change which
-    error comes first."""
-    out, held, queue = [], [], []
+    bases fail _finite_column_batch's check.  The rest run _lll_shortest
+    one at a time, in one queue in rank order across all chunks: before
+    each chunk those ranked below its least rank, the others at the end.
+    No basis ranked after the first error recorded so far is searched,
+    by a single call or in its chunk: it has no answer, as its result
+    cannot change which error comes first."""
+    out, held, queue = [], [], []  # queue: a heap of (rank, chunk, column, row)
+
+    def single_calls(below):
+        first = min(errors, default=math.inf)
+        while queue and queue[0][0] < below:
+            r, c, j, i = heapq.heappop(queue)
+            if r >= first:  # a non-finite basis, or one after the first error
+                continue
+            cols, P = held[c]
+            try:
+                res = _lll_shortest(cols[..., j].tolist())
+            except SearchTooLarge as exc:
+                errors[r] = SearchTooLarge(exc.dim, float(P[j]))
+            except ValueError as exc:
+                errors[r] = exc
+            else:
+                out[c][i] = res.coords
+                continue
+            first = r
+
     for c, (bases, P, rank) in enumerate(chunks):
+        least = int(rank.min())
+        single_calls(least)
+        if least >= min(errors, default=math.inf):
+            out.append(np.full(bases.shape[::2], math.nan))
+            held.append(None)
+            continue
         cols, bad = _finite_column_batch(bases)
         coords, solved = _lll_chunk(cols)
         for i, exc in bad.items():
@@ -557,22 +577,9 @@ def _shortest_batch(chunks, errors: dict) -> list:
         coords[left] = math.nan
         out.append(coords)
         held.append((cols[..., left], P[left]))
-        queue += [(int(rank[i]), c, j, i) for j, i in enumerate(left.tolist())]
-    first = min(errors, default=math.inf)
-    for r, c, j, i in sorted(queue):
-        if r >= first:  # a non-finite basis, or one after the first error
-            continue
-        cols, P = held[c]
-        try:
-            res = _lll_shortest(cols[..., j].tolist())
-        except SearchTooLarge as exc:
-            errors[r] = SearchTooLarge(exc.dim, float(P[j]))
-        except ValueError as exc:
-            errors[r] = exc
-        else:
-            out[c][i] = res.coords
-            continue
-        first = r
+        for j, i in enumerate(left.tolist()):
+            heapq.heappush(queue, (int(rank[i]), c, j, i))
+    single_calls(math.inf)
     return out
 
 
@@ -742,46 +749,6 @@ def shortest_vector(basis: np.ndarray) -> SVPResult:
     lengths lie more than 1 / _RANK_RATIO apart, or the shortest nonzero
     vector found has squared norm 0.0 in floats."""
     return _lll_shortest(_finite_columns(np.asarray(basis, dtype=float)))
-
-
-def brute_force_shortest(basis: np.ndarray, bound: int) -> SVPResult:
-    """Independent oracle: exhaustive search over the integer box
-    ||atilde||_inf <= bound.  Raises NonFiniteBasis as shortest_vector does."""
-    if bound < 1:
-        raise TooLarge("search box is empty (bound must be >= 1)")
-    basis = np.asarray(basis, dtype=float)
-    cols = _finite_columns(basis)
-    k = basis.shape[1]
-    count = (2 * bound + 1) ** k
-    if count > 10**8:
-        raise TooLarge(f"box of {count} points exceeds the enumeration budget")
-    axes = [np.arange(-bound, bound + 1)] * k
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-    vecs = grid @ basis.T
-    norms = np.einsum("ij,ij->i", vecs, vecs)
-    nonzero = np.any(grid != 0, axis=1)
-    nmin = norms[nonzero].min()
-    tied = grid[nonzero & (norms <= nmin * (1.0 + _REL_TIE))]
-    coord_set = {_normalize_sign(tuple(int(x) for x in row)) for row in tied}
-    a, norm_sq = _pick_candidate(cols, coord_set)
-    return SVPResult(
-        coords=np.array(a, dtype=np.int64), norm_sq=norm_sq, node_count=count - 1
-    )
-
-
-def minkowski_bound(basis: np.ndarray) -> float:
-    """sqrt(dim) |det|^(1/dim) upper bound on the first successive minimum.
-    |det| is the product of the reduced basis' Gram-Schmidt lengths, so
-    non-square bases work too; it is taken as a sum of logs, so no scale of
-    the entries overflows or underflows.  Raises NonFiniteBasis as
-    shortest_vector does, RankDeficient if the columns are numerically
-    dependent."""
-    R = _reduced_factor(_finite_columns(np.asarray(basis, dtype=float)))[2]
-    k = len(R)
-    logdet = 0.0
-    for j in range(k):
-        logdet = logdet + math.log(R[j][j])
-    return math.sqrt(k) * math.exp(logdet / k)
 
 
 def _coords_to_coefficients(field: NumberField | None, coords, L: int) -> tuple:

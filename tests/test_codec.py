@@ -25,19 +25,11 @@ from cflat.codec import (
     _decode_leader_indices,
     _embedding_map,
     _fq_gauss_jordan,
-    _fq_solve,
-    _pullback_coords,
     _residue_distances,
-    _residue_vector,
     _second_moment,
     build_construction_a,
     decode_equation,
     encode,
-    enumerate_fine_vectors,
-    lattice_membership,
-    product_distance,
-    reduce_mod_coarse,
-    ring_combine,
     simulate_codec,
     union_bound,
 )
@@ -45,6 +37,14 @@ from cflat.numfield import RingElement, make_quadratic_field, prime_above, resid
 from cflat.svp import best_equation
 from blas_kernels import outputs_per_kernel
 from child_env import child_env
+from codec_oracle import (
+    enumerate_fine_vectors,
+    lattice_membership,
+    map_message,
+    product_distance,
+    reduce_mod_coarse,
+    ring_combine,
+)
 from power_oracle import one_block_m0
 from svp_certificate import box_points
 
@@ -58,18 +58,6 @@ def draw_dithers(lat, rng, shape=()):
     simulate_codec draws them: uniform over the shaping region."""
     z = rng.uniform(-0.5, 0.5, shape + (2 * lat.T,))
     return (z @ lat.region_scaled.T).reshape(shape + (lat.n, lat.T))
-
-
-def map_message(lat, X) -> tuple[int, ...]:
-    """Message-space image of a fine-lattice point: the decoder's independent
-    check, by pull-back through the embedding and an F_q solve."""
-    coords = _pullback_coords(lat, X, 1e-6)
-    if coords is None:
-        raise ValueError("not a fine-lattice point")
-    w = _fq_solve(lat.Fq, lat.codes.G_f, _residue_vector(lat, coords))
-    if w is None:
-        raise ValueError("not a fine-lattice point")
-    return w[lat.codes.l_c :]
 
 
 @pytest.fixture(scope="module")
@@ -998,6 +986,9 @@ class TestMonteCarloArithmetic:
             got = _block_sum(w, X)
             assert got.shape == batch + (2, 3)
             assert got.tobytes() == einsum_block_sum(w, X).tobytes()
+            out = np.full(got.shape, np.nan)
+            assert _block_sum(w, X, out=out) is out
+            assert out.tobytes() == got.tobytes()
             if batch:
                 want = np.einsum("jl,bljt->bjt", w, X)
                 assert got.tobytes() == want.tobytes()
@@ -1310,9 +1301,10 @@ class TestResidueTableDecoder:
 
 
 # the decoder on a subset of a batch's rows, against the whole batch's
-# answers and residue-table bits at those rows, for subsets from two rows up
-# (one row alone takes numpy's vector-matrix product, whose bits differ
-# under the Haswell kernel; simulate_codec never sends it)
+# answers and residue-table bits at those rows, for subsets from one row up
+# (one row alone runs as two copies of itself: numpy's vector-matrix
+# product, which a lone row would take, has other bits under the Haswell
+# kernel)
 _SUBSET_PER_KERNEL_CHILD = """
 import numpy as np
 from cflat.codec import (NestedCodePair, _decode_leader_indices, _residue_distances,
@@ -1328,13 +1320,43 @@ for G_f, l_c in ((((1,), (1,)), 0), (((1, 0), (0, 1)), 1)):
     S = rng.standard_normal((4096, lat.n, lat.T)) * lat.gamma * 2
     full = _decode_leader_indices(lat, S)
     table = _residue_distances(lat, S, residues)
-    for size in (*range(2, 18), 31, 33, 64, 1000, 4095):
+    for size in (*range(1, 18), 31, 33, 64, 1000, 4095):
         idx = np.sort(rng.choice(len(S), size, replace=False))
         sub = _residue_distances(lat, S[idx], residues)
         bits = all(sub[i][x].tobytes() == row[idx].tobytes()
                    for i, rows in enumerate(table) for x, row in rows.items())
         same = np.array_equal(_decode_leader_indices(lat, S[idx]), full[idx])
         print(lat.K, size, bits, same)
+"""
+
+
+# decode_equation on each observation of a batch, against the batch decode:
+# midpoints of two fine points, near ties that the last bits decide, then
+# noisy points
+_DECODE_PER_KERNEL_CHILD = """
+import numpy as np
+from cflat.channel import EquationCandidate
+from cflat.codec import (NestedCodePair, _decode_leader_indices, _index_digits,
+                         build_construction_a, decode_equation)
+from cflat.numfield import RingElement, make_quadratic_field, prime_above
+F5 = make_quadratic_field(5)
+P11 = prime_above(F5, 11)
+# b = 1 and no dithers: each observation is its Y, bit for bit
+cand = EquationCandidate(a=(RingElement(1, 0),), sigma=np.ones((2, 1)), b=np.ones(2),
+                         nu_sq=np.zeros(2), rate_bits=0.0, quad_form=0.0)
+for G_f, l_c in ((((1,), (1,)), 0), (((1, 0), (0, 1)), 1)):
+    codes = NestedCodePair(p=11, r=1, T=2, l_f=len(G_f[0]), l_c=l_c, G_f=G_f)
+    lat = build_construction_a(F5, P11, codes, target_power=100.0)
+    rng = np.random.default_rng(lat.K)
+    k = rng.integers(0, lat.K, size=(2, 400))
+    Y = (lat.embedded_leaders[k[0]] + lat.embedded_leaders[k[1]]) / 2
+    Y[200:] += rng.standard_normal((200, lat.n, lat.T)) * lat.gamma * 2
+    idx = _decode_leader_indices(lat, Y)
+    messages = _index_digits(idx, 11, l_c, codes.l_f).tolist()
+    cosets = lat.leader_residues[idx - idx % 11**l_c].tolist()
+    same = sum(decode_equation(lat, y, cand) == (tuple(c), tuple(m))
+               for y, m, c in zip(Y, messages, cosets))
+    print(lat.K, same)
 """
 
 
@@ -1413,12 +1435,19 @@ class TestPackingCertificate:
         outs = outputs_per_kernel(_SUBSET_PER_KERNEL_CHILD)
         for out in outs:
             lines = out.splitlines()
-            assert len(lines) == 2 * 21
+            assert len(lines) == 2 * 22
             assert all(line.endswith("True True") for line in lines), out
 
-    def test_a_batch_that_leaves_one_row_decodes_two(self, monkeypatch, powered_lattice):
-        # one row alone takes numpy's vector-matrix product; a certified row
-        # keeps it company
+    def test_decode_equation_equals_the_batch_decode_under_each_kernel(self):
+        # one observation alone is decoded with the bits the batch gives it
+        # (under the Haswell kernel a lone row's vector-matrix product
+        # answered 6 of these 400 K = 121 near ties otherwise)
+        for out in outputs_per_kernel(_DECODE_PER_KERNEL_CHILD):
+            assert out.splitlines() == ["11 400", "121 400"], out
+
+    def test_a_batch_that_leaves_one_row_decodes_it_alone(self, monkeypatch, powered_lattice):
+        # the decoder gets exactly the rows the certificate leaves, one row
+        # too: it decodes a lone row with the batch's bits
         lat = powered_lattice
         ch = BlockFadingChannel(np.array([[0.9, -0.3], [0.2, 1.1]]), 100.0)
         cand = best_equation(F5, ch)
@@ -1429,11 +1458,11 @@ class TestPackingCertificate:
             return _decode_leader_indices(lat, S)
 
         monkeypatch.setattr(cflat.codec, "_decode_leader_indices", decode)
-        for keep, decoded in (([5], 2), ([0], 2), ([5, 9], 2), ([], 0)):
+        for keep in ([5], [0], [5, 9], []):
             monkeypatch.setattr(cflat.codec, "_uncertified", lambda *args: np.array(keep, int))
             sizes.clear()
             sim = simulate_codec(lat, ch, cand, 300, seed=3)
-            assert sizes == [decoded] and sim.certified == 300 - decoded
+            assert sizes == [len(keep)] and sim.certified == 300 - len(keep)
         # a batch of one row is decoded as it is
         monkeypatch.setattr(cflat.codec, "_SIM_BATCH", 1)
         monkeypatch.setattr(cflat.codec, "_uncertified", lambda *args: np.array([0]))

@@ -6,17 +6,12 @@ import pytest
 
 from cflat.channel import BlockFadingChannel, coefficient_embeddings
 from cflat.cli import main
-from cflat.codec import (
-    DimensionMismatch,
-    NestedCodePair,
-    build_construction_a,
-    lattice_membership,
-    ring_combine,
-    simulate_codec,
-)
+from cflat.codec import DimensionMismatch, NestedCodePair, build_construction_a, simulate_codec
 from cflat.numfield import NotSquarefree, RingElement, make_quadratic_field, prime_above
 from cflat.simkit import SweepConfig
 from cflat.svp import best_equation
+
+from codec_oracle import lattice_membership, ring_combine
 
 F3 = make_quadratic_field(3)
 F5 = make_quadratic_field(5)
@@ -62,6 +57,7 @@ LIBRARY_CASES = {
         DimensionMismatch,
         "encoded residues",
     ),
+    # the checks of the test oracles in codec_oracle.py
     "ring_combine_count": (
         lambda: ring_combine(LAT, [RingElement(1, 0)] * 2, [np.zeros((2, 2))]),
         ValueError,

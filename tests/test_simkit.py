@@ -440,9 +440,9 @@ class TestRunSweep:
             (("naive_Z", "am_Z"), 2, 2, 2, 3000.0, [(2, 4, 60)], 20),
             (("naive_Z", "am_ring(5)"), 2, 3, 2, 3000.0, [(2, 2, 60)], 29),
             (("am_ring(5)",), 1, 2, 20, 120.0, [(40, 40, 1)], 1),
-            (("naive_Z", "am_ring(3)"), 1, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 5),
-            (("naive_Z", "am_ring(3)"), 2, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 20),
-            (("naive_Z", "am_ring(3)"), 3, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 6),
+            (("naive_Z", "am_ring(3)"), 1, 2, 2, 3000.0, [(2, 2, 40)], 5),
+            (("naive_Z", "am_ring(3)"), 2, 2, 2, 3000.0, [(2, 2, 40)], 20),
+            (("naive_Z", "am_ring(3)"), 3, 2, 2, 3000.0, [(2, 2, 40)], 6),
             (("am_ring(3)", "naive_Z"), 1, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 17),
             (("am_ring(3)", "naive_Z"), 2, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 40),
             (("am_ring(3)", "naive_Z"), 3, 2, 2, 3000.0, [(2, 2, 40), (4, 4, 20)], 26),
@@ -461,7 +461,10 @@ class TestRunSweep:
         self, schemes, seed, n, L, snr_db, batches, single, monkeypatch
     ):
         # A failing sweep reduces each chunk of each lattice shape once, in
-        # its search pass, integer bases first, and raises the error cold
+        # its search pass, integer bases first, except a chunk whose every
+        # basis ranks after an error found before it: the single calls
+        # ranked before a chunk run before it, so naive_Z's RankDeficient
+        # leaves am_ring(3)'s bases unreduced.  It raises the error cold
         # calls raise first: a rate error of an item before the first
         # failing search, an integer search's RankDeficient, a ring scheme
         # whose field degree is not n (raised for its first item, after
@@ -495,6 +498,38 @@ class TestRunSweep:
         assert len(set(singles)) == len(singles) == single
         monkeypatch.undo()
         assert_same_error(batch, single_error(cold_rates, cfg))
+
+    def test_no_chunk_searched_past_the_first_error(self, monkeypatch):
+        # naive_Z's trial-9 RankDeficient comes from a single call ranked
+        # before every am_ring(3) basis, so it runs before their chunk, and
+        # the chunk, whose answers could no longer be used, is not reduced
+        events = []
+        real, real_single = svp._lll_batch, svp._lll_shortest
+
+        def recording(cols):
+            events.append(cols.shape)
+            return real(cols)
+
+        def recording_single(cols):
+            try:
+                return real_single(cols)
+            except svp.RankDeficient:
+                events.append("RankDeficient")
+                raise
+
+        monkeypatch.setattr(svp, "_lll_batch", recording)
+        monkeypatch.setattr(svp, "_lll_shortest", recording_single)
+        cfg = SweepConfig(
+            snr_db=(3000.0,), trials=20, schemes=("naive_Z", "am_ring(3)"), master_seed=2
+        )
+        batch = single_error(run_sweep, cfg)
+        assert events == [(2, 2, 40), "RankDeficient"]
+        monkeypatch.undo()
+        want = single_error(cold_rates, cfg)
+        assert isinstance(want, svp.RankDeficient)
+        assert_same_error(batch, want)
+        h = sample_channels(2, 9, 2, 2)
+        assert_same_error(want, single_error(naive_rate, BlockFadingChannel(h, 10.0**300.0)))
 
     def test_one_channels_bases_split_at_the_chunk(self, monkeypatch):
         # at n = 3, am_Z and naive_Z have four integer bases per channel,

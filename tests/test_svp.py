@@ -16,12 +16,7 @@ from cflat.channel import (
     coefficient_embeddings,
     naive_rate,
 )
-from cflat.codec import (
-    NestedCodePair,
-    _hnf_column_basis,
-    build_construction_a,
-    enumerate_fine_vectors,
-)
+from cflat.codec import NestedCodePair, _hnf_column_basis, build_construction_a
 from cflat.numfield import RingElement, make_quadratic_field, prime_above
 from cflat.simkit import SweepConfig, run_sweep, sample_channels
 from cflat.svp import (
@@ -30,7 +25,6 @@ from cflat.svp import (
     RankDeficient,
     SVPResult,
     SearchTooLarge,
-    TooLarge,
     _enumerate,
     _finite_column_batch,
     _gram_sqrt,
@@ -45,13 +39,14 @@ from cflat.svp import (
     _shortest_batch,
     best_equation,
     best_integer_block,
-    brute_force_shortest,
     build_search_basis,
-    minkowski_bound,
     shortest_vector,
 )
 
+import box_oracle
+from box_oracle import TooLarge, brute_force_shortest, minkowski_bound
 from child_env import child_env
+from codec_oracle import enumerate_fine_vectors
 from rate_oracle import gram_matrix
 from svp_certificate import box_points, certify_shortest
 
@@ -1021,6 +1016,7 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
         raise AssertionError("builtin sum called")
 
     monkeypatch.setattr(svp, "sum", no_sum, raising=False)
+    monkeypatch.setattr(box_oracle, "sum", no_sum, raising=False)
     got = searches()
     for (c, n), (c0, n0) in zip(got[3], want[3]):
         assert bits(c) == bits(c0) and bits(n) == bits(n0)
