@@ -37,6 +37,7 @@ _EXPORTS = {
         "build_construction_a",
         "decode_equation",
         "encode",
+        "run_codec",
         "simulate_codec",
         "union_bound",
     ),

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +31,9 @@ __all__ = [
     "main",
 ]
 
-# per SNR point, the Monte Carlo's certified trials and the union bound's
-# radius growth (one record per radius tried), all at DEBUG
-_codec_log = logging.getLogger("cflat.codec")
-
 CONFIG_KEYS = ("n", "L", "snr_db", "trials", "schemes", "seed", "d_list", "output")
 # most points an a:b:c SNR range may expand to
 MAX_SNR_POINTS = 10_000
-# union-bound terms `cflat codec` grows its truncation radius to reach
-_UB_MIN_TERMS = 1000
 
 
 class CliError(Exception):
@@ -299,35 +292,10 @@ def _default_generator(T: int, l_f: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _codec_union_bound(lat, cand) -> float:
-    from .codec import RadiusTooSmall, union_bound
-
-    radius = lat.gamma * math.sqrt(lat.n * lat.T)
-    for _ in range(30):
-        try:
-            ub = union_bound(lat, cand.nu_sq, radius)
-        except RadiusTooSmall:
-            _codec_log.debug(
-                "union bound: RadiusTooSmall at radius %.6g, doubling to %.6g",
-                radius,
-                2.0 * radius,
-            )
-            radius *= 2.0
-            continue
-        _codec_log.debug("union bound: radius %.6g, %d terms", radius, ub.terms)
-        # no terms at all: l_f = l_c, so there is no error event to bound
-        if ub.terms >= _UB_MIN_TERMS or not ub.terms:
-            return ub.value
-        radius *= 1.5
-    return ub.value
-
-
 def _cmd_codec(args, cfg: CliConfig) -> int:
-    from .channel import BlockFadingChannel, _snr_linear
-    from .codec import NestedCodePair, _build, _second_moment, simulate_codec
+    from .codec import NestedCodePair, run_codec
     from .numfield import make_quadratic_field, prime_above
     from .simkit import sample_channels
-    from .svp import best_equation
 
     field = make_quadratic_field(args.d)
     prime = prime_above(field, args.p)
@@ -340,23 +308,10 @@ def _cmd_codec(args, cfg: CliConfig) -> int:
         G_f=_default_generator(args.T, args.lf),
     )
     h = sample_channels(cfg.seed, 0, field.degree, cfg.L)
-    # only the scale depends on the SNR: build and calibrate once, then
-    # rescale as build_construction_a(..., target_power=P) would
-    unit = _build(field, prime, codes)
-    m0 = _second_moment(unit)
     rows = ["snr_db,error_rate,stderr,union_bound,trials"]
-    for snr in cfg.snr_db:
-        P = _snr_linear(snr)
-        ch = BlockFadingChannel(h, P)
-        lat = replace(unit, gamma=math.sqrt(P / m0))
-        cand = best_equation(field, ch)
-        sim = simulate_codec(lat, ch, cand, cfg.trials, cfg.seed)
-        _codec_log.debug(
-            "monte carlo: %d of %d trials certified at %g dB", sim.certified, sim.trials, snr
-        )
-        ub = _codec_union_bound(lat, cand)
+    for snr, sim, ub in run_codec(field, prime, codes, h, cfg.snr_db, cfg.trials, cfg.seed):
         rows.append(
-            f"{snr:g},{sim.error_rate:.6e},{sim.stderr:.6e},{ub:.6e},{sim.trials}"
+            f"{snr:g},{sim.error_rate:.6e},{sim.stderr:.6e},{ub.value:.6e},{sim.trials}"
         )
     _write_text(cfg.output, "\n".join(rows) + "\n")
     return 0

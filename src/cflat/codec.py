@@ -5,21 +5,22 @@ ring of integers coordinate-wise, tiled by the ideal, and embedded into real
 space by the canonical embedding.  The module covers encoding with dithered
 parallelepiped shaping, exact fine-lattice decoding of an equation's ring
 combination of codewords, and the union bound on the decoding error
-probability with a Monte Carlo counterpart.
+probability with a Monte Carlo counterpart; run_codec runs `cflat codec`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import BlockFadingChannel, EquationCandidate
+from .channel import BlockFadingChannel, EquationCandidate, _snr_linear
 from .numfield import NumberField, PrimeIdeal, ResidueField, residue_reduce
-from .svp import _enumerate, _lll_reduce
+from .svp import _enumerate, _lll_reduce, best_equation
 
 __all__ = [
     "DimensionMismatch",
@@ -31,12 +32,17 @@ __all__ = [
     "UnionBoundResult",
     "DecodeResult",
     "SimResult",
+    "CodecPoint",
     "build_construction_a",
     "encode",
     "decode_equation",
     "union_bound",
     "simulate_codec",
+    "run_codec",
 ]
+
+# run_codec logs certified trials and each union-bound radius at DEBUG
+_log = logging.getLogger(__name__)
 
 MAX_COSET_LEADERS = 4096
 _POWER_SAMPLES = 100_000
@@ -47,6 +53,7 @@ _SIM_BATCH = 4096
 # derived in _certified_sq
 _CERT_MARGIN = 2.0**-20
 _CERT_GUARD = 2.0**21
+_UB_MIN_TERMS = 1000  # terms the union bound's radius grows to reach
 
 
 class DimensionMismatch(ValueError):
@@ -105,6 +112,12 @@ class SimResult(NamedTuple):
     errors: int
     trials: int
     certified: int  # trials the packing-radius certificate settled undecoded
+
+
+class CodecPoint(NamedTuple):
+    snr_db: float
+    sim: SimResult
+    union_bound: UnionBoundResult
 
 
 # ---------------------------------------------------------------------------
@@ -302,25 +315,14 @@ def _index_digits(idx, q: int, start: int, stop: int) -> np.ndarray:
 
 
 def build_construction_a(
-    field: NumberField,
-    prime: PrimeIdeal,
-    codes: NestedCodePair,
-    target_power: float | None = None,
-    gamma: float | None = None,
+    field: NumberField, prime: PrimeIdeal, codes: NestedCodePair, target_power: float
 ) -> ConstructionALattice:
-    """Build the lattice pair and calibrate the embedding scale.
-
-    With target_power given, gamma is set so the per-dimension second moment
-    of the shaping region (Monte Carlo, fixed internal seed) equals the power
-    budget; alternatively a gamma may be pinned directly.  The unit volumes
-    q^(T - l) disc^(T/2) are closed forms.  DeskScaleExceeded: over
-    MAX_COSET_LEADERS or a float's range.
-    """
-    if (target_power is None) == (gamma is None):
-        raise ValueError("give exactly one of target_power or gamma")
+    """Build the lattice pair at the gamma where the shaping region's
+    per-dimension second moment (Monte Carlo, fixed internal seed) is the
+    power budget.  DeskScaleExceeded: over MAX_COSET_LEADERS or a float's
+    range."""
     lat = _build(field, prime, codes)
-    if gamma is None:
-        gamma = math.sqrt(target_power / _second_moment(lat))
+    gamma = math.sqrt(target_power / _second_moment(lat))
     return dataclasses.replace(lat, gamma=gamma)
 
 
@@ -844,3 +846,55 @@ def simulate_codec(
     return SimResult(
         error_rate=rate, stderr=stderr, errors=errors, trials=trials, certified=certified
     )
+
+
+def _codec_union_bound(
+    lat: ConstructionALattice, cand: EquationCandidate
+) -> UnionBoundResult:
+    """union_bound from radius gamma sqrt(nT), doubled on RadiusTooSmall
+    and grown by 1.5 to _UB_MIN_TERMS terms (none where l_f = l_c)."""
+    radius = lat.gamma * math.sqrt(lat.n * lat.T)
+    for _ in range(30):
+        try:
+            ub = union_bound(lat, cand.nu_sq, radius)
+        except RadiusTooSmall:
+            _log.debug(
+                "union bound: RadiusTooSmall at radius %.6g, doubling to %.6g",
+                radius,
+                2.0 * radius,
+            )
+            radius *= 2.0
+            continue
+        _log.debug("union bound: radius %.6g, %d terms", radius, ub.terms)
+        if ub.terms >= _UB_MIN_TERMS or not ub.terms:
+            return ub
+        radius *= 1.5
+    return ub
+
+
+def run_codec(
+    field: NumberField,
+    prime: PrimeIdeal,
+    codes: NestedCodePair,
+    h: np.ndarray,
+    snr_db,
+    trials: int,
+    seed: int,
+) -> list[CodecPoint]:
+    """Per SNR point on the channel h (n, L): the best ring equation's
+    simulate_codec and union bound.  The lattice is built and calibrated
+    once; each point's rescale has build_construction_a's bits."""
+    unit = _build(field, prime, codes)
+    m0 = _second_moment(unit)
+    points = []
+    for snr in snr_db:
+        P = _snr_linear(snr)
+        ch = BlockFadingChannel(h, P)
+        lat = dataclasses.replace(unit, gamma=math.sqrt(P / m0))
+        cand = best_equation(field, ch)
+        sim = simulate_codec(lat, ch, cand, trials, seed)
+        _log.debug(
+            "monte carlo: %d of %d trials certified at %g dB", sim.certified, sim.trials, snr
+        )
+        points.append(CodecPoint(snr, sim, _codec_union_bound(lat, cand)))
+    return points

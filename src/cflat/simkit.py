@@ -131,7 +131,6 @@ class SweepResult:
     mean: np.ndarray  # (schemes, snr)
     stderr: np.ndarray
     rates: np.ndarray  # (schemes, snr, trials)
-    dof: dict
 
 
 def _check_channels(h: np.ndarray, Ps: list) -> None:
@@ -238,7 +237,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         stderr = rates.std(axis=2, ddof=1) / math.sqrt(cfg.trials)
     else:
         stderr = np.zeros_like(mean)
-    result = SweepResult(
+    return SweepResult(
         snr_db=tuple(cfg.snr_db),
         schemes=tuple(cfg.schemes),
         trials=cfg.trials,
@@ -246,16 +245,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         mean=mean,
         stderr=stderr,
         rates=rates,
-        dof={},
     )
-    dof = {}
-    for name in cfg.schemes:
-        try:
-            dof[name] = dof_slope(result, name, DEFAULT_DOF_WINDOW)
-        except InsufficientPoints:
-            dof[name] = None
-    result.dof.update(dof)
-    return result
 
 
 def dof_slope(

@@ -5,7 +5,6 @@ Run with -s to see one PASS/FAIL line per criterion.  The headline sweep
 the first three criteria.
 """
 
-import dataclasses
 import math
 import time
 
@@ -18,7 +17,6 @@ from cflat.codec import (
     NestedCodePair,
     RadiusTooSmall,
     _build,
-    _second_moment,
     build_construction_a,
     encode,
     simulate_codec,
@@ -203,7 +201,7 @@ def test_criterion_05_ring_closure():
 
 
 def test_criterion_06_volume_and_message_rate():
-    lat = build_construction_a(F5, P11, REPEAT_CODE, gamma=1.0)
+    lat = _build(F5, P11, REPEAT_CODE)
     vol_ok = math.isclose(lat.vol_fine_unit, 55.0, rel_tol=1e-6)
     rate_ok = lat.message_rate_bits == 0.5 * math.log2(11)
     _report(6, "construction volume and message rate", vol_ok and rate_ok,
@@ -253,7 +251,7 @@ def test_criterion_08_product_distance_floor():
     total = 0
     enumerated = []
     for lat in (
-        build_construction_a(F5, P11, REPEAT_CODE, gamma=1.0),
+        _build(F5, P11, REPEAT_CODE),
         build_construction_a(F5, P11, REPEAT_CODE, target_power=25.0),
     ):
         floor = lat.gamma ** (2 * lat.n) * lat.T**lat.n
@@ -341,8 +339,6 @@ def test_criterion_11_ring_equation_decodes_with_fewer_errors():
     error indicators has variance p_Z + p_ring - 2 p_both - (p_Z - p_ring)^2
     per trial, with p_both the rate of trials both fail, which the counts
     do not give: taking p_both = 0 bounds the standard error from above."""
-    unit = _build(F5, P11, REPEAT_CODE)
-    m0 = _second_moment(unit)
     trials = 20_000
     rows, failures = [], []
     for seed in (1, 2, 3):
@@ -350,7 +346,7 @@ def test_criterion_11_ring_equation_decodes_with_fewer_errors():
         for snr_db in (10.0, 15.0, 20.0, 25.0, 30.0):
             P = 10 ** (snr_db / 10)
             ch = BlockFadingChannel(h, P)
-            lat = dataclasses.replace(unit, gamma=math.sqrt(P / m0))
+            lat = build_construction_a(F5, P11, REPEAT_CODE, P)
             ring = best_equation(F5, ch)
             lifted = tuple(RingElement(int(x), 0) for x in best_equation(None, ch).a)
             integer = am_rate(ch, lifted, F5)

@@ -21,9 +21,10 @@ from cflat.cli import (
     parse_config,
 )
 from cflat.channel import BlockFadingChannel
-from cflat.codec import RadiusTooSmall, build_construction_a
+from cflat.codec import NestedCodePair, RadiusTooSmall, build_construction_a, run_codec
 from cflat.svp import best_equation
 from cflat.numfield import make_quadratic_field, prime_above
+from cflat.simkit import sample_channels
 from blas_kernels import outputs_per_kernel
 from child_env import child_env
 
@@ -356,6 +357,33 @@ class TestCodecCommand:
         )
         assert calls[1] == 2 * calls[0]
         assert second.startswith(f"union bound: radius {calls[1]:.6g}, ")
+
+    def test_codec_points_hold_the_logged_counts(self, tmp_path, caplog):
+        # run_codec's points carry the counts `cflat codec` logs at DEBUG:
+        # per SNR point, the certified trials and the accepted walk's terms
+        caplog.set_level(logging.DEBUG, logger="cflat.codec")
+        out = tmp_path / "codec.csv"
+        args = ["codec", "--d", "5", "--p", "11", "--T", "2", "--lf", "1", "--lc", "0",
+                "--snr-db", "0:10:30", "--trials", "2000", "--seed", "7",
+                "--output", str(out)]  # fmt: skip
+        assert main(args) == 0
+        logged = []
+        for message in [r.getMessage() for r in caplog.records]:
+            if message.startswith("monte carlo: "):
+                words = message.split()
+                logged.append([float(words[8]), int(words[2]), None])
+            elif message.startswith("union bound: radius "):
+                logged[-1][2] = int(message.split(", ")[1].split()[0])
+        field = make_quadratic_field(5)
+        codes = NestedCodePair(11, 1, 2, 1, 0, cflat.cli._default_generator(2, 1))
+        h = sample_channels(7, 0, 2, 2)
+        snrs = (0.0, 10.0, 20.0, 30.0)
+        points = run_codec(field, prime_above(field, 11), codes, h, snrs, 2000, 7)
+        got = [[p.snr_db, p.sim.certified, p.union_bound.terms] for p in points]
+        assert got == logged
+        assert all(terms >= 1000 for *_, terms in logged)
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert [row[3] for row in rows] == [f"{p.union_bound.value:.6e}" for p in points]
 
     @pytest.mark.parametrize("lf", ["0", "1"])
     def test_trivial_message_space_has_zero_union_bound(self, capsys, lf):

@@ -62,7 +62,7 @@ def draw_dithers(lat, rng, shape=()):
 
 @pytest.fixture(scope="module")
 def unit_lattice():
-    return build_construction_a(F5, P11, REPEAT_CODE, gamma=1.0)
+    return _build(F5, P11, REPEAT_CODE)
 
 
 @pytest.fixture(scope="module")
@@ -84,13 +84,13 @@ class TestBuild:
 
     def test_trivial_message_space(self):
         codes = NestedCodePair(p=11, r=1, T=2, l_f=1, l_c=1, G_f=((1,), (1,)))
-        lat = build_construction_a(F5, P11, codes, gamma=1.0)
+        lat = _build(F5, P11, codes)
         assert lat.message_rate_bits == 0.0
 
     def test_inert_prime_volume(self):
         P2 = prime_above(F5, 2)
         codes = NestedCodePair(p=2, r=2, T=2, l_f=1, l_c=0, G_f=((1,), (1,)))
-        lat = build_construction_a(F5, P2, codes, gamma=1.0)
+        lat = _build(F5, P2, codes)
         # p^((T-l_f) r) * disc^(T/2)
         assert lat.vol_fine_unit == pytest.approx(4.0 * 5.0, rel=1e-6)
         assert lat.vol_coarse_unit == pytest.approx(16.0 * 5.0, rel=1e-6)
@@ -103,14 +103,14 @@ class TestBuild:
         per_dim = np.mean(np.sum(d * d, axis=(1, 2))) / (lat.n * lat.T)
         assert per_dim == pytest.approx(P, rel=0.05)
 
-    def test_pinned_gamma_draws_no_calibration_samples(self, monkeypatch):
-        want = build_construction_a(F5, P11, REPEAT_CODE, gamma=1.0)
+    def test_unit_build_draws_no_calibration_samples(self, monkeypatch):
+        want = _build(F5, P11, REPEAT_CODE)
 
         def no_rng(*args, **kwargs):
-            raise AssertionError("a build with gamma pinned drew random samples")
+            raise AssertionError("the build at gamma = 1 drew random samples")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        got = build_construction_a(F5, P11, REPEAT_CODE, gamma=1.0)
+        got = _build(F5, P11, REPEAT_CODE)
         for f in dataclasses.fields(got):
             value = getattr(got, f.name)
             if isinstance(value, np.ndarray):
@@ -126,7 +126,8 @@ class TestBuild:
         codes = systematic_code(p, prime.r, 2, l_f, l_c)
         calibrated = build_construction_a(F5, prime, codes, target_power=100.0)
         gammas = (1.0, calibrated.gamma, 1e-3)
-        want = {g: build_construction_a(F5, prime, codes, gamma=g) for g in gammas}
+        unit = _build(F5, prime, codes)
+        want = {g: dataclasses.replace(unit, gamma=g) for g in gammas}
         starts = [want[1.0], calibrated, want[1e-3]]
         for start in starts:
             chained = start
@@ -143,17 +144,17 @@ class TestBuild:
     def test_field_prime_mismatch(self):
         P13 = prime_above(F5, 13)  # inert, r=2
         with pytest.raises(DimensionMismatch):
-            build_construction_a(F5, P13, REPEAT_CODE, gamma=1.0)
+            _build(F5, P13, REPEAT_CODE)
 
     def test_bad_shapes(self):
         bad = NestedCodePair(p=11, r=1, T=2, l_f=2, l_c=0, G_f=((1,), (1,)))
         with pytest.raises(DimensionMismatch):
-            build_construction_a(F5, P11, bad, gamma=1.0)
+            _build(F5, P11, bad)
 
     def test_rank_deficient_code(self):
         codes = NestedCodePair(p=11, r=1, T=2, l_f=2, l_c=0, G_f=((1, 2), (2, 4)))
         with pytest.raises(RankDeficientCode):
-            build_construction_a(F5, P11, codes, gamma=1.0)
+            _build(F5, P11, codes)
 
     def test_desk_scale_guard(self):
         codes = NestedCodePair(
@@ -165,7 +166,7 @@ class TestBuild:
             G_f=tuple(tuple(1 if i == k else 0 for k in range(4)) for i in range(4)),
         )
         with pytest.raises(DeskScaleExceeded):
-            build_construction_a(F5, P11, codes, gamma=1.0)  # 11^4 leaders
+            _build(F5, P11, codes)  # 11^4 leaders
 
     def test_exact_volumes_on_code_grid(self):
         # every code with d in {2, 3, 5, 13}, an unramified p <= 13 (split or
@@ -190,7 +191,7 @@ class TestBuild:
                         rank = len(_fq_gauss_jordan(Fq, G_f, [0] * T)[1])
                     for l_c in range(l_f + 1):
                         codes = NestedCodePair(p, prime.r, T, l_f, l_c, G_f)
-                        lat = build_construction_a(field, prime, codes, gamma=1.0)
+                        lat = _build(field, prime, codes)
                         built += 1
                         for l, vol in ((l_f, lat.vol_fine_unit), (l_c, lat.vol_coarse_unit)):
                             assert vol == Fq.q ** (T - l) * field.discriminant ** (T / 2)
@@ -208,10 +209,10 @@ class TestBuild:
         def codes(T):
             return NestedCodePair(p=999983, r=2, T=T, l_f=0, l_c=0, G_f=((),) * T)
 
-        lat = build_construction_a(F5, prime, codes(24), gamma=1.0)
+        lat = _build(F5, prime, codes(24))
         assert lat.vol_coarse_unit == prime.residue_field.q**24 * 5 ** (24 / 2)
         with pytest.raises(DeskScaleExceeded, match=r"volume \d+\^25 \* 5\^\(25/2\) overflows"):
-            build_construction_a(F5, prime, codes(25), gamma=1.0)
+            _build(F5, prime, codes(25))
 
 
 def systematic_code(p, r, T, l_f, l_c):
@@ -608,7 +609,7 @@ class TestUnionBound:
     def test_trivial_message_space_is_empty_sum(self, l_f):
         # l_f = l_c: every fine vector is coarse, so there is no error event
         codes = NestedCodePair(p=11, r=1, T=2, l_f=l_f, l_c=l_f, G_f=((1,) * l_f,) * 2)
-        lat = build_construction_a(F5, P11, codes, gamma=1.0)
+        lat = _build(F5, P11, codes)
         assert not enumerate_fine_vectors(lat, 1e3)
         for radius in (1e-3, 4.0, 1e3):
             assert union_bound(lat, (0.5, 0.5), radius) == (0.0, 0)
@@ -634,7 +635,7 @@ def _ideal_lattice(d, p):
     field = make_quadratic_field(d)
     prime = prime_above(field, p)
     codes = NestedCodePair(p=p, r=prime.r, T=1, l_f=0, l_c=0, G_f=((),))
-    return build_construction_a(field, prime, codes, gamma=1.0)
+    return _build(field, prime, codes)
 
 
 # (d, p) whose reduced ideal basis is LLL- but not Gauss-reduced: split primes

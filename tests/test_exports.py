@@ -30,7 +30,7 @@ EXPORTS = {
     },
     "codec": {
         "ConstructionALattice", "NestedCodePair", "build_construction_a", "decode_equation",
-        "encode", "simulate_codec", "union_bound",
+        "encode", "run_codec", "simulate_codec", "union_bound",
     },
     "simkit": {"SweepConfig", "SweepResult", "dof_slope", "run_sweep", "sample_channels"},
 }  # fmt: skip
@@ -44,7 +44,7 @@ def test_all_names_resolve(name):
 
 
 def test_package_imports_resolve():
-    assert sum(map(len, EXPORTS.values())) == 29
+    assert sum(map(len, EXPORTS.values())) == 30
     assert set(cflat._SOURCE) == set().union(*EXPORTS.values())
     assert set(cflat.__all__) == set(cflat._SOURCE)
     assert len(cflat.__all__) == len(set(cflat.__all__))
@@ -96,11 +96,12 @@ def test_fresh_interpreter_loads_only_what_it_uses():
     assert svp.split() == ["True", "cflat.channel", "cflat.numfield", "cflat.svp"]
     assert "cflat.simkit" in swept.split() and "cflat.cli" not in swept.split()
     assert cli == "cflat.cli True"
-    assert star == "True 29"
+    assert star == "True 30"
 
 
-# exported for the relay's one-observation decode, which the README documents
-UNCALLED_EXPORTS = {"decode_equation"}
+# exported for the relay's one-observation decode and a sweep's high-SNR
+# slope (its degrees of freedom), which the README documents
+UNCALLED_EXPORTS = {"decode_equation", "dof_slope"}
 
 
 def _read_names(tree, skip=None) -> set:
@@ -139,3 +140,16 @@ def test_every_export_is_run_by_the_program():
         if name not in read:
             uncalled.add(name)
     assert uncalled == UNCALLED_EXPORTS
+
+
+def test_cli_imports_no_private_codec_name():
+    # the codec's calibration and union-bound policy live behind run_codec,
+    # so the front end needs none of the codec's private helpers
+    path = pathlib.Path(cflat.__file__).parent / "cli.py"
+    imported = {}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("codec", "cflat.codec"):
+            imported.update((alias.name, node.lineno) for alias in node.names)
+    assert "run_codec" in imported
+    private = {name: line for name, line in imported.items() if name.startswith("_")}
+    assert not private, f"cli.py imports private codec names (name: line) {private}"

@@ -6,7 +6,9 @@ import pytest
 
 from cflat.channel import BlockFadingChannel, coefficient_embeddings
 from cflat.cli import main
-from cflat.codec import DimensionMismatch, NestedCodePair, build_construction_a, simulate_codec
+from cflat.codec import (
+    DimensionMismatch, NestedCodePair, _build, build_construction_a, simulate_codec,
+)
 from cflat.numfield import NotSquarefree, RingElement, make_quadratic_field, prime_above
 from cflat.simkit import SweepConfig
 from cflat.svp import best_equation
@@ -17,13 +19,13 @@ F3 = make_quadratic_field(3)
 F5 = make_quadratic_field(5)
 P11 = prime_above(F5, 11)
 CODES = NestedCodePair(p=11, r=1, T=2, l_f=1, l_c=0, G_f=((1,), (1,)))
-LAT = build_construction_a(F5, P11, CODES, gamma=1.0)
+LAT = _build(F5, P11, CODES)
 CH = BlockFadingChannel(np.array([[1.0, 0.5], [0.3, 1.0]]), 10.0)
 CAND = best_equation(F5, CH)
 
 
-def build(codes=CODES, prime=P11, **scale):
-    return lambda: build_construction_a(F5, prime, codes, **scale)
+def build(codes=CODES, prime=P11):
+    return lambda: build_construction_a(F5, prime, codes, 1.0)
 
 
 LIBRARY_CASES = {
@@ -31,29 +33,20 @@ LIBRARY_CASES = {
     "squarefree_9": (lambda: make_quadratic_field(9), NotSquarefree, "square factor"),
     "squarefree_45": (lambda: make_quadratic_field(45), NotSquarefree, "square factor"),
     "squarefree_175": (lambda: make_quadratic_field(175), NotSquarefree, "square factor"),
-    "build_both_scales": (
-        build(target_power=1.0, gamma=1.0), ValueError, "exactly one",
-    ),
-    "build_no_scale": (build(), ValueError, "exactly one"),
     "build_foreign_prime": (
-        build(prime=prime_above(F3, 11), gamma=1.0), DimensionMismatch, "different field",
+        build(prime=prime_above(F3, 11)), DimensionMismatch, "different field",
     ),
     "build_lc_above_lf": (
-        build(NestedCodePair(11, 1, 2, 1, 2, ((1,), (1,))), gamma=1.0),
+        build(NestedCodePair(11, 1, 2, 1, 2, ((1,), (1,)))),
         DimensionMismatch,
         "l_c <= l_f",
     ),
     # T = 0 divided by zero in the rate and the power calibration
     "build_T0_target_power": (
-        build(NestedCodePair(11, 1, 0, 0, 0, ()), target_power=1.0),
-        DimensionMismatch,
-        "T >= 1",
-    ),
-    "build_T0_gamma": (
-        build(NestedCodePair(11, 1, 0, 0, 0, ()), gamma=1.0), DimensionMismatch, "T >= 1",
+        build(NestedCodePair(11, 1, 0, 0, 0, ())), DimensionMismatch, "T >= 1",
     ),
     "build_entry_not_residue": (
-        build(NestedCodePair(11, 1, 2, 1, 0, ((11,), (1,))), gamma=1.0),
+        build(NestedCodePair(11, 1, 2, 1, 0, ((11,), (1,)))),
         DimensionMismatch,
         "encoded residues",
     ),

@@ -607,7 +607,6 @@ class TestDofSlope:
             mean=mean,
             stderr=np.zeros_like(mean),
             rates=mean[:, :, None],
-            dof={},
         )
 
     @pytest.mark.parametrize("slope", [0.5, 1.0, 2.0])
@@ -624,7 +623,6 @@ class TestDofSlope:
         for k, name in enumerate(res.schemes):
             want = float(np.polyfit(xs, res.mean[k, window], 1)[0])
             assert dof_slope(res, name) == pytest.approx(want, rel=1e-15, abs=0.0)
-            assert res.dof[name] == dof_slope(res, name)
 
     def test_insufficient_points(self):
         res = self.synthetic(1.0)
@@ -632,19 +630,18 @@ class TestDofSlope:
             dof_slope(res, "mac", (49, 50))
 
     def test_repeated_points_count_once(self):
-        # three copies of one SNR point fit no slope: the sweep records no
-        # degrees of freedom (a least-squares fit warned RankWarning)
+        # three copies of one SNR point fit no slope (a least-squares fit
+        # warned RankWarning)
         res = run_sweep(SweepConfig(snr_db=(30.0, 30.0, 30.0), trials=1, schemes=("mac",)))
-        assert res.dof == {"mac": None}
         with pytest.raises(InsufficientPoints, match="3 distinct SNR points .* got 1"):
             dof_slope(res, "mac", (30, 50))
 
-    def test_sweep_populates_dof(self):
+    def test_sweep_slope_is_the_mac_dof(self):
         cfg = SweepConfig(
             snr_db=(30.0, 40.0, 50.0), trials=5, schemes=("mac",), master_seed=2
         )
         res = run_sweep(cfg)
-        assert res.dof["mac"] == pytest.approx(2.0, abs=0.25)
+        assert dof_slope(res, "mac") == pytest.approx(2.0, abs=0.25)
 
 
 # a 20-trial headline sweep's rates and two `cflat rate` outputs

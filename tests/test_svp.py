@@ -16,7 +16,7 @@ from cflat.channel import (
     coefficient_embeddings,
     naive_rate,
 )
-from cflat.codec import NestedCodePair, _hnf_column_basis, build_construction_a
+from cflat.codec import NestedCodePair, _build, _hnf_column_basis
 from cflat.numfield import RingElement, make_quadratic_field, prime_above
 from cflat.simkit import SweepConfig, run_sweep, sample_channels
 from cflat.svp import (
@@ -998,7 +998,7 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
     # and minkowski_bound are summed left to right instead, from 0.0 as
     # Python 3.11's sum does
     B = build_search_basis(F5, random_channel(np.random.default_rng(13), L=3))
-    lat = build_construction_a(F5, prime_above(F5, 11), REPEAT_CODE, gamma=1.0)
+    lat = _build(F5, prime_above(F5, 11), REPEAT_CODE)
     # sweep bases at L = 2 and 3, most of those not skipped box-searched
     batch = [sweep_bases(5, L, (0.0, 20.0, 40.0), 10) for L in (2, 3)]
 
@@ -1225,7 +1225,7 @@ class TestNodeBudget:
 
     def test_codec_walk_is_not_bounded(self, monkeypatch):
         # the closest-point walk of the codec lists every point of its disc
-        lat = build_construction_a(F5, prime_above(F5, 11), REPEAT_CODE, gamma=1.0)
+        lat = _build(F5, prime_above(F5, 11), REPEAT_CODE)
         want = enumerate_fine_vectors(lat, 3.0)
         monkeypatch.setattr(svp, "_NODE_BUDGET", 1)
         assert len(enumerate_fine_vectors(lat, 3.0)) == len(want) > 1
