@@ -7,7 +7,7 @@ import pytest
 from cflat.channel import BlockFadingChannel, coefficient_embeddings
 from cflat.cli import main
 from cflat.codec import (
-    DimensionMismatch, NestedCodePair, _build, build_construction_a, simulate_codec,
+    DimensionMismatch, NestedCodePair, _build, build_construction_a, run_codec, simulate_codec,
 )
 from cflat.numfield import NotSquarefree, RingElement, make_quadratic_field, prime_above
 from cflat.simkit import SweepConfig
@@ -49,6 +49,17 @@ LIBRARY_CASES = {
         build(NestedCodePair(11, 1, 2, 1, 0, ((11,), (1,)))),
         DimensionMismatch,
         "encoded residues",
+    ),
+    # run_codec checks the code against the prime and the channel against the field
+    "run_codec_foreign_prime": (
+        lambda: run_codec(F5, prime_above(F3, 11), CODES, np.ones((2, 2)), [10.0], 1, 0),
+        DimensionMismatch,
+        "different field",
+    ),
+    "run_codec_block_count": (
+        lambda: run_codec(F5, P11, CODES, np.ones((3, 2)), [10.0], 1, 0),
+        ValueError,
+        "block count 3",
     ),
     # the checks of the test oracles in codec_oracle.py
     "ring_combine_count": (
