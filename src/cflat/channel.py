@@ -53,6 +53,10 @@ class BlockFadingChannel:
 
     def __post_init__(self):
         h = np.atleast_2d(np.asarray(self.h, dtype=float))
+        if h.ndim != 2 or not h.size:
+            raise ValueError(
+                f"channel h must be an (n, L) matrix with n, L >= 1, got shape {np.shape(self.h)}"
+            )
         if not np.all(np.isfinite(h)):
             raise ValueError("channel entries must be finite")
         if not self.P > 0:
@@ -293,6 +297,8 @@ def am_rate(
     """Computation rate (n/2) log2+ (n / sum_j sigma_j^T M_j sigma_j) of the
     arithmetic-mean decoder for coefficient vector a, with per-block MMSE
     scaling."""
+    if len(a) != ch.L:
+        raise ValueError(f"coefficient vector has {len(a)} entries for L = {ch.L} users")
     sigma = coefficient_embeddings(a, field, ch.n)
     b, nu_sq, f, _ = _am_terms(ch.h.tolist(), sigma.tolist(), ch.P)
     return EquationCandidate(

@@ -102,15 +102,16 @@ def _parse_int(key: str, text: str, minimum: int | None = None) -> int:
 
 
 def _validate(cfg: dict) -> CliConfig:
-    cfg["n"] = _parse_int("n", cfg.get("n", 2), 1)
-    cfg["L"] = _parse_int("L", cfg.get("L", 2), 1)
-    cfg["trials"] = _parse_int("trials", cfg.get("trials", 2000), 1)
-    cfg["seed"] = _parse_int("seed", cfg.get("seed", 1), 0)
-    snr = cfg.get("snr_db", "0:5:50")
+    default = CliConfig()
+    cfg["n"] = _parse_int("n", cfg.get("n", default.n), 1)
+    cfg["L"] = _parse_int("L", cfg.get("L", default.L), 1)
+    cfg["trials"] = _parse_int("trials", cfg.get("trials", default.trials), 1)
+    cfg["seed"] = _parse_int("seed", cfg.get("seed", default.seed), 0)
+    snr = cfg.get("snr_db", default.snr_db)
     cfg["snr_db"] = _parse_snr_list(snr) if isinstance(snr, str) else tuple(snr)
     if not cfg["snr_db"] or not all(math.isfinite(s) for s in cfg["snr_db"]):
         raise InvalidValue("snr_db must be a nonempty list of finite values")
-    dl = cfg.get("d_list", (3, 5, 7))
+    dl = cfg.get("d_list", default.d_list)
     if isinstance(dl, str):
         dl = tuple(_parse_int("d_list", x) for x in dl.split(",") if x.strip())
     cfg["d_list"] = tuple(dl)
@@ -141,12 +142,7 @@ def parse_config(path: str | None, flags: dict | None = None) -> CliConfig:
     overrides on top.  Unknown keys are rejected."""
     cfg: dict = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise CliError(f"cannot read config {path}: {exc}") from None
-        for no, raw in enumerate(lines, start=1):
+        for no, raw in enumerate(_read_lines(path, "config"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -166,6 +162,16 @@ def parse_config(path: str | None, flags: dict | None = None) -> CliConfig:
             raise UnknownKey(f"unknown option {key!r}")
         cfg[key] = value
     return _validate(cfg)
+
+
+def _read_lines(path: str, what: str) -> list[str]:
+    """The lines of the input file a flag names; CliError (exit 2) when it
+    cannot be read as UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -205,8 +211,7 @@ def _load_channel(args) -> np.ndarray:
     if getattr(args, "h", None):
         return _parse_channel_text(args.h)
     if getattr(args, "channel_file", None):
-        with open(args.channel_file, "r", encoding="utf-8") as fh:
-            return _parse_channel_text(";".join(fh.readlines()))
+        return _parse_channel_text(";".join(_read_lines(args.channel_file, "channel file")))
     raise InvalidValue("a channel is required: use --h or --channel-file")
 
 
@@ -320,8 +325,7 @@ def _cmd_codec(args, cfg: CliConfig) -> int:
 def _cmd_svp(args, cfg: CliConfig) -> int:
     from .svp import shortest_vector
 
-    with open(args.basis, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    tokens = "".join(_read_lines(args.basis, "basis")).split()
     if not tokens:
         raise InvalidValue("empty basis file")
     try:

@@ -5,7 +5,8 @@ ring of integers coordinate-wise, tiled by the ideal, and embedded into real
 space by the canonical embedding.  The module covers encoding with dithered
 parallelepiped shaping, exact fine-lattice decoding of an equation's ring
 combination of codewords, and the union bound on the decoding error
-probability with a Monte Carlo counterpart; run_codec runs `cflat codec`.
+probability, summed term by term as it walks the short fine-not-coarse
+vectors, with a Monte Carlo counterpart; run_codec runs `cflat codec`.
 """
 
 from __future__ import annotations
@@ -233,7 +234,6 @@ class ConstructionALattice:
     field: NumberField
     prime: PrimeIdeal
     codes: NestedCodePair
-    coset_leaders: np.ndarray  # (K, T, 2) ring coordinates in [0, p)
     leader_residues: np.ndarray  # (K, T) encoded residues
     embedded_unit: np.ndarray  # (K, n, T) embedded leaders at gamma = 1
     region_unit: np.ndarray  # (nT, nT) shaping parallelepiped at gamma = 1
@@ -272,7 +272,7 @@ class ConstructionALattice:
 
     @property
     def K(self) -> int:
-        return len(self.coset_leaders)
+        return len(self.leader_residues)
 
     @property
     def vol_fine_unit(self) -> float:
@@ -362,7 +362,7 @@ def _build(
 
     residues = _fq_codewords(Fq, codes.G_f, _index_digits(np.arange(K), q, 0, l_f))
     # the lifts PrimeIdeal.leader gives: u = x mod p, v = x // p
-    leaders = np.stack([residues % prime.p, residues // prime.p], axis=-1)
+    leaders = np.stack([residues % prime.p, residues // prime.p], axis=-1)  # (K, T, 2)
 
     # shaping region: centered fundamental parallelepiped of the coarse lattice
     # (per-coordinate reduced ideal basis when the coarse code is trivial)
@@ -380,7 +380,6 @@ def _build(
         field=field,
         prime=prime,
         codes=codes,
-        coset_leaders=leaders,
         leader_residues=residues,
         embedded_unit=np.einsum("jk,atk->ajt", field.embedding, leaders.astype(float)),
         region_unit=_embedding_map(field, T) @ region_cols,
@@ -577,46 +576,56 @@ def decode_equation(
 # enumeration and the union bound
 
 
-def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: bool):
-    """Depth-first walk over the nonzero fine-lattice vectors with (scaled)
-    Euclidean norm <= radius, leader by leader and, within a leader, over
-    coordinates in order with disc points ascending in norm.
+def union_bound(
+    lat: ConstructionALattice, nu_sq, truncation_radius: float
+) -> UnionBoundResult:
+    """Partial union-bound sum over the fine-not-coarse vectors inside the
+    truncation radius, for the per-block effective noise variances nu_sq.
+    The reported value is a partial sum: terms outside the radius are
+    dropped, so it only lower-bounds the full series.  With l_f = l_c there
+    is one message and no error event: every fine vector is coarse, and the
+    sum is the empty sum 0 with no terms.
 
-    A coordinate's disc points depend only on its residue (the leader's
-    embedded column and ring coordinates there are the residue's lift), so
+    The vectors are walked depth first, leader by leader from q^l_c (the
+    first with a nonzero message digit, so every vector walked is nonzero:
+    G_f has full column rank) and, within a leader, over coordinates in
+    order with disc points ascending in norm; each term is added at its
+    leaf, in walk order.  A coordinate's disc points depend only on its
+    residue (the leader's embedded column there is the residue's lift), so
     they are enumerated once per residue, by Schnorr-Euchner enumeration
-    centred on the negated lift in the decoder's triangular frame, and
-    shared by every coordinate of every leader holding that residue.  Each
+    centred on the negated lift in the decoder's triangular frame.  Each
     disc entry, sorted by (squared norm, z2, z1), is (squared norm, per-block
-    squared norms, embedded 2-vector, ring coordinates).  Yields
-    (chosen, block_sq): the T chosen entries, a list the walk reuses, and the
-    vector's per-block squared norms, summed over coordinates in order.
-    """
-    budget = float(radius) ** 2
+    squared norms); a vector's per-block squared norms are summed over
+    coordinates in order."""
+    nu = np.asarray(nu_sq, dtype=float)
+    if np.any(nu < 0):
+        raise ValueError("noise variances must be nonnegative")
+    if lat.codes.l_f == lat.codes.l_c:
+        return UnionBoundResult(0.0, 0)
+    denom = 8.0 * float(nu.sum())
+    n, T = lat.n, lat.T
+    budget = float(truncation_radius) ** 2
     qmat_t, rmat = lat._cvp_q.T, lat._cvp_r.tolist()
-    T = lat.T
     discs = {}  # residue x -> disc entries
-    chosen = [None] * T
     rem = [budget] + [0.0] * T
-    block_sq = [(0.0,) * lat.n] + [None] * T
+    block_sq = [(0.0,) * n] + [None] * T
     pos = [0] * T
-    # leader k is coarse iff its message digits are zero: k < q^l_c
-    first = lat.Fq.q**lat.codes.l_c if exclude_coarse else 0
+    total = 0.0
+    terms = 0
+    first = lat.Fq.q**lat.codes.l_c
     for k, row in enumerate(lat.leader_residues[first:].tolist(), first):
         opts = []
         for i, x in enumerate(row):
             entries = discs.get(x)
             if entries is None:
                 offset = lat.embedded_leaders[k][:, i]
-                found, _ = _enumerate(rmat, budget, shrink=False, target=qmat_t @ -offset)
+                found, _ = _enumerate(rmat, budget, target=qmat_t @ -offset)
                 entries = discs[x] = []
                 for _, z in sorted(found, key=lambda c: c[1][::-1]):  # by z2, then z1
                     pt = offset + lat.pideal_embedded @ z
                     n2 = float(pt @ pt)
                     if n2 <= budget * (1 + 1e-12) + 1e-12:
-                        sq = tuple(v * v for v in pt.tolist())
-                        ring = lat.coset_leaders[k, i] + lat.pideal_basis @ z
-                        entries.append((n2, sq, pt, ring))
+                        entries.append((n2, tuple(v * v for v in pt.tolist())))
                 entries.sort(key=lambda e: e[0])  # stable: ties stay in (z2, z1) order
             if not entries:
                 break
@@ -635,44 +644,18 @@ def _fine_vector_walk(lat: ConstructionALattice, radius: float, exclude_coarse: 
                 ):
                     i -= 1  # coordinate i is exhausted: back up
                     continue
-                entry = chosen[i] = entries[pos[i]]
+                n2, sq = entries[pos[i]]
                 pos[i] += 1
-                rem[i + 1] = rem[i] - entry[0]
-                block_sq[i + 1] = tuple(a + b for a, b in zip(block_sq[i], entry[1]))
+                rem[i + 1] = rem[i] - n2
+                block_sq[i + 1] = tuple(a + b for a, b in zip(block_sq[i], sq))
                 if i + 1 < T:
                     i += 1
                     pos[i] = 0
-                # a zero vector has zero block norms; only then check its
-                # ring coordinates exactly
-                elif any(block_sq[T]) or any(e[3].any() for e in chosen):
-                    yield chosen, block_sq[T]
-
-
-def union_bound(
-    lat: ConstructionALattice, nu_sq, truncation_radius: float
-) -> UnionBoundResult:
-    """Partial union-bound sum over the fine-not-coarse vectors inside the
-    truncation radius, for the per-block effective noise variances nu_sq.
-    The reported value is a partial sum: terms outside the radius are
-    dropped, so it only lower-bounds the full series.  Terms are added in
-    enumeration order straight from the walk, whose disc points are
-    enumerated once per residue.  With l_f = l_c there is one message and no
-    error event: every fine vector is coarse, and the sum is the empty sum 0
-    with no terms."""
-    nu = np.asarray(nu_sq, dtype=float)
-    if np.any(nu < 0):
-        raise ValueError("noise variances must be nonnegative")
-    if lat.codes.l_f == lat.codes.l_c:
-        return UnionBoundResult(0.0, 0)
-    denom = 8.0 * float(nu.sum())
-    n = lat.n
-    total = 0.0
-    terms = 0
-    for _, block_sq in _fine_vector_walk(lat, truncation_radius, exclude_coarse=True):
-        terms += 1
-        if denom != 0.0:
-            d = math.prod(block_sq)
-            total += 0.5 * math.exp(-n * d ** (1.0 / n) / denom)
+                    continue
+                terms += 1
+                if denom != 0.0:
+                    d = math.prod(block_sq[T])
+                    total += 0.5 * math.exp(-n * d ** (1.0 / n) / denom)
     if not terms:
         raise RadiusTooSmall(
             f"no fine-lattice vector within radius {truncation_radius}"
@@ -775,7 +758,6 @@ def simulate_codec(
     candidate: EquationCandidate,
     trials: int,
     seed: int,
-    noise_std: float = 1.0,
 ) -> SimResult:
     """Empirical equation-error rate with fresh messages, dithers and noise
     per trial.  Deterministic for a given seed (fixed batch size).
@@ -784,14 +766,9 @@ def simulate_codec(
     packing ball decodes to its transmitted class (_certified_sq), so it
     counts as correct without a decode; only the other trials reach the
     decoder, whose answer for a trial does not depend on the batch around
-    it.  The error count is the one decoding every trial gives.
-
-    noise_std scales the unit-variance channel noise and must be finite and
-    nonnegative; 0 gives the noiseless sanity setting."""
+    it.  The error count is the one decoding every trial gives."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not (math.isfinite(noise_std) and noise_std >= 0):
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     if ch.n != lat.n:
         raise DimensionMismatch("channel block count must match the field degree")
     L = ch.L
@@ -812,7 +789,6 @@ def simulate_codec(
         w = rng.integers(0, q, size=(m, L, l_m))
         zdith = rng.uniform(-0.5, 0.5, size=(m, L, 2 * lat.T))
         noise = rng.standard_normal((m, lat.n, lat.T))
-        noise *= noise_std
 
         D = (zdith.reshape(-1, 2 * lat.T) @ lat.region_scaled.T).reshape(m, L, lat.n, lat.T)
         del zdith

@@ -96,6 +96,8 @@ class SweepConfig:
     master_seed: int = 1
 
     def __post_init__(self):
+        if self.n < 1 or self.L < 1:
+            raise ValueError(f"channel shape (n, L) = ({self.n}, {self.L}) needs n, L >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.schemes:

@@ -351,22 +351,22 @@ def _write_back(out, exact, held, rows, finished) -> None:
         out[..., held], exact[held] = rows, finished
 
 
-def _enumerate(R, bound_sq, shrink=True, target=None, tie=None):
+def _enumerate(R, bound_sq, target=None, tie=None):
     """Schnorr-Euchner enumeration over an upper-triangular factor R.
 
     Finds integer vectors z with ||R z - target||^2 <= bound, visiting each
     level's candidates outward from its centre; without a target the centre
     is the origin (a shortest-vector search) and the zero vector is never
     emitted, while with a target (a closest-point search, given in R's
-    triangular frame) every vector is, the zero vector included.  With
-    shrink=True the bound tightens as better vectors are found and all
+    triangular frame) every vector is, the zero vector included.  Without a
+    target the bound tightens as better vectors are found and all
     candidates tied with the minimum (relative _REL_TIE) are collected; with
-    shrink=False every vector inside the fixed radius is returned.  A tie
-    factor widens the window to every vector within tie times the minimum,
-    including those found before it.  Returns
-    (candidates, node_count) with candidates as (dist, z list) pairs.  With
-    shrink=True, raises SearchTooLarge once the walk has visited more than
-    _NODE_BUDGET nodes, checked as it climbs a level.
+    one every vector inside the fixed radius is returned.  A tie factor
+    widens the shortest-vector window to every vector within tie times the
+    minimum, including those found before it.  Returns
+    (candidates, node_count) with candidates as (dist, z list) pairs.
+    Without a target, raises SearchTooLarge once the walk has visited more
+    than _NODE_BUDGET nodes, checked as it climbs a level.
     """
     k = len(R)
     y = [0.0] * k if target is None else [float(t) for t in target]
@@ -383,7 +383,7 @@ def _enumerate(R, bound_sq, shrink=True, target=None, tie=None):
     z[i] = round(c)
     step[i] = 1 if c - z[i] >= 0 else -1
     nodes = 0
-    cap = _NODE_BUDGET if shrink else math.inf
+    cap = _NODE_BUDGET if target is None else math.inf
     while True:
         nodes += 1
         w = (z[i] - center[i]) * R[i][i]
@@ -391,7 +391,7 @@ def _enumerate(R, bound_sq, shrink=True, target=None, tie=None):
         if d <= limit:
             if i == 0:
                 if target is not None or any(z):
-                    if shrink and d < best * (1.0 - 1e-12):
+                    if target is None and d < best * (1.0 - 1e-12):
                         best = d
                         limit = best * rel
                         cands = [c for c in cands if tie and c[0] <= limit]
@@ -418,7 +418,7 @@ def _enumerate(R, bound_sq, shrink=True, target=None, tie=None):
                 raise SearchTooLarge(k)
             z[i] += step[i]
             step[i] = -step[i] - (1 if step[i] >= 0 else -1)
-    if shrink:
+    if target is None:
         cands = [(d, zz) for d, zz in cands if d <= limit]
     return cands, nodes
 
@@ -510,7 +510,7 @@ def _lll_shortest(cols: list) -> SVPResult:
     """LLL then full Schnorr-Euchner enumeration with initial radius the
     shortest LLL vector."""
     reduced, T, R = _reduced_factor(cols)
-    cands, nodes = _enumerate(R, min(_dot(v, v) for v in reduced), shrink=True)
+    cands, nodes = _enumerate(R, min(_dot(v, v) for v in reduced))
     if not cands:
         raise RankDeficient("enumeration found no lattice vector")
     a, norm_sq = _pick_candidate(cols, _original_coords(T, cands))
@@ -748,7 +748,12 @@ def shortest_vector(basis: np.ndarray) -> SVPResult:
     if the columns are numerically dependent: the reduced basis' Gram-Schmidt
     lengths lie more than 1 / _RANK_RATIO apart, or the shortest nonzero
     vector found has squared norm 0.0 in floats."""
-    return _lll_shortest(_finite_columns(np.asarray(basis, dtype=float)))
+    basis = np.asarray(basis, dtype=float)
+    if basis.ndim != 2 or not basis.size:
+        raise ValueError(
+            f"basis must be a 2-D array with rows and columns, got shape {basis.shape}"
+        )
+    return _lll_shortest(_finite_columns(basis))
 
 
 def _coords_to_coefficients(field: NumberField | None, coords, L: int) -> tuple:
@@ -886,7 +891,10 @@ def _answered(mask: np.ndarray):
 
 def best_integer_block(h_j, P: float) -> tuple[tuple, float]:
     """Exact minimizer of a^T M a over nonzero integer vectors for one block."""
-    R = _gram_sqrt(np.atleast_2d(np.asarray(h_j, dtype=float)), P)[0]
+    row = np.atleast_2d(np.asarray(h_j, dtype=float))
+    if row.ndim != 2 or len(row) != 1 or not row.size:
+        raise ValueError(f"gain row must be one nonempty row, got shape {np.shape(h_j)}")
+    R = _gram_sqrt(row, P)[0]
     try:
         res = shortest_vector(R)
     except SearchTooLarge as exc:

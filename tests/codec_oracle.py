@@ -5,8 +5,9 @@ encoder, decoder and union bound are checked against."""
 
 import numpy as np
 
-from cflat.codec import ConstructionALattice, _fine_vector_walk, _fold, _fq_gauss_jordan
+from cflat.codec import ConstructionALattice, _fold, _fq_gauss_jordan
 from cflat.numfield import ResidueField, RingElement, residue_reduce
+from svp_certificate import box_points
 
 
 def _fq_solve(Fq: ResidueField, G_rows, c) -> tuple[int, ...] | None:
@@ -88,17 +89,49 @@ def product_distance(x, n: int, T: int) -> float:
     return float(np.prod(np.einsum("ij,ij->i", arr, arr)))
 
 
+def _leaves(lat: ConstructionALattice, lifts, opts, suffix, i, rem, chosen, out):
+    """Depth-first leaves below coordinate i: every way to pick one disc
+    point per remaining coordinate inside the squared budget rem."""
+    if i == lat.T:
+        coords = np.empty((lat.T, 2), dtype=np.int64)
+        emb = np.empty((lat.n, lat.T))
+        for ii, (z, pt, _) in enumerate(chosen):
+            coords[ii] = lifts[ii] + lat.pideal_basis @ z
+            emb[:, ii] = pt
+        if coords.any():
+            out.append((coords, emb))
+        return
+    for item in opts[i]:
+        if item[2] > rem - suffix[i + 1] + 1e-12:
+            break
+        _leaves(lat, lifts, opts, suffix, i + 1, rem - item[2], chosen + [item], out)
+
+
 def enumerate_fine_vectors(
     lat: ConstructionALattice, radius: float, exclude_coarse: bool = True
 ):
     """All nonzero fine-lattice vectors with (scaled) Euclidean norm <= radius,
     as (ring coordinate array (T, 2), embedded n x T matrix) pairs, in the
-    order of the union bound's walk.  With exclude_coarse the coarse
-    sublattice is dropped (the set behind the union bound)."""
-    return [
-        (np.array([e[3] for e in chosen]), np.column_stack([e[2] for e in chosen]))
-        for chosen, _ in _fine_vector_walk(lat, radius, exclude_coarse)
-    ]
+    order of the union bound's walk: leader by leader, each coordinate's
+    disc points from the exhaustive box oracle, leaves visited depth first.
+    With exclude_coarse the coarse sublattice is dropped (the set behind the
+    union bound): the leaders before q^l_c, whose message digits are zero."""
+    budget = float(radius) ** 2
+    out = []
+    first = lat.Fq.q**lat.codes.l_c if exclude_coarse else 0
+    for k in range(first, lat.K):
+        lifts = [np.array(lat.prime.leader(x).coords) for x in lat.leader_residues[k].tolist()]
+        opts = [
+            box_points(lat.pideal_embedded, lat.embedded_leaders[k][:, i], budget)
+            for i in range(lat.T)
+        ]
+        if not all(opts):
+            continue
+        suffix = [0.0] * (lat.T + 1)
+        for i in range(lat.T - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + opts[i][0][2]
+        _leaves(lat, lifts, opts, suffix, 0, budget, [], out)
+    return out
 
 
 def reduce_mod_coarse(lat: ConstructionALattice, X: np.ndarray) -> np.ndarray:

@@ -504,8 +504,8 @@ class TestSvpCommand:
         f.write_text("2\n1 0 0\n")
         assert main(["svp", "--basis", str(f)]) == 2
 
-    def test_missing_file_is_runtime_error(self, tmp_path):
-        assert main(["svp", "--basis", str(tmp_path / "nope")]) == 1
+    def test_missing_file_is_input_error(self, tmp_path):
+        assert main(["svp", "--basis", str(tmp_path / "nope")]) == 2
 
     @pytest.mark.parametrize(
         "entries, cause",

@@ -142,6 +142,75 @@ def test_every_export_is_run_by_the_program():
     assert uncalled == UNCALLED_EXPORTS
 
 
+# defaulted parameters no program call passes, each with its reason
+UNPASSED_DEFAULTS = {
+    ("decode_equation", "dithers"): "the relay's one-observation decode takes the "
+    "dithers it removes, and decode_equation has no program caller",
+    ("dof_slope", "window"): "the README's degrees-of-freedom slope takes its SNR "
+    "window, and dof_slope has no program caller",
+}
+
+
+def _defaulted(fn: ast.FunctionDef) -> dict:
+    """{parameter: its position, or None if keyword-only} for each
+    parameter of fn that has a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = {a.arg: i for i, a in enumerate(positional) if i >= first}
+    for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            out[a.arg] = None
+    return out
+
+
+def _passed(tree, name: str) -> tuple[int, set, bool]:
+    """Over the calls of name in the tree, directly or through a wrapper
+    that takes it as an argument (timed(f, *args), tr.call(label, f,
+    *args)): the most positional arguments, the keywords, and whether a
+    *args or **kwargs passes any."""
+    most, keywords, splat = 0, set(), False
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name
+        ):
+            args = node.args
+        else:
+            at = [i for i, a in enumerate(node.args) if isinstance(a, ast.Name) and a.id == name]
+            if not at:
+                continue
+            args = node.args[at[0] + 1 :]
+        most = max(most, len(args))
+        keywords |= {k.arg for k in node.keywords}
+        splat |= any(k.arg is None for k in node.keywords)
+        splat |= any(isinstance(a, ast.Starred) for a in args)
+    return most, keywords, splat
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    # a default nothing but a test overrides is a switch only tests use:
+    # it belongs in a test oracle, or nowhere
+    src = pathlib.Path(cflat.__file__).parent
+    bench = pathlib.Path(__file__).parent.parent / "bench"
+    trees = [ast.parse(p.read_text(), str(p)) for p in [*src.glob("*.py"), *bench.glob("*.py")]]
+    unpassed = set()
+    for name, module in cflat._SOURCE.items():
+        tree = ast.parse((src / f"{module}.py").read_text())
+        fn = next((n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name), None)
+        if fn is None:
+            continue  # a class
+        calls = [_passed(t, name) for t in trees]
+        for param, position in _defaulted(fn).items():
+            if not any(
+                splat or param in keywords or (position is not None and most > position)
+                for most, keywords, splat in calls
+            ):
+                unpassed.add((name, param))
+    assert unpassed == set(UNPASSED_DEFAULTS)
+
+
 def test_cli_imports_no_private_codec_name():
     # the codec's calibration and union-bound policy live behind run_codec,
     # so the front end needs none of the codec's private helpers

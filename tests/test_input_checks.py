@@ -4,14 +4,14 @@ raise their typed ValueError, and the CLI exits 2 with one `error:` line."""
 import numpy as np
 import pytest
 
-from cflat.channel import BlockFadingChannel, coefficient_embeddings
+from cflat.channel import BlockFadingChannel, am_rate, coefficient_embeddings
 from cflat.cli import main
 from cflat.codec import (
     DimensionMismatch, NestedCodePair, _build, build_construction_a, run_codec, simulate_codec,
 )
 from cflat.numfield import NotSquarefree, RingElement, make_quadratic_field, prime_above
 from cflat.simkit import SweepConfig
-from cflat.svp import best_equation
+from cflat.svp import best_equation, best_integer_block, shortest_vector
 
 from codec_oracle import lattice_membership, ring_combine
 
@@ -95,6 +95,20 @@ LIBRARY_CASES = {
     "scheme_am_ring_x": (
         lambda: SweepConfig(schemes=("am_ring(x)",)), ValueError, "unknown scheme",
     ),
+    # a channel, a sweep, a basis or a gain row with no entries along an
+    # axis failed later with IndexError, or ran and returned a rate
+    "channel_no_users": (
+        lambda: BlockFadingChannel(np.ones((2, 0)), 10.0), ValueError, r"shape \(2, 0\)",
+    ),
+    "sweep_no_blocks": (lambda: SweepConfig(n=0), ValueError, r"\(n, L\) = \(0, 2\)"),
+    "svp_no_columns": (lambda: shortest_vector(np.ones((2, 0))), ValueError, r"shape \(2, 0\)"),
+    "integer_block_empty_row": (
+        lambda: best_integer_block([], 10.0), ValueError, r"nonempty row, got shape \(0,\)",
+    ),
+    # one ring coefficient on two users read as a NoiseIdentityViolated
+    "am_rate_coefficient_count": (
+        lambda: am_rate(CH, (RingElement(1, 0),), F5), ValueError, "1 entries for L = 2 users",
+    ),
 }
 
 
@@ -110,6 +124,13 @@ CLI_CASES = {
     "config_trials_abc": (["sweep", "--config", "{f}"], "trials = abc\n", "trials must be an integer"),
     "config_empty_value": (["sweep", "--config", "{f}"], "trials =\n", "empty value for 'trials'"),
     "config_unreadable": (["sweep", "--config", "{f}/missing.cfg"], None, "cannot read config"),
+    # a missing or directory channel file or basis exited 1, as a runtime failure
+    "channel_file_missing": (
+        ["rate", "--snr-db", "10", "--channel-file", "{f}/missing.txt"],
+        None,
+        "cannot read channel file",
+    ),
+    "basis_is_directory": (["svp", "--basis", "{f}"], None, "cannot read basis"),
     "rate_unparsable_h": (
         ["rate", "--d", "5", "--snr-db", "10", "--h", "1,x;0,1"], None, "cannot parse channel",
     ),
@@ -135,6 +156,16 @@ def test_cli_input_check(case, tmp_path, capsys):
     assert main([a.replace("{f}", str(f)) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and match in err[0]
+
+
+@pytest.mark.parametrize("flag", ["--config", "--basis"])
+def test_undecodable_file_is_named(flag, tmp_path, capsys):
+    # a file that is not UTF-8 exited 2 with the decoder's message alone
+    f = tmp_path / "input"
+    f.write_bytes(b"\xff2 1 0 0 1\n")
+    assert main(["sweep" if flag == "--config" else "svp", flag, str(f)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {flag[2:]} {f}: ")
 
 
 def test_subnormal_gains_give_rate_zero(capsys):

@@ -1055,10 +1055,10 @@ def record_fallback(monkeypatch):
         unresolved.extend(bits(T[..., i]) for i in np.flatnonzero(~found))
         return found, coords
 
-    def enum(R, bound_sq, shrink=True, target=None, tie=None):
+    def enum(R, bound_sq, target=None, tie=None):
         if tie is not None:
             enumerated.append(bits(np.array(R)))
-        return real_enum(R, bound_sq, shrink, target, tie)
+        return real_enum(R, bound_sq, target, tie)
 
     def single(cols):
         cold.append(bits(np.array(cols).T))
@@ -1395,7 +1395,7 @@ class TestEnumerateTarget:
             q, r = _triangular(G)
             offset = rng.standard_normal(k) * rng.choice([0.2, 2.0, 20.0])
             budget = float(rng.uniform(0.5, 4.0)) * abs(np.linalg.det(G)) ** (2 / k)
-            cands, _ = _enumerate(r.tolist(), budget, shrink=False, target=q.T @ -offset)
+            cands, _ = _enumerate(r.tolist(), budget, target=q.T @ -offset)
             got = {tuple(z) for _, z in cands}
             near = box_points(G, offset, budget * 1.01)
             tied = {z for z, _, n2 in near if abs(n2 - budget) <= 1e-6 * budget}
@@ -1407,15 +1407,20 @@ class TestEnumerateTarget:
         assert origin_seen
 
     def test_zero_target_adds_only_the_origin(self):
+        # the closest-point search around the origin returns the nonzero
+        # vectors in the radius (the box's, away from its boundary) and the
+        # origin, which the shortest-vector search never emits
         G = np.array([[2.0, 0.7, -0.4], [0.0, 1.6, 0.9], [0.3, -0.2, 1.8]])
         _, r = _triangular(G)
         budget = 9.0
-        centred, _ = _enumerate(r.tolist(), budget, shrink=False, target=[0.0] * 3)
-        shortest, _ = _enumerate(r.tolist(), budget, shrink=False)
-        assert len(shortest) > 10
-        assert {tuple(z) for _, z in centred} == {tuple(z) for _, z in shortest} | {
-            (0, 0, 0)
-        }
+        centred, _ = _enumerate(r.tolist(), budget, target=[0.0] * 3)
+        got = {tuple(z) for _, z in centred}
+        near = box_points(G, np.zeros(3), budget * 1.01)
+        tied = {z for z, _, n2 in near if abs(n2 - budget) <= 1e-6 * budget}
+        nonzero = {z for z, _, n2 in near if n2 <= budget and any(z)} - tied
+        assert len(nonzero) > 10
+        assert got - tied == nonzero | {(0, 0, 0)}
+        assert all(any(z) for _, z in _enumerate(r.tolist(), budget)[0])
 
 
 class TestGramSqrt:
