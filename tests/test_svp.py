@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cflat.codec as codec
 import cflat.svp as svp
 
 from cflat.channel import (
@@ -16,7 +17,7 @@ from cflat.channel import (
     coefficient_embeddings,
     naive_rate,
 )
-from cflat.codec import NestedCodePair, _build, _hnf_column_basis
+from cflat.codec import NestedCodePair, _build, _hnf_column_basis, union_bound
 from cflat.numfield import RingElement, make_quadratic_field, prime_above
 from cflat.simkit import SweepConfig, run_sweep, sample_channels
 from cflat.svp import (
@@ -46,7 +47,6 @@ from cflat.svp import (
 import box_oracle
 from box_oracle import TooLarge, brute_force_shortest, minkowski_bound
 from child_env import child_env
-from codec_oracle import enumerate_fine_vectors
 from rate_oracle import gram_matrix
 from svp_certificate import box_points, certify_shortest
 
@@ -994,9 +994,9 @@ def test_widened_tie_window_keeps_earlier_candidates():
 
 def test_search_does_not_use_builtin_sum(monkeypatch):
     # builtin sum of floats is compensated from Python 3.12, so its bits
-    # depend on the interpreter; the enumeration centres, the box search's
-    # and minkowski_bound are summed left to right instead, from 0.0 as
-    # Python 3.11's sum does
+    # depend on the interpreter; the enumeration centres, the box search's,
+    # minkowski_bound's and the union bound's are summed left to right
+    # instead, from 0.0 as Python 3.11's sum does
     B = build_search_basis(F5, random_channel(np.random.default_rng(13), L=3))
     lat = _build(F5, prime_above(F5, 11), REPEAT_CODE)
     # sweep bases at L = 2 and 3, most of those not skipped box-searched
@@ -1006,7 +1006,7 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
         return (
             shortest_vector(B),
             minkowski_bound(B),
-            enumerate_fine_vectors(lat, 3.0),
+            union_bound(lat, (0.7, 0.4), 3.0),
             [batch_search(bases)[:2] for bases in batch],
         )
 
@@ -1017,15 +1017,15 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
 
     monkeypatch.setattr(svp, "sum", no_sum, raising=False)
     monkeypatch.setattr(box_oracle, "sum", no_sum, raising=False)
+    monkeypatch.setattr(codec, "sum", no_sum, raising=False)
     got = searches()
     for (c, n), (c0, n0) in zip(got[3], want[3]):
         assert bits(c) == bits(c0) and bits(n) == bits(n0)
     assert tuple(got[0].coords) == tuple(want[0].coords)
     assert got[0].norm_sq.hex() == want[0].norm_sq.hex()
     assert got[1].hex() == want[1].hex()
-    assert got[2] and len(got[2]) == len(want[2])
-    for (a, x), (b, y) in zip(got[2], want[2]):
-        assert bits(a) == bits(b) and bits(x) == bits(y)
+    assert got[2].value.hex() == want[2].value.hex()
+    assert got[2].terms == want[2].terms > 1
 
 
 def bits(x):
@@ -1224,11 +1224,12 @@ class TestNodeBudget:
             run_sweep(cfg)
 
     def test_codec_walk_is_not_bounded(self, monkeypatch):
-        # the closest-point walk of the codec lists every point of its disc
+        # the union bound's closest-point walk lists every point of its disc
         lat = _build(F5, prime_above(F5, 11), REPEAT_CODE)
-        want = enumerate_fine_vectors(lat, 3.0)
+        want = union_bound(lat, (0.5, 0.5), 3.0)
         monkeypatch.setattr(svp, "_NODE_BUDGET", 1)
-        assert len(enumerate_fine_vectors(lat, 3.0)) == len(want) > 1
+        assert union_bound(lat, (0.5, 0.5), 3.0) == want
+        assert want.terms > 1
 
 
 class TestBruteForce:
