@@ -67,7 +67,7 @@ class BlockFadingChannel:
         # every rate and basis evaluation starts from P||h_j||^2; Python
         # floats overflow to inf without a warning
         for j, row in enumerate(h.tolist()):
-            if not math.isfinite(P * sum(x * x for x in row)):
+            if not math.isfinite(P * _dot(row, row)):
                 raise ValueError(
                     f"channel gain h[{j}] = {row} overflows P*||h_j||^2 at P = {P:g}"
                 )
@@ -165,15 +165,6 @@ class EquationCandidate:
     b: np.ndarray
     nu_sq: np.ndarray
     rate_bits: float
-    quad_form: float
-
-    @property
-    def sigma_am_sq(self) -> float:
-        return float(np.mean(self.nu_sq))
-
-    @property
-    def sigma_gm_sq(self) -> float:
-        return float(np.prod(self.nu_sq)) ** (1.0 / len(self.nu_sq))
 
 
 def _split(x: float) -> tuple[float, float]:
@@ -307,7 +298,6 @@ def am_rate(
         b=np.array(b),
         nu_sq=np.array(nu_sq),
         rate_bits=_rate_from_quad_form(ch.n, f)[0],
-        quad_form=f,
     )
 
 

@@ -179,17 +179,20 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd = tempfile.NamedTemporaryFile(
-        "w", dir=directory, prefix=".tmp-", suffix=".csv", delete=False
-    )
     try:
-        with fd:
-            fd.write(text)
-        os.replace(fd.name, path)
-    except BaseException:
-        if os.path.exists(fd.name):
-            os.unlink(fd.name)
-        raise
+        fd = tempfile.NamedTemporaryFile(
+            "w", dir=directory, prefix=".tmp-", suffix=".csv", delete=False
+        )
+        try:
+            with fd:
+                fd.write(text)
+            os.replace(fd.name, path)
+        except BaseException:
+            if os.path.exists(fd.name):
+                os.unlink(fd.name)
+            raise
+    except OSError as exc:  # name the path given, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _parse_channel_text(text: str) -> np.ndarray:

@@ -92,10 +92,6 @@ class NestedCodePair:
     def q(self) -> int:
         return self.p**self.r
 
-    @property
-    def G_c(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row[: self.l_c] for row in self.G_f)
-
 
 class UnionBoundResult(NamedTuple):
     value: float
@@ -132,32 +128,6 @@ def _fq_codewords(Fq: ResidueField, G_rows, w: np.ndarray) -> np.ndarray:
     for k in range(w.shape[-1]):
         out = Fq.add(out, Fq.mul(G[:, k], w[..., k, None]))
     return out
-
-
-def _fq_gauss_jordan(Fq: ResidueField, G_rows, c) -> tuple[list, list[int]]:
-    """Gauss-Jordan elimination of the augmented rows [G | c] over F_q.
-
-    Returns the reduced rows and the pivot columns of G; the rank of G is the
-    number of pivots."""
-    T = len(G_rows)
-    ncols = len(G_rows[0]) if T and G_rows[0] else 0
-    rows = [list(G_rows[i]) + [c[i]] for i in range(T)]
-    piv_cols = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, T) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fq.inv(rows[rank][col])
-        rows[rank] = [Fq.mul(inv, x) for x in rows[rank]]
-        for r in range(T):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [Fq.sub(x, Fq.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
-        piv_cols.append(col)
-        rank += 1
-    return rows, piv_cols
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +317,6 @@ def _build(
     q = Fq.q
     if any(not (0 <= x < q) for row in codes.G_f for x in row):
         raise DimensionMismatch(f"G_f entries must be encoded residues in [0, {q})")
-    if l_f > 0 and len(_fq_gauss_jordan(Fq, codes.G_f, [0] * T)[1]) != l_f:
-        raise RankDeficientCode("fine generator must have full column rank")
     K = q**l_f
     if K > MAX_COSET_LEADERS:
         raise DeskScaleExceeded(
@@ -361,6 +329,9 @@ def _build(
         raise DeskScaleExceeded(f"volume {q}^{T - l_c} * {disc}^({T}/2) overflows")
 
     residues = _fq_codewords(Fq, codes.G_f, _index_digits(np.arange(K), q, 0, l_f))
+    # G_f w = 0 only at w = 0, leader 0's digits, iff G_f has full column rank
+    if (residues[1:] == 0).all(axis=1).any():
+        raise RankDeficientCode("fine generator must have full column rank")
     # the lifts PrimeIdeal.leader gives: u = x mod p, v = x // p
     leaders = np.stack([residues % prime.p, residues // prime.p], axis=-1)  # (K, T, 2)
 

@@ -65,18 +65,6 @@ class RingElement:
     def coords(self) -> tuple[int, int]:
         return (self.u, self.v)
 
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.u - other.u, self.v - other.v)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(-self.u, -self.v)
-
 
 @dataclass(frozen=True, eq=False)
 class NumberField:
@@ -97,12 +85,6 @@ class NumberField:
     @property
     def degree(self) -> int:
         return 2
-
-    def conjugates(self, a: RingElement) -> tuple[float, float]:
-        return (a.u + a.v * self.theta[0], a.u + a.v * self.theta[1])
-
-    def norm(self, a: RingElement) -> int:
-        return a.u * a.u + self.s * a.u * a.v - self.t * a.v * a.v
 
     def __repr__(self) -> str:
         return f"NumberField(d={self.d})"
@@ -175,9 +157,6 @@ class PrimeIdeal:
             return np.array([[self.p, -self.c], [0, 1]], dtype=np.int64)
         return np.array([[self.p, 0], [0, self.p]], dtype=np.int64)
 
-    def contains(self, a: RingElement) -> bool:
-        return residue_reduce(self, a) == 0
-
     def leader(self, x: int) -> RingElement:
         """Coset representative of residue x with coordinates in [0, p)."""
         if self.r == 1:
@@ -242,15 +221,6 @@ class ResidueField:
         p = self.p
         return (x % p + y % p) % p + p * ((x // p + y // p) % p)
 
-    def neg(self, x: int) -> int:
-        if self.r == 1:
-            return (-x) % self.p
-        p = self.p
-        return (-x % p) % p + p * ((-(x // p)) % p)
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         p = self.p
         if self.r == 1:
@@ -259,17 +229,4 @@ class ResidueField:
         b0, b1 = y % p, y // p
         c0 = (a0 * b0 + self._t * a1 * b1) % p
         c1 = (a0 * b1 + a1 * b0 + self._s * a1 * b1) % p
-        return c0 + p * c1
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("residue-field inverse of zero")
-        p = self.p
-        if self.r == 1:
-            return pow(x, p - 2, p)
-        a0, a1 = x % p, x // p
-        nrm = (a0 * a0 + self._s * a0 * a1 - self._t * a1 * a1) % p
-        ninv = pow(nrm, p - 2, p)
-        c0 = ((a0 + self._s * a1) * ninv) % p
-        c1 = (-a1 * ninv) % p
         return c0 + p * c1

@@ -1,13 +1,43 @@
-"""Exact lattice membership by pull-back, ring-linear combining, block product
-distances, the list of short fine-lattice vectors and the coarse fold as a
-function: the independent oracles, and the plain forms, that cflat.codec's
-encoder, decoder and union bound are checked against."""
+"""The F_q elimination, exact lattice membership by pull-back, ring-linear
+combining, block product distances, the list of short fine-lattice vectors
+and the coarse fold as a function: the independent oracles, and the plain
+forms, that cflat.codec's build, encoder, decoder and union bound are
+checked against."""
 
 import numpy as np
 
-from cflat.codec import ConstructionALattice, _fold, _fq_gauss_jordan
+from cflat.channel import coefficient_embeddings
+from cflat.codec import ConstructionALattice, _fold
 from cflat.numfield import ResidueField, RingElement, residue_reduce
 from svp_certificate import box_points
+
+
+def _fq_gauss_jordan(Fq: ResidueField, G_rows, c) -> tuple[list, list[int]]:
+    """Gauss-Jordan elimination of the augmented rows [G | c] over F_q, with
+    only the field's add and mul: a pivot is inverted by search over F_q,
+    and -1 is encoded as p - 1.
+
+    Returns the reduced rows and the pivot columns of G; the rank of G is the
+    number of pivots."""
+    T = len(G_rows)
+    ncols = len(G_rows[0]) if T and G_rows[0] else 0
+    rows = [list(G_rows[i]) + [c[i]] for i in range(T)]
+    piv_cols = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, T) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = next(y for y in range(1, Fq.q) if Fq.mul(rows[rank][col], y) == 1)
+        rows[rank] = [Fq.mul(inv, x) for x in rows[rank]]
+        for r in range(T):
+            if r != rank and rows[r][col] != 0:
+                f = Fq.mul(Fq.p - 1, rows[r][col])
+                rows[r] = [Fq.add(x, Fq.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        piv_cols.append(col)
+        rank += 1
+    return rows, piv_cols
 
 
 def _fq_solve(Fq: ResidueField, G_rows, c) -> tuple[int, ...] | None:
@@ -50,7 +80,7 @@ def lattice_membership(
     if coords is None:
         return False
     res = _residue_vector(lat, coords)
-    rows = lat.codes.G_f if which == "fine" else lat.codes.G_c
+    rows = lat.codes.G_f if which == "fine" else [row[: lat.codes.l_c] for row in lat.codes.G_f]
     return _fq_solve(lat.Fq, rows, res) is not None
 
 
@@ -76,7 +106,7 @@ def ring_combine(lat: ConstructionALattice, coeffs, codewords) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.shape != (lat.n, lat.T):
             raise ValueError(f"codeword must be {lat.n} x {lat.T}")
-        sig = lat.field.conjugates(a)
+        sig = coefficient_embeddings([a], lat.field, lat.n)[:, 0]
         for j in range(lat.n):
             out[j] += sig[j] * X[j]
     return out

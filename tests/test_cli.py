@@ -142,6 +142,18 @@ class TestFieldCommand:
         assert "(1+sqrt(5))/2" in out
         assert "discriminant 5" in out
 
+    @pytest.mark.parametrize("where, errno", [("no/such/x.csv", 2), ("a_directory", 21)])
+    def test_unwritable_output_names_the_path(self, tmp_path, capsys, where, errno):
+        # an unwritable --output exits 1, and the message names the path
+        # given, not the temporary file the write goes through
+        (tmp_path / "a_directory").mkdir()
+        out = tmp_path / where
+        assert main(["field", "info", "--d", "5", "--output", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: [Errno {errno}] ")
+        assert err[0].endswith(repr(str(out))) and ".tmp-" not in err[0]
+        assert not list(tmp_path.rglob(".tmp-*"))
+
     def test_non_squarefree_is_validation_error(self, capsys):
         assert main(["field", "info", "--d", "4"]) == 2
 

@@ -2,6 +2,7 @@
 the package's lazy export table, which loads a submodule on first access."""
 
 import ast
+import functools
 import importlib
 import pathlib
 import pkgutil
@@ -104,17 +105,30 @@ def test_fresh_interpreter_loads_only_what_it_uses():
 UNCALLED_EXPORTS = {"decode_equation", "dof_slope"}
 
 
-def _read_names(tree, skip=None) -> set:
+@functools.cache
+def _program() -> tuple[dict, dict]:
+    """The syntax trees of the library and of the benchmark, each {module
+    stem: tree}, parsed once for the guards below."""
+    src = pathlib.Path(cflat.__file__).parent
+    bench = pathlib.Path(__file__).parent.parent / "bench"
+    return tuple(
+        {path.stem: ast.parse(path.read_text(), str(path)) for path in where.glob("*.py")}
+        for where in (src, bench)
+    )
+
+
+def _read_names(tree, skip=None, bare=True) -> set:
     """The names and attribute names the syntax tree reads, outside the
     definition named skip: a reference, where an import or an export
-    table, which hold the name as a string, is not."""
+    table, which hold the name as a string, is not.  With bare=False only
+    attribute names count, as a class member is read."""
     names = set()
     todo = [tree]
     while todo:
         node = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and bare:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -122,24 +136,65 @@ def _read_names(tree, skip=None) -> set:
     return names
 
 
+def _program_reads(module: str, name: str, bare: bool = True) -> bool:
+    """Whether a src or bench tree reads name outside its definition in
+    the library module that defines it."""
+    src, bench = _program()
+    trees = [*bench.values(), *(t for stem, t in src.items() if stem != module)]
+    return name in _read_names(src[module], name, bare) or any(
+        name in _read_names(t, bare=bare) for t in trees
+    )
+
+
 def test_every_export_is_run_by_the_program():
     # the library holds what the commands and the benchmark run: a name
     # only the tests call belongs in a test oracle
-    src = pathlib.Path(cflat.__file__).parent
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in src.glob("*.py")}
-    bench = pathlib.Path(__file__).parent.parent / "bench"
-    bench_names = set()
-    for path in bench.glob("*.py"):
-        bench_names |= _read_names(ast.parse(path.read_text(), str(path)))
-    assert "simulate_codec" in bench_names
-    uncalled = set()
-    for name, module in cflat._SOURCE.items():
-        read = bench_names.union(
-            *(_read_names(tree, name if stem == module else None) for stem, tree in trees.items())
-        )
-        if name not in read:
-            uncalled.add(name)
+    assert any("simulate_codec" in _read_names(tree) for tree in _program()[1].values())
+    uncalled = {name for name, module in cflat._SOURCE.items() if not _program_reads(module, name)}
     assert uncalled == UNCALLED_EXPORTS
+
+
+# stated quantities of a lattice that nothing in the program reads, each
+# with its reason
+UNREAD_MEMBERS = {
+    "ConstructionALattice.K": "the number q^l_f of coset leaders, which the "
+    "codec tests and the enumeration oracle read",
+    "ConstructionALattice.vol_fine_unit": "the fine volume q^(T - l_f) disc^(T/2), "
+    "which criterion 6 and test_exact_volumes_on_code_grid check",
+    "ConstructionALattice.vol_coarse_unit": "the coarse volume q^(T - l_c) "
+    "disc^(T/2), which test_exact_volumes_on_code_grid checks",
+    "ConstructionALattice.message_rate_bits": "the message rate, which criterion 6 "
+    "checks",
+}
+
+
+def _public_members(cls: ast.ClassDef):
+    """The names of the class's methods, properties and annotated fields
+    that do not start with an underscore (so no dunder either)."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name
+
+
+def test_every_public_member_is_read_by_the_program():
+    # a member only tests read belongs in a test oracle, or nowhere
+    src = _program()[0]
+    unread = set()
+    for name, module in cflat._SOURCE.items():
+        for cls in src[module].body:
+            if isinstance(cls, ast.ClassDef) and cls.name == name:
+                unread |= {
+                    f"{name}.{member}"
+                    for member in _public_members(cls)
+                    if not _program_reads(module, member, bare=False)
+                }
+    assert unread == set(UNREAD_MEMBERS)
 
 
 # defaulted parameters no program call passes, each with its reason
@@ -192,12 +247,11 @@ def _passed(tree, name: str) -> tuple[int, set, bool]:
 def test_every_defaulted_parameter_is_passed_by_the_program():
     # a default nothing but a test overrides is a switch only tests use:
     # it belongs in a test oracle, or nowhere
-    src = pathlib.Path(cflat.__file__).parent
-    bench = pathlib.Path(__file__).parent.parent / "bench"
-    trees = [ast.parse(p.read_text(), str(p)) for p in [*src.glob("*.py"), *bench.glob("*.py")]]
+    src, bench = _program()
+    trees = [*src.values(), *bench.values()]
     unpassed = set()
     for name, module in cflat._SOURCE.items():
-        tree = ast.parse((src / f"{module}.py").read_text())
+        tree = src[module]
         fn = next((n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name), None)
         if fn is None:
             continue  # a class
@@ -214,9 +268,8 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
 def test_cli_imports_no_private_codec_name():
     # the codec's calibration and union-bound policy live behind run_codec,
     # so the front end needs none of the codec's private helpers
-    path = pathlib.Path(cflat.__file__).parent / "cli.py"
     imported = {}
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(_program()[0]["cli"]):
         if isinstance(node, ast.ImportFrom) and node.module in ("codec", "cflat.codec"):
             imported.update((alias.name, node.lineno) for alias in node.names)
     assert "run_codec" in imported

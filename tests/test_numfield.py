@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from cflat.channel import coefficient_embeddings
 from cflat.numfield import (
     MAX_D,
     MAX_P,
@@ -18,6 +19,11 @@ from cflat.numfield import (
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def conjugates(field, a: RingElement) -> tuple[float, float]:
+    """(sigma_1(a), sigma_2(a)) as the rate kernels embed a coefficient."""
+    return tuple(coefficient_embeddings([a], field, 2)[:, 0].tolist())
 
 
 def ring_mul(field, a: RingElement, b: RingElement) -> RingElement:
@@ -79,29 +85,31 @@ class TestMakeField:
 class TestEmbed:
     def test_theta_d5(self):
         F = make_quadratic_field(5)
-        conj = F.conjugates(RingElement(0, 1))
+        conj = conjugates(F, RingElement(0, 1))
         assert conj[0] == pytest.approx(1.6180339887, rel=1e-9)
         assert conj[1] == pytest.approx(-0.6180339887, rel=1e-9)
-        assert F.norm(RingElement(0, 1)) == -1  # theta * theta' = (1 - 5) / 4
+        # theta * theta' = (1 - 5) / 4
+        assert conj[0] * conj[1] == pytest.approx(-1.0, rel=1e-12)
 
     def test_unity(self):
         F = make_quadratic_field(5)
-        assert F.conjugates(RingElement(1, 0)) == (1.0, 1.0)
-        assert F.norm(RingElement(1, 0)) == 1
+        assert conjugates(F, RingElement(1, 0)) == (1.0, 1.0)
 
     def test_unit_norm(self):
         # (2 - theta)(2 - theta') = 4 - 2*Tr(theta) + Nr(theta)
-        F = make_quadratic_field(5)
-        assert F.norm(RingElement(2, -1)) == 1
+        conj = conjugates(make_quadratic_field(5), RingElement(2, -1))
+        assert conj[0] * conj[1] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 13])
     def test_norm_matches_conjugate_product(self, d):
+        # the norm u^2 + s*u*v - t*v^2 from the multiplication rule
         F = make_quadratic_field(d)
         rng = np.random.default_rng(d)
         for _ in range(200):
-            a = RingElement(int(rng.integers(-50, 51)), int(rng.integers(-50, 51)))
-            conj = F.conjugates(a)
-            assert conj[0] * conj[1] == pytest.approx(F.norm(a), rel=1e-9, abs=1e-9)
+            u, v = int(rng.integers(-50, 51)), int(rng.integers(-50, 51))
+            conj = conjugates(F, RingElement(u, v))
+            norm = u * u + F.s * u * v - F.t * v * v
+            assert conj[0] * conj[1] == pytest.approx(norm, rel=1e-9, abs=1e-9)
 
 
 class TestRingMul:
@@ -126,18 +134,9 @@ class TestRingMul:
             a = RingElement(int(rng.integers(-30, 31)), int(rng.integers(-30, 31)))
             b = RingElement(int(rng.integers(-30, 31)), int(rng.integers(-30, 31)))
             prod = ring_mul(F, a, b)
-            ca, cb, cp = F.conjugates(a), F.conjugates(b), F.conjugates(prod)
+            ca, cb, cp = conjugates(F, a), conjugates(F, b), conjugates(F, prod)
             for j in range(2):
                 assert cp[j] == pytest.approx(ca[j] * cb[j], rel=1e-9, abs=1e-9)
-
-    @pytest.mark.parametrize("d", [3, 5, 11])
-    def test_norm_multiplicative_exact(self, d):
-        F = make_quadratic_field(d)
-        rng = np.random.default_rng(7 + d)
-        for _ in range(300):
-            a = RingElement(int(rng.integers(-40, 41)), int(rng.integers(-40, 41)))
-            b = RingElement(int(rng.integers(-40, 41)), int(rng.integers(-40, 41)))
-            assert F.norm(ring_mul(F, a, b)) == F.norm(a) * F.norm(b)
 
 
 class TestPrimeAbove:
@@ -264,15 +263,14 @@ class TestResidue:
             for v in range(-11, 12):
                 member = (u + P.c * v) % 11 == 0
                 assert (residue_reduce(P, RingElement(u, v)) == 0) == member
-                assert P.contains(RingElement(u, v)) == member
 
     def test_residue_field_inverse(self):
+        # mul makes F_q a field: each nonzero element has exactly one inverse
         F = make_quadratic_field(5)
         for p in (2, 3, 13):
-            P = prime_above(F, p)
-            Fq = P.residue_field
+            Fq = prime_above(F, p).residue_field
             for x in range(1, Fq.q):
-                assert Fq.mul(x, Fq.inv(x)) == 1
+                assert [Fq.mul(x, y) for y in range(Fq.q)].count(1) == 1
 
     def test_leader_roundtrip(self):
         F = make_quadratic_field(5)

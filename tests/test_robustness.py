@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cflat
-from cflat.channel import BlockFadingChannel, naive_rate
+from cflat.channel import BlockFadingChannel, _am_terms, naive_rate
 from cflat.numfield import make_quadratic_field
 from cflat.simkit import sample_channels
 from cflat.svp import best_equation
@@ -47,7 +47,7 @@ def check_channels(chans):
                 fj, nu_sq = exact_block(ch.h[j], cand.sigma[j], ch.P)
                 assert_close(float(cand.nu_sq[j]), nu_sq)
                 f += fj
-            assert_close(cand.quad_form, f)
+            assert_close(_am_terms(ch.h.tolist(), cand.sigma.tolist(), ch.P)[2], f)
         naive_rate(ch)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cflat.channel as channel
 import cflat.codec as codec
 import cflat.svp as svp
 
@@ -996,8 +997,10 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
     # builtin sum of floats is compensated from Python 3.12, so its bits
     # depend on the interpreter; the enumeration centres, the box search's,
     # minkowski_bound's and the union bound's are summed left to right
-    # instead, from 0.0 as Python 3.11's sum does
-    B = build_search_basis(F5, random_channel(np.random.default_rng(13), L=3))
+    # instead, from 0.0 as Python 3.11's sum does, and so is the channel's
+    # overflow check of P||h_j||^2
+    ch = random_channel(np.random.default_rng(13), L=3)
+    B = build_search_basis(F5, ch)
     lat = _build(F5, prime_above(F5, 11), REPEAT_CODE)
     # sweep bases at L = 2 and 3, most of those not skipped box-searched
     batch = [sweep_bases(5, L, (0.0, 20.0, 40.0), 10) for L in (2, 3)]
@@ -1008,6 +1011,7 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
             minkowski_bound(B),
             union_bound(lat, (0.7, 0.4), 3.0),
             [batch_search(bases)[:2] for bases in batch],
+            BlockFadingChannel(ch.h, ch.P).h.tobytes(),
         )
 
     want = searches()
@@ -1015,6 +1019,7 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
     def no_sum(*args):
         raise AssertionError("builtin sum called")
 
+    monkeypatch.setattr(channel, "sum", no_sum, raising=False)
     monkeypatch.setattr(svp, "sum", no_sum, raising=False)
     monkeypatch.setattr(box_oracle, "sum", no_sum, raising=False)
     monkeypatch.setattr(codec, "sum", no_sum, raising=False)
@@ -1026,6 +1031,7 @@ def test_search_does_not_use_builtin_sum(monkeypatch):
     assert got[1].hex() == want[1].hex()
     assert got[2].value.hex() == want[2].value.hex()
     assert got[2].terms == want[2].terms > 1
+    assert got[4] == want[4]
 
 
 def bits(x):
